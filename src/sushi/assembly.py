@@ -35,15 +35,13 @@ from .errors import (
     SingularAfterElimination,
 )
 from .geometry import Cell, Mesh
-from .gradient import default_alpha, y_vectors
+from .gradient import resolve_alpha, y_vectors
 from .spaces import (
-    BARYCENTRIC,
-    DIRICHLET,
-    HYBRID,
     BarycentricWeights,
     EdgePartition,
     UnknownNumbering,
     check_weights,
+    face_expansions,
     numbering_for,
 )
 
@@ -118,8 +116,7 @@ class TensorField:
         k = len(cell.faces)
         if self.func is not None and not self.piecewise_constant:
             out = np.empty((k, 2, 2))
-            for i in range(k):
-                centroid = (cell.point + 2.0 * cell.face_centres[i]) / 3.0
+            for i, centroid in enumerate(cell.cone_centroids()):
                 mat = np.asarray(self.func(centroid), dtype=float)
                 _check_spd_2x2(mat)
                 out[i] = cell.cone_measures[i] * mat
@@ -151,8 +148,7 @@ def flux(mesh: Mesh, cell_id: int, local_mat: np.ndarray, u) -> np.ndarray:
 def rhs_cell_integral(mesh: Mesh, cell_id: int, f) -> float:
     """Integral of f over a cell by the cone-centroid rule (exact for affine f)."""
     cell = mesh.cells[cell_id]
-    centroids = (cell.point[None, :] + 2.0 * cell.face_centres) / 3.0
-    return float(cell.cone_measures @ np.array([f(c) for c in centroids]))
+    return float(cell.cone_measures @ np.array([f(c) for c in cell.cone_centroids()]))
 
 
 @dataclass
@@ -171,37 +167,11 @@ class LinearSystem:
     numbering: UnknownNumbering
     nm: int
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.upper @ x + self.upper.T @ x + self.diag * x
-
     def full(self) -> sp.csr_matrix:
         return (self.upper + self.upper.T + sp.diags(self.diag)).tocsr()
 
     def to_dense(self) -> np.ndarray:
         return self.full().toarray()
-
-
-def _face_expansions(mesh, partition, weights, numbering, dirichlet):
-    """Per face: linear expansion [(unknown, coeff)] and Dirichlet constant."""
-    expans: list[list[tuple[int, float]]] = [[] for _ in range(mesh.n_faces)]
-    consts = np.zeros(mesh.n_faces)
-    for f in mesh.faces:
-        tag = partition.tags[f.id]
-        if tag == HYBRID:
-            expans[f.id] = [(numbering.face_index[f.id], 1.0)]
-        elif tag == BARYCENTRIC:
-            if weights is None or f.id not in weights.support:
-                raise MissingWeights(f"no weights for face {f.id}")
-            entries = []
-            for kind, idx, beta in weights.support[f.id]:
-                if kind == "cell":
-                    entries.append((idx, beta))
-                else:
-                    entries.append((numbering.face_index[idx], beta))
-            expans[f.id] = entries
-        elif tag == DIRICHLET:
-            consts[f.id] = dirichlet(f.centre) if dirichlet is not None else 0.0
-    return expans, consts
 
 
 def assemble_triplets(mesh, partition, weights, tensor, source=None,
@@ -212,10 +182,10 @@ def assemble_triplets(mesh, partition, weights, tensor, source=None,
     products and summed in a canonical (value-sorted) order, so the
     returned triplet set is exactly symmetric.
     """
-    a = default_alpha(mesh.dim) if alpha is None else alpha
+    a = resolve_alpha(alpha, mesh.dim)
     numbering = numbering_for(mesh, partition)
     n = numbering.n
-    expans, consts = _face_expansions(mesh, partition, weights, numbering, dirichlet)
+    expans, consts = face_expansions(mesh, partition, weights, numbering, dirichlet)
 
     rows: list[int] = []
     cols: list[int] = []
@@ -249,7 +219,7 @@ def assemble_triplets(mesh, partition, weights, tensor, source=None,
                         rows.append(row)
                         cols.append(col)
                         vals.append((t * s) * a_ij)
-                    if partition.tags[fid_j] == DIRICHLET and consts[fid_j] != 0.0:
+                    if consts[fid_j] != 0.0:
                         rhs[row] += t * a_ij * consts[fid_j]
 
     rows_a = np.asarray(rows, dtype=np.int64)

@@ -3,17 +3,13 @@
 Subcommands: ``solve`` (one run, writes VTK/CSV/manifest), ``convergence``
 (refinement study with fitted orders) and ``mesh-check`` (geometry
 identities and regularity).  Exit codes: 0 success, 1 numerical failure,
-2 input error.  ``SUSHI_THREADS`` caps internal parallelism (the current
-implementation is serial, so any value is honoured trivially); it is
-recorded in the run manifest.
+2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from pathlib import Path
 
@@ -23,6 +19,7 @@ from . import __version__
 from .errors import SushiError
 from .generators import gen_nonconforming_rect, gen_rect, gen_tri
 from .geometry import theta_D, validate
+from .gradient import gradient_field, resolve_alpha
 from .postproc import convergence_order
 from .problems import BUILTIN_PROBLEMS, load_problem_descriptor
 from .run import parse_mesh_spec, solve_problem
@@ -49,9 +46,8 @@ def _manifest(args, result, label) -> dict:
         "problem": args.problem,
         "mesh": label,
         "policy": result.partition.policy,
-        "alpha": result.alpha if result.alpha is not None else math.sqrt(2.0),
+        "alpha": manifest_alpha(result),
         "tol": args.tol,
-        "threads": os.environ.get("SUSHI_THREADS", ""),
         "N": result.system.n,
         "NM": result.system.nm,
         "solve": result.report.to_manifest(),
@@ -64,7 +60,7 @@ def _manifest(args, result, label) -> dict:
 
 
 def manifest_alpha(result) -> float:
-    return result.alpha if result.alpha is not None else math.sqrt(2.0)
+    return resolve_alpha(result.alpha, result.mesh.dim)
 
 
 def cmd_solve(args) -> int:
@@ -76,9 +72,6 @@ def cmd_solve(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    from .gradient import gradient_field
-
     grad = gradient_field(mesh, result.u, result.alpha)
     scalars = {"u": result.u.cell_values}
     if regions is not None:
@@ -204,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-12,
                         help="CG relative residual tolerance")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property checks")
 
     p_solve = sub.add_parser("solve", parents=[common], help="solve one run")
     p_solve.add_argument("--mesh", required=True,

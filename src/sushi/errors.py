@@ -17,10 +17,6 @@ class DegenerateFace(MeshError):
     """Face with zero measure."""
 
 
-class NonPlanarFace(MeshError):
-    """Face vertices do not lie in a common hyperplane."""
-
-
 class InvalidTopology(MeshError):
     """Cell/face/vertex references are inconsistent."""
 

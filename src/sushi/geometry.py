@@ -63,6 +63,10 @@ class Cell:
             raise InvalidTopology(f"face {face_id} not on cell {self.id}")
         return int(hits[0])
 
+    def cone_centroids(self) -> np.ndarray:
+        """(k, d) centroids (x_K + 2 x_sigma) / 3 of the cones, one per face."""
+        return (self.point[None, :] + 2.0 * self.face_centres) / 3.0
+
 
 @dataclass
 class Mesh:

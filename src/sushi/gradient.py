@@ -11,7 +11,10 @@ face-normal direction:
     R(K,sigma) u = (alpha/d(K,sigma)) (u_sigma - u_K - grad_K u . (x_sigma - x_K)),
     grad(K,sigma) u = grad_K u + R(K,sigma) u * n(K,sigma).
 
-``alpha`` defaults to sqrt(d); any positive value is admissible.
+Every quantity below is derived from the coefficients of the face
+increments in these two formulas (:func:`gradient_coefficients`,
+:func:`residual_coefficients`).  ``alpha`` defaults to sqrt(d); any finite
+positive value is admissible (:func:`resolve_alpha`).
 """
 
 from __future__ import annotations
@@ -27,6 +30,14 @@ from .spaces import DiscreteFunction
 
 def default_alpha(dim: int) -> float:
     return math.sqrt(dim)
+
+
+def resolve_alpha(alpha: float | None, dim: int) -> float:
+    """``alpha``, or the default when None; ``ValueError`` unless finite and > 0."""
+    a = default_alpha(dim) if alpha is None else alpha
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {a!r}")
+    return a
 
 
 @dataclass
@@ -64,34 +75,50 @@ class GradientField:
                                      repr(float(g[1]))])
 
 
-def _face_deltas(cell: Cell, u: DiscreteFunction) -> np.ndarray:
+def face_deltas(cell: Cell, u: DiscreteFunction) -> np.ndarray:
+    """Face increments u_sigma - u_K over the faces of ``cell``."""
     return u.face_values[cell.faces] - u.cell_values[cell.id]
+
+
+def gradient_coefficients(cell: Cell) -> np.ndarray:
+    """(k, d) array ``g``: row j multiplies (u_{sigma_j} - u_K) in grad_K u."""
+    return (cell.face_measures[:, None] * cell.normals) / cell.measure
+
+
+def residual_coefficients(cell: Cell, g: np.ndarray, alpha: float) -> np.ndarray:
+    """(k, k) array: row i maps the face increments to R(K, sigma_i) u.
+
+    ``g`` is :func:`gradient_coefficients` of the same cell.
+    """
+    # proj[i, j] = g_j . (x_sigma_i - x_K)
+    proj = (cell.face_centres - cell.point) @ g.T
+    return (np.eye(len(cell.faces)) - proj) * (alpha / cell.dists)[:, None]
+
+
+def _cone_vectors(cell: Cell, alpha: float) -> np.ndarray:
+    """(k, k, d) array ``Y``: grad(K, sigma_i) u = sum_j (u_{sigma_j} - u_K) Y[i, j]."""
+    g = gradient_coefficients(cell)
+    coef = residual_coefficients(cell, g, alpha)
+    return g[None, :, :] + coef[:, :, None] * cell.normals[:, None, :]
 
 
 def cell_gradient(mesh: Mesh, u: DiscreteFunction, cell_id: int) -> np.ndarray:
     c = mesh.cells[cell_id]
-    delta = _face_deltas(c, u)
-    return (c.face_measures * delta) @ c.normals / c.measure
+    return face_deltas(c, u) @ gradient_coefficients(c)
 
 
 def stabilization_residual(mesh: Mesh, u: DiscreteFunction, cell_id: int,
                            face_id: int, alpha: float | None = None) -> float:
     c = mesh.cells[cell_id]
-    a = default_alpha(mesh.dim) if alpha is None else alpha
-    i = c.local_index(face_id)
-    grad = cell_gradient(mesh, u, cell_id)
-    delta = u.face_values[face_id] - u.cell_values[cell_id]
-    return a / c.dists[i] * (delta - float(grad @ (c.face_centres[i] - c.point)))
+    coef = residual_coefficients(c, gradient_coefficients(c),
+                                 resolve_alpha(alpha, mesh.dim))
+    return float(coef[c.local_index(face_id)] @ face_deltas(c, u))
 
 
 def cell_cone_gradients(cell: Cell, u: DiscreteFunction,
                         alpha: float) -> np.ndarray:
     """All cone gradients of one cell as a (k, d) array."""
-    delta = _face_deltas(cell, u)
-    grad = (cell.face_measures * delta) @ cell.normals / cell.measure
-    pred = (cell.face_centres - cell.point) @ grad
-    resid = alpha / cell.dists * (delta - pred)
-    return grad[None, :] + resid[:, None] * cell.normals
+    return face_deltas(cell, u) @ _cone_vectors(cell, alpha)
 
 
 def gradient_field(mesh: Mesh, u: DiscreteFunction,
@@ -99,9 +126,9 @@ def gradient_field(mesh: Mesh, u: DiscreteFunction,
     """Stabilized gradient on every cone.
 
     ``u`` must carry materialized face values (barycentric faces already
-    reconstructed; see :meth:`BarycentricWeights.reconstruct`).
+    reconstructed; see :func:`sushi.postproc.reconstruct_faces`).
     """
-    a = default_alpha(mesh.dim) if alpha is None else alpha
+    a = resolve_alpha(alpha, mesh.dim)
     per_cell = [cell_cone_gradients(c, u, a) for c in mesh.cells]
     return GradientField(per_cell=per_cell, alpha=a)
 
@@ -110,16 +137,6 @@ def y_vectors(mesh: Mesh, cell_id: int, alpha: float | None = None) -> np.ndarra
     """Vectors identifying cone gradients from face increments.
 
     Returns a (k, k, d) array ``Y`` with ``Y[i, j]`` the vector multiplying
-    (u_{sigma_j} - u_K) in the cone gradient of face i:
-
-        grad(K, sigma_i) u = sum_j (u_{sigma_j} - u_K) Y[i, j].
+    (u_{sigma_j} - u_K) in the cone gradient of face i.
     """
-    c = mesh.cells[cell_id]
-    a = default_alpha(mesh.dim) if alpha is None else alpha
-    k = len(c.faces)
-    g = (c.face_measures[:, None] * c.normals) / c.measure  # row j: coefficient of delta_j in grad_K
-    rel = c.face_centres - c.point
-    # proj[i, j] = g_j . (x_sigma_i - x_K)
-    proj = rel @ g.T
-    coef = (np.eye(k) - proj) * (a / c.dists)[:, None]
-    return g[None, :, :] + coef[:, :, None] * c.normals[:, None, :]
+    return _cone_vectors(mesh.cells[cell_id], resolve_alpha(alpha, mesh.dim))

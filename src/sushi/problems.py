@@ -37,25 +37,36 @@ class ProblemSpec:
     exact_boundary_flux: dict | None = None
 
 
-def problem_anisotropic_smooth() -> ProblemSpec:
-    """Constant full tensor with a quartic bubble exact solution.
+def _bubble(p) -> float:
+    """u = 16 x (1-x) y (1-y), zero on the unit-square boundary."""
+    x, y = p
+    return 16.0 * x * (1.0 - x) * y * (1.0 - y)
 
-    Lambda = [[1.5, 0.5], [0.5, 1.5]], u = 16 x (1-x) y (1-y), zero on the
-    boundary; the source is the hand-differentiated negative divergence of
-    Lambda grad u.
+
+def _bubble_grad(p) -> np.ndarray:
+    x, y = p
+    return np.array(
+        [16.0 * (1.0 - 2.0 * x) * y * (1.0 - y),
+         16.0 * x * (1.0 - x) * (1.0 - 2.0 * y)]
+    )
+
+
+def _two_region_tensor(split_x: float, left: float, right: float):
+    """``make_tensor`` of an isotropic coefficient split at x = ``split_x``."""
+    def make_tensor(mesh, regions=None):
+        lam = np.array([left if c.point[0] < split_x else right for c in mesh.cells])
+        return TensorField.from_per_cell(lam[:, None, None] * np.eye(2))
+
+    return make_tensor
+
+
+def problem_anisotropic_smooth() -> ProblemSpec:
+    """Constant full tensor with the quartic bubble exact solution.
+
+    Lambda = [[1.5, 0.5], [0.5, 1.5]]; the source is the
+    hand-differentiated negative divergence of Lambda grad u.
     """
     lam = np.array([[1.5, 0.5], [0.5, 1.5]])
-
-    def exact(p):
-        x, y = p
-        return 16.0 * x * (1.0 - x) * y * (1.0 - y)
-
-    def exact_grad(p):
-        x, y = p
-        return np.array(
-            [16.0 * (1.0 - 2.0 * x) * y * (1.0 - y),
-             16.0 * x * (1.0 - x) * (1.0 - 2.0 * y)]
-        )
 
     def source(p):
         x, y = p
@@ -70,24 +81,13 @@ def problem_anisotropic_smooth() -> ProblemSpec:
         make_tensor=lambda mesh, regions=None: TensorField.from_constant(lam),
         source=source,
         dirichlet=lambda p: 0.0,
-        exact=exact,
-        exact_grad=exact_grad,
+        exact=_bubble,
+        exact_grad=_bubble_grad,
     )
 
 
 def problem_quartic_isotropic() -> ProblemSpec:
     """Identity tensor with the same quartic bubble; used by the E(u) study."""
-    def exact(p):
-        x, y = p
-        return 16.0 * x * (1.0 - x) * y * (1.0 - y)
-
-    def exact_grad(p):
-        x, y = p
-        return np.array(
-            [16.0 * (1.0 - 2.0 * x) * y * (1.0 - y),
-             16.0 * x * (1.0 - x) * (1.0 - 2.0 * y)]
-        )
-
     def source(p):
         x, y = p
         return 32.0 * y * (1.0 - y) + 32.0 * x * (1.0 - x)
@@ -97,8 +97,8 @@ def problem_quartic_isotropic() -> ProblemSpec:
         make_tensor=lambda mesh, regions=None: TensorField.from_constant(np.eye(2)),
         source=source,
         dirichlet=lambda p: 0.0,
-        exact=exact,
-        exact_grad=exact_grad,
+        exact=_bubble,
+        exact_grad=_bubble_grad,
     )
 
 
@@ -158,16 +158,9 @@ def problem_superadmissible_oracle(lam_left: float, lam_right: float) -> Problem
     """
     if lam_left <= 0.0 or lam_right <= 0.0:
         raise ValueError("coefficients must be positive")
-
-    def make_tensor(mesh, regions=None):
-        lam = np.array(
-            [lam_left if c.point[0] < 0.5 else lam_right for c in mesh.cells]
-        )
-        return TensorField.from_per_cell(lam[:, None, None] * np.eye(2))
-
     return ProblemSpec(
         name="superadmissible-oracle",
-        make_tensor=make_tensor,
+        make_tensor=_two_region_tensor(0.5, lam_left, lam_right),
         source=None,
         dirichlet=lambda p: 0.0,
         needs_regions=False,
@@ -211,39 +204,44 @@ def load_problem_descriptor(path) -> ProblemSpec:
     ``{"two_region": {"split_x": v, "left": lam, "right": lam}}``); optional
     ``exact_poly``, a 2D coefficient matrix c[i][j] of sum c_ij x^i y^j, from
     which the gradient, the source -div(Lambda grad u) (constant tensors
-    only) and the boundary data are derived.
+    only) and the boundary data are derived.  A malformed descriptor
+    raises ``ParseError``.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             desc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON descriptor: {exc}")
+    if not isinstance(desc, dict):
+        raise ParseError("descriptor must be a JSON object")
     name = desc.get("name", "custom")
     tensor = desc.get("tensor")
-    if tensor is None:
-        raise ParseError("descriptor needs a 'tensor' entry")
+    if not isinstance(tensor, dict):
+        raise ParseError("descriptor needs a 'tensor' object")
 
     constant = None
     if "constant" in tensor:
         constant = np.asarray(tensor["constant"], dtype=float)
+        if constant.shape != (2, 2):
+            raise ParseError("'constant' tensor must be a 2x2 matrix")
 
         def make_tensor(mesh, regions=None, mat=constant):
             return TensorField.from_constant(mat)
 
     elif "two_region" in tensor:
         tr = tensor["two_region"]
-        xs, ll, rr = float(tr.get("split_x", 0.5)), float(tr["left"]), float(tr["right"])
-
-        def make_tensor(mesh, regions=None):
-            lam = np.array([ll if c.point[0] < xs else rr for c in mesh.cells])
-            return TensorField.from_per_cell(lam[:, None, None] * np.eye(2))
-
+        if not (isinstance(tr, dict) and "left" in tr and "right" in tr):
+            raise ParseError("'two_region' must be an object with 'left' and 'right'")
+        make_tensor = _two_region_tensor(float(tr.get("split_x", 0.5)),
+                                        float(tr["left"]), float(tr["right"]))
     else:
         raise ParseError("tensor must define 'constant' or 'two_region'")
 
     exact = exact_grad = source = None
     if "exact_poly" in desc:
         coeffs = np.asarray(desc["exact_poly"], dtype=float)
+        if coeffs.ndim != 2 or coeffs.size == 0:
+            raise ParseError("'exact_poly' must be a non-empty 2D coefficient matrix")
         cx, cy = _poly_dx(coeffs), _poly_dy(coeffs)
         exact = lambda p: _poly_eval(coeffs, p[0], p[1])
         exact_grad = lambda p: np.array(

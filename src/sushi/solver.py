@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -27,16 +28,17 @@ class SolveReport:
         }
 
 
-def solve_cg(system, tol: float = 1e-12, max_iters: int | None = None,
-             preconditioner: str = "jacobi") -> tuple[np.ndarray, SolveReport]:
-    """Conjugate gradients on the assembled system.
+def solve_cg(system, tol: float = 1e-12,
+             max_iters: int | None = None) -> tuple[np.ndarray, SolveReport]:
+    """Jacobi-preconditioned conjugate gradients on the assembled system.
 
-    Stops when ||b - M x|| / ||b|| <= tol.  Raises ``MaxIterations`` on
+    Stops when ||b - M x|| / ||b|| <= tol; ``tol`` must be finite and
+    positive (``ValueError`` otherwise).  Raises ``MaxIterations`` on
     stagnation and ``BreakdownNonSPD`` on negative curvature (which would
     signal an assembly bug, not a solver failure).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     t0 = time.perf_counter()
     mat = system.full()
     b = system.rhs
@@ -47,14 +49,7 @@ def solve_cg(system, tol: float = 1e-12, max_iters: int | None = None,
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, time.perf_counter() - t0, "cg")
 
-    if preconditioner == "jacobi":
-        inv_diag = 1.0 / system.diag
-        precond = lambda r: inv_diag * r
-    elif preconditioner == "none":
-        precond = lambda r: r
-    else:
-        raise ValueError(f"unknown preconditioner {preconditioner!r}")
-
+    inv_diag = 1.0 / system.diag
     x = np.zeros(n)
     iterations = 0
     true_res = 1.0
@@ -65,7 +60,7 @@ def solve_cg(system, tol: float = 1e-12, max_iters: int | None = None,
         true_res = float(np.linalg.norm(r)) / bnorm
         if true_res <= tol:
             break
-        z = precond(r)
+        z = inv_diag * r
         p = z.copy()
         rz = float(r @ z)
         while iterations < max_iters:
@@ -79,7 +74,7 @@ def solve_cg(system, tol: float = 1e-12, max_iters: int | None = None,
             r -= alpha * ap
             if np.linalg.norm(r) <= 0.25 * tol * bnorm:
                 break
-            z = precond(r)
+            z = inv_diag * r
             rz_new = float(r @ z)
             p = z + (rz_new / rz) * p
             rz = rz_new

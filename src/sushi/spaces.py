@@ -113,6 +113,35 @@ def numbering_for(mesh: Mesh, partition: EdgePartition) -> UnknownNumbering:
     )
 
 
+def face_expansions(mesh: Mesh, partition: EdgePartition,
+                    weights: BarycentricWeights | None,
+                    numbering: UnknownNumbering, dirichlet=None):
+    """Per face: linear expansion [(unknown, coeff)] and Dirichlet constant.
+
+    The value of face sigma is ``consts[sigma] + sum coeff * x[unknown]``
+    over the retained unknowns ``x``: a hybrid face is its own unknown, a
+    barycentric face its weight combination (entries in support order,
+    cells first), a Dirichlet face the boundary datum at its centre.
+    """
+    expans: list[list[tuple[int, float]]] = [[] for _ in range(mesh.n_faces)]
+    consts = np.zeros(mesh.n_faces)
+    tags = partition.tags.tolist()
+    for f in mesh.faces:
+        tag = tags[f.id]
+        if tag == HYBRID:
+            expans[f.id] = [(numbering.face_index[f.id], 1.0)]
+        elif tag == BARYCENTRIC:
+            if weights is None or f.id not in weights.support:
+                raise MissingWeights(f"no weights for face {f.id}")
+            expans[f.id] = [
+                (idx if kind == "cell" else numbering.face_index[idx], beta)
+                for kind, idx, beta in weights.support[f.id]
+            ]
+        elif tag == DIRICHLET:
+            consts[f.id] = dirichlet(f.centre) if dirichlet is not None else 0.0
+    return expans, consts
+
+
 def _pinched_cells(mesh: Mesh, regions: np.ndarray) -> np.ndarray:
     """Cells whose face-neighbours span at least two foreign regions.
 

@@ -146,8 +146,6 @@ def test_linear_system_storage_roundtrip():
     system = assemble(mesh, part, None, prob.make_tensor(mesh), source=prob.source)
     dense = system.to_dense()
     assert np.array_equal(dense, dense.T)
-    x = np.linspace(0.0, 1.0, system.n)
-    assert np.allclose(system.matvec(x), dense @ x, rtol=1e-14, atol=1e-14)
 
 
 def test_bilinear_form_equivalence(rng):

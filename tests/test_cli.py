@@ -5,7 +5,9 @@ import pytest
 
 import sushi
 from sushi.cli import main
+from sushi.gradient import default_alpha
 from sushi.meshfile import write_mesh
+from sushi.vtkio import read_csv
 
 
 def parse_legacy_vtk(path):
@@ -108,6 +110,28 @@ def test_unknown_problem_exits_2(tmp_path, capsys):
     code = main(["solve", "--problem", "nope", "--mesh", "rect:2x2",
                  "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--alpha", "nan"), ("--alpha", "inf"), ("--alpha", "-1"), ("--alpha", "0"),
+    ("--tol", "nan"), ("--tol", "inf"),
+])
+def test_solve_rejects_invalid_alpha_and_tol_exits_2(tmp_path, capsys, option, value):
+    code = main(["solve", "--mesh", "rect:4x4", option, value, "--out", str(tmp_path)])
+    assert code == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha_args,expected", [
+    (["--alpha", "1.5"], 1.5),
+    ([], default_alpha(2)),
+])
+def test_solve_records_alpha(tmp_path, alpha_args, expected):
+    assert main(["solve", "--mesh", "rect:4x4", *alpha_args,
+                 "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["alpha"] == expected
+    assert float(read_csv(tmp_path / "report.csv")[0]["alpha"]) == expected
 
 
 def test_outputs_are_byte_deterministic(tmp_path):

@@ -183,3 +183,19 @@ def test_json_descriptor_errors(tmp_path):
     nodesc.write_text("{}")
     with pytest.raises(ParseError):
         load_problem_descriptor(nodesc)
+
+
+@pytest.mark.parametrize("desc", [
+    {"tensor": 5},
+    [{"tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]}}],
+    {"tensor": {"two_region": 3}},
+    {"tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]}, "exact_poly": [1, 2]},
+    {"tensor": {"constant": np.eye(3).tolist()}},
+    {"tensor": {"two_region": {"left": 1.0}}},
+], ids=["tensor-not-object", "top-level-list", "two-region-not-object",
+        "exact-poly-1d", "constant-not-2x2", "two-region-without-right"])
+def test_json_descriptor_rejects_malformed_shapes(tmp_path, desc):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(desc))
+    with pytest.raises(ParseError):
+        load_problem_descriptor(path)

@@ -23,7 +23,7 @@ def system_from_dense(mat, rhs):
 def test_cg_identity_single_iteration():
     b = np.array([1.0, -2.0, 3.0])
     sys_ = system_from_dense(np.eye(3), b)
-    x, report = solve_cg(sys_, preconditioner="none")
+    x, report = solve_cg(sys_)
     assert np.allclose(x, b)
     assert report.iterations == 1
 
@@ -61,15 +61,13 @@ def test_cg_breakdown_on_indefinite_matrix():
     mat = np.array([[1.0, 0.0], [0.0, -1.0]])
     sys_ = system_from_dense(mat, np.array([0.0, 1.0]))
     with pytest.raises(BreakdownNonSPD):
-        solve_cg(sys_, preconditioner="none")
+        solve_cg(sys_)
 
 
 def test_cg_rejects_bad_arguments():
     sys_ = system_from_dense(np.eye(2), np.ones(2))
     with pytest.raises(ValueError):
         solve_cg(sys_, tol=0.0)
-    with pytest.raises(ValueError):
-        solve_cg(sys_, preconditioner="ilu")
 
 
 def test_cg_zero_rhs():
