@@ -213,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="synthetic h:error pairs, e.g. '0.5:0.25,0.25:0.0625'")
     p_conv.set_defaults(func=cmd_convergence)
 
-    p_check = sub.add_parser("mesh-check", parents=[common],
-                             help="geometry identities and regularity")
+    p_check = sub.add_parser("mesh-check", help="geometry identities and regularity")
     p_check.add_argument("--mesh", required=True)
     p_check.set_defaults(func=cmd_mesh_check)
     return parser

@@ -60,7 +60,16 @@ class InconsistentWeights(SushiError):
 
 
 class MaxIterations(SushiError):
-    """Iterative solver failed to reach the requested tolerance."""
+    """Iterative solver failed to reach the requested tolerance.
+
+    Carries the relative residual it stopped at and the iteration count
+    when known.
+    """
+
+    def __init__(self, message, residual=None, iterations=None):
+        super().__init__(message)
+        self.residual = residual
+        self.iterations = iterations
 
 
 class BreakdownNonSPD(SushiError):

@@ -197,6 +197,28 @@ def _poly_dy(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:, 1:] * np.arange(1, coeffs.shape[1])[None, :]
 
 
+def _numbers(value, what: str) -> np.ndarray:
+    """JSON numbers (possibly nested in lists) as a float array.
+
+    Anything else (``null``, strings, objects, ragged nesting) raises
+    ``ParseError``.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ParseError(f"{what} must hold numbers only, got {value!r}")
+    return arr.astype(float)
+
+
+def _number(value, what: str) -> float:
+    arr = _numbers(value, what)
+    if arr.ndim != 0:
+        raise ParseError(f"{what} must be a number, got {value!r}")
+    return float(arr)
+
+
 def load_problem_descriptor(path) -> ProblemSpec:
     """Custom problem from a JSON descriptor.
 
@@ -204,8 +226,8 @@ def load_problem_descriptor(path) -> ProblemSpec:
     ``{"two_region": {"split_x": v, "left": lam, "right": lam}}``); optional
     ``exact_poly``, a 2D coefficient matrix c[i][j] of sum c_ij x^i y^j, from
     which the gradient, the source -div(Lambda grad u) (constant tensors
-    only) and the boundary data are derived.  A malformed descriptor
-    raises ``ParseError``.
+    only) and the boundary data are derived.  A malformed descriptor,
+    including a non-numeric value, raises ``ParseError``.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -221,7 +243,7 @@ def load_problem_descriptor(path) -> ProblemSpec:
 
     constant = None
     if "constant" in tensor:
-        constant = np.asarray(tensor["constant"], dtype=float)
+        constant = _numbers(tensor["constant"], "'constant' tensor")
         if constant.shape != (2, 2):
             raise ParseError("'constant' tensor must be a 2x2 matrix")
 
@@ -232,14 +254,15 @@ def load_problem_descriptor(path) -> ProblemSpec:
         tr = tensor["two_region"]
         if not (isinstance(tr, dict) and "left" in tr and "right" in tr):
             raise ParseError("'two_region' must be an object with 'left' and 'right'")
-        make_tensor = _two_region_tensor(float(tr.get("split_x", 0.5)),
-                                        float(tr["left"]), float(tr["right"]))
+        make_tensor = _two_region_tensor(_number(tr.get("split_x", 0.5), "'split_x'"),
+                                        _number(tr["left"], "'left'"),
+                                        _number(tr["right"], "'right'"))
     else:
         raise ParseError("tensor must define 'constant' or 'two_region'")
 
     exact = exact_grad = source = None
     if "exact_poly" in desc:
-        coeffs = np.asarray(desc["exact_poly"], dtype=float)
+        coeffs = _numbers(desc["exact_poly"], "'exact_poly'")
         if coeffs.ndim != 2 or coeffs.size == 0:
             raise ParseError("'exact_poly' must be a non-empty 2D coefficient matrix")
         cx, cy = _poly_dx(coeffs), _poly_dy(coeffs)

@@ -134,6 +134,15 @@ def test_solve_records_alpha(tmp_path, alpha_args, expected):
     assert float(read_csv(tmp_path / "report.csv")[0]["alpha"]) == expected
 
 
+def test_solve_unreachable_tol_exits_1(tmp_path, capsys):
+    # 1e-16 lies below the attainable residual floor of this system: CG
+    # stops on stagnation with a numerical failure, well before 10 n steps
+    code = main(["solve", "--mesh", "rect:32x32", "--policy", "all-hybrid",
+                 "--tol", "1e-16", "--out", str(tmp_path)])
+    assert code == 1
+    assert "CG stagnated" in capsys.readouterr().err
+
+
 def test_outputs_are_byte_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -165,20 +174,32 @@ def test_convergence_small_study(tmp_path, capsys):
     assert (tmp_path / "study.csv").exists()
 
 
-def test_mesh_check_pass(tmp_path, capsys):
-    code = main(["mesh-check", "--mesh", "rect:4x4", "--out", str(tmp_path)])
+def test_mesh_check_pass(capsys):
+    code = main(["mesh-check", "--mesh", "rect:4x4"])
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "theta_D=2.82843" in out
 
 
-def test_mesh_check_barrier_thin_layer_warning(tmp_path, capsys):
-    code = main(["mesh-check", "--mesh", "barrier:3", "--out", str(tmp_path)])
+def test_mesh_check_barrier_thin_layer_warning(capsys):
+    code = main(["mesh-check", "--mesh", "barrier:3"])
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "warning: large theta_D" in out
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--problem", "nope"), ("--policy", "all-hybrid"), ("--alpha", "nan"),
+    ("--tol", "inf"), ("--out", "out"),
+])
+def test_mesh_check_rejects_solve_options_exits_2(capsys, option, value):
+    # mesh-check reads only --mesh; an option it would ignore is an input error
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh-check", "--mesh", "rect:2x2", option, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_mesh_check_reads_files_and_fails_on_corruption(tmp_path, capsys):

@@ -192,8 +192,19 @@ def test_json_descriptor_errors(tmp_path):
     {"tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]}, "exact_poly": [1, 2]},
     {"tensor": {"constant": np.eye(3).tolist()}},
     {"tensor": {"two_region": {"left": 1.0}}},
+    {"tensor": {"two_region": {"split_x": None, "left": 1, "right": 2}}},
+    {"tensor": {"two_region": {"left": "one", "right": 2}}},
+    {"tensor": {"two_region": {"left": [1.0], "right": 2}}},
+    {"tensor": {"constant": [[1.0, None], [0.0, 1.0]]}},
+    {"tensor": {"constant": [["1", 0.0], [0.0, 1.0]]}},
+    {"tensor": {"constant": [[1.0, 0.0], [0.0]]}},
+    {"tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]}, "exact_poly": [[1, None]]},
+    {"tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]}, "exact_poly": [[1, {}]]},
 ], ids=["tensor-not-object", "top-level-list", "two-region-not-object",
-        "exact-poly-1d", "constant-not-2x2", "two-region-without-right"])
+        "exact-poly-1d", "constant-not-2x2", "two-region-without-right",
+        "split-x-null", "left-string", "left-list", "constant-null-entry",
+        "constant-string-entry", "constant-ragged", "exact-poly-null-entry",
+        "exact-poly-object-entry"])
 def test_json_descriptor_rejects_malformed_shapes(tmp_path, desc):
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(desc))

@@ -1,10 +1,13 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import sushi
 from sushi.assembly import LinearSystem, assemble
-from sushi.errors import BreakdownNonSPD, NotPositiveDefinite
+from sushi.errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
 from sushi.problems import problem_anisotropic_smooth
 from sushi.solver import solve_cg, solve_dense, spd_certificate
 from sushi.spaces import UnknownNumbering, compute_weights, partition_faces
@@ -78,14 +81,48 @@ def test_cg_zero_rhs():
 
 
 def test_cg_max_iterations():
-    from sushi.errors import MaxIterations
-
     prob = problem_anisotropic_smooth()
     mesh = sushi.gen_rect(6, 6)
     part = partition_faces(mesh, "all-hybrid")
     system = assemble(mesh, part, None, prob.make_tensor(mesh), source=prob.source)
-    with pytest.raises(MaxIterations):
+    with pytest.raises(MaxIterations) as exc:
         solve_cg(system, tol=1e-12, max_iters=3)
+    assert exc.value.iterations == 3
+
+
+def hybrid_rect_system(n):
+    prob = problem_anisotropic_smooth()
+    mesh = sushi.gen_rect(n, n)
+    part = partition_faces(mesh, "all-hybrid")
+    return assemble(mesh, part, None, prob.make_tensor(mesh),
+                    source=prob.source, dirichlet=prob.dirichlet)
+
+
+def test_cg_reaches_tol_below_float64_restart_floor(caplog):
+    # Restarts from the float64 residual stall at ~1.1e-12 on this system
+    # (N = 48,896), just above tol; without the stagnation exit CG crawls
+    # to the 10 n cap (488,960 iterations).  The extended-precision
+    # restart residual gets below that floor within a few restarts.
+    system = hybrid_rect_system(128)
+    caplog.set_level(logging.DEBUG, logger="sushi.solver")
+    _, report = solve_cg(system, tol=1e-12)
+    assert report.relative_residual <= 1e-12
+    assert report.iterations <= 1500
+    assert 1 <= report.restarts <= 4
+    assert len(report.residual_history) == report.restarts
+    restart_lines = [r for r in caplog.records if "CG restart" in r.getMessage()]
+    assert len(restart_lines) == report.restarts
+
+
+def test_cg_unreachable_tol_stops_on_stagnation():
+    # 1e-16 is below the attainable floor: the stagnation exit stops CG
+    # long before the 10 n cap (30,080 iterations here)
+    system = hybrid_rect_system(32)
+    with pytest.raises(MaxIterations) as exc:
+        solve_cg(system, tol=1e-16)
+    assert exc.value.iterations <= system.n
+    assert math.isfinite(exc.value.residual)
+    assert exc.value.residual > 1e-16
 
 
 def test_dense_two_by_two():
