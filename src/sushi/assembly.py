@@ -11,13 +11,17 @@ s'', and the numerical flux through face s is
 
 which reproduces the bilinear form integral of grad_D u . Lambda grad_D v.
 
-Assembly is a loop over cells with an inner loop over faces: each flux is
-expanded over the retained unknowns (cells and hybrid faces), eliminated
-barycentric values are redistributed through their weights, and Dirichlet
-values move to the right-hand side.  Triplets are accumulated for both
-triangles and coalesced in a canonical order, which makes the assembled
-matrix exactly symmetric; storage keeps the strict upper triangle plus
-the diagonal.
+Assembly restricts this hybrid form to the retained unknowns x (cells and
+hybrid faces).  With ``P`` and ``c`` the face expansion of
+:func:`sushi.spaces.face_expansions` (face values ``c + P x``), the cone
+increments u_K - u_s are ``E x - c[cone_face]`` for the cone map
+``E = C - P[cone_face]``, where ``C`` is the cone-to-cell incidence.  With
+``B`` the block diagonal of the local matrices, the system is
+
+    (E^T B E) x = f + E^T B c[cone_face],
+
+f holding the cell integrals of the source.  Only the strict upper
+triangle and the diagonal are stored, so the matrix is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -156,8 +160,9 @@ class LinearSystem:
     """Sparse SPD system over the retained unknowns.
 
     The matrix is stored as its strict upper triangle plus diagonal; it is
-    exactly symmetric by construction.  ``nm`` counts stored nonzero
-    entries of the full matrix (both triangles plus the diagonal).
+    exactly symmetric by construction.  ``nm`` is the structural nonzero
+    count of the full matrix (both triangles plus the diagonal): every
+    entry the elimination reaches, exact zeros included.
     """
 
     n: int
@@ -174,65 +179,9 @@ class LinearSystem:
         return self.full().toarray()
 
 
-def assemble_triplets(mesh, partition, weights, tensor, source=None,
-                      dirichlet=None, alpha=None):
-    """Coalesced triplets of the full matrix plus the right-hand side.
-
-    Mirrored entries are accumulated from identical floating-point
-    products and summed in a canonical (value-sorted) order, so the
-    returned triplet set is exactly symmetric.
-    """
-    a = resolve_alpha(alpha, mesh.dim)
-    numbering = numbering_for(mesh, partition)
-    n = numbering.n
-    expans, consts = face_expansions(mesh, partition, weights, numbering, dirichlet)
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    rhs = np.zeros(n)
-
-    for cell in mesh.cells:
-        lm = local_matrix(mesh, cell.id, tensor, a)
-        k = len(cell.faces)
-        if source is not None:
-            rhs[cell.id] += rhs_cell_integral(mesh, cell.id, source)
-        # Factor lists of (u_K - u_sigma): +1 on the cell, -coeff on each
-        # unknown of the face expansion.  Identical lists serve as test
-        # (row) and trial (column) factors, which keeps mirrored products
-        # bit-equal.
-        factors = []
-        for i in range(k):
-            fid = int(cell.faces[i])
-            fac = [(cell.id, 1.0)]
-            fac.extend((col, -coeff) for col, coeff in expans[fid])
-            factors.append(fac)
-        # Every touched (row, col) pair registers a stored entry, even when
-        # the local coefficient is an exact zero: the nonzero count NM
-        # follows the increment procedure, not the final values.
-        for i in range(k):
-            for j in range(k):
-                a_ij = lm[i, j]
-                fid_j = int(cell.faces[j])
-                for row, t in factors[i]:
-                    for col, s in factors[j]:
-                        rows.append(row)
-                        cols.append(col)
-                        vals.append((t * s) * a_ij)
-                    if consts[fid_j] != 0.0:
-                        rhs[row] += t * a_ij * consts[fid_j]
-
-    rows_a = np.asarray(rows, dtype=np.int64)
-    cols_a = np.asarray(cols, dtype=np.int64)
-    vals_a = np.asarray(vals, dtype=float)
-    order = np.lexsort((vals_a, cols_a, rows_a))
-    rows_a, cols_a, vals_a = rows_a[order], cols_a[order], vals_a[order]
-    if len(rows_a):
-        change = (rows_a[1:] != rows_a[:-1]) | (cols_a[1:] != cols_a[:-1])
-        starts = np.concatenate([[0], np.nonzero(change)[0] + 1])
-        sums = np.add.reduceat(vals_a, starts)
-        rows_a, cols_a, vals_a = rows_a[starts], cols_a[starts], sums
-    return rows_a, cols_a, vals_a, rhs, numbering
+def _structure(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """0/1 matrix of the stored entries of ``mat``, exact zeros included."""
+    return sp.csr_matrix((np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape)
 
 
 def assemble(mesh: Mesh, partition: EdgePartition,
@@ -248,24 +197,42 @@ def assemble(mesh: Mesh, partition: EdgePartition,
         if weights is None:
             raise MissingWeights("partition has barycentric faces but no weights")
         check_weights(mesh, partition, weights)
-    rows, cols, vals, rhs, numbering = assemble_triplets(
-        mesh, partition, weights, tensor, source, dirichlet, alpha
-    )
+    a = resolve_alpha(alpha, mesh.dim)
+    numbering = numbering_for(mesh, partition)
     n = numbering.n
-    nm = len(rows)
+    expansion, consts = face_expansions(mesh, partition, weights, numbering, dirichlet)
 
-    on_diag = rows == cols
-    diag = np.zeros(n)
-    diag[rows[on_diag]] = vals[on_diag]
+    # C (cone -> cell incidence), E = C - P[cone_face] and B of the module
+    # docstring are ``cells``, ``cone_map`` and ``local``.
+    sizes = [len(c.faces) for c in mesh.cells]
+    cone_face = np.concatenate([c.faces for c in mesh.cells])
+    n_cones = len(cone_face)
+    cells = sp.csr_matrix(
+        (np.ones(n_cones), (np.arange(n_cones), np.repeat(np.arange(mesh.n_cells), sizes))),
+        shape=(n_cones, n),
+    )
+    picked = expansion[cone_face]
+    cone_map = (cells - picked).tocsr()
+    local = sp.block_diag([local_matrix(mesh, c.id, tensor, a) for c in mesh.cells],
+                          format="csr")
+
+    mat = (cone_map.T @ (local @ cone_map)).tocsr()
+    # The value product drops exact zeros, but NM counts every entry that a
+    # stored weight and local coefficient reach: the same product over the
+    # 0/1 patterns.
+    reach = cells + _structure(picked)
+    nm = (reach.T @ (_structure(local) @ reach)).nnz
+
+    rhs = cone_map.T @ (local @ consts[cone_face])
+    if source is not None:
+        for cell in mesh.cells:
+            rhs[cell.id] += rhs_cell_integral(mesh, cell.id, source)
+
+    diag = mat.diagonal()
     if np.any(diag <= 0.0):
         bad = int(np.nonzero(diag <= 0.0)[0][0])
         raise SingularAfterElimination(f"unknown {bad} has non-positive diagonal")
-
-    strict = rows < cols
-    upper = sp.csr_matrix(
-        (vals[strict], (rows[strict], cols[strict])), shape=(n, n)
-    )
-    return LinearSystem(n=n, upper=upper, diag=diag, rhs=rhs,
+    return LinearSystem(n=n, upper=sp.triu(mat, 1, format="csr"), diag=diag, rhs=rhs,
                         numbering=numbering, nm=nm)
 
 

@@ -385,8 +385,8 @@ def validate(mesh: Mesh, tolerance: float = 1e-10) -> ValidationReport:
             if f.id not in mesh.cells[ci].faces:
                 topo.append(f"face {f.id} not listed by cell {ci}")
 
-    vol = abs(sum(c.measure for c in mesh.cells) - domain_measure(mesh))
-    vol_rel = vol / abs(domain_measure(mesh))
+    domain = domain_measure(mesh)
+    vol_rel = abs(sum(c.measure for c in mesh.cells) - domain) / abs(domain)
     return ValidationReport(
         identity_residuals=ident,
         cone_sum_residuals=cone,

@@ -104,14 +104,9 @@ def reconstruct_faces(mesh: Mesh, partition: EdgePartition,
                       numbering: UnknownNumbering,
                       dirichlet=None) -> DiscreteFunction:
     """Expand a solution vector into values on every cell and face."""
-    expans, consts = face_expansions(mesh, partition, weights, numbering, dirichlet)
-    x = np.asarray(solution, dtype=float).tolist()
-    face_values = consts.tolist()
-    for fid, entries in enumerate(expans):
-        for idx, coeff in entries:
-            face_values[fid] += coeff * x[idx]
-    cell_values = np.asarray(solution[: numbering.n_cells], dtype=float)
-    return DiscreteFunction(cell_values, np.array(face_values))
+    expansion, consts = face_expansions(mesh, partition, weights, numbering, dirichlet)
+    x = np.asarray(solution, dtype=float)
+    return DiscreteFunction(x[: numbering.n_cells], expansion @ x + consts)
 
 
 def all_fluxes(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,

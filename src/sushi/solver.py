@@ -19,6 +19,20 @@ log = logging.getLogger(__name__)
 STAGNATION_RESTARTS = 5
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product by NumPy's pairwise summation.
+
+    ``a @ b`` and ``np.linalg.norm`` call BLAS, whose summation order
+    changes with its thread count; the pairwise order depends only on the
+    length, so CG takes the same iterates under every thread setting.
+    """
+    return float(np.add.reduce(a * b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
+
+
 @dataclass
 class SolveReport:
     iterations: int
@@ -65,7 +79,7 @@ def solve_cg(system, tol: float = 1e-12,
     n = system.n
     if max_iters is None:
         max_iters = 10 * n
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, time.perf_counter() - t0, "cg")
 
@@ -80,23 +94,23 @@ def solve_cg(system, tol: float = 1e-12,
     while True:
         z = inv_diag * r
         p = z.copy()
-        rz = float(r @ z)
+        rz = _dot(r, z)
         while iterations < max_iters:
             iterations += 1
             ap = mat @ p
-            pap = float(p @ ap)
+            pap = _dot(p, ap)
             if pap <= 0.0:
                 raise BreakdownNonSPD(f"negative curvature at iteration {iterations}")
             alpha = rz / pap
             x += alpha * p
             r -= alpha * ap
-            if np.linalg.norm(r) <= 0.25 * tol * bnorm:
+            if _norm(r) <= 0.25 * tol * bnorm:
                 break
             z = inv_diag * r
-            rz_new = float(r @ z)
+            rz_new = _dot(r, z)
             p = z + (rz_new / rz) * p
             rz = rz_new
-        true_res = float(np.linalg.norm(b - mat @ x)) / bnorm
+        true_res = _norm(b - mat @ x) / bnorm
         if true_res <= tol:
             break
         if iterations >= max_iters:
@@ -109,7 +123,7 @@ def solve_cg(system, tol: float = 1e-12,
             mat_ext = mat.astype(np.longdouble)
             b_ext = b.astype(np.longdouble)
         r_ext = b_ext - mat_ext @ x
-        accurate = float(np.linalg.norm(r_ext)) / bnorm
+        accurate = _norm(r_ext) / bnorm
         history.append(accurate)
         log.debug("CG restart %d after %d iterations: residual %.3e "
                   "(float64 %.3e)", len(history), iterations, accurate, true_res)

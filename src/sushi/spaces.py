@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     InconsistentWeights,
@@ -116,30 +117,35 @@ def numbering_for(mesh: Mesh, partition: EdgePartition) -> UnknownNumbering:
 def face_expansions(mesh: Mesh, partition: EdgePartition,
                     weights: BarycentricWeights | None,
                     numbering: UnknownNumbering, dirichlet=None):
-    """Per face: linear expansion [(unknown, coeff)] and Dirichlet constant.
+    """Face-expansion matrix ``P`` (n_faces x N) and Dirichlet constants ``c``.
 
-    The value of face sigma is ``consts[sigma] + sum coeff * x[unknown]``
-    over the retained unknowns ``x``: a hybrid face is its own unknown, a
-    barycentric face its weight combination (entries in support order,
-    cells first), a Dirichlet face the boundary datum at its centre.
+    The value of face sigma is ``c[sigma] + (P @ x)[sigma]`` over the
+    retained unknowns ``x``: a hybrid face is a unit row on its own
+    unknown, a barycentric face holds its weights (columns of cells or of
+    hybrid faces), a Dirichlet face is an empty row whose constant is the
+    boundary datum at its centre.  Every weight is stored, even an exact
+    zero, so ``P`` carries the structure that the nonzero count NM follows.
     """
-    expans: list[list[tuple[int, float]]] = [[] for _ in range(mesh.n_faces)]
+    rows = list(numbering.hybrid_faces)
+    cols = [numbering.face_index[f] for f in rows]
+    vals = [1.0] * len(rows)
+    for fid in partition.barycentric_faces():
+        if weights is None or fid not in weights.support:
+            raise MissingWeights(f"no weights for face {fid}")
+        for kind, idx, beta in weights.support[fid]:
+            rows.append(fid)
+            cols.append(idx if kind == "cell" else numbering.face_index[idx])
+            vals.append(beta)
+    expansion = sp.csr_matrix(
+        (np.array(vals, dtype=float),
+         (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+        shape=(mesh.n_faces, numbering.n),
+    )
     consts = np.zeros(mesh.n_faces)
-    tags = partition.tags.tolist()
-    for f in mesh.faces:
-        tag = tags[f.id]
-        if tag == HYBRID:
-            expans[f.id] = [(numbering.face_index[f.id], 1.0)]
-        elif tag == BARYCENTRIC:
-            if weights is None or f.id not in weights.support:
-                raise MissingWeights(f"no weights for face {f.id}")
-            expans[f.id] = [
-                (idx if kind == "cell" else numbering.face_index[idx], beta)
-                for kind, idx, beta in weights.support[f.id]
-            ]
-        elif tag == DIRICHLET:
-            consts[f.id] = dirichlet(f.centre) if dirichlet is not None else 0.0
-    return expans, consts
+    if dirichlet is not None:
+        for fid in np.nonzero(partition.tags == DIRICHLET)[0]:
+            consts[fid] = dirichlet(mesh.faces[fid].centre)
+    return expansion, consts
 
 
 def _pinched_cells(mesh: Mesh, regions: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ from conftest import random_zero_boundary, two_point_reference
 from sushi.assembly import (
     TensorField,
     assemble,
-    assemble_triplets,
     export_matrix_market,
     flux,
     local_matrix,
@@ -131,11 +130,7 @@ def test_assembled_matrix_exactly_symmetric():
     prob = problem_anisotropic_smooth()
     part = partition_faces(mesh, "all-barycentric")
     weights = compute_weights(mesh, part)
-    rows, cols, vals, _, numbering = assemble_triplets(
-        mesh, part, weights, prob.make_tensor(mesh)
-    )
-    full = np.zeros((numbering.n, numbering.n))
-    full[rows, cols] = vals
+    full = assemble(mesh, part, weights, prob.make_tensor(mesh)).to_dense()
     assert np.abs(full - full.T).max() == 0.0
 
 

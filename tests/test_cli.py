@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +156,24 @@ def test_outputs_are_byte_deterministic(tmp_path):
         ]) == 0
     for name in ("solution.vtk", "report.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_manifest_independent_of_blas_threads(tmp_path):
+    # N = 12,160 is above the length from which OpenBLAS splits a dot
+    # product across threads, so BLAS reductions would sum in another order
+    src = str(Path(sushi.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-m", "sushi.cli", "solve", "--mesh", "rect:64x64",
+             "--policy", "all-hybrid", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        outs.append((out / "manifest.json").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_convergence_synthetic_replay(tmp_path, capsys):
