@@ -9,16 +9,17 @@ at diffusion-tensor discontinuities.
 
 __version__ = "0.1.0"
 
-from .assembly import LinearSystem, TensorField, assemble, local_matrix
+from .assembly import LinearSystem, TensorField, assemble, local_matrices
 from .generators import gen_nonconforming_rect, gen_rect, gen_tilted_barrier, gen_tri
 from .geometry import Mesh, compute_geometry, regularity, theta_D, theta_DB, validate
-from .gradient import GradientField, cell_gradient, gradient_field, y_vectors
+from .gradient import GradientField, cell_gradients, gradient_field, gradient_operator
 from .meshfile import read_mesh, write_mesh
 from .postproc import (
     ErrorReport,
     FluxReport,
     boundary_flux_totals,
     composite_fluxes,
+    cone_fluxes,
     convergence_order,
     error_norms,
     flux_consistency_E,
@@ -49,10 +50,10 @@ __all__ = [
     "read_mesh", "write_mesh",
     "EdgePartition", "BarycentricWeights", "DiscreteFunction", "UnknownNumbering",
     "partition_faces", "compute_weights", "interpolate",
-    "GradientField", "cell_gradient", "gradient_field", "y_vectors",
-    "TensorField", "LinearSystem", "local_matrix", "assemble",
+    "GradientField", "cell_gradients", "gradient_field", "gradient_operator",
+    "TensorField", "LinearSystem", "local_matrices", "assemble",
     "SolveReport", "solve_cg", "solve_dense",
-    "ErrorReport", "FluxReport", "reconstruct_faces", "composite_fluxes",
+    "ErrorReport", "FluxReport", "reconstruct_faces", "cone_fluxes", "composite_fluxes",
     "boundary_flux_totals", "error_norms", "flux_consistency_E", "convergence_order",
     "ProblemSpec", "problem_anisotropic_smooth", "problem_tilted_barrier",
     "problem_superadmissible_oracle",

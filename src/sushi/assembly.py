@@ -1,22 +1,22 @@
 """Local flux matrices, elimination of barycentric faces, global SPD assembly.
 
-Per cell K the local matrix over its faces is
+With ``G`` the gradient operator of :mod:`sushi.gradient` (cone gradients
+``G delta`` of the cone increments delta = u_sigma - u_K) and ``Lambda``
+the block diagonal of the diffusion tensors integrated over each cone,
+the local flux matrices of all cells form the block-diagonal
 
-    A_K[s, s'] = sum over s'' of y(s'', s) . Lambda(K, s'') y(s'', s'),
+    B = G^T Lambda G,
 
-with Lambda(K, s'') the diffusion tensor integrated over the cone of face
-s'', and the numerical flux through face s is
-
-    F(K, s)(u) = sum over s' of A_K[s, s'] (u_K - u_{s'}),
-
-which reproduces the bilinear form integral of grad_D u . Lambda grad_D v.
+whose block A_K reproduces the bilinear form integral of
+grad_D u . Lambda grad_D v over K.  The numerical fluxes, outflow
+positive, are ``-B delta`` (:func:`sushi.postproc.cone_fluxes`).
 
 Assembly restricts this hybrid form to the retained unknowns x (cells and
 hybrid faces).  With ``P`` and ``c`` the face expansion of
 :func:`sushi.spaces.face_expansions` (face values ``c + P x``), the cone
 increments u_K - u_s are ``E x - c[cone_face]`` for the cone map
-``E = C - P[cone_face]``, where ``C`` is the cone-to-cell incidence.  With
-``B`` the block diagonal of the local matrices, the system is
+``E = C - P[cone_face]``, where ``C`` is the cone-to-cell incidence.  The
+system is
 
     (E^T B E) x = f + E^T B c[cone_face],
 
@@ -38,8 +38,8 @@ from .errors import (
     NonSymmetricTensor,
     SingularAfterElimination,
 )
-from .geometry import Cell, Mesh
-from .gradient import resolve_alpha, y_vectors
+from .geometry import Mesh, segment_sums
+from .gradient import gradient_operator, resolve_alpha
 from .spaces import (
     BarycentricWeights,
     EdgePartition,
@@ -50,13 +50,17 @@ from .spaces import (
 )
 
 
-def _check_spd_2x2(mat: np.ndarray) -> None:
-    mat = np.asarray(mat, dtype=float)
-    scale = max(np.abs(mat).max(), 1e-300)
-    if np.abs(mat - mat.T).max() > 1e-12 * scale:
-        raise NonSymmetricTensor(f"tensor not symmetric: {mat}")
-    if np.linalg.eigvalsh(mat).min() <= 0.0:
-        raise NonPositiveTensor(f"tensor not positive definite: {mat}")
+def _spd_eigenvalues(mats) -> np.ndarray:
+    """Ascending eigenvalues of each 2x2 tensor; typed errors unless all are SPD."""
+    mats = np.asarray(mats, dtype=float).reshape(-1, 2, 2)
+    scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1e-300)
+    asym = np.abs(mats - mats.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12 * scale
+    if asym.any():
+        raise NonSymmetricTensor(f"tensor not symmetric: {mats[asym][0]}")
+    ev = np.linalg.eigvalsh(mats)
+    if np.any(ev[:, 0] <= 0.0):
+        raise NonPositiveTensor(f"tensor not positive definite: {mats[ev[:, 0] <= 0.0][0]}")
+    return ev
 
 
 @dataclass
@@ -64,95 +68,72 @@ class TensorField:
     """Symmetric positive-definite diffusion tensor, sampled per cone.
 
     ``per_cell`` tensors (the default construction) are treated as exactly
-    piecewise constant; a smooth callable is sampled at cone centroids.
+    piecewise constant; a callable is sampled at cone centroids.
     """
 
     per_cell_tensors: np.ndarray | None = None
     constant: np.ndarray | None = None
     func: object = None
-    piecewise_constant: bool = True
     lambda_min: float = 0.0
     lambda_max: float = 0.0
 
     @classmethod
     def from_constant(cls, mat) -> "TensorField":
         mat = np.asarray(mat, dtype=float)
-        _check_spd_2x2(mat)
-        ev = np.linalg.eigvalsh(mat)
+        ev = _spd_eigenvalues(mat)[0]
         return cls(constant=mat, lambda_min=float(ev[0]), lambda_max=float(ev[-1]))
 
     @classmethod
     def from_per_cell(cls, tensors) -> "TensorField":
         tensors = np.asarray(tensors, dtype=float)
-        lo, hi = np.inf, 0.0
-        for t in tensors:
-            _check_spd_2x2(t)
-            ev = np.linalg.eigvalsh(t)
-            lo, hi = min(lo, ev[0]), max(hi, ev[-1])
-        return cls(per_cell_tensors=tensors, lambda_min=float(lo), lambda_max=float(hi))
+        ev = _spd_eigenvalues(tensors)
+        return cls(per_cell_tensors=tensors, lambda_min=float(ev[:, 0].min()),
+                   lambda_max=float(ev[:, -1].max()))
 
     @classmethod
     def isotropic_by_region(cls, regions, values: dict) -> "TensorField":
-        lam = np.array([values[int(r)] for r in regions], dtype=float)
+        distinct, which = np.unique(np.asarray(regions), return_inverse=True)
+        lam = np.array([values[int(r)] for r in distinct], dtype=float)[which.ravel()]
         tensors = lam[:, None, None] * np.eye(2)[None, :, :]
         return cls.from_per_cell(tensors)
 
     @classmethod
-    def from_callable(cls, func, piecewise_constant: bool = False) -> "TensorField":
-        return cls(func=func, piecewise_constant=piecewise_constant,
-                   lambda_min=np.nan, lambda_max=np.nan)
+    def from_callable(cls, func) -> "TensorField":
+        return cls(func=func, lambda_min=np.nan, lambda_max=np.nan)
 
     @property
     def is_identity(self) -> bool:
         return self.constant is not None and np.array_equal(self.constant, np.eye(2))
 
-    def cell_tensor(self, cell: Cell) -> np.ndarray:
+    def cone_tensors(self, mesh: Mesh) -> np.ndarray:
+        """(n_cones, 2, 2): |D(K, s)| times the tensor sampled on each cone."""
         if self.constant is not None:
-            return self.constant
-        if self.per_cell_tensors is not None:
-            return self.per_cell_tensors[cell.id]
-        mat = np.asarray(self.func(cell.point), dtype=float)
-        _check_spd_2x2(mat)
-        return mat
-
-    def cone_tensors(self, cell: Cell) -> np.ndarray:
-        """Integrated tensor per cone: |D(K, s)| times the sampled tensor."""
-        k = len(cell.faces)
-        if self.func is not None and not self.piecewise_constant:
-            out = np.empty((k, 2, 2))
-            for i, centroid in enumerate(cell.cone_centroids()):
-                mat = np.asarray(self.func(centroid), dtype=float)
-                _check_spd_2x2(mat)
-                out[i] = cell.cone_measures[i] * mat
-            return out
-        return cell.cone_measures[:, None, None] * self.cell_tensor(cell)[None, :, :]
+            sampled = self.constant[None, :, :]
+        elif self.per_cell_tensors is not None:
+            sampled = self.per_cell_tensors[mesh.cone_cell]
+        else:
+            sampled = np.array([np.asarray(self.func(x), dtype=float)
+                                for x in mesh.cone_centroid])
+            _spd_eigenvalues(sampled)
+        return mesh.cone_measure[:, None, None] * sampled
 
 
-def local_matrix(mesh: Mesh, cell_id: int, tensor: TensorField,
-                 alpha: float | None = None) -> np.ndarray:
-    """Symmetric positive local flux matrix of one cell."""
-    cell = mesh.cells[cell_id]
-    y = y_vectors(mesh, cell_id, alpha)
-    lam = tensor.cone_tensors(cell)
-    a = np.einsum("ija,iab,ikb->jk", y, lam, y)
-    return 0.5 * (a + a.T)
+def local_matrices(mesh: Mesh, tensor: TensorField,
+                   alpha: float | None = None) -> sp.csr_matrix:
+    """``B = G^T Lambda G``: the symmetric local flux matrices as one
+    block-diagonal matrix over the cones."""
+    grad = gradient_operator(mesh, alpha)
+    n = mesh.n_cones
+    lam = sp.bsr_matrix((tensor.cone_tensors(mesh), np.arange(n), np.arange(n + 1)),
+                        shape=(2 * n, 2 * n))
+    mat = (grad.T @ (lam @ grad)).tocsr()
+    return 0.5 * (mat + mat.T)
 
 
-def flux(mesh: Mesh, cell_id: int, local_mat: np.ndarray, u) -> np.ndarray:
-    """Numerical fluxes of one cell through all its faces.
-
-    Positive for outflow: the flux approximates the integral over the face
-    of -Lambda grad u . n_out.
-    """
-    cell = mesh.cells[cell_id]
-    delta = u.cell_values[cell_id] - u.face_values[cell.faces]
-    return local_mat @ delta
-
-
-def rhs_cell_integral(mesh: Mesh, cell_id: int, f) -> float:
-    """Integral of f over a cell by the cone-centroid rule (exact for affine f)."""
-    cell = mesh.cells[cell_id]
-    return float(cell.cone_measures @ np.array([f(c) for c in cell.cone_centroids()]))
+def rhs_cell_integrals(mesh: Mesh, f) -> np.ndarray:
+    """Integral of f over every cell by the cone-centroid rule (exact for affine f)."""
+    values = np.array([f(x) for x in mesh.cone_centroid], dtype=float)
+    return segment_sums(mesh.cone_measure * values, mesh.cell_ptr)
 
 
 @dataclass
@@ -204,29 +185,23 @@ def assemble(mesh: Mesh, partition: EdgePartition,
 
     # C (cone -> cell incidence), E = C - P[cone_face] and B of the module
     # docstring are ``cells``, ``cone_map`` and ``local``.
-    sizes = [len(c.faces) for c in mesh.cells]
-    cone_face = np.concatenate([c.faces for c in mesh.cells])
-    n_cones = len(cone_face)
-    cells = sp.csr_matrix(
-        (np.ones(n_cones), (np.arange(n_cones), np.repeat(np.arange(mesh.n_cells), sizes))),
-        shape=(n_cones, n),
-    )
-    picked = expansion[cone_face]
+    n_cones = mesh.n_cones
+    cells = sp.csr_matrix((np.ones(n_cones), (np.arange(n_cones), mesh.cone_cell)),
+                          shape=(n_cones, n))
+    picked = expansion[mesh.cone_face]
     cone_map = (cells - picked).tocsr()
-    local = sp.block_diag([local_matrix(mesh, c.id, tensor, a) for c in mesh.cells],
-                          format="csr")
+    local = local_matrices(mesh, tensor, a)
 
     mat = (cone_map.T @ (local @ cone_map)).tocsr()
     # The value product drops exact zeros, but NM counts every entry that a
-    # stored weight and local coefficient reach: the same product over the
-    # 0/1 patterns.
+    # stored weight and a local matrix entry reach: the same product over
+    # the 0/1 patterns, with the full k x k block of every cell.
     reach = cells + _structure(picked)
-    nm = (reach.T @ (_structure(local) @ reach)).nnz
+    nm = (reach.T @ ((cells @ cells.T) @ reach)).nnz
 
-    rhs = cone_map.T @ (local @ consts[cone_face])
+    rhs = cone_map.T @ (local @ consts[mesh.cone_face])
     if source is not None:
-        for cell in mesh.cells:
-            rhs[cell.id] += rhs_cell_integral(mesh, cell.id, source)
+        rhs[: mesh.n_cells] += rhs_cell_integrals(mesh, source)
 
     diag = mat.diagonal()
     if np.any(diag <= 0.0):

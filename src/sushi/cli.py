@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import SushiError
+from .errors import InsufficientLevels, SushiError
 from .generators import gen_nonconforming_rect, gen_rect, gen_tri
 from .geometry import theta_D, validate
 from .gradient import gradient_field, resolve_alpha
@@ -131,6 +131,8 @@ def cmd_convergence(args) -> int:
     if family is None:
         raise SushiError(f"unknown family {args.family!r}; choose from {sorted(_FAMILIES)}")
     levels = [int(t) for t in args.levels.split(",")]
+    if len(set(levels)) < 3:
+        raise InsufficientLevels(f"need at least three distinct levels, got {args.levels!r}")
     rows, hs, eus, egs = [], [], [], []
     for n in levels:
         mesh = family(n)

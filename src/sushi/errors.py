@@ -88,5 +88,9 @@ class InsufficientLevels(SushiError):
     """Convergence-order fit needs at least three refinement levels."""
 
 
+class InvalidSeries(SushiError):
+    """Convergence-order fit got an h or error that is not finite and positive."""
+
+
 class RequiresIdentityTensor(SushiError):
     """Operation is only defined for the identity diffusion tensor."""

@@ -191,6 +191,6 @@ def gen_tilted_barrier(variant: int) -> tuple[Mesh, np.ndarray]:
     ]
     mesh = compute_geometry(np.array(vertices), loops)
     regions = np.array(
-        [barrier_region(*c.point) for c in mesh.cells], dtype=int
+        [barrier_region(x, y) for x, y in mesh.cell_point], dtype=int
     )
     return mesh, regions

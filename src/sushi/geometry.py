@@ -1,14 +1,25 @@
 """Polytopal mesh representation, derived geometry and regularity metrics.
 
 A mesh is a collection of polygonal control volumes (cells), the planar
-pieces of their boundaries (faces) and one point per cell.  All derived
-quantities used by the scheme (measures, outward normals, cell-point to
-face distances, cone measures) are computed once, after which the mesh is
-immutable.
+pieces of their boundaries (faces) and one point per cell.  The scheme
+works on the cones D(K, sigma), the hull of the cell point x_K and a face
+sigma of K.  All derived quantities are computed once, as flat arrays:
 
-The data model is dimension-generic but the geometry kernels implemented
-here are 2D: faces are straight segments and cells are simple polygons
-given as counter-clockwise vertex loops.
+* per face: ``face_vertices``, ``face_cells`` (the two cells; -1 for the
+  missing neighbour of a boundary face), ``face_cones`` (the cone of each
+  entry of ``face_cells``), ``face_measure`` and ``face_centre``;
+* per cell: ``cell_point``, ``cell_measure`` and ``cell_diameter``;
+* per cone, cell-major: the cones of cell K are ``cell_ptr[K]`` to
+  ``cell_ptr[K + 1] - 1``, in the order of the cell's working loop.  Each
+  has ``cone_cell``, ``cone_face``, ``cone_vertex`` (the loop vertex that
+  starts its face, so the cones of K list K's working loop),
+  ``cone_normal`` (outward), ``cone_dist`` = d(K, sigma) and
+  ``cone_measure`` = |D(K, sigma)|.
+
+Faces are numbered in order of first appearance along the loops.  The
+data model is dimension-generic but the geometry kernels implemented here
+are 2D: faces are straight segments and cells are simple polygons given
+as counter-clockwise vertex loops.
 """
 
 from __future__ import annotations
@@ -24,95 +35,98 @@ from .errors import DegenerateFace, InvalidTopology, MissingWeights, NonStarShap
 DIST_REL_TOL = 1e-12
 
 
-@dataclass
-class Face:
-    """Planar piece of a cell boundary (a segment in 2D)."""
+def segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` over the consecutive segments ``ptr[i]:ptr[i+1]``.
 
-    id: int
-    vertices: tuple[int, ...]
-    cells: tuple[int, ...]
-    measure: float
-    centre: np.ndarray
-    boundary: bool
-
-
-@dataclass
-class Cell:
-    """Control volume with its per-face derived geometry.
-
-    The arrays are aligned: entry ``i`` of ``normals``, ``dists``,
-    ``face_measures``, ``face_centres`` and ``cone_measures`` belongs to
-    face ``faces[i]``.
+    Each sum is accumulated in order, first entry first, as a loop over
+    the segment would do it (``np.add.reduceat`` associates differently).
     """
-
-    id: int
-    faces: np.ndarray
-    loop: np.ndarray
-    point: np.ndarray
-    measure: float
-    diameter: float
-    normals: np.ndarray
-    dists: np.ndarray
-    face_measures: np.ndarray
-    face_centres: np.ndarray
-    cone_measures: np.ndarray
-
-    def local_index(self, face_id: int) -> int:
-        hits = np.nonzero(self.faces == face_id)[0]
-        if len(hits) != 1:
-            raise InvalidTopology(f"face {face_id} not on cell {self.id}")
-        return int(hits[0])
-
-    def cone_centroids(self) -> np.ndarray:
-        """(k, d) centroids (x_K + 2 x_sigma) / 3 of the cones, one per face."""
-        return (self.point[None, :] + 2.0 * self.face_centres) / 3.0
+    values = np.asarray(values, dtype=float)
+    n = len(ptr) - 1
+    owner = np.repeat(np.arange(n), np.diff(ptr))
+    cols = values.reshape(len(values), -1).T
+    sums = [np.bincount(owner, weights=col, minlength=n) for col in cols]
+    return np.stack(sums, axis=1).reshape((n,) + values.shape[1:])
 
 
 @dataclass
 class Mesh:
-    """Immutable mesh with computed geometry.
+    """Immutable mesh with computed geometry (see the module docstring).
 
     ``raw_loops`` keeps the cell loops exactly as supplied (before any
     nonconformity splits are applied) so that file output can reproduce
-    its input; ``cells[i].loop`` holds the working loop with hanging
+    its input; ``cone_vertex`` holds the working loops, with hanging
     vertices inserted.
     """
 
     dim: int
     vertices: np.ndarray
-    faces: list[Face]
-    cells: list[Cell]
+    face_vertices: np.ndarray
+    face_cells: np.ndarray
+    face_cones: np.ndarray
+    face_measure: np.ndarray
+    face_centre: np.ndarray
+    cell_point: np.ndarray
+    cell_measure: np.ndarray
+    cell_diameter: np.ndarray
+    cell_ptr: np.ndarray
+    cone_cell: np.ndarray
+    cone_face: np.ndarray
+    cone_vertex: np.ndarray
+    cone_normal: np.ndarray
+    cone_dist: np.ndarray
+    cone_measure: np.ndarray
     raw_loops: list[list[int]]
     splits: dict[tuple[int, int], list[int]] = field(default_factory=dict)
     cell_points_given: bool = False
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.cell_measure)
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return len(self.face_measure)
+
+    @property
+    def n_cones(self) -> int:
+        return len(self.cone_face)
 
     @property
     def h(self) -> float:
-        return max(c.diameter for c in self.cells)
+        return float(self.cell_diameter.max())
+
+    @property
+    def face_boundary(self) -> np.ndarray:
+        return self.face_cells[:, 1] < 0
+
+    @property
+    def cone_centroid(self) -> np.ndarray:
+        """(n_cones, d) centroids (x_K + 2 x_sigma) / 3 of the cones."""
+        return (self.cell_point[self.cone_cell]
+                + 2.0 * self.face_centre[self.cone_face]) / 3.0
+
+    def cones(self, cell: int) -> slice:
+        """The cone range of one cell."""
+        return slice(int(self.cell_ptr[cell]), int(self.cell_ptr[cell + 1]))
+
+    def cone_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every (i, j) of cones of one cell, cell by cell, row-major in each."""
+        return _cone_pairs(self.cell_ptr, self.cone_cell)
 
     def interior_faces(self) -> list[int]:
-        return [f.id for f in self.faces if not f.boundary]
+        return np.nonzero(~self.face_boundary)[0].tolist()
 
     def boundary_faces(self) -> list[int]:
-        return [f.id for f in self.faces if f.boundary]
+        return np.nonzero(self.face_boundary)[0].tolist()
 
     def vertex_cell_map(self) -> dict[int, list[int]]:
         """Map vertex id -> sorted cell ids whose loop contains it."""
-        out: dict[int, list[int]] = {}
-        for c in self.cells:
-            for v in c.loop:
-                out.setdefault(int(v), []).append(c.id)
-        for v in out:
-            out[v] = sorted(set(out[v]))
-        return out
+        keys = np.unique(self.cone_vertex.astype(np.int64) * self.n_cells + self.cone_cell)
+        verts, cells = np.divmod(keys, self.n_cells)
+        cuts = np.nonzero(np.diff(verts))[0] + 1
+        return {int(v[0]): c.tolist()
+                for v, c in zip(np.split(verts, cuts), np.split(cells, cuts))}
 
 
 @dataclass
@@ -144,24 +158,6 @@ class RegularityReport:
     worst_cell_ratio: np.ndarray
 
 
-def _polygon_area_centroid(pts: np.ndarray) -> tuple[float, np.ndarray]:
-    """Signed area and centroid of a simple polygon.
-
-    Fan triangulation from the vertex average; exact for simple polygons,
-    convex or not, and robust to collinear (split-edge) vertices.
-    """
-    origin = pts.mean(axis=0)
-    q = pts - origin
-    qn = np.roll(q, -1, axis=0)
-    cross = q[:, 0] * qn[:, 1] - q[:, 1] * qn[:, 0]
-    area = 0.5 * float(np.sum(cross))
-    if area == 0.0:
-        return 0.0, origin
-    tri_centroids = origin + (q + qn) / 3.0
-    centroid = (cross[:, None] * tri_centroids).sum(axis=0) / (2.0 * area)
-    return area, centroid
-
-
 def _apply_splits(loop: list[int], splits: dict[tuple[int, int], list[int]]) -> list[int]:
     """Insert recorded hanging vertices into every refined edge of a loop."""
     if not splits:
@@ -176,6 +172,18 @@ def _apply_splits(loop: list[int], splits: dict[tuple[int, int], list[int]]) -> 
         elif (b, a) in splits:
             out.extend(reversed(splits[(b, a)]))
     return out
+
+
+def _cone_pairs(cell_ptr: np.ndarray, cone_cell: np.ndarray):
+    rep = np.diff(cell_ptr)[cone_cell]
+    i = np.repeat(np.arange(len(cone_cell)), rep)
+    starts = np.repeat(np.cumsum(rep) - rep, rep)
+    j = cell_ptr[cone_cell[i]] + np.arange(len(i)) - starts
+    return i, j
+
+
+def _first(mask: np.ndarray) -> int:
+    return int(np.nonzero(mask)[0][0])
 
 
 def compute_geometry(
@@ -207,6 +215,8 @@ def compute_geometry(
         raise InvalidTopology("expected (V, 2) vertex array")
     if not np.all(np.isfinite(vertices)):
         raise InvalidTopology("non-finite vertex coordinate")
+    if len(loops) == 0:
+        raise InvalidTopology("mesh has no cells")
     splits = dict(splits or {})
     nv = len(vertices)
     d = 2
@@ -218,121 +228,108 @@ def compute_geometry(
         if any(v < 0 or v >= nv for v in loop):
             raise InvalidTopology(f"cell {ci} references a missing vertex")
         work_loops.append(_apply_splits(list(loop), splits))
-
-    # Face extraction: consecutive loop pairs, deduplicated by endpoint set.
-    face_key_to_id: dict[frozenset[int], int] = {}
-    face_vertices: list[tuple[int, int]] = []
-    face_cells: list[list[int]] = []
-    cell_face_ids: list[list[int]] = []
-    for ci, loop in enumerate(work_loops):
-        ids = []
-        n = len(loop)
-        for i in range(n):
-            a, b = loop[i], loop[(i + 1) % n]
-            if a == b:
-                raise InvalidTopology(f"cell {ci} has a repeated consecutive vertex")
-            key = frozenset((a, b))
-            fid = face_key_to_id.get(key)
-            if fid is None:
-                fid = len(face_vertices)
-                face_key_to_id[key] = fid
-                face_vertices.append((a, b))
-                face_cells.append([])
-            if ci in face_cells[fid]:
-                raise InvalidTopology(f"cell {ci} lists face {fid} twice")
-            face_cells[fid].append(ci)
-            ids.append(fid)
-        cell_face_ids.append(ids)
-
-    faces: list[Face] = []
-    for fid, (a, b) in enumerate(face_vertices):
-        owners = face_cells[fid]
-        if len(owners) > 2:
-            raise InvalidTopology(f"face {fid} shared by more than two cells")
-        pa, pb = vertices[a], vertices[b]
-        length = float(np.linalg.norm(pb - pa))
-        centre = 0.5 * (pa + pb)
-        faces.append(
-            Face(
-                id=fid,
-                vertices=(a, b),
-                cells=tuple(owners),
-                measure=length,
-                centre=centre,
-                boundary=(len(owners) == 1),
-            )
-        )
-
     if cell_points is not None:
         cell_points = np.asarray(cell_points, dtype=float)
         if cell_points.shape != (len(loops), 2):
             raise InvalidTopology("cell_points shape mismatch")
 
-    cells: list[Cell] = []
-    for ci, loop in enumerate(work_loops):
-        pts = vertices[np.asarray(loop)]
-        area, centroid = _polygon_area_centroid(pts)
-        if area <= 0.0:
-            raise InvalidTopology(f"cell {ci} loop is not counter-clockwise or is degenerate")
-        diam = _polygon_diameter(pts)
-        xk = centroid if cell_points is None else cell_points[ci]
+    # Cones, cell-major; cone i is the loop side from vertex a[i] to b[i].
+    sizes = np.array([len(loop) for loop in work_loops])
+    cell_ptr = np.concatenate([[0], np.cumsum(sizes)])
+    n_cells, n_cones = len(sizes), int(cell_ptr[-1])
+    cone_cell = np.repeat(np.arange(n_cells), sizes)
+    a = np.concatenate(work_loops).astype(np.int64)
+    nxt = np.arange(1, n_cones + 1)
+    nxt[cell_ptr[1:] - 1] = cell_ptr[:-1]
+    b = a[nxt]
+    if np.any(a == b):
+        ci = cone_cell[_first(a == b)]
+        raise InvalidTopology(f"cell {ci} has a repeated consecutive vertex")
 
-        fids = np.asarray(cell_face_ids[ci], dtype=int)
-        k = len(fids)
-        normals = np.empty((k, 2))
-        dists = np.empty(k)
-        fmeas = np.empty(k)
-        fcent = np.empty((k, 2))
-        n_loop = len(loop)
-        for i in range(n_loop):
-            a, b = loop[i], loop[(i + 1) % n_loop]
-            pa, pb = vertices[a], vertices[b]
-            t = pb - pa
-            length = float(np.linalg.norm(t))
-            if length <= DIST_REL_TOL * diam:
-                raise DegenerateFace(f"cell {ci}, face {fids[i]}: zero measure")
-            # CCW loop keeps the interior on the left; outward is the right side.
-            normal = np.array([t[1], -t[0]]) / length
-            centre = 0.5 * (pa + pb)
-            dist = float(np.dot(centre - xk, normal))
-            if dist <= DIST_REL_TOL * diam:
-                raise NonStarShaped(
-                    f"cell {ci}, face {fids[i]}: cell point distance {dist:.3e}"
-                )
-            normals[i] = normal
-            dists[i] = dist
-            fmeas[i] = length
-            fcent[i] = centre
-        cells.append(
-            Cell(
-                id=ci,
-                faces=fids,
-                loop=np.asarray(loop, dtype=int),
-                point=np.asarray(xk, dtype=float),
-                measure=area,
-                diameter=diam,
-                normals=normals,
-                dists=dists,
-                face_measures=fmeas,
-                face_centres=fcent,
-                cone_measures=fmeas * dists / d,
-            )
+    # Faces: loop sides deduplicated by endpoint set, ids in first-appearance order.
+    _, first, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    cone_face = rank[inverse.ravel()]
+    face_first = first[order]
+    n_faces = len(order)
+    pair_keys = np.sort(cone_cell * n_faces + cone_face)
+    twice = pair_keys[1:] == pair_keys[:-1]
+    if np.any(twice):
+        ci, fid = divmod(int(pair_keys[1:][twice][0]), n_faces)
+        raise InvalidTopology(f"cell {ci} lists face {fid} twice")
+    counts = np.bincount(cone_face, minlength=n_faces)
+    if np.any(counts > 2):
+        raise InvalidTopology(f"face {_first(counts > 2)} shared by more than two cells")
+    by_face = np.argsort(cone_face, kind="stable")
+    starts = np.cumsum(counts) - counts
+    face_cones = np.full((n_faces, 2), -1, dtype=np.int64)
+    face_cones[:, 0] = by_face[starts]
+    shared = counts == 2
+    face_cones[shared, 1] = by_face[starts[shared] + 1]
+    face_cells = np.where(face_cones >= 0, cone_cell[face_cones], -1)
+
+    # Cell measures and centroids: fan triangulation from the vertex average,
+    # exact for simple polygons and robust to collinear (split-edge) vertices.
+    pts = vertices[a]
+    origin = segment_sums(pts, cell_ptr) / sizes[:, None]
+    q = pts - origin[cone_cell]
+    qn = q[nxt]
+    cross = q[:, 0] * qn[:, 1] - q[:, 1] * qn[:, 0]
+    area = 0.5 * segment_sums(cross, cell_ptr)
+    if np.any(area <= 0.0):
+        raise InvalidTopology(
+            f"cell {_first(area <= 0.0)} loop is not counter-clockwise or is degenerate"
+        )
+    tri_centroids = origin[cone_cell] + (q + qn) / 3.0
+    centroid = segment_sums(cross[:, None] * tri_centroids, cell_ptr) / (2.0 * area[:, None])
+    pi, pj = _cone_pairs(cell_ptr, cone_cell)
+    diff = pts[pi] - pts[pj]
+    pair_ptr = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    diam = np.maximum.reduceat(np.sqrt((diff ** 2).sum(axis=1)), pair_ptr[:-1])
+    xk = centroid if cell_points is None else cell_points
+
+    t = vertices[b] - pts
+    length = np.sqrt((t * t).sum(axis=1))
+    bad = length <= DIST_REL_TOL * diam[cone_cell]
+    if np.any(bad):
+        i = _first(bad)
+        raise DegenerateFace(f"cell {cone_cell[i]}, face {cone_face[i]}: zero measure")
+    # CCW loop keeps the interior on the left; outward is the right side.
+    normal = np.stack([t[:, 1], -t[:, 0]], axis=1) / length[:, None]
+    face_centre = 0.5 * (pts[face_first] + vertices[b[face_first]])
+    dist = ((face_centre[cone_face] - xk[cone_cell]) * normal).sum(axis=1)
+    bad = dist <= DIST_REL_TOL * diam[cone_cell]
+    if np.any(bad):
+        i = _first(bad)
+        raise NonStarShaped(
+            f"cell {cone_cell[i]}, face {cone_face[i]}: cell point distance {dist[i]:.3e}"
         )
 
     return Mesh(
         dim=d,
         vertices=vertices,
-        faces=faces,
-        cells=cells,
+        face_vertices=np.stack([a[face_first], b[face_first]], axis=1),
+        face_cells=face_cells,
+        face_cones=face_cones,
+        face_measure=length[face_first],
+        face_centre=face_centre,
+        cell_point=np.array(xk, dtype=float),
+        cell_measure=area,
+        cell_diameter=diam,
+        cell_ptr=cell_ptr,
+        cone_cell=cone_cell,
+        cone_face=cone_face,
+        cone_vertex=a,
+        cone_normal=normal,
+        cone_dist=dist,
+        cone_measure=length * dist / d,
         raw_loops=[list(l) for l in loops],
         splits=splits,
         cell_points_given=cell_points is not None,
     )
-
-
-def _polygon_diameter(pts: np.ndarray) -> float:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
 
 def domain_measure(mesh: Mesh) -> float:
@@ -341,14 +338,10 @@ def domain_measure(mesh: Mesh) -> float:
     Divergence theorem: |Omega| = (1/d) * sum over boundary faces of
     |sigma| * x_sigma . n_out, independent of the cell partition.
     """
-    total = 0.0
-    for f in mesh.faces:
-        if not f.boundary:
-            continue
-        cell = mesh.cells[f.cells[0]]
-        i = cell.local_index(f.id)
-        total += f.measure * float(np.dot(f.centre, cell.normals[i]))
-    return total / mesh.dim
+    bf = mesh.face_boundary
+    normal = mesh.cone_normal[mesh.face_cones[bf, 0]]
+    flux = mesh.face_measure[bf] * (mesh.face_centre[bf] * normal).sum(axis=1)
+    return float(flux.sum()) / mesh.dim
 
 
 def validate(mesh: Mesh, tolerance: float = 1e-10) -> ValidationReport:
@@ -360,33 +353,34 @@ def validate(mesh: Mesh, tolerance: float = 1e-10) -> ValidationReport:
     * sum |sigma| d(K,sigma) = d |K|,
     * sum |sigma| n = 0 (closed boundary),
 
-    plus interior-face adjacency counts and the partition-of-domain
+    plus the face/cone cross-references and the partition-of-domain
     check sum |K| = |Omega|.
     """
     d = mesh.dim
-    n = mesh.n_cells
-    ident = np.zeros(n)
-    cone = np.zeros(n)
-    closure = np.zeros(n)
-    for c in mesh.cells:
-        w = c.face_measures[:, None]
-        m = (w * c.normals).T @ (c.face_centres - c.point[None, :])
-        ident[c.id] = np.abs(m - c.measure * np.eye(d)).max() / c.measure
-        cone[c.id] = abs(float(c.face_measures @ c.dists) - d * c.measure) / c.measure
-        closure[c.id] = np.abs((w * c.normals).sum(axis=0)).max() / c.face_measures.sum()
+    ptr = mesh.cell_ptr
+    w = mesh.face_measure[mesh.cone_face]
+    wn = w[:, None] * mesh.cone_normal
+    rel = mesh.face_centre[mesh.cone_face] - mesh.cell_point[mesh.cone_cell]
+    m = segment_sums(wn[:, :, None] * rel[:, None, :], ptr)
+    meas = mesh.cell_measure
+    ident = np.abs(m - meas[:, None, None] * np.eye(d)).max(axis=(1, 2)) / meas
+    cone = np.abs(segment_sums(w * mesh.cone_dist, ptr) - d * meas) / meas
+    closure = np.abs(segment_sums(wn, ptr)).max(axis=1) / segment_sums(w, ptr)
 
-    topo: list[str] = []
-    for f in mesh.faces:
-        if f.boundary and len(f.cells) != 1:
-            topo.append(f"boundary face {f.id} with {len(f.cells)} cells")
-        if not f.boundary and len(f.cells) != 2:
-            topo.append(f"interior face {f.id} with {len(f.cells)} cells")
-        for ci in f.cells:
-            if f.id not in mesh.cells[ci].faces:
-                topo.append(f"face {f.id} not listed by cell {ci}")
+    cones = np.arange(mesh.n_cones)
+    unlisted = ~(mesh.face_cones[mesh.cone_face] == cones[:, None]).any(axis=1)
+    topo = [f"face {mesh.cone_face[i]} does not list cell {mesh.cone_cell[i]}"
+            for i in np.nonzero(unlisted)[0]]
+    fc = np.maximum(mesh.face_cones, 0)
+    wrong = (mesh.face_cones >= 0) & (
+        (mesh.cone_face[fc] != np.arange(mesh.n_faces)[:, None])
+        | (mesh.cone_cell[fc] != mesh.face_cells)
+    )
+    topo += [f"face {f} not listed by cell {mesh.face_cells[f, j]}"
+             for f, j in zip(*np.nonzero(wrong))]
 
     domain = domain_measure(mesh)
-    vol_rel = abs(sum(c.measure for c in mesh.cells) - domain) / abs(domain)
+    vol_rel = abs(float(meas.sum()) - domain) / abs(domain)
     return ValidationReport(
         identity_residuals=ident,
         cone_sum_residuals=cone,
@@ -397,19 +391,17 @@ def validate(mesh: Mesh, tolerance: float = 1e-10) -> ValidationReport:
     )
 
 
+def _cell_ratios(mesh: Mesh) -> np.ndarray:
+    """Per cell h_K / min over sigma of d(K, sigma)."""
+    return mesh.cell_diameter / np.minimum.reduceat(mesh.cone_dist, mesh.cell_ptr[:-1])
+
+
 def theta_D(mesh: Mesh) -> float:
     """Mesh regularity: max of interior distance ratios and h_K/d(K,sigma)."""
-    worst = 0.0
-    for c in mesh.cells:
-        worst = max(worst, c.diameter / float(c.dists.min()))
-    for f in mesh.faces:
-        if f.boundary:
-            continue
-        k, l = f.cells
-        dk = mesh.cells[k].dists[mesh.cells[k].local_index(f.id)]
-        dl = mesh.cells[l].dists[mesh.cells[l].local_index(f.id)]
-        worst = max(worst, dk / dl, dl / dk)
-    return worst
+    shared = mesh.face_cones[~mesh.face_boundary]
+    dk, dl = mesh.cone_dist[shared[:, 0]], mesh.cone_dist[shared[:, 1]]
+    return float(max(_cell_ratios(mesh).max(), np.max(dk / dl, initial=0.0),
+                     np.max(dl / dk, initial=0.0)))
 
 
 def regularity(mesh: Mesh, weights=None) -> RegularityReport:
@@ -419,24 +411,20 @@ def regularity(mesh: Mesh, weights=None) -> RegularityReport:
     sum |beta| |x_point - x_sigma|^2 / h_K^2, maximised with theta_D.
     """
     td = theta_D(mesh)
-    per_cell = np.array([c.diameter / float(c.dists.min()) for c in mesh.cells])
     tdb = None
     if weights is not None:
-        tdb = td
-        for c in mesh.cells:
-            for fid in c.faces:
-                entries = weights.support.get(int(fid))
-                if entries is None:
-                    continue
-                spread = 0.0
-                for kind, idx, beta in entries:
-                    if kind == "cell":
-                        p = mesh.cells[idx].point
-                    else:
-                        p = mesh.faces[idx].centre
-                    spread += abs(beta) * float(np.sum((p - mesh.faces[fid].centre) ** 2))
-                tdb = max(tdb, spread / c.diameter ** 2)
-    return RegularityReport(theta_D=td, theta_DB=tdb, worst_cell_ratio=per_cell)
+        spread = np.zeros(mesh.n_faces)
+        weighted = np.zeros(mesh.n_faces, dtype=bool)
+        for fid, entries in weights.support.items():
+            centre = mesh.face_centre[fid]
+            for kind, idx, beta in entries:
+                p = mesh.cell_point[idx] if kind == "cell" else mesh.face_centre[idx]
+                spread[fid] += abs(beta) * float(np.sum((p - centre) ** 2))
+            weighted[fid] = True
+        on = weighted[mesh.cone_face]
+        ratio = spread[mesh.cone_face[on]] / mesh.cell_diameter[mesh.cone_cell[on]] ** 2
+        tdb = max(td, float(np.max(ratio, initial=0.0)))
+    return RegularityReport(theta_D=td, theta_DB=tdb, worst_cell_ratio=_cell_ratios(mesh))
 
 
 def theta_DB(mesh: Mesh, weights) -> float:

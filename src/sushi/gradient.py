@@ -1,4 +1,4 @@
-"""Stabilized discrete gradient, per-cone, and the flux-identification vectors.
+"""Stabilized discrete gradient as one sparse operator over the cones.
 
 Per cell K the gradient of a grid function u is
 
@@ -11,10 +11,15 @@ face-normal direction:
     R(K,sigma) u = (alpha/d(K,sigma)) (u_sigma - u_K - grad_K u . (x_sigma - x_K)),
     grad(K,sigma) u = grad_K u + R(K,sigma) u * n(K,sigma).
 
-Every quantity below is derived from the coefficients of the face
-increments in these two formulas (:func:`gradient_coefficients`,
-:func:`residual_coefficients`).  ``alpha`` defaults to sqrt(d); any finite
-positive value is admissible (:func:`resolve_alpha`).
+Both are linear in the cone increments delta = u_sigma - u_K.  Their
+coefficients are defined once (:func:`gradient_coefficients`,
+:func:`residual_coefficients`) and evaluated for every pair of cones of a
+cell at once.  They form the sparse operator ``G`` (2 n_cones x n_cones,
+block-diagonal by cell) with ``G delta`` the cone gradients, row
+``2 i + a`` holding component ``a`` of cone ``i``; the local flux
+matrices are ``G^T Lambda G`` (:func:`sushi.assembly.local_matrices`).
+``alpha`` defaults to sqrt(d); any finite positive value is admissible
+(:func:`resolve_alpha`).
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .geometry import Cell, Mesh
+from .geometry import Mesh, segment_sums
 from .spaces import DiscreteFunction
 
 
@@ -42,83 +48,70 @@ def resolve_alpha(alpha: float | None, dim: int) -> float:
 
 @dataclass
 class GradientField:
-    """Piecewise-constant gradient, one vector per cone (cell, local face)."""
+    """Piecewise-constant gradient: ``cones[i]`` is the gradient on cone i."""
 
-    per_cell: list[np.ndarray]  # entry K: (k, d) array over the faces of K
+    cones: np.ndarray  # (n_cones, d)
     alpha: float
 
     def cell_average(self, mesh: Mesh) -> np.ndarray:
         """Cone-measure-weighted average per cell, for visualization."""
-        out = np.empty((mesh.n_cells, mesh.dim))
-        for c in mesh.cells:
-            w = c.cone_measures
-            out[c.id] = (w[:, None] * self.per_cell[c.id]).sum(axis=0) / w.sum()
-        return out
+        w = mesh.cone_measure
+        return (segment_sums(w[:, None] * self.cones, mesh.cell_ptr)
+                / segment_sums(w, mesh.cell_ptr)[:, None])
 
     def l2_norm_sq(self, mesh: Mesh) -> float:
-        total = 0.0
-        for c in mesh.cells:
-            total += float(c.cone_measures @ np.sum(self.per_cell[c.id] ** 2, axis=1))
-        return total
-
-    def dump_cones_csv(self, mesh: Mesh, path) -> None:
-        """Cone-resolved dump: one row per (cell, face) with the gradient."""
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cell", "face", "gx", "gy"])
-            for c in mesh.cells:
-                for i, fid in enumerate(c.faces):
-                    g = self.per_cell[c.id][i]
-                    writer.writerow([c.id, int(fid), repr(float(g[0])),
-                                     repr(float(g[1]))])
+        return float(np.sum(mesh.cone_measure * np.sum(self.cones ** 2, axis=1)))
 
 
-def face_deltas(cell: Cell, u: DiscreteFunction) -> np.ndarray:
-    """Face increments u_sigma - u_K over the faces of ``cell``."""
-    return u.face_values[cell.faces] - u.cell_values[cell.id]
+def cone_increments(mesh: Mesh, u: DiscreteFunction) -> np.ndarray:
+    """delta = u_sigma - u_K on every cone."""
+    return u.face_values[mesh.cone_face] - u.cell_values[mesh.cone_cell]
 
 
-def gradient_coefficients(cell: Cell) -> np.ndarray:
-    """(k, d) array ``g``: row j multiplies (u_{sigma_j} - u_K) in grad_K u."""
-    return (cell.face_measures[:, None] * cell.normals) / cell.measure
+def gradient_coefficients(mesh: Mesh) -> np.ndarray:
+    """(n_cones, d) array ``g``: row j multiplies delta_j in grad_K u."""
+    return (mesh.face_measure[mesh.cone_face][:, None] * mesh.cone_normal
+            / mesh.cell_measure[mesh.cone_cell][:, None])
 
 
-def residual_coefficients(cell: Cell, g: np.ndarray, alpha: float) -> np.ndarray:
-    """(k, k) array: row i maps the face increments to R(K, sigma_i) u.
+def residual_coefficients(mesh: Mesh, g: np.ndarray, alpha: float):
+    """Cone pairs ``(i, j)`` of :meth:`Mesh.cone_pairs` and the coefficient
+    of delta_j in R(K, sigma_i) u for each.
 
-    ``g`` is :func:`gradient_coefficients` of the same cell.
+    ``g`` is :func:`gradient_coefficients`.
     """
-    # proj[i, j] = g_j . (x_sigma_i - x_K)
-    proj = (cell.face_centres - cell.point) @ g.T
-    return (np.eye(len(cell.faces)) - proj) * (alpha / cell.dists)[:, None]
+    i, j = mesh.cone_pairs()
+    rel = mesh.face_centre[mesh.cone_face[i]] - mesh.cell_point[mesh.cone_cell[i]]
+    proj = (rel * g[j]).sum(axis=1)
+    coef = (np.where(i == j, 1.0, 0.0) - proj) * (alpha / mesh.cone_dist[i])
+    return i, j, coef
 
 
-def _cone_vectors(cell: Cell, alpha: float) -> np.ndarray:
-    """(k, k, d) array ``Y``: grad(K, sigma_i) u = sum_j (u_{sigma_j} - u_K) Y[i, j]."""
-    g = gradient_coefficients(cell)
-    coef = residual_coefficients(cell, g, alpha)
-    return g[None, :, :] + coef[:, :, None] * cell.normals[:, None, :]
+def gradient_operator(mesh: Mesh, alpha: float | None = None) -> sp.csr_matrix:
+    """Sparse ``G``: the cone gradients are ``(G @ delta).reshape(-1, d)``."""
+    a = resolve_alpha(alpha, mesh.dim)
+    g = gradient_coefficients(mesh)
+    i, j, coef = residual_coefficients(mesh, g, a)
+    y = g[j] + coef[:, None] * mesh.cone_normal[i]
+    d = mesh.dim
+    rows = (d * i[:, None] + np.arange(d)).ravel()
+    return sp.csr_matrix((y.ravel(), (rows, np.repeat(j, d))),
+                         shape=(d * mesh.n_cones, mesh.n_cones))
 
 
-def cell_gradient(mesh: Mesh, u: DiscreteFunction, cell_id: int) -> np.ndarray:
-    c = mesh.cells[cell_id]
-    return face_deltas(c, u) @ gradient_coefficients(c)
+def cell_gradients(mesh: Mesh, u: DiscreteFunction) -> np.ndarray:
+    """(n_cells, d) consistent cell gradients grad_K u."""
+    delta = cone_increments(mesh, u)
+    return segment_sums(delta[:, None] * gradient_coefficients(mesh), mesh.cell_ptr)
 
 
-def stabilization_residual(mesh: Mesh, u: DiscreteFunction, cell_id: int,
-                           face_id: int, alpha: float | None = None) -> float:
-    c = mesh.cells[cell_id]
-    coef = residual_coefficients(c, gradient_coefficients(c),
-                                 resolve_alpha(alpha, mesh.dim))
-    return float(coef[c.local_index(face_id)] @ face_deltas(c, u))
-
-
-def cell_cone_gradients(cell: Cell, u: DiscreteFunction,
-                        alpha: float) -> np.ndarray:
-    """All cone gradients of one cell as a (k, d) array."""
-    return face_deltas(cell, u) @ _cone_vectors(cell, alpha)
+def stabilization_residuals(mesh: Mesh, u: DiscreteFunction,
+                            alpha: float | None = None) -> np.ndarray:
+    """R(K, sigma) u on every cone."""
+    i, j, coef = residual_coefficients(mesh, gradient_coefficients(mesh),
+                                       resolve_alpha(alpha, mesh.dim))
+    residual = sp.csr_matrix((coef, (i, j)), shape=(mesh.n_cones, mesh.n_cones))
+    return residual @ cone_increments(mesh, u)
 
 
 def gradient_field(mesh: Mesh, u: DiscreteFunction,
@@ -129,14 +122,5 @@ def gradient_field(mesh: Mesh, u: DiscreteFunction,
     reconstructed; see :func:`sushi.postproc.reconstruct_faces`).
     """
     a = resolve_alpha(alpha, mesh.dim)
-    per_cell = [cell_cone_gradients(c, u, a) for c in mesh.cells]
-    return GradientField(per_cell=per_cell, alpha=a)
-
-
-def y_vectors(mesh: Mesh, cell_id: int, alpha: float | None = None) -> np.ndarray:
-    """Vectors identifying cone gradients from face increments.
-
-    Returns a (k, k, d) array ``Y`` with ``Y[i, j]`` the vector multiplying
-    (u_{sigma_j} - u_K) in the cone gradient of face i.
-    """
-    return _cone_vectors(mesh.cells[cell_id], resolve_alpha(alpha, mesh.dim))
+    cones = gradient_operator(mesh, a) @ cone_increments(mesh, u)
+    return GradientField(cones=cones.reshape(-1, mesh.dim), alpha=a)

@@ -34,8 +34,8 @@ def write_mesh(mesh: Mesh, path) -> None:
         lines.append(" ".join(str(i) for i in loop))
     if mesh.cell_points_given:
         lines.append(f"cellpoints {mesh.n_cells}")
-        for c in mesh.cells:
-            lines.append(f"{float(c.point[0])!r} {float(c.point[1])!r}")
+        for x, y in mesh.cell_point:
+            lines.append(f"{float(x)!r} {float(y)!r}")
     if mesh.splits:
         lines.append(f"split {len(mesh.splits)}")
         for (a, b), mids in sorted(mesh.splits.items()):

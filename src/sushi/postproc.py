@@ -1,5 +1,9 @@
 """Post-processing: reconstruction, fluxes, discrete norms, error measures.
 
+Everything here is an array expression over the flat mesh arrays: the
+numerical fluxes are ``-B delta`` for the local matrices ``B`` of
+:func:`sushi.assembly.local_matrices`, the gradients come from
+:mod:`sushi.gradient`, and the user's fields are sampled once per point.
 Boundary flux totals follow the reporting convention of the benchmark
 tables: the per-side total approximates the co-normal integral over the
 side of Lambda grad u . n_out, which is the negative of the outgoing
@@ -12,21 +16,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import TensorField, flux, local_matrix, rhs_cell_integral
+from .assembly import TensorField, local_matrices, rhs_cell_integrals
 from .errors import (
     InsufficientLevels,
+    InvalidSeries,
     RequiresIdentityTensor,
     UnclassifiedBoundaryFace,
 )
-from .geometry import Mesh
-from .gradient import (
-    cell_cone_gradients,
-    cell_gradient,
-    face_deltas,
-    gradient_field,
-    resolve_alpha,
-)
+from .geometry import Mesh, segment_sums
+from .gradient import cell_gradients, cone_increments, gradient_field, resolve_alpha
 from .spaces import (
     BARYCENTRIC,
     HYBRID,
@@ -36,6 +36,7 @@ from .spaces import (
     UnknownNumbering,
     face_expansions,
     interpolate,
+    numbering_for,
 )
 
 # 3-point Gauss-Legendre rule on [-1, 1]; exact up to degree 5.
@@ -85,17 +86,13 @@ class FluxReport:
     cell_outflux: np.ndarray | None = None
 
     def max_conservativity_defect(self) -> float:
-        if not self.hybrid_fluxes:
-            return 0.0
-        return max(abs(a + b) for a, b in self.hybrid_fluxes.values())
+        pairs = np.array(list(self.hybrid_fluxes.values()), dtype=float).reshape(-1, 2)
+        return float(np.max(np.abs(pairs.sum(axis=1)), initial=0.0))
 
     def max_flux_scale(self) -> float:
-        scale = 0.0
-        for a, b in self.hybrid_fluxes.values():
-            scale = max(scale, abs(a), abs(b))
-        for v in self.pair_fluxes.values():
-            scale = max(scale, abs(v))
-        return scale
+        values = np.concatenate([np.ravel(list(self.hybrid_fluxes.values())),
+                                 list(self.pair_fluxes.values())])
+        return float(np.max(np.abs(values), initial=0.0))
 
 
 def reconstruct_faces(mesh: Mesh, partition: EdgePartition,
@@ -109,14 +106,13 @@ def reconstruct_faces(mesh: Mesh, partition: EdgePartition,
     return DiscreteFunction(x[: numbering.n_cells], expansion @ x + consts)
 
 
-def all_fluxes(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
-               alpha: float | None = None) -> list[np.ndarray]:
-    """Per cell: numerical fluxes through all its faces, outflow positive."""
-    out = []
-    for c in mesh.cells:
-        lm = local_matrix(mesh, c.id, tensor, alpha)
-        out.append(flux(mesh, c.id, lm, u))
-    return out
+def cone_fluxes(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
+                alpha: float | None = None) -> np.ndarray:
+    """Numerical flux of every cone through its face, outflow positive.
+
+    It approximates the integral over the face of -Lambda grad u . n_out.
+    """
+    return -(local_matrices(mesh, tensor, alpha) @ cone_increments(mesh, u))
 
 
 def composite_fluxes(mesh: Mesh, partition: EdgePartition,
@@ -131,32 +127,28 @@ def composite_fluxes(mesh: Mesh, partition: EdgePartition,
     (hybrid + boundary + pairwise) balances its source integral up to the
     solver tolerance.
     """
-    fluxes = all_fluxes(mesh, tensor, u, alpha)
-    report = FluxReport(cell_outflux=np.zeros(mesh.n_cells))
+    fluxes = cone_fluxes(mesh, tensor, u, alpha)
+    tags = partition.tags
+    hybrid = np.nonzero((tags == HYBRID) & ~mesh.face_boundary)[0]
+    pairs = fluxes[mesh.face_cones[hybrid]]
+    report = FluxReport(hybrid_fluxes=dict(zip(hybrid.tolist(), map(tuple, pairs.tolist()))))
 
-    for f in mesh.faces:
-        if not f.boundary and partition.tags[f.id] == HYBRID:
-            k, l = f.cells
-            fk = fluxes[k][mesh.cells[k].local_index(f.id)]
-            fl = fluxes[l][mesh.cells[l].local_index(f.id)]
-            report.hybrid_fluxes[f.id] = (float(fk), float(fl))
-
-    pair: dict[tuple[int, int], float] = {}
-    for c in mesh.cells:
-        for i, fid in enumerate(c.faces):
-            fid = int(fid)
-            if partition.tags[fid] != BARYCENTRIC:
-                report.cell_outflux[c.id] += float(fluxes[c.id][i])
-                continue
-            fk = float(fluxes[c.id][i])
-            for kind, idx, beta in weights.support[fid]:
-                if kind != "cell":
-                    continue
-                pair[(c.id, idx)] = pair.get((c.id, idx), 0.0) + fk * beta
-                pair[(idx, c.id)] = pair.get((idx, c.id), 0.0) - fk * beta
-    report.pair_fluxes = {kl: v for kl, v in pair.items() if kl[0] != kl[1]}
-    for (k, _), v in report.pair_fluxes.items():
-        report.cell_outflux[k] += v
+    bary = tags[mesh.cone_face] == BARYCENTRIC
+    report.cell_outflux = segment_sums(np.where(bary, 0.0, fluxes), mesh.cell_ptr)
+    if bary.any():
+        # flow[K, L]: the barycentric fluxes of K weighted by L's coefficients.
+        numbering = numbering_for(mesh, partition)
+        expansion, _ = face_expansions(mesh, partition, weights, numbering)
+        # Only barycentric rows of P reach cell columns.
+        cone_flux = sp.csr_matrix((fluxes, (mesh.cone_cell, np.arange(mesh.n_cones))),
+                                  shape=(mesh.n_cells, mesh.n_cones))
+        flow = cone_flux @ expansion[mesh.cone_face][:, : mesh.n_cells]
+        pair = (flow - flow.T).tocoo()
+        off = pair.row != pair.col
+        report.pair_fluxes = dict(zip(zip(pair.row[off].tolist(), pair.col[off].tolist()),
+                                      pair.data[off].tolist()))
+        report.cell_outflux += np.bincount(pair.row[off], weights=pair.data[off],
+                                           minlength=mesh.n_cells)
     return report
 
 
@@ -164,8 +156,7 @@ def cell_balance_residuals(mesh: Mesh, report: FluxReport, source=None) -> np.nd
     """Per-cell defect of the flux balance against the source integral."""
     res = np.array(report.cell_outflux, dtype=float)
     if source is not None:
-        for c in mesh.cells:
-            res[c.id] -= rhs_cell_integral(mesh, c.id, source)
+        res -= rhs_cell_integrals(mesh, source)
     return res
 
 
@@ -178,39 +169,27 @@ def boundary_flux_totals(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
     """Per-side totals of the co-normal boundary flux (Lambda grad u . n).
 
     Faces are classified by barycentre against the requested axis-aligned
-    sides; a boundary face matching none raises
-    ``UnclassifiedBoundaryFace``.
+    sides, the first matching side winning; a boundary face matching none
+    raises ``UnclassifiedBoundaryFace``.
     """
-    def side_of(centre) -> str | None:
-        for side in sides:
-            axis, val = side.split("=")
-            coord = centre[0] if axis == "x" else centre[1]
-            if abs(coord - float(val)) <= tol:
-                return side
-        return None
-
-    totals = {side: 0.0 for side in sides}
-    lms: dict[int, np.ndarray] = {}
-    for f in mesh.faces:
-        if not f.boundary:
-            continue
-        side = side_of(f.centre)
-        if side is None:
-            raise UnclassifiedBoundaryFace(f"face {f.id} at {f.centre}")
-        k = f.cells[0]
-        if k not in lms:
-            lms[k] = local_matrix(mesh, k, tensor, alpha)
-        fk = flux(mesh, k, lms[k], u)[mesh.cells[k].local_index(f.id)]
-        totals[side] -= float(fk)
-    return totals
+    faces = np.nonzero(mesh.face_boundary)[0]
+    centres = mesh.face_centre[faces]
+    side_of = np.full(len(faces), -1)
+    for s, side in enumerate(sides):
+        axis, val = side.split("=")
+        coord = centres[:, 0] if axis == "x" else centres[:, 1]
+        side_of[(side_of < 0) & (np.abs(coord - float(val)) <= tol)] = s
+    if np.any(side_of < 0):
+        i = int(np.nonzero(side_of < 0)[0][0])
+        raise UnclassifiedBoundaryFace(f"face {faces[i]} at {centres[i]}")
+    outflow = cone_fluxes(mesh, tensor, u, alpha)[mesh.face_cones[faces, 0]]
+    return {side: -float(outflow[side_of == s].sum()) for s, side in enumerate(sides)}
 
 
 def seminorm_x(mesh: Mesh, u: DiscreteFunction) -> float:
     """Discrete H1 seminorm: sum over cells and faces of |s|/d (u_s - u_K)^2."""
-    total = 0.0
-    for c in mesh.cells:
-        total += float((c.face_measures / c.dists) @ face_deltas(c, u) ** 2)
-    return math.sqrt(total)
+    weight = mesh.face_measure[mesh.cone_face] / mesh.cone_dist
+    return math.sqrt(float(np.sum(weight * cone_increments(mesh, u) ** 2)))
 
 
 def norm_1pm(mesh: Mesh, cell_values: np.ndarray, p: float = 2.0) -> float:
@@ -219,27 +198,20 @@ def norm_1pm(mesh: Mesh, cell_values: np.ndarray, p: float = 2.0) -> float:
     Face jumps against the summed cell-point distances; boundary faces
     contribute the cell value itself (homogeneous exterior).
     """
-    total = 0.0
-    for f in mesh.faces:
-        if f.boundary:
-            k = f.cells[0]
-            dk = mesh.cells[k].dists[mesh.cells[k].local_index(f.id)]
-            jump = abs(float(cell_values[k]))
-            dsig = dk
-        else:
-            k, l = f.cells
-            dk = mesh.cells[k].dists[mesh.cells[k].local_index(f.id)]
-            dl = mesh.cells[l].dists[mesh.cells[l].local_index(f.id)]
-            jump = abs(float(cell_values[k] - cell_values[l]))
-            dsig = dk + dl
-        total += f.measure * jump ** p / dsig ** (p - 1.0)
+    cones, cells = mesh.face_cones, mesh.face_cells
+    inner = cells[:, 1] >= 0
+    values = np.asarray(cell_values, dtype=float)
+    other = np.where(inner, values[cells[:, 1]], 0.0)
+    jump = np.abs(values[cells[:, 0]] - other)
+    dsig = mesh.cone_dist[cones[:, 0]] + np.where(inner, mesh.cone_dist[cones[:, 1]], 0.0)
+    total = float(np.sum(mesh.face_measure * jump ** p / dsig ** (p - 1.0)))
     return total ** (1.0 / p)
 
 
-def _cone_errors_sq(cell, u: DiscreteFunction, exact_grad, alpha: float) -> np.ndarray:
+def _cone_errors_sq(mesh: Mesh, u: DiscreteFunction, exact_grad, alpha: float) -> np.ndarray:
     """Per cone: squared error of the stabilized gradient at the cone centroid."""
-    exact = np.array([exact_grad(x) for x in cell.cone_centroids()])
-    diff = cell_cone_gradients(cell, u, alpha) - exact
+    exact = np.array([exact_grad(x) for x in mesh.cone_centroid], dtype=float)
+    diff = gradient_field(mesh, u, alpha).cones - exact
     return np.sum(diff * diff, axis=1)
 
 
@@ -249,23 +221,19 @@ def error_norms(mesh: Mesh, u: DiscreteFunction, exact, exact_grad,
 
     Cell values and the cell gradient are compared against the exact
     fields at cell points; the stabilized per-cone gradient against the
-    exact gradient at cone centroids.
+    exact gradient at cone centroids.  Sums use NumPy's own summation,
+    not BLAS, so they do not depend on the BLAS thread count.
     """
     a = resolve_alpha(alpha, mesh.dim)
-    err_u = 0.0
-    ref_u = 0.0
-    err_g = 0.0
-    ref_g = 0.0
-    err_stab = 0.0
-    for c in mesh.cells:
-        ux = exact(c.point)
-        err_u += c.measure * (u.cell_values[c.id] - ux) ** 2
-        ref_u += c.measure * ux ** 2
-        gx = np.asarray(exact_grad(c.point))
-        diff = cell_gradient(mesh, u, c.id) - gx
-        err_g += c.measure * float(diff @ diff)
-        ref_g += c.measure * float(gx @ gx)
-        err_stab += float(c.cone_measures @ _cone_errors_sq(c, u, exact_grad, a))
+    meas = mesh.cell_measure
+    ux = np.array([exact(x) for x in mesh.cell_point], dtype=float)
+    gx = np.array([exact_grad(x) for x in mesh.cell_point], dtype=float)
+    err_u = float(np.sum(meas * (u.cell_values - ux) ** 2))
+    ref_u = float(np.sum(meas * ux ** 2))
+    diff = cell_gradients(mesh, u) - gx
+    err_g = float(np.sum(meas * np.sum(diff * diff, axis=1)))
+    ref_g = float(np.sum(meas * np.sum(gx * gx, axis=1)))
+    err_stab = float(np.sum(mesh.cone_measure * _cone_errors_sq(mesh, u, exact_grad, a)))
     return ErrorReport(
         eps_u=math.sqrt(err_u),
         eps_grad=math.sqrt(err_g),
@@ -277,19 +245,19 @@ def error_norms(mesh: Mesh, u: DiscreteFunction, exact, exact_grad,
     )
 
 
-def face_normal_gradient_integral(mesh: Mesh, face_id: int, cell_id: int,
-                                  exact_grad) -> float:
-    """3-point Gauss integral over a face of grad u . n outward of the cell."""
-    f = mesh.faces[face_id]
-    c = mesh.cells[cell_id]
-    n = c.normals[c.local_index(face_id)]
-    a, b = mesh.vertices[f.vertices[0]], mesh.vertices[f.vertices[1]]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    total = 0.0
-    for s, w in zip(_GAUSS3_POINTS, _GAUSS3_WEIGHTS):
-        g = np.asarray(exact_grad(mid + s * half))
-        total += w * float(g @ n)
-    return 0.5 * f.measure * total
+def normal_gradient_integrals(mesh: Mesh, exact_grad) -> np.ndarray:
+    """Per cone: 3-point Gauss integral over its face of grad u . n_out."""
+    ends = mesh.vertices[mesh.face_vertices]
+    mid, half = 0.5 * (ends[:, 0] + ends[:, 1]), 0.5 * (ends[:, 1] - ends[:, 0])
+    points = mid[:, None, :] + _GAUSS3_POINTS[None, :, None] * half[:, None, :]
+    grads = np.array([exact_grad(x) for x in points.reshape(-1, 2)], dtype=float)
+    # Along the outward normal of the face's first cone; the other cone's
+    # normal is its negative.
+    normal = mesh.cone_normal[mesh.face_cones[:, 0]]
+    along = (grads.reshape(-1, 3, 2) * normal[:, None, :]).sum(axis=2)
+    per_face = 0.5 * mesh.face_measure * (along * _GAUSS3_WEIGHTS).sum(axis=1)
+    first = mesh.face_cones[mesh.cone_face, 0] == np.arange(mesh.n_cones)
+    return np.where(first, 1.0, -1.0) * per_face[mesh.cone_face]
 
 
 def flux_consistency_E(mesh: Mesh, partition: EdgePartition,
@@ -307,43 +275,38 @@ def flux_consistency_E(mesh: Mesh, partition: EdgePartition,
         raise RequiresIdentityTensor("E(u) is defined for Lambda = Id")
     # Boundary face values take the trace of the exact field (zero in the
     # homogeneous case the estimate is stated for).
-    pu = interpolate(mesh, partition, weights, exact, variant="pdb", boundary="func")
-    total = 0.0
-    for c in mesh.cells:
-        lm = local_matrix(mesh, c.id, tensor, alpha)
-        fk = flux(mesh, c.id, lm, pu)
-        for i, fid in enumerate(c.faces):
-            exact_int = face_normal_gradient_integral(mesh, int(fid), c.id, exact_grad)
-            defect = fk[i] + exact_int
-            total += c.dists[i] / c.face_measures[i] * defect ** 2
-    return math.sqrt(total)
+    pu = interpolate(mesh, partition, weights, exact, variant="pdb")
+    defect = cone_fluxes(mesh, tensor, pu, alpha) + normal_gradient_integrals(mesh, exact_grad)
+    weight = mesh.cone_dist / mesh.face_measure[mesh.cone_face]
+    return math.sqrt(float(np.sum(weight * defect ** 2)))
 
 
 def convergence_order(series) -> float:
-    """Least-squares slope of log(error) against log(h)."""
-    pts = [(h, e) for h, e in series]
-    if len(pts) < 3:
-        raise InsufficientLevels("need at least three refinement levels")
-    hs = np.log([p[0] for p in pts])
-    es = np.log([p[1] for p in pts])
-    return float(np.polyfit(hs, es, 1)[0])
+    """Least-squares slope of log(error) against log(h).
+
+    Raises ``InvalidSeries`` unless every h and error is finite and
+    positive, and ``InsufficientLevels`` for fewer than three distinct h.
+    """
+    pts = np.array([(h, e) for h, e in series], dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(pts) & (pts > 0.0)):
+        raise InvalidSeries(f"h and errors must be finite and positive, got {pts.tolist()}")
+    if len(np.unique(pts[:, 0])) < 3:
+        raise InsufficientLevels("need at least three distinct refinement levels")
+    return float(np.polyfit(np.log(pts[:, 0]), np.log(pts[:, 1]), 1)[0])
 
 
 def gradient_max_error(mesh: Mesh, u: DiscreteFunction, exact_grad,
                        alpha: float | None = None) -> float:
     """Max cone-wise gradient error, sampled at cone centroids."""
     a = resolve_alpha(alpha, mesh.dim)
-    worst = 0.0
-    for c in mesh.cells:
-        worst = max(worst, math.sqrt(_cone_errors_sq(c, u, exact_grad, a).max()))
-    return worst
+    return math.sqrt(float(_cone_errors_sq(mesh, u, exact_grad, a).max()))
 
 
 __all__ = [
     "ErrorReport",
     "FluxReport",
     "reconstruct_faces",
-    "all_fluxes",
+    "cone_fluxes",
     "composite_fluxes",
     "cell_balance_residuals",
     "boundary_flux_totals",
@@ -351,7 +314,7 @@ __all__ = [
     "norm_1pm",
     "error_norms",
     "flux_consistency_E",
-    "face_normal_gradient_integral",
+    "normal_gradient_integrals",
     "convergence_order",
     "gradient_max_error",
     "gradient_field",

@@ -54,7 +54,7 @@ def _bubble_grad(p) -> np.ndarray:
 def _two_region_tensor(split_x: float, left: float, right: float):
     """``make_tensor`` of an isotropic coefficient split at x = ``split_x``."""
     def make_tensor(mesh, regions=None):
-        lam = np.array([left if c.point[0] < split_x else right for c in mesh.cells])
+        lam = np.where(mesh.cell_point[:, 0] < split_x, left, right)
         return TensorField.from_per_cell(lam[:, None, None] * np.eye(2))
 
     return make_tensor
@@ -169,7 +169,7 @@ def problem_superadmissible_oracle(lam_left: float, lam_right: float) -> Problem
 
 def split_regions(mesh, x_split: float = 0.5) -> np.ndarray:
     """Two-region map for half-domain problems: 1 left of the split, 2 right."""
-    return np.array([1 if c.point[0] < x_split else 2 for c in mesh.cells], dtype=int)
+    return np.where(mesh.cell_point[:, 0] < x_split, 1, 2)
 
 
 BUILTIN_PROBLEMS = {

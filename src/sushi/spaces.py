@@ -144,7 +144,7 @@ def face_expansions(mesh: Mesh, partition: EdgePartition,
     consts = np.zeros(mesh.n_faces)
     if dirichlet is not None:
         for fid in np.nonzero(partition.tags == DIRICHLET)[0]:
-            consts[fid] = dirichlet(mesh.faces[fid].centre)
+            consts[fid] = dirichlet(mesh.face_centre[fid])
     return expansion, consts
 
 
@@ -155,19 +155,14 @@ def _pinched_cells(mesh: Mesh, regions: np.ndarray) -> np.ndarray:
     interior face between two of them has no well-spread same-region
     support, so the discontinuity policy keeps its unknown hybrid.
     """
-    pinched = np.zeros(mesh.n_cells, dtype=bool)
-    foreign: list[set[int]] = [set() for _ in range(mesh.n_cells)]
-    for f in mesh.faces:
-        if f.boundary:
-            continue
-        k, l = f.cells
-        if regions[k] != regions[l]:
-            foreign[k].add(int(regions[l]))
-            foreign[l].add(int(regions[k]))
-    for c in range(mesh.n_cells):
-        if len(foreign[c]) >= 2:
-            pinched[c] = True
-    return pinched
+    regions = np.asarray(regions)
+    k, l = mesh.face_cells[~mesh.face_boundary].T
+    jump = regions[k] != regions[l]
+    # distinct (cell, foreign region) pairs, counted per cell
+    cells = np.concatenate([k[jump], l[jump]])
+    foreign = np.concatenate([regions[l[jump]], regions[k[jump]]]).astype(np.int64)
+    cells = np.unique(np.stack([cells, foreign], axis=1), axis=0)[:, 0]
+    return np.bincount(cells, minlength=mesh.n_cells) >= 2
 
 
 def partition_faces(mesh: Mesh, policy: str,
@@ -184,23 +179,19 @@ def partition_faces(mesh: Mesh, policy: str,
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     tags = np.full(mesh.n_faces, DIRICHLET, dtype=np.int8)
-    interior = [f for f in mesh.faces if not f.boundary]
+    interior = ~mesh.face_boundary
     if policy == "all-hybrid":
-        for f in interior:
-            tags[f.id] = HYBRID
+        tags[interior] = HYBRID
     elif policy == "all-barycentric":
-        for f in interior:
-            tags[f.id] = BARYCENTRIC
+        tags[interior] = BARYCENTRIC
     else:
         if regions is None:
             raise MissingRegionMap("policy 'discontinuity' needs a region map")
+        regions = np.asarray(regions)
         pinched = _pinched_cells(mesh, regions)
-        for f in interior:
-            k, l = f.cells
-            if regions[k] != regions[l] or (pinched[k] and pinched[l]):
-                tags[f.id] = HYBRID
-            else:
-                tags[f.id] = BARYCENTRIC
+        k, l = mesh.face_cells[interior].T
+        keep = (regions[k] != regions[l]) | (pinched[k] & pinched[l])
+        tags[interior] = np.where(keep, HYBRID, BARYCENTRIC)
     return EdgePartition(tags=tags, policy=policy)
 
 
@@ -236,21 +227,20 @@ def _candidate_points(mesh, fid, regions, region, vertex_cells, hybrid_touching)
     barycentres touching that region are appended for the extended
     formula.
     """
-    face = mesh.faces[fid]
-    near_cells: set[int] = set(face.cells)
-    for v in face.vertices:
+    near_cells: set[int] = {c for c in mesh.face_cells[fid].tolist() if c >= 0}
+    for v in mesh.face_vertices[fid].tolist():
         near_cells.update(vertex_cells.get(v, ()))
     if regions is not None and region is not None:
         near_cells = {c for c in near_cells if regions[c] == region}
-    cands = [("cell", c, mesh.cells[c].point) for c in sorted(near_cells)]
+    cands = [("cell", c, mesh.cell_point[c]) for c in sorted(near_cells)]
     extended = []
     if hybrid_touching is not None:
         near_faces: set[int] = set()
         for c in near_cells:
-            near_faces.update(int(g) for g in mesh.cells[c].faces)
+            near_faces.update(mesh.cone_face[mesh.cones(c)].tolist())
         for g in sorted(near_faces):
             if g != fid and g in hybrid_touching:
-                extended.append(("face", g, mesh.faces[g].centre))
+                extended.append(("face", g, mesh.face_centre[g]))
     return cands, extended
 
 
@@ -315,8 +305,7 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
     hybrid_set = set(partition.hybrid_faces())
     weights = BarycentricWeights()
     for fid in partition.barycentric_faces():
-        face = mesh.faces[fid]
-        k, l = face.cells
+        k, l = mesh.face_cells[fid].tolist()
         region = None
         if regions is not None and regions[k] == regions[l]:
             region = int(regions[k])
@@ -324,9 +313,9 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
             mesh, fid, regions, region,
             vertex_cells, hybrid_set if regions is not None else None,
         )
-        x = face.centre
+        x = mesh.face_centre[fid]
         # Natural choice first: the two adjacent cell points, when collinear.
-        pk, pl = mesh.cells[k].point, mesh.cells[l].point
+        pk, pl = mesh.cell_point[k], mesh.cell_point[l]
         allowed = {c for _, c, _ in cands}
         support = None
         if k in allowed and l in allowed:
@@ -360,27 +349,16 @@ def check_weights(mesh: Mesh, partition: EdgePartition,
 
 def interpolate(mesh: Mesh, partition: EdgePartition,
                 weights: BarycentricWeights | None, func,
-                variant: str = "pdb", boundary="func") -> DiscreteFunction:
+                variant: str = "pdb") -> DiscreteFunction:
     """Sample a scalar field into the discrete space.
 
     ``variant='pd'`` evaluates the field at every cell point and face
-    barycentre.  ``variant='pdb'`` evaluates at cell points and hybrid
-    faces but fills barycentric faces with their weight combination.
-    ``boundary`` is ``'func'`` (evaluate the field), ``'zero'``, or a
-    callable for Dirichlet data.
+    barycentre, boundary faces included.  ``variant='pdb'`` evaluates at
+    cell points and at hybrid and boundary faces but fills barycentric
+    faces with their weight combination.
     """
-    cell_values = np.array([func(c.point) for c in mesh.cells])
-    face_values = np.zeros(mesh.n_faces)
-    for f in mesh.faces:
-        if f.boundary:
-            if boundary == "func":
-                face_values[f.id] = func(f.centre)
-            elif boundary == "zero":
-                face_values[f.id] = 0.0
-            else:
-                face_values[f.id] = boundary(f.centre)
-        else:
-            face_values[f.id] = func(f.centre)
+    cell_values = np.array([func(x) for x in mesh.cell_point], dtype=float)
+    face_values = np.array([func(x) for x in mesh.face_centre], dtype=float)
     if variant == "pd":
         return DiscreteFunction(cell_values, face_values)
     if variant != "pdb":

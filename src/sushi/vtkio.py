@@ -33,7 +33,7 @@ def export_vtk(mesh: Mesh, path, cell_scalars: dict | None = None,
     ]
     for v in mesh.vertices:
         lines.append(f"{float(v[0])!r} {float(v[1])!r} 0.0")
-    loops = [c.loop for c in mesh.cells]
+    loops = np.split(mesh.cone_vertex, mesh.cell_ptr[1:-1])
     total = sum(len(l) + 1 for l in loops)
     lines.append(f"CELLS {len(loops)} {total}")
     for loop in loops:

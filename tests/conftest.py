@@ -1,5 +1,7 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,37 @@ from sushi.geometry import compute_geometry
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def cell_view(mesh, k):
+    """One cell's slice of the flat mesh arrays, entries in its face order."""
+    cones = mesh.cones(k)
+    faces = mesh.cone_face[cones]
+    return SimpleNamespace(
+        id=k, cones=cones, faces=faces, loop=mesh.cone_vertex[cones],
+        point=mesh.cell_point[k], measure=mesh.cell_measure[k],
+        diameter=mesh.cell_diameter[k], normals=mesh.cone_normal[cones],
+        dists=mesh.cone_dist[cones], face_measures=mesh.face_measure[faces],
+        face_centres=mesh.face_centre[faces], cone_measures=mesh.cone_measure[cones],
+    )
+
+
+def cell_views(mesh):
+    return [cell_view(mesh, k) for k in range(mesh.n_cells)]
+
+
+def face_view(mesh, fid):
+    """One face of the flat mesh arrays; ``cells`` omits the -1 of a boundary face."""
+    return SimpleNamespace(
+        id=fid, vertices=tuple(mesh.face_vertices[fid].tolist()),
+        cells=tuple(int(c) for c in mesh.face_cells[fid] if c >= 0),
+        measure=mesh.face_measure[fid], centre=mesh.face_centre[fid],
+        boundary=bool(mesh.face_boundary[fid]),
+    )
+
+
+def face_views(mesh):
+    return [face_view(mesh, f) for f in range(mesh.n_faces)]
 
 
 def build_zigzag_three_row(columns=3):
@@ -54,21 +87,19 @@ def two_point_reference(mesh, lam, kind):
     """Classical two-point cell matrix: harmonic or arithmetic averaging."""
     n = mesh.n_cells
     mat = np.zeros((n, n))
-    for f in mesh.faces:
-        if f.boundary:
-            k = f.cells[0]
-            c = mesh.cells[k]
-            dk = c.dists[c.local_index(f.id)]
-            mat[k, k] += lam[k] * f.measure / dk
+    for fid in range(mesh.n_faces):
+        measure = mesh.face_measure[fid]
+        if mesh.face_boundary[fid]:
+            k = mesh.face_cells[fid, 0]
+            dk = mesh.cone_dist[mesh.face_cones[fid, 0]]
+            mat[k, k] += lam[k] * measure / dk
         else:
-            k, l = f.cells
-            ck, cl = mesh.cells[k], mesh.cells[l]
-            dk = ck.dists[ck.local_index(f.id)]
-            dl = cl.dists[cl.local_index(f.id)]
+            k, l = mesh.face_cells[fid]
+            dk, dl = mesh.cone_dist[mesh.face_cones[fid]]
             if kind == "harmonic":
-                t = f.measure * lam[k] * lam[l] / (lam[k] * dl + lam[l] * dk)
+                t = measure * lam[k] * lam[l] / (lam[k] * dl + lam[l] * dk)
             else:
-                t = (dk * lam[k] + dl * lam[l]) / (dk + dl) * f.measure / (dk + dl)
+                t = (dk * lam[k] + dl * lam[l]) / (dk + dl) * measure / (dk + dl)
             mat[k, k] += t
             mat[l, l] += t
             mat[k, l] -= t
@@ -82,7 +113,5 @@ def random_zero_boundary(mesh, rng):
 
     cv = rng.standard_normal(mesh.n_cells)
     fv = rng.standard_normal(mesh.n_faces)
-    for f in mesh.faces:
-        if f.boundary:
-            fv[f.id] = 0.0
+    fv[mesh.face_boundary] = 0.0
     return DiscreteFunction(cv, fv)

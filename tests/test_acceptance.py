@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import sushi
-from conftest import random_zero_boundary, two_point_reference
-from sushi.assembly import TensorField, assemble, rhs_cell_integral
-from sushi.gradient import cell_cone_gradients, default_alpha
+from conftest import cell_views, random_zero_boundary, two_point_reference
+from sushi.assembly import TensorField, assemble, rhs_cell_integrals
+from sushi.gradient import default_alpha, gradient_field
 from sushi.postproc import (
     cell_balance_residuals,
     composite_fluxes,
@@ -100,7 +100,7 @@ def test_criterion_3_two_point_oracle():
     for lam_pair in ((1.0, 1.0), (1.0, 100.0)):
         mesh = sushi.gen_rect(4, 4)
         lam = np.array([lam_pair[0] if c.point[0] < 0.5 else lam_pair[1]
-                        for c in mesh.cells])
+                        for c in cell_views(mesh)])
         tensor = TensorField.from_per_cell(lam[:, None, None] * np.eye(2))
 
         part = partition_faces(mesh, "all-barycentric")
@@ -136,7 +136,7 @@ def test_criterion_4_tilted_barrier():
             flux_err = max(abs(r.fluxes[s] - analytic[s]) for s in analytic)
             cell_err = max(
                 abs(r.solution[c.id] - barrier_exact(c.point, regions[c.id]))
-                for c in mesh.cells
+                for c in cell_views(mesh)
             )
             assert flux_err <= 1e-8, f"mesh {variant}/{policy}: {flux_err:.2e}"
             assert cell_err <= 1e-8, f"mesh {variant}/{policy}: {cell_err:.2e}"
@@ -232,13 +232,14 @@ def test_criterion_6_property_suites(rng):
     aff = lambda p: float(grad @ p) - 0.3
     u_aff = interpolate(mesh, partition_faces(mesh, "all-hybrid"), None, aff,
                         variant="pd")
-    for c in mesh.cells:
-        cones = cell_cone_gradients(c, u_aff, alpha)
+    field = gradient_field(mesh, u_aff, alpha)
+    for c in cell_views(mesh):
+        cones = field.cones[c.cones]
         assert np.abs(cones - grad).max() <= 1e-12 * np.abs(grad).max()
 
     # stabilization orthogonality per cell
     u_rand = random_zero_boundary(mesh, rng)
-    for c in mesh.cells:
+    for c in cell_views(mesh):
         delta = u_rand.face_values[c.faces] - u_rand.cell_values[c.id]
         gk = (c.face_measures * delta) @ c.normals / c.measure
         resid = alpha / c.dists * (delta - (c.face_centres - c.point) @ gk)
@@ -262,11 +263,11 @@ def test_criterion_6_property_suites(rng):
             return DiscreteFunction(vec, fv)
 
         u, v = mk(xu), mk(xv)
+        gu, gv = gradient_field(mesh44, u, alpha), gradient_field(mesh44, v, alpha)
         form = sum(
             float(np.einsum("i,id,de,ie->", c.cone_measures,
-                            cell_cone_gradients(c, u, alpha), clubar,
-                            cell_cone_gradients(c, v, alpha)))
-            for c in mesh44.cells
+                            gu.cones[c.cones], clubar, gv.cones[c.cones]))
+            for c in cell_views(mesh44)
         )
         assert float(xv @ mat @ xu) == pytest.approx(form, rel=1e-10)
 
@@ -281,8 +282,7 @@ def test_criterion_6_property_suites(rng):
     scale = repcc.max_flux_scale()
     residuals = cell_balance_residuals(mesh44, repcc, prob.source)
     assert np.abs(residuals).max() <= 10.0 * tol * max(scale, 1.0)
-    total_source = sum(rhs_cell_integral(mesh44, c.id, prob.source)
-                       for c in mesh44.cells)
+    total_source = sum(rhs_cell_integrals(mesh44, prob.source))
     assert abs(float(np.sum(repcc.cell_outflux)) - total_source) <= (
         10.0 * tol * max(abs(total_source), 1.0)
     )

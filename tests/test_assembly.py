@@ -4,17 +4,17 @@ import scipy.integrate
 import scipy.io
 
 import sushi
-from conftest import random_zero_boundary, two_point_reference
+from conftest import cell_views, random_zero_boundary, two_point_reference
 from sushi.assembly import (
     TensorField,
     assemble,
     export_matrix_market,
-    flux,
-    local_matrix,
-    rhs_cell_integral,
+    local_matrices,
+    rhs_cell_integrals,
 )
 from sushi.errors import MissingWeights, NonPositiveTensor, NonSymmetricTensor
-from sushi.gradient import cell_cone_gradients, default_alpha
+from sushi.gradient import default_alpha, gradient_field
+from sushi.postproc import cone_fluxes
 from sushi.problems import problem_anisotropic_smooth, problem_superadmissible_oracle
 from sushi.spaces import DiscreteFunction, compute_weights, interpolate, partition_faces
 
@@ -34,13 +34,13 @@ def test_tensor_validation():
 def test_unit_square_local_matrix_is_two_point_diagonal():
     # isotropic tensor + superadmissible cell: A_K = diag(|s|/d(K,s))
     mesh = sushi.gen_rect(1, 1)
-    lm = local_matrix(mesh, 0, TensorField.from_constant(np.eye(2)))
+    lm = local_matrices(mesh, TensorField.from_constant(np.eye(2))).toarray()
     assert np.allclose(lm, 2.0 * np.eye(4), atol=1e-13)
 
 
 def test_local_matrix_symmetric_positive_clubar():
     mesh = sushi.gen_rect(1, 1)
-    lm = local_matrix(mesh, 0, TensorField.from_constant(CLUBAR))
+    lm = local_matrices(mesh, TensorField.from_constant(CLUBAR)).toarray()
     assert np.array_equal(lm, lm.T)
     assert np.linalg.eigvalsh(lm).min() > 0.0
 
@@ -50,14 +50,15 @@ def test_quadratic_form_matches_cone_quadrature(rng):
     mesh = sushi.gen_nonconforming_rect(1)
     tensor = TensorField.from_constant(CLUBAR)
     a = default_alpha(2)
+    local = local_matrices(mesh, tensor, a)
     for cid in (0, 3, 7, 12):
-        c = mesh.cells[cid]
-        lm = local_matrix(mesh, cid, tensor, a)
+        c = cell_views(mesh)[cid]
+        lm = local[c.cones, c.cones].toarray()
         for _ in range(10):
             u = random_zero_boundary(mesh, rng)
             delta = u.face_values[c.faces] - u.cell_values[cid]
             quad_matrix = float(delta @ lm @ delta)
-            cones = cell_cone_gradients(c, u, a)
+            cones = gradient_field(mesh, u, a).cones[c.cones]
             quad_cones = sum(
                 c.cone_measures[i] * float(cones[i] @ CLUBAR @ cones[i])
                 for i in range(len(c.faces))
@@ -69,9 +70,9 @@ def test_flux_zero_for_constants():
     mesh = sushi.gen_tri(2)
     tensor = TensorField.from_constant(CLUBAR)
     u = DiscreteFunction(np.ones(mesh.n_cells), np.ones(mesh.n_faces))
-    for c in mesh.cells:
-        lm = local_matrix(mesh, c.id, tensor)
-        assert np.abs(flux(mesh, c.id, lm, u)).max() <= 1e-13
+    fluxes = cone_fluxes(mesh, tensor, u)
+    for c in cell_views(mesh):
+        assert np.abs(fluxes[c.cones]).max() <= 1e-13
 
 
 def test_flux_two_point_on_superadmissible_cells(rng):
@@ -79,9 +80,9 @@ def test_flux_two_point_on_superadmissible_cells(rng):
     lam = 2.5
     tensor = TensorField.from_constant(lam * np.eye(2))
     u = random_zero_boundary(mesh, rng)
-    for c in mesh.cells:
-        lm = local_matrix(mesh, c.id, tensor)
-        got = flux(mesh, c.id, lm, u)
+    fluxes = cone_fluxes(mesh, tensor, u)
+    for c in cell_views(mesh):
+        got = fluxes[c.cones]
         expect = lam * c.face_measures / c.dists * (
             u.cell_values[c.id] - u.face_values[c.faces]
         )
@@ -95,9 +96,9 @@ def test_flux_exact_for_affine_identity_tensor():
     part = partition_faces(mesh, "all-hybrid")
     u = interpolate(mesh, part, None, aff, variant="pd")
     tensor = TensorField.from_constant(np.eye(2))
-    for c in mesh.cells:
-        lm = local_matrix(mesh, c.id, tensor)
-        got = flux(mesh, c.id, lm, u)
+    fluxes = cone_fluxes(mesh, tensor, u)
+    for c in cell_views(mesh):
+        got = fluxes[c.cones]
         expect = -c.face_measures * (c.normals @ grad)
         assert np.abs(got - expect).max() <= 1e-11
 
@@ -166,9 +167,10 @@ def test_bilinear_form_equivalence(rng):
         xv = rng.standard_normal(system.n)
         u, v = materialize(xu), materialize(xv)
         form = 0.0
-        for c in mesh.cells:
-            gu = cell_cone_gradients(c, u, a)
-            gv = cell_cone_gradients(c, v, a)
+        field_u, field_v = gradient_field(mesh, u, a), gradient_field(mesh, v, a)
+        for c in cell_views(mesh):
+            gu = field_u.cones[c.cones]
+            gv = field_v.cones[c.cones]
             form += float(np.einsum("i,id,de,ie->", c.cone_measures, gu, CLUBAR, gv))
         assert float(xv @ mat @ xu) == pytest.approx(form, rel=1e-10)
 
@@ -212,15 +214,15 @@ def test_all_hybrid_via_per_cell_regions_matches():
 
 def test_rhs_cell_integral_constant_and_affine():
     mesh = sushi.gen_tri(2)
-    for c in mesh.cells:
-        assert rhs_cell_integral(mesh, c.id, lambda p: 1.0) == pytest.approx(
+    for c in cell_views(mesh):
+        assert rhs_cell_integrals(mesh, lambda p: 1.0)[c.id] == pytest.approx(
             c.measure, rel=1e-14
         )
     aff = lambda p: 3.0 * p[0] - 7.0 * p[1] + 1.0
-    for c in mesh.cells:
+    for c in cell_views(mesh):
         # centroid rule per cone is exact for affine integrands
         expect = c.measure * aff(c.point)  # centroid of the cell
-        got = rhs_cell_integral(mesh, c.id, aff)
+        got = rhs_cell_integrals(mesh, aff)[c.id]
         assert got == pytest.approx(expect, rel=1e-13)
 
 
@@ -234,7 +236,7 @@ def test_rhs_cell_integral_against_reference_quadrature():
     errs = []
     for n in (8, 16, 32):
         mesh = sushi.gen_rect(n, n)
-        total = sum(rhs_cell_integral(mesh, c.id, prob.source) for c in mesh.cells)
+        total = sum(rhs_cell_integrals(mesh, prob.source))
         errs.append(abs(total - ref) / abs(ref))
     assert errs[2] <= 2e-4
     rate = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
@@ -251,7 +253,7 @@ def test_dirichlet_lift_reproduces_affine_solution():
         weights = compute_weights(mesh, part) if part.barycentric_faces() else None
         system = assemble(mesh, part, weights, tensor, dirichlet=aff)
         x, _ = sushi.solve_dense(system)
-        for c in mesh.cells:
+        for c in cell_views(mesh):
             assert x[c.id] == pytest.approx(aff(c.point), rel=1e-11, abs=1e-11)
 
 
@@ -291,7 +293,7 @@ def test_two_point_oracle_cell_centred():
         prob = problem_superadmissible_oracle(*lam_pair)
         mesh = sushi.gen_rect(4, 4)
         lam = np.array(
-            [lam_pair[0] if c.point[0] < 0.5 else lam_pair[1] for c in mesh.cells]
+            [lam_pair[0] if c.point[0] < 0.5 else lam_pair[1] for c in cell_views(mesh)]
         )
         tensor = prob.make_tensor(mesh)
         part = partition_faces(mesh, "all-barycentric")

@@ -1,8 +1,11 @@
-"""The sparse-product assembly against the cell/face triplet loop it replaced.
+"""The whole-mesh operators against the per-cell loops they replaced.
 
-The reference below is the earlier implementation: per-face expansion
-lists, a four-deep loop over cells, local face pairs and expansion
-entries, and a canonical coalescing of the triplets.
+The references below are the earlier implementations, fed from a per-cell
+view of the flat mesh arrays: the cone vectors ``Y`` of each cell, its
+local matrix ``Y^T Lambda Y``, its fluxes, its cell and cone gradients
+and its source integral; and for assembly the per-face expansion lists,
+a four-deep loop over cells, local face pairs and expansion entries, and
+a canonical coalescing of the triplets.
 Sums now run in a different order, so values are compared within a
 tolerance fixed from the float64 epsilon (``REL_TOL`` times the largest
 magnitude); the structural counts must match exactly.
@@ -12,10 +15,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import build_zigzag_three_row
-from sushi.assembly import assemble, local_matrix, rhs_cell_integral
-from sushi.gradient import resolve_alpha
-from sushi.postproc import reconstruct_faces
+from conftest import build_zigzag_three_row, cell_views, face_views, random_zero_boundary
+from sushi.assembly import TensorField, assemble, local_matrices, rhs_cell_integrals
+from sushi.gradient import cell_gradients, gradient_field, gradient_operator, resolve_alpha
+from sushi.postproc import cone_fluxes, reconstruct_faces
 from sushi.problems import problem_anisotropic_smooth, problem_tilted_barrier
 from sushi.run import parse_mesh_spec
 from sushi.spaces import (
@@ -30,10 +33,53 @@ from sushi.spaces import (
 REL_TOL = 1e-14
 
 
+def reference_cone_vectors(c, alpha):
+    """(k, k, d) ``Y``: grad(K, sigma_i) u = sum_j (u_{sigma_j} - u_K) Y[i, j]."""
+    g = (c.face_measures[:, None] * c.normals) / c.measure
+    proj = (c.face_centres - c.point) @ g.T
+    coef = (np.eye(len(c.faces)) - proj) * (alpha / c.dists)[:, None]
+    return g[None, :, :] + coef[:, :, None] * c.normals[:, None, :]
+
+
+def reference_cone_tensors(tensor, c):
+    """|D(K, s)| times the tensor: a callable sampled at cone centroids."""
+    if tensor.func is not None:
+        out = np.empty((len(c.faces), 2, 2))
+        for i, centroid in enumerate((c.point[None, :] + 2.0 * c.face_centres) / 3.0):
+            out[i] = c.cone_measures[i] * np.asarray(tensor.func(centroid), dtype=float)
+        return out
+    cell = tensor.constant if tensor.constant is not None else tensor.per_cell_tensors[c.id]
+    return c.cone_measures[:, None, None] * cell[None, :, :]
+
+
+def reference_local_matrix(c, tensor, alpha):
+    y = reference_cone_vectors(c, alpha)
+    a = np.einsum("ija,iab,ikb->jk", y, reference_cone_tensors(tensor, c), y)
+    return 0.5 * (a + a.T)
+
+
+def reference_flux(c, local_mat, u):
+    return local_mat @ (u.cell_values[c.id] - u.face_values[c.faces])
+
+
+def reference_cell_gradient(c, u):
+    g = (c.face_measures[:, None] * c.normals) / c.measure
+    return (u.face_values[c.faces] - u.cell_values[c.id]) @ g
+
+
+def reference_cone_gradients(c, u, alpha):
+    return (u.face_values[c.faces] - u.cell_values[c.id]) @ reference_cone_vectors(c, alpha)
+
+
+def reference_rhs_cell_integral(c, f):
+    centroids = (c.point[None, :] + 2.0 * c.face_centres) / 3.0
+    return float(c.cone_measures @ np.array([f(x) for x in centroids]))
+
+
 def reference_face_expansions(mesh, partition, weights, numbering, dirichlet=None):
     expans = [[] for _ in range(mesh.n_faces)]
     consts = np.zeros(mesh.n_faces)
-    for f in mesh.faces:
+    for f in face_views(mesh):
         tag = partition.tags[f.id]
         if tag == HYBRID:
             expans[f.id] = [(numbering.face_index[f.id], 1.0)]
@@ -56,11 +102,11 @@ def reference_triplets(mesh, partition, weights, tensor, source=None,
                                                numbering, dirichlet)
     rows, cols, vals = [], [], []
     rhs = np.zeros(numbering.n)
-    for cell in mesh.cells:
-        lm = local_matrix(mesh, cell.id, tensor, a)
+    for cell in cell_views(mesh):
+        lm = reference_local_matrix(cell, tensor, a)
         k = len(cell.faces)
         if source is not None:
-            rhs[cell.id] += rhs_cell_integral(mesh, cell.id, source)
+            rhs[cell.id] += reference_rhs_cell_integral(cell, source)
         factors = []
         for i in range(k):
             fac = [(cell.id, 1.0)]
@@ -107,18 +153,80 @@ CASES = [
     ("ncrect:2", "all-barycentric"),
     ("barrier:1", "discontinuity"),
     ("zigzag", "discontinuity"),
+    ("callable", "all-hybrid"),
 ]
+
+
+def sampled_tensor(p):
+    """The smooth tensor of ``test_smooth_tensor_sampled_at_cone_centroids``."""
+    return np.array([[1.0 + p[0], 0.2], [0.2, 2.0 + p[1]]])
 
 
 def build_case(spec, policy):
     if spec == "zigzag":
         mesh, regions = build_zigzag_three_row(columns=4)
+    elif spec == "callable":
+        mesh, regions, _ = parse_mesh_spec("rect:3x3")
     else:
         mesh, regions, _ = parse_mesh_spec(spec)
     prob = problem_tilted_barrier() if regions is not None else problem_anisotropic_smooth()
     part = partition_faces(mesh, policy, regions)
     weights = compute_weights(mesh, part, regions) if part.barycentric_faces() else None
+    if spec == "callable":
+        return mesh, part, weights, TensorField.from_callable(sampled_tensor), prob
     return mesh, part, weights, prob.make_tensor(mesh, regions), prob
+
+
+def within_tol(got, ref):
+    return np.abs(np.asarray(got) - ref).max() <= REL_TOL * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("spec,policy", CASES)
+def test_local_matrices_match_cell_loop(spec, policy):
+    mesh, _, _, tensor, _ = build_case(spec, policy)
+    a = resolve_alpha(None, mesh.dim)
+    local = local_matrices(mesh, tensor, a).tocoo()
+    # block-diagonal by cell, and each block is the cell's Y^T Lambda Y
+    assert np.array_equal(mesh.cone_cell[local.row], mesh.cone_cell[local.col])
+    local = local.tocsr()
+    got = [local[c.cones, c.cones].toarray() for c in cell_views(mesh)]
+    ref = [reference_local_matrix(c, tensor, a) for c in cell_views(mesh)]
+    assert within_tol(np.concatenate([g.ravel() for g in got]),
+                      np.concatenate([r.ravel() for r in ref]))
+    assert all(np.array_equal(g, g.T) for g in got)
+
+
+@pytest.mark.parametrize("spec,policy", CASES)
+def test_fluxes_and_gradients_match_cell_loop(spec, policy, rng):
+    mesh, _, _, tensor, _ = build_case(spec, policy)
+    a = resolve_alpha(None, mesh.dim)
+    u = random_zero_boundary(mesh, rng)
+    cells = cell_views(mesh)
+
+    ref_fluxes = np.concatenate(
+        [reference_flux(c, reference_local_matrix(c, tensor, a), u) for c in cells])
+    assert within_tol(cone_fluxes(mesh, tensor, u, a), ref_fluxes)
+
+    ref_cones = np.concatenate([reference_cone_gradients(c, u, a) for c in cells])
+    assert within_tol(gradient_field(mesh, u, a).cones, ref_cones)
+    ref_cell = np.array([reference_cell_gradient(c, u) for c in cells])
+    assert within_tol(cell_gradients(mesh, u), ref_cell)
+
+    # G itself holds each cell's Y as its diagonal block
+    grad = gradient_operator(mesh, a).tocsr()
+    d = mesh.dim
+    got_y, ref_y = [], []
+    for c in cells:
+        k = len(c.faces)
+        block = grad[d * c.cones.start:d * c.cones.stop, c.cones].toarray()
+        got_y.append(block.reshape(k, d, k).transpose(0, 2, 1).ravel())
+        ref_y.append(reference_cone_vectors(c, a).ravel())
+    assert within_tol(np.concatenate(got_y), np.concatenate(ref_y))
+    assert grad.nnz == d * sum(len(c.faces) ** 2 for c in cells)
+
+    source = problem_anisotropic_smooth().source
+    ref_rhs = np.array([reference_rhs_cell_integral(c, source) for c in cells])
+    assert within_tol(rhs_cell_integrals(mesh, source), ref_rhs)
 
 
 @pytest.mark.parametrize("spec,policy", CASES)

@@ -196,6 +196,24 @@ def test_convergence_small_study(tmp_path, capsys):
     assert (tmp_path / "study.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--check", "0.5:0,0.25:0,0.125:0"],
+    ["--check", "0.5:0.25,0.25:nan,0.125:0.015625"],
+    ["--check", "0.5:0.25,-0.25:0.0625,0.125:0.015625"],
+    ["--check", "0.5:0.25,0.5:0.25,0.5:0.25"],
+    ["--family", "rect", "--levels", "2,2,2"],
+    ["--family", "rect", "--levels", "4,8"],
+])
+def test_convergence_degenerate_input_exits_2(tmp_path, capsys, args):
+    # no slope is printed, and a study with too few levels solves nothing
+    code = main(["convergence", *args, "--out", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "slope" not in captured.out
+    assert not (tmp_path / "study.csv").exists()
+
+
 def test_mesh_check_pass(capsys):
     code = main(["mesh-check", "--mesh", "rect:4x4"])
     assert code == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sushi
+from conftest import cell_views, face_views
 from sushi.errors import InvalidTopology
 from sushi.generators import barrier_region, phi1, phi2
 from sushi.geometry import validate
@@ -66,7 +67,7 @@ def test_barrier_cell_counts(variant, cells):
 def test_barrier_region_signs():
     for variant in (1, 2, 3):
         mesh, regions = sushi.gen_tilted_barrier(variant)
-        for c in mesh.cells:
+        for c in cell_views(mesh):
             x, y = c.point
             r = regions[c.id]
             assert r == barrier_region(x, y)
@@ -80,15 +81,15 @@ def test_barrier_region_signs():
 
 def test_barrier_lines_are_pinned_to_faces():
     mesh, _ = sushi.gen_tilted_barrier(1)
-    on_phi1 = [f for f in mesh.faces if abs(phi1(*f.centre)) < 1e-12]
-    on_phi2 = [f for f in mesh.faces if abs(phi2(*f.centre)) < 1e-12]
+    on_phi1 = [f for f in face_views(mesh) if abs(phi1(*f.centre)) < 1e-12]
+    on_phi2 = [f for f in face_views(mesh) if abs(phi2(*f.centre)) < 1e-12]
     assert len(on_phi1) == 10
     assert len(on_phi2) == 10
 
 
 def test_barrier_thin_layers():
     mesh, regions = sushi.gen_tilted_barrier(3)
-    thin = [c for c in mesh.cells if c.measure < 2e-5]
+    thin = [c for c in cell_views(mesh) if c.measure < 2e-5]
     assert len(thin) == 40  # four thin layers of ten cells
 
 

@@ -8,13 +8,15 @@ from sushi.errors import DegenerateFace, InvalidTopology, NonStarShaped
 from sushi.geometry import compute_geometry, domain_measure, regularity, theta_D, theta_DB, validate
 from sushi.spaces import BarycentricWeights
 
+from conftest import cell_view, cell_views, face_view, face_views
+
 
 def test_unit_square_cell():
     mesh = compute_geometry(
         np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
         [[0, 1, 2, 3]],
     )
-    c = mesh.cells[0]
+    c = cell_view(mesh, 0)
     assert c.measure == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(c.point, [0.5, 0.5])
     assert np.allclose(c.face_measures, 1.0)
@@ -32,7 +34,7 @@ def test_right_triangle_distance_to_hypotenuse():
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         [[0, 1, 2]],
     )
-    c = mesh.cells[0]
+    c = cell_view(mesh, 0)
     assert c.measure == pytest.approx(0.5, abs=1e-15)
     assert np.allclose(c.point, [1.0 / 3.0, 1.0 / 3.0])
     # hypotenuse is the face with measure sqrt(2); point-line distance is
@@ -54,7 +56,7 @@ def test_right_triangle_distance_to_hypotenuse():
 )
 def test_cell_volumes_partition_domain(mesh_fn):
     mesh = mesh_fn()
-    total = sum(c.measure for c in mesh.cells)
+    total = sum(c.measure for c in cell_views(mesh))
     assert total == pytest.approx(domain_measure(mesh), rel=1e-10)
     assert total == pytest.approx(1.0, rel=1e-10)
 
@@ -78,7 +80,7 @@ def test_geometric_identities(mesh_fn):
 
 def test_validate_detects_corruption():
     mesh = sushi.gen_rect(3, 3)
-    mesh.cells[4].face_centres[0] += np.array([0.1, 0.0])
+    mesh.face_centre[cell_view(mesh, 4).faces[0]] += np.array([0.1, 0.0])
     report = validate(mesh)
     assert not report.passed
     assert report.identity_residuals[4] > 1e-10
@@ -86,7 +88,7 @@ def test_validate_detects_corruption():
 
 def test_nonconforming_split_faces_have_two_cells():
     mesh = sushi.gen_nonconforming_rect(2)
-    interface = [f for f in mesh.faces if abs(f.centre[0] - 0.5) < 1e-12]
+    interface = [f for f in face_views(mesh) if abs(f.centre[0] - 0.5) < 1e-12]
     assert len(interface) == 14
     assert all(len(f.cells) == 2 for f in interface)
 
@@ -102,7 +104,7 @@ def test_theta_d_single_cell():
         np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]),
         [[0, 1, 2, 3]],
     )
-    c = mesh.cells[0]
+    c = cell_view(mesh, 0)
     assert theta_D(mesh) == pytest.approx(c.diameter / c.dists.min(), rel=1e-14)
 
 
@@ -148,14 +150,14 @@ def test_theta_db_grows_with_far_weights():
     mesh = sushi.gen_rect(4, 4)
     part = sushi.partition_faces(mesh, "all-barycentric")
     fid = part.barycentric_faces()[0]
-    f = mesh.faces[fid]
+    f = face_view(mesh, fid)
     k = f.cells[0]
     # two genuinely distant, non-collinear support points force large
     # spread while keeping the affine conditions exact
     ranked = sorted(range(mesh.n_cells),
-                    key=lambda c: -np.sum((mesh.cells[c].point - f.centre) ** 2))
+                    key=lambda c: -np.sum((mesh.cell_point[c] - f.centre) ** 2))
     far1, far2 = ranked[0], ranked[1]
-    pk, p1, p2 = (mesh.cells[i].point for i in (k, far1, far2))
+    pk, p1, p2 = (mesh.cell_point[i] for i in (k, far1, far2))
     a = np.vstack([np.ones(3), np.array([pk, p1, p2]).T])
     beta = np.linalg.solve(a, np.array([1.0, *f.centre]))
     weights = BarycentricWeights(
@@ -191,3 +193,29 @@ def test_bad_topology_rejected():
         compute_geometry(verts, [[0, 1, 7, 3]])
     with pytest.raises(InvalidTopology):
         compute_geometry(verts, [[0, 2, 1, 3]])  # clockwise / self-intersecting
+
+
+SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+TWO_SQUARES = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], dtype=float)
+
+
+@pytest.mark.parametrize("verts,loops,points,error,message", [
+    (SQUARE, [[0, 1, 2]], np.array([[0.2, 0.5]]), NonStarShaped, "cell 0, face 2"),
+    (TWO_SQUARES, [[0, 1, 4, 5], [1, 2, 3, 4]], np.array([[0.5, 0.5], [2.5, 0.5]]),
+     NonStarShaped, "cell 1, face 5"),
+    (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [[0, 1, 2, 3]], None,
+     DegenerateFace, "cell 0, face 1"),
+    (SQUARE, [[0, 1]], None, InvalidTopology, "fewer than 3"),
+    (SQUARE, [[0, 1, 2, 4]], None, InvalidTopology, "missing vertex"),
+    (SQUARE, [[0, 1, 1, 2, 3]], None, InvalidTopology, "repeated consecutive"),
+    (SQUARE, [[0, 1, 2, 0, 1, 3]], None, InvalidTopology, "lists face"),
+    (SQUARE, [[0, 3, 2, 1]], None, InvalidTopology, "not counter-clockwise"),
+    (TWO_SQUARES, [[0, 1, 4, 5], [1, 2, 3, 4], [1, 2, 3, 4]], None,
+     InvalidTopology, "more than two cells"),
+    (SQUARE, [[0, 1, 2, 3]], np.zeros((2, 2)), InvalidTopology, "shape mismatch"),
+    (np.array([[0.0, 0.0], [np.inf, 0.0], [1.0, 1.0]]), [[0, 1, 2]], None,
+     InvalidTopology, "non-finite"),
+])
+def test_single_defect_meshes_raise_typed_errors(verts, loops, points, error, message):
+    with pytest.raises(error, match=message):
+        compute_geometry(verts, loops, cell_points=points)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import sushi
-from conftest import random_zero_boundary
+from conftest import cell_views, face_views, random_zero_boundary
 from sushi.gradient import (
-    cell_cone_gradients,
-    cell_gradient,
+    cell_gradients,
     default_alpha,
     gradient_field,
-    stabilization_residual,
-    y_vectors,
+    gradient_operator,
+    stabilization_residuals,
 )
 from sushi.postproc import convergence_order, gradient_max_error, seminorm_x
 from sushi.spaces import DiscreteFunction, interpolate, partition_faces
@@ -22,22 +21,31 @@ def pd_interpolant(mesh, fn):
     return interpolate(mesh, part, None, fn, variant="pd")
 
 
+def y_vectors(mesh, cid, alpha=None):
+    """(k, k, d) block of ``G`` for one cell: Y[i, j] multiplies delta_j in
+    the gradient of cone i."""
+    s = mesh.cones(cid)
+    k, d = s.stop - s.start, mesh.dim
+    block = gradient_operator(mesh, alpha)[d * s.start:d * s.stop, s].toarray()
+    return block.reshape(k, d, k).transpose(0, 2, 1)
+
+
 def test_constant_has_zero_gradient():
     mesh = sushi.gen_tri(2)
     u = DiscreteFunction(np.full(mesh.n_cells, 3.7), np.full(mesh.n_faces, 3.7))
-    for c in mesh.cells:
-        assert np.allclose(cell_gradient(mesh, u, c.id), 0.0, atol=1e-14)
+    for grad in cell_gradients(mesh, u):
+        assert np.allclose(grad, 0.0, atol=1e-14)
 
 
 def test_unit_square_hand_computed_gradient():
     mesh = sushi.gen_rect(1, 1)
     u = DiscreteFunction(np.zeros(1), np.zeros(4))
-    for f in mesh.faces:
+    for f in face_views(mesh):
         if np.allclose(f.centre, [1.0, 0.5]):
             u.face_values[f.id] = 1.0
         elif np.allclose(f.centre, [0.0, 0.5]):
             u.face_values[f.id] = -1.0
-    assert np.allclose(cell_gradient(mesh, u, 0), [2.0, 0.0], atol=1e-14)
+    assert np.allclose(cell_gradients(mesh, u)[0], [2.0, 0.0], atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -55,17 +63,17 @@ def test_affine_exactness_per_cone(mesh_fn):
     aff = lambda p: float(grad @ p) + 0.45
     u = pd_interpolant(mesh, aff)
     field = gradient_field(mesh, u)
-    for c in mesh.cells:
-        assert np.abs(field.per_cell[c.id] - grad).max() <= 1e-12 * np.abs(grad).max()
+    for c in cell_views(mesh):
+        assert np.abs(field.cones[c.cones] - grad).max() <= 1e-12 * np.abs(grad).max()
 
 
 def test_affine_stabilization_residual_vanishes():
     mesh = sushi.gen_nonconforming_rect(1)
     aff = lambda p: 2.0 * p[0] + 5.0 * p[1] - 1.0
     u = pd_interpolant(mesh, aff)
-    for c in mesh.cells:
-        for fid in c.faces:
-            r = stabilization_residual(mesh, u, c.id, int(fid))
+    residuals = stabilization_residuals(mesh, u)
+    for c in cell_views(mesh):
+        for r in residuals[c.cones]:
             assert abs(r) <= 1e-11
 
 
@@ -74,10 +82,9 @@ def test_stabilization_orthogonality(rng):
     mesh = sushi.gen_tilted_barrier(1)[0]
     u = random_zero_boundary(mesh, rng)
     d = mesh.dim
-    for c in mesh.cells:
-        resid = np.array(
-            [stabilization_residual(mesh, u, c.id, int(fid)) for fid in c.faces]
-        )
+    residuals = stabilization_residuals(mesh, u)
+    for c in cell_views(mesh):
+        resid = residuals[c.cones]
         vec = (c.face_measures * c.dists / d * resid) @ c.normals
         scale = np.abs(resid).max() * c.measure + 1e-300
         assert np.abs(vec).max() <= 1e-10 * scale
@@ -88,8 +95,10 @@ def test_residual_matches_dense_formula(rng):
     mesh = sushi.gen_rect(2, 2)
     u = random_zero_boundary(mesh, rng)
     alpha = math.sqrt(2.0)
-    for c in mesh.cells:
-        grad = cell_gradient(mesh, u, c.id)
+    grads = cell_gradients(mesh, u)
+    residuals = stabilization_residuals(mesh, u, alpha)
+    for c in cell_views(mesh):
+        grad = grads[c.id]
         for i, fid in enumerate(c.faces):
             fid = int(fid)
             expect = (alpha / c.dists[i]) * (
@@ -97,7 +106,7 @@ def test_residual_matches_dense_formula(rng):
                 - u.cell_values[c.id]
                 - float(grad @ (c.face_centres[i] - c.point))
             )
-            got = stabilization_residual(mesh, u, c.id, fid, alpha)
+            got = residuals[c.cones][i]
             assert got == pytest.approx(expect, rel=1e-13, abs=1e-14)
 
 
@@ -105,11 +114,14 @@ def test_cone_gradients_match_componentwise(rng):
     mesh = sushi.gen_nonconforming_rect(1)
     u = random_zero_boundary(mesh, rng)
     a = default_alpha(2)
-    for c in mesh.cells:
-        cones = cell_cone_gradients(c, u, a)
-        grad = cell_gradient(mesh, u, c.id)
+    field = gradient_field(mesh, u, a)
+    grads = cell_gradients(mesh, u)
+    residuals = stabilization_residuals(mesh, u, a)
+    for c in cell_views(mesh):
+        cones = field.cones[c.cones]
+        grad = grads[c.id]
         for i, fid in enumerate(c.faces):
-            r = stabilization_residual(mesh, u, c.id, int(fid), a)
+            r = residuals[c.cones][i]
             assert np.allclose(cones[i], grad + r * c.normals[i], atol=1e-12)
 
 
@@ -117,12 +129,13 @@ def test_y_vectors_reconstruct_cone_gradients(rng):
     mesh = sushi.gen_tilted_barrier(1)[0]
     for trial in range(10):
         u = random_zero_boundary(mesh, rng)
+        field = gradient_field(mesh, u, default_alpha(2))
         for cid in (0, 57, 105, 209):
-            c = mesh.cells[cid]
+            c = cell_views(mesh)[cid]
             y = y_vectors(mesh, cid)
             delta = u.face_values[c.faces] - u.cell_values[cid]
             rec = np.einsum("ijd,j->id", y, delta)
-            cones = cell_cone_gradients(c, u, default_alpha(2))
+            cones = field.cones[c.cones]
             scale = np.abs(cones).max() + 1e-300
             assert np.abs(rec - cones).max() <= 1e-12 * scale
 
@@ -131,7 +144,7 @@ def test_y_vector_weighted_sum_identity():
     # sum over s' of (|s'| d(K,s') / d) y^{s' s} = |s| n(K,s)
     for mesh in (sushi.gen_tri(2), sushi.gen_nonconforming_rect(1)):
         d = mesh.dim
-        for c in mesh.cells:
+        for c in cell_views(mesh):
             y = y_vectors(mesh, c.id)
             w = c.face_measures * c.dists / d
             lhs = np.einsum("j,jid->id", w, y)
@@ -143,12 +156,12 @@ def test_y_vector_superadmissible_diagonal():
     # axis-aligned rectangle with centroid point: n = (x_s - x_K)/d, so the
     # diagonal correction factor uses n . (x_s - x_K) = d
     mesh = sushi.gen_rect(2, 3)
-    for c in mesh.cells:
+    for c in cell_views(mesh):
         for i in range(len(c.faces)):
             rel = c.face_centres[i] - c.point
             assert np.allclose(c.normals[i], rel / c.dists[i], atol=1e-13)
     alpha = 1.7
-    c = mesh.cells[0]
+    c = cell_views(mesh)[0]
     y = y_vectors(mesh, 0, alpha)
     g = c.face_measures[:, None] * c.normals / c.measure
     for i in range(len(c.faces)):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sushi
+from conftest import cell_view, cell_views
 from sushi.errors import ParseError
 from sushi.meshfile import read_mesh, write_mesh
 
@@ -10,7 +11,7 @@ def assert_same_mesh(a, b):
     assert a.n_cells == b.n_cells
     assert a.n_faces == b.n_faces
     assert np.array_equal(a.vertices, b.vertices)
-    for ca, cb in zip(a.cells, b.cells):
+    for ca, cb in zip(cell_views(a), cell_views(b)):
         assert np.array_equal(ca.loop, cb.loop)
         assert np.array_equal(ca.point, cb.point)
         assert ca.measure == cb.measure
@@ -51,7 +52,7 @@ def test_round_trip_cell_points(tmp_path):
     write_mesh(mesh, path)
     back = read_mesh(path)
     assert back.cell_points_given
-    assert np.array_equal(back.cells[0].point, [0.4, 0.6])
+    assert np.array_equal(cell_view(back, 0).point, [0.4, 0.6])
 
 
 def test_missing_vertex_is_parse_error(tmp_path):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import sushi
-from conftest import random_zero_boundary
-from sushi.assembly import TensorField, rhs_cell_integral, local_matrix, flux
+from conftest import cell_view, cell_views, face_view, face_views, random_zero_boundary
+from sushi.assembly import TensorField, rhs_cell_integrals
 from sushi.errors import (
     InsufficientLevels,
+    InvalidSeries,
     RequiresIdentityTensor,
     UnclassifiedBoundaryFace,
 )
@@ -17,9 +18,10 @@ from sushi.postproc import (
     cell_balance_residuals,
     composite_fluxes,
     convergence_order,
+    cone_fluxes,
     error_norms,
-    face_normal_gradient_integral,
     flux_consistency_E,
+    normal_gradient_integrals,
     norm_1pm,
     reconstruct_faces,
     seminorm_x,
@@ -72,7 +74,7 @@ def test_composite_fluxes_antisymmetry_and_balance():
     residuals = cell_balance_residuals(mesh, report, prob.source)
     assert np.abs(residuals).max() <= 10.0 * 1e-13 * scale
     # global balance: boundary fluxes against the total source
-    total_source = sum(rhs_cell_integral(mesh, c.id, prob.source) for c in mesh.cells)
+    total_source = sum(rhs_cell_integrals(mesh, prob.source))
     outflux = float(np.sum(report.cell_outflux))
     assert outflux == pytest.approx(total_source, rel=1e-10)
 
@@ -134,16 +136,15 @@ def test_norm_1pm_matches_cell_sum_form(rng):
     cv = rng.standard_normal(mesh.n_cells)
     p = 3.0
     total = 0.0
-    for c in mesh.cells:
+    for c in cell_views(mesh):
         for i, fid in enumerate(c.faces):
-            f = mesh.faces[int(fid)]
+            f = face_view(mesh, int(fid))
             if f.boundary:
                 jump, dsig = abs(cv[c.id]), c.dists[i]
             else:
                 k, l = f.cells
                 other = l if k == c.id else k
-                co = mesh.cells[other]
-                dsig = c.dists[i] + co.dists[co.local_index(int(fid))]
+                dsig = c.dists[i] + mesh.cone_dist[mesh.face_cones[f.id, f.cells.index(other)]]
                 jump = abs(cv[k] - cv[l])
             total += f.measure * c.dists[i] * (jump / dsig) ** p
     assert norm_1pm(mesh, cv, p) == pytest.approx(total ** (1.0 / p), rel=1e-12)
@@ -153,8 +154,8 @@ def test_face_normal_gradient_integral_quadratic():
     # 3-point Gauss is exact for polynomial integrands up to degree 5
     mesh = sushi.gen_rect(1, 1)
     grad = lambda p: np.array([p[0] ** 2 * p[1], p[1] ** 3])
-    f = [f for f in mesh.faces if np.allclose(f.centre, [1.0, 0.5])][0]
-    got = face_normal_gradient_integral(mesh, f.id, 0, grad)
+    f = [f for f in face_views(mesh) if np.allclose(f.centre, [1.0, 0.5])][0]
+    got = normal_gradient_integrals(mesh, grad)[mesh.face_cones[f.id, 0]]
     # outward normal (1,0): integral of x^2 y at x=1 for y in [0,1] = 1/2
     assert got == pytest.approx(0.5, rel=1e-14)
 
@@ -182,13 +183,12 @@ def test_flux_consistency_single_cell_brute_force():
     grad = lambda p: np.array([2.0 * p[0], p[1]])
     e = flux_consistency_E(mesh, part, None, tensor, quad, grad)
 
-    u = interpolate(mesh, part, None, quad, variant="pdb", boundary="func")
-    lm = local_matrix(mesh, 0, tensor)
-    fk = flux(mesh, 0, lm, u)
-    c = mesh.cells[0]
+    u = interpolate(mesh, part, None, quad, variant="pdb")
+    fk = cone_fluxes(mesh, tensor, u)
+    c = cell_view(mesh, 0)
     total = 0.0
     for i, fid in enumerate(c.faces):
-        exact_int = face_normal_gradient_integral(mesh, int(fid), 0, grad)
+        exact_int = normal_gradient_integrals(mesh, grad)[c.cones][i]
         total += c.dists[i] / c.face_measures[i] * (fk[i] + exact_int) ** 2
     assert e == pytest.approx(math.sqrt(total), rel=1e-13)
 
@@ -230,24 +230,6 @@ def test_error_report_csv_round_trip(tmp_path):
     assert int(back["N"]) == r.system.n
 
 
-def test_gradient_cone_csv_dump(tmp_path):
-    from sushi.gradient import gradient_field
-
-    prob = problem_anisotropic_smooth()
-    mesh = sushi.gen_rect(2, 2)
-    part = partition_faces(mesh, "all-hybrid")
-    u = interpolate(mesh, part, None, prob.exact, variant="pd")
-    field = gradient_field(mesh, u)
-    path = tmp_path / "cones.csv"
-    field.dump_cones_csv(mesh, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "cell,face,gx,gy"
-    assert len(lines) == 1 + sum(len(c.faces) for c in mesh.cells)
-    cid, fid, gx, gy = lines[1].split(",")
-    i = mesh.cells[int(cid)].local_index(int(fid))
-    assert float(gx) == field.per_cell[int(cid)][i][0]
-
-
 def test_convergence_order_synthetic():
     hs = [0.5, 0.25, 0.125, 0.0625]
     errors = [3.0 * h ** 2 for h in hs]
@@ -257,3 +239,16 @@ def test_convergence_order_synthetic():
 def test_convergence_order_needs_three_levels():
     with pytest.raises(InsufficientLevels):
         convergence_order([(0.5, 1.0), (0.25, 0.25)])
+
+
+def test_convergence_order_needs_three_distinct_h():
+    with pytest.raises(InsufficientLevels):
+        convergence_order([(0.5, 1.0), (0.5, 1.0), (0.25, 0.25)])
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.25, math.nan, math.inf])
+def test_convergence_order_rejects_non_positive_or_non_finite(bad):
+    with pytest.raises(InvalidSeries):
+        convergence_order([(0.5, 1.0), (0.25, bad), (0.125, 0.0625)])
+    with pytest.raises(InvalidSeries):
+        convergence_order([(0.5, 1.0), (bad, 0.25), (0.125, 0.0625)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sushi
+from conftest import cell_views
 from sushi.errors import ParseError
 from sushi.generators import phi1
 from sushi.problems import (
@@ -113,7 +114,7 @@ def test_barrier_problem_solves_exactly_with_hybrid_faces():
     mesh, regions = sushi.gen_tilted_barrier(1)
     r = solve_problem(prob, mesh, regions=regions, policy="discontinuity",
                       method="dense", with_errors=False)
-    for c in mesh.cells:
+    for c in cell_views(mesh):
         exact = barrier_exact(c.point, regions[c.id])
         assert r.solution[c.id] == pytest.approx(exact, abs=1e-10)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sushi
-from conftest import build_zigzag_three_row
+from conftest import build_zigzag_three_row, cell_view, face_view, face_views
 from sushi.errors import MissingRegionMap, MissingWeights, NoValidCombination
 from sushi.spaces import (
     BARYCENTRIC,
@@ -18,7 +18,7 @@ from sushi.spaces import (
 def support_points(mesh, entries):
     pts, betas = [], []
     for kind, idx, beta in entries:
-        pts.append(mesh.cells[idx].point if kind == "cell" else mesh.faces[idx].centre)
+        pts.append(cell_view(mesh, idx).point if kind == "cell" else face_view(mesh, idx).centre)
         betas.append(beta)
     return np.array(pts), np.array(betas)
 
@@ -29,7 +29,7 @@ def check_affinity(mesh, weights, tol_sum=1e-10, tol_pos=None):
         assert 1 <= len(entries) <= 3  # at most d+1 support points
         pts, betas = support_points(mesh, entries)
         assert abs(betas.sum() - 1.0) <= tol_sum
-        assert np.linalg.norm(betas @ pts - mesh.faces[fid].centre) <= tol_pos
+        assert np.linalg.norm(betas @ pts - face_view(mesh, fid).centre) <= tol_pos
 
 
 def test_partition_all_hybrid_and_barycentric():
@@ -70,7 +70,7 @@ def test_midpoint_weights_on_uniform_grid():
     part = partition_faces(mesh, "all-barycentric")
     weights = compute_weights(mesh, part)
     for fid, entries in weights.support.items():
-        k, l = mesh.faces[fid].cells
+        k, l = face_view(mesh, fid).cells
         assert {(kind, idx) for kind, idx, _ in entries} == {("cell", k), ("cell", l)}
         assert all(beta == pytest.approx(0.5, abs=1e-14) for _, _, beta in entries)
 
@@ -80,7 +80,7 @@ def test_nonconforming_interface_weights_affine():
     part = partition_faces(mesh, "all-barycentric")
     weights = compute_weights(mesh, part)
     check_affinity(mesh, weights, tol_sum=1e-12, tol_pos=1e-12)
-    interface = [f.id for f in mesh.faces
+    interface = [f.id for f in face_views(mesh)
                  if not f.boundary and abs(f.centre[0] - 0.5) < 1e-12]
     threes = [fid for fid in interface if len(weights.support[fid]) == 3]
     assert threes  # misaligned pieces need the full d+1 support
@@ -109,7 +109,7 @@ def test_weights_are_region_local_on_barrier():
     part = partition_faces(mesh, "discontinuity", regions)
     weights = compute_weights(mesh, part, regions)
     for fid, entries in weights.support.items():
-        k, l = mesh.faces[fid].cells
+        k, l = face_view(mesh, fid).cells
         assert regions[k] == regions[l]
         for kind, idx, _ in entries:
             if kind == "cell":
@@ -157,7 +157,7 @@ def test_extended_weights_use_hybrid_face_points():
     # extended combination (cells plus hybrid-face points) is required
     tags = part.tags.copy()
     forced = []
-    for f in mesh.faces:
+    for f in face_views(mesh):
         if not f.boundary:
             k, l = f.cells
             if regions[k] == regions[l] == 2:
@@ -174,7 +174,7 @@ def test_extended_weights_use_hybrid_face_points():
 def test_no_valid_combination_raises():
     # two non-collinear cells alone in their region, no hybrid faces nearby
     mesh, regions = build_zigzag_three_row(columns=2)
-    mid = [f.id for f in mesh.faces
+    mid = [f.id for f in face_views(mesh)
            if not f.boundary
            and regions[f.cells[0]] == regions[f.cells[1]] == 2]
     assert len(mid) == 1
@@ -201,7 +201,7 @@ def test_interpolate_affine_reproduction():
     aff = lambda p: 3.0 * p[0] - 2.0 * p[1] + 0.25
     u = interpolate(mesh, part, weights, aff, variant="pdb")
     for fid in part.barycentric_faces():
-        exact = aff(mesh.faces[fid].centre)
+        exact = aff(face_view(mesh, fid).centre)
         assert u.face_values[fid] == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
@@ -211,7 +211,7 @@ def test_interpolate_quartic_midpoint_value():
     mesh = sushi.gen_rect(1, 2)
     part = partition_faces(mesh, "all-hybrid")
     u = interpolate(mesh, part, None, quartic, variant="pd")
-    mid = [f.id for f in mesh.faces if np.allclose(f.centre, [0.5, 0.5])]
+    mid = [f.id for f in face_views(mesh) if np.allclose(f.centre, [0.5, 0.5])]
     assert len(mid) == 1
     assert u.face_values[mid[0]] == 1.0
 
