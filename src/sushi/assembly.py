@@ -33,7 +33,6 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import (
-    MissingWeights,
     NonPositiveTensor,
     NonSymmetricTensor,
     SingularAfterElimination,
@@ -44,7 +43,6 @@ from .spaces import (
     BarycentricWeights,
     EdgePartition,
     UnknownNumbering,
-    check_weights,
     face_expansions,
     numbering_for,
 )
@@ -171,13 +169,10 @@ def assemble(mesh: Mesh, partition: EdgePartition,
     """Assemble the sparse SPD system for the composite scheme.
 
     ``source`` and ``dirichlet`` are scalar callables of position (both
-    optional; absent means zero).  Raises ``SingularAfterElimination``
-    when elimination leaves an unknown without a positive diagonal.
+    optional; absent means zero).  Raises the errors of ``check_weights``,
+    and ``SingularAfterElimination`` when elimination leaves an unknown
+    without a positive diagonal.
     """
-    if partition.barycentric_faces():
-        if weights is None:
-            raise MissingWeights("partition has barycentric faces but no weights")
-        check_weights(mesh, partition, weights)
     a = resolve_alpha(alpha, mesh.dim)
     numbering = numbering_for(mesh, partition)
     n = numbering.n

@@ -120,13 +120,12 @@ class Mesh:
     def boundary_faces(self) -> list[int]:
         return np.nonzero(self.face_boundary)[0].tolist()
 
-    def vertex_cell_map(self) -> dict[int, list[int]]:
-        """Map vertex id -> sorted cell ids whose loop contains it."""
+    def vertex_cell_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR vertex -> cell map ``(ptr, cells)``: vertex v lies on the loops
+        of the sorted cells ``cells[ptr[v]:ptr[v + 1]]``."""
         keys = np.unique(self.cone_vertex.astype(np.int64) * self.n_cells + self.cone_cell)
         verts, cells = np.divmod(keys, self.n_cells)
-        cuts = np.nonzero(np.diff(verts))[0] + 1
-        return {int(v[0]): c.tolist()
-                for v, c in zip(np.split(verts, cuts), np.split(cells, cuts))}
+        return np.searchsorted(verts, np.arange(len(self.vertices) + 1)), cells
 
 
 @dataclass
@@ -413,15 +412,12 @@ def regularity(mesh: Mesh, weights=None) -> RegularityReport:
     td = theta_D(mesh)
     tdb = None
     if weights is not None:
-        spread = np.zeros(mesh.n_faces)
-        weighted = np.zeros(mesh.n_faces, dtype=bool)
-        for fid, entries in weights.support.items():
-            centre = mesh.face_centre[fid]
-            for kind, idx, beta in entries:
-                p = mesh.cell_point[idx] if kind == "cell" else mesh.face_centre[idx]
-                spread[fid] += abs(beta) * float(np.sum((p - centre) ** 2))
-            weighted[fid] = True
-        on = weighted[mesh.cone_face]
+        faces = np.repeat(np.arange(mesh.n_faces), np.diff(weights.ptr))
+        offset = weights.by_point(mesh.cell_point, mesh.face_centre)[weights.points] \
+            - mesh.face_centre[faces]
+        spread = np.bincount(faces, weights=np.abs(weights.beta) * (offset ** 2).sum(axis=1),
+                             minlength=mesh.n_faces)
+        on = (np.diff(weights.ptr) > 0)[mesh.cone_face]
         ratio = spread[mesh.cone_face[on]] / mesh.cell_diameter[mesh.cone_cell[on]] ** 2
         tdb = max(td, float(np.max(ratio, initial=0.0)))
     return RegularityReport(theta_D=td, theta_DB=tdb, worst_cell_ratio=_cell_ratios(mesh))

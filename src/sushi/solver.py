@@ -1,4 +1,4 @@
-"""SPD linear solvers: preconditioned CG plus a dense Cholesky oracle."""
+"""SPD linear solvers: preconditioned CG plus a certified direct solve."""
 
 from __future__ import annotations
 
@@ -145,16 +145,19 @@ def solve_cg(system, tol: float = 1e-12,
 
 
 def solve_dense(system) -> tuple[np.ndarray, SolveReport]:
-    """Dense Cholesky solve; doubles as an SPD certificate for small systems."""
+    """Sparse direct (SuperLU) solve of a system certified SPD by dense Cholesky.
+
+    Neither the solution nor the residual goes through threaded BLAS, so both
+    are the same under every thread count.  SuperLU loads here, off CG's start-up.
+    """
+    from scipy.sparse.linalg import spsolve
     t0 = time.perf_counter()
-    mat = system.to_dense()
-    try:
-        factor = scipy.linalg.cho_factor(mat, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    x = scipy.linalg.cho_solve(factor, system.rhs)
-    bnorm = float(np.linalg.norm(system.rhs))
-    res = float(np.linalg.norm(system.rhs - mat @ x)) / bnorm if bnorm else 0.0
+    if not spd_certificate(system):
+        raise NotPositiveDefinite("dense Cholesky factorization found a non-positive pivot")
+    mat = system.full()
+    x = spsolve(mat, system.rhs)
+    bnorm = _norm(system.rhs)
+    res = _norm(system.rhs - mat @ x) / bnorm if bnorm else 0.0
     return x, SolveReport(0, res, time.perf_counter() - t0, "dense-cholesky")
 
 

@@ -12,10 +12,10 @@ so that affine fields are reproduced exactly.
 
 from __future__ import annotations
 
-import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,27 +61,39 @@ class EdgePartition:
 
 @dataclass
 class BarycentricWeights:
-    """Sparse weight table: face id -> [(kind, id, beta)], kind 'cell'|'face'."""
+    """CSR weight table over support points, one row per face.
 
-    support: dict[int, list[tuple[str, int, float]]] = field(default_factory=dict)
+    Face sigma is ``sum beta[i] * u(points[i])`` over ``i`` in
+    ``ptr[sigma]:ptr[sigma + 1]``; a face without weights has an empty
+    row.  Support point ``p < n_cells`` is the point of cell ``p`` and
+    point ``n_cells + g`` the centre of face ``g`` (see :meth:`by_point`).
+    Entries are sorted by point id, and exact zeros stay stored.
+    """
 
-    def reconstruct(self, face_id: int, cell_values: np.ndarray,
-                    face_values: np.ndarray) -> float:
-        entries = self.support.get(face_id)
-        if entries is None:
-            raise MissingWeights(f"no weights for face {face_id}")
-        total = 0.0
-        for kind, idx, beta in entries:
-            total += beta * (cell_values[idx] if kind == "cell" else face_values[idx])
-        return total
+    n_cells: int
+    ptr: np.ndarray
+    points: np.ndarray
+    beta: np.ndarray
 
-    def dump_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["face", "kind", "id", "beta"])
-            for fid in sorted(self.support):
-                for kind, idx, beta in self.support[fid]:
-                    writer.writerow([fid, kind, idx, repr(beta)])
+    @staticmethod
+    def by_point(per_cell: np.ndarray, per_face: np.ndarray) -> np.ndarray:
+        """Per-point array from its cell part and its face part."""
+        return np.concatenate([per_cell, per_face])
+
+    def matrix(self) -> sp.csr_matrix:
+        """The table as a sparse (n_faces x n_points) matrix."""
+        n_faces = len(self.ptr) - 1
+        return sp.csr_matrix((self.beta, self.points, self.ptr),
+                             shape=(n_faces, self.n_cells + n_faces))
+
+    @property
+    def support(self):
+        """Read-only view ``face -> ((kind, id, beta), ...)``, kind 'cell' or 'face'."""
+        n, ptr = self.n_cells, self.ptr.tolist()
+        entries = [("cell", p, b) if p < n else ("face", p - n, b)
+                   for p, b in zip(self.points.tolist(), self.beta.tolist())]
+        return MappingProxyType({f: tuple(entries[ptr[f]:ptr[f + 1]])
+                                 for f in range(len(ptr) - 1) if ptr[f + 1] > ptr[f]})
 
 
 @dataclass
@@ -126,21 +138,17 @@ def face_expansions(mesh: Mesh, partition: EdgePartition,
     boundary datum at its centre.  Every weight is stored, even an exact
     zero, so ``P`` carries the structure that the nonzero count NM follows.
     """
-    rows = list(numbering.hybrid_faces)
-    cols = [numbering.face_index[f] for f in rows]
-    vals = [1.0] * len(rows)
-    for fid in partition.barycentric_faces():
-        if weights is None or fid not in weights.support:
-            raise MissingWeights(f"no weights for face {fid}")
-        for kind, idx, beta in weights.support[fid]:
-            rows.append(fid)
-            cols.append(idx if kind == "cell" else numbering.face_index[idx])
-            vals.append(beta)
-    expansion = sp.csr_matrix(
-        (np.array(vals, dtype=float),
-         (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(mesh.n_faces, numbering.n),
-    )
+    check_weights(mesh, partition, weights)
+    hybrid = np.asarray(numbering.hybrid_faces, dtype=np.int64)
+    column = np.full(mesh.n_faces, -1, dtype=np.int64)
+    column[hybrid] = [numbering.face_index[f] for f in numbering.hybrid_faces]
+    rows, cols, vals = hybrid, column[hybrid], np.ones(len(hybrid))
+    if weights is not None:
+        point_column = weights.by_point(np.arange(mesh.n_cells), column)
+        rows = np.concatenate([rows, np.repeat(np.arange(mesh.n_faces), np.diff(weights.ptr))])
+        cols = np.concatenate([cols, point_column[weights.points]])
+        vals = np.concatenate([vals, weights.beta])
+    expansion = sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_faces, numbering.n))
     consts = np.zeros(mesh.n_faces)
     if dirichlet is not None:
         for fid in np.nonzero(partition.tags == DIRICHLET)[0]:
@@ -195,16 +203,21 @@ def partition_faces(mesh: Mesh, policy: str,
     return EdgePartition(tags=tags, policy=policy)
 
 
-def _solve_pair(p: np.ndarray, q: np.ndarray, x: np.ndarray,
-                h: float) -> tuple[float, float] | None:
+def _pair_weights(p: np.ndarray, q: np.ndarray, x: np.ndarray,
+                  h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise affine coordinates ``(1 - t, t)`` of ``x`` on the line ``p q``;
+    ``ok`` is False where ``p == q`` or ``x`` is off it by more than ``AFFINE_TOL * h``.
+    Row dots are stacked 1x2 @ 2x1 products, rounded as each row's own dot.
+    """
+    def dots(a, b):
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
     d = q - p
-    l2 = float(d @ d)
-    if l2 == 0.0:
-        return None
-    t = float((x - p) @ d) / l2
-    if np.linalg.norm(p + t * d - x) > AFFINE_TOL * h:
-        return None
-    return 1.0 - t, t
+    l2 = dots(d, d)
+    t = dots(x - p, d) / np.where(l2 == 0.0, 1.0, l2)
+    off = p + t[:, None] * d - x
+    ok = (l2 != 0.0) & (np.sqrt(dots(off, off)) <= AFFINE_TOL * h)
+    return np.stack([1.0 - t, t], axis=1), ok
 
 
 def _solve_triple(pts: np.ndarray, x: np.ndarray, h: float) -> np.ndarray | None:
@@ -219,66 +232,56 @@ def _solve_triple(pts: np.ndarray, x: np.ndarray, h: float) -> np.ndarray | None
     return beta
 
 
-def _candidate_points(mesh, fid, regions, region, vertex_cells, hybrid_touching):
-    """Candidate (kind, id, point) support points near face ``fid``.
+def _candidate_points(mesh, fid, vertex_map, regions, hybrid):
+    """Candidate support point ids near face ``fid``: cells, then extended faces.
 
-    Cell points of all cells sharing a vertex with the face; when a region
-    map is active only same-region cells qualify, and hybrid-face
-    barycentres touching that region are appended for the extended
-    formula.
+    Cell points of all cells sharing a vertex with the face; with a region
+    map, only those of the face's region if both its cells share one, and
+    the centres of the hybrid faces of those cells for the extended formula.
     """
-    near_cells: set[int] = {c for c in mesh.face_cells[fid].tolist() if c >= 0}
-    for v in mesh.face_vertices[fid].tolist():
-        near_cells.update(vertex_cells.get(v, ()))
-    if regions is not None and region is not None:
-        near_cells = {c for c in near_cells if regions[c] == region}
-    cands = [("cell", c, mesh.cell_point[c]) for c in sorted(near_cells)]
-    extended = []
-    if hybrid_touching is not None:
-        near_faces: set[int] = set()
-        for c in near_cells:
-            near_faces.update(mesh.cone_face[mesh.cones(c)].tolist())
-        for g in sorted(near_faces):
-            if g != fid and g in hybrid_touching:
-                extended.append(("face", g, mesh.face_centre[g]))
-    return cands, extended
+    ptr, cells = vertex_map
+    (a, b), (k, l) = mesh.face_vertices[fid], mesh.face_cells[fid]
+    near = np.unique(np.concatenate([[k, l], cells[ptr[a]:ptr[a + 1]],
+                                     cells[ptr[b]:ptr[b + 1]]]))
+    if regions is None:
+        return near, near[:0]
+    if regions[k] == regions[l]:
+        near = near[regions[near] == regions[k]]
+    faces = np.unique(np.concatenate([mesh.cone_face[mesh.cones(c)] for c in near]))
+    faces = faces[(faces != fid) & hybrid[faces]]
+    return near, mesh.n_cells + faces
 
 
-def _best_support(cands, x, h):
-    """Smallest-spread valid support among the candidates.
+def _best_support(cands, coords, x, h):
+    """Smallest-spread valid support among the candidate point ids.
 
     Every pair and triple of the nearest candidates competes on
     sum |beta| |p - x|^2, the quantity entering the mesh-regularity
     metric.  Spreads equal up to rounding are ties (structured meshes
     produce exactly tied supports); ties prefer the most compact support
-    (smallest maximum point distance), then lowest candidate ids, which
-    keeps the selection invariant under mesh symmetries.
+    (smallest maximum point distance), then lowest point ids, which
+    keeps the selection invariant under mesh symmetries.  Returns sorted
+    ``(point, beta)`` pairs without exact zeros, or None.
     """
-    ranked = sorted(cands, key=lambda c: (float(np.sum((c[2] - x) ** 2)), c[0], c[1]))
-    ranked = ranked[:CANDIDATE_CAP]
+    dist2 = ((coords[cands] - x) ** 2).sum(axis=1)
+    order = np.lexsort((cands, dist2))[:CANDIDATE_CAP]
+    ranked, dist2 = cands[order], dist2[order]
+    pts = coords[ranked]
+    pairs = np.array(list(combinations(range(len(ranked)), 2)), dtype=np.int64).reshape(-1, 2)
+    betas, ok = _pair_weights(pts[pairs[:, 0]], pts[pairs[:, 1]], x, h)
+    solved = list(zip(pairs[ok], betas[ok]))
+    for combo in combinations(range(len(ranked)), SUPPORT_SIZE):
+        beta = _solve_triple(pts[list(combo)], x, h)
+        if beta is not None:
+            solved.append((np.array(combo), beta))
     options = []
-    for combo in list(combinations(range(len(ranked)), 2)) + list(
-        combinations(range(len(ranked)), SUPPORT_SIZE)
-    ):
-        pts = np.array([ranked[i][2] for i in combo])
-        if len(combo) == 2:
-            sol = _solve_pair(pts[0], pts[1], x, h)
-        else:
-            sol = _solve_triple(pts, x, h)
-        if sol is None:
+    for combo, beta in solved:
+        if np.abs(beta).max() > 1e6:
             continue
-        betas = np.asarray(sol, dtype=float)
-        if np.abs(betas).max() > 1e6:
-            continue
-        dist2 = np.sum((pts - x) ** 2, axis=1)
-        spread = float(np.sum(np.abs(betas) * dist2))
-        ids = tuple(sorted((ranked[i][0], ranked[i][1]) for i in combo))
-        support = [
-            (ranked[i][0], ranked[i][1], float(b))
-            for i, b in zip(combo, betas)
-            if b != 0.0
-        ]
-        options.append((spread, float(dist2.max()), ids, support))
+        spread = float(np.sum(np.abs(beta) * dist2[combo]))
+        ids = ranked[combo].tolist()
+        options.append((spread, float(dist2[combo].max()), sorted(ids),
+                        sorted((p, b) for p, b in zip(ids, beta.tolist()) if b != 0.0)))
     if not options:
         return None
     best_spread = min(o[0] for o in options)
@@ -291,60 +294,63 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
                     regions: np.ndarray | None = None) -> BarycentricWeights:
     """Affine elimination weights for every barycentric face.
 
-    Without a region map, any nearby cell point may enter a support.  With
-    one, supports are restricted to the region of the face's two adjacent
-    cells; if no same-region cell support exists the search is extended
-    with hybrid-face barycentres touching that region (the one-cell-thick
-    layer case).
-
-    Raises ``NoValidCombination`` when no local support satisfies the
-    affine conditions.
+    The two adjacent cell points are tried first, for all faces at once;
+    only the faces off their line search further.  Without a region map,
+    any nearby cell point may enter a support.  With one, supports are
+    restricted to the region of the face's two adjacent cells; if no
+    same-region cell support exists the search is extended with
+    hybrid-face barycentres touching that region (the one-cell-thick
+    layer case).  Raises ``NoValidCombination`` when no local support
+    satisfies the affine conditions.
     """
     h = mesh.h
-    vertex_cells = mesh.vertex_cell_map()
-    hybrid_set = set(partition.hybrid_faces())
-    weights = BarycentricWeights()
-    for fid in partition.barycentric_faces():
-        k, l = mesh.face_cells[fid].tolist()
-        region = None
-        if regions is not None and regions[k] == regions[l]:
-            region = int(regions[k])
-        cands, extended = _candidate_points(
-            mesh, fid, regions, region,
-            vertex_cells, hybrid_set if regions is not None else None,
-        )
-        x = mesh.face_centre[fid]
-        # Natural choice first: the two adjacent cell points, when collinear.
-        pk, pl = mesh.cell_point[k], mesh.cell_point[l]
-        allowed = {c for _, c, _ in cands}
-        support = None
-        if k in allowed and l in allowed:
-            pair = _solve_pair(pk, pl, x, h)
-            if pair is not None:
-                support = [("cell", k, pair[0]), ("cell", l, pair[1])]
-        if support is None:
-            support = _best_support(cands, x, h)
-        if support is None and extended:
-            support = _best_support(cands + extended, x, h)
-        if support is None:
-            raise NoValidCombination(f"face {fid}: no affine support found")
-        support.sort(key=lambda e: (e[0], e[1]))
-        worst = max(abs(b) for _, _, b in support)
-        if worst > 4.0:
-            log.warning("face %d: weight magnitude %.3g exceeds 4", fid, worst)
-        weights.support[fid] = support
-    return weights
+    bary = np.nonzero(partition.tags == BARYCENTRIC)[0]
+    pair = mesh.face_cells[bary]
+    # K and L always belong to the face's own support region.
+    beta, ok = _pair_weights(mesh.cell_point[pair[:, 0]], mesh.cell_point[pair[:, 1]],
+                             mesh.face_centre[bary], h)
+    rest = []  # (face, point, beta) of the searched faces
+    if not ok.all():
+        coords = BarycentricWeights.by_point(mesh.cell_point, mesh.face_centre)
+        vertex_map = mesh.vertex_cell_map()
+        hybrid = partition.tags == HYBRID
+        for fid in bary[~ok].tolist():
+            cands, extended = _candidate_points(mesh, fid, vertex_map, regions, hybrid)
+            x = mesh.face_centre[fid]
+            support = _best_support(cands, coords, x, h)
+            if support is None and len(extended):
+                support = _best_support(np.concatenate([cands, extended]), coords, x, h)
+            if support is None:
+                raise NoValidCombination(f"face {fid}: no affine support found")
+            rest += [(fid, p, b) for p, b in support]
+
+    faces = np.concatenate([np.repeat(bary[ok], 2), [e[0] for e in rest]]).astype(np.int64)
+    points = np.concatenate([pair[ok].ravel(), [e[1] for e in rest]]).astype(np.int64)
+    values = np.concatenate([beta[ok].ravel(), [e[2] for e in rest]])
+    order = np.lexsort((points, faces))
+    for fid in np.unique(faces[np.abs(values) > 4.0]).tolist():
+        log.warning("face %d: weight magnitude %.3g exceeds 4", fid,
+                    np.abs(values[faces == fid]).max())
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(faces, minlength=mesh.n_faces))])
+    return BarycentricWeights(mesh.n_cells, ptr, points[order], values[order])
 
 
 def check_weights(mesh: Mesh, partition: EdgePartition,
-                  weights: BarycentricWeights) -> None:
-    """Raise InconsistentWeights unless the table covers exactly the B faces."""
-    bary = set(partition.barycentric_faces())
-    have = set(weights.support)
-    if bary - have:
-        raise InconsistentWeights(f"missing weights for faces {sorted(bary - have)[:5]}")
-    if have - bary:
-        raise InconsistentWeights(f"weights given for non-B faces {sorted(have - bary)[:5]}")
+                  weights: BarycentricWeights | None) -> None:
+    """Raise unless the occupied rows of the table are exactly the B faces.
+
+    ``MissingWeights`` when there is no table, ``InconsistentWeights`` otherwise.
+    """
+    bary = partition.tags == BARYCENTRIC
+    if weights is None:
+        if bary.any():
+            raise MissingWeights("partition has barycentric faces but no weights")
+        return
+    have = np.diff(weights.ptr) > 0
+    for wrong, what in ((bary & ~have, "missing weights for faces"),
+                        (have & ~bary, "weights given for non-B faces")):
+        if wrong.any():
+            raise InconsistentWeights(f"{what} {np.nonzero(wrong)[0][:5].tolist()}")
 
 
 def interpolate(mesh: Mesh, partition: EdgePartition,
@@ -363,11 +369,11 @@ def interpolate(mesh: Mesh, partition: EdgePartition,
         return DiscreteFunction(cell_values, face_values)
     if variant != "pdb":
         raise ValueError("variant must be 'pd' or 'pdb'")
-    bary = partition.barycentric_faces()
-    if bary and weights is None:
-        raise MissingWeights("P_{D,B} interpolation needs weights")
-    # Hybrid values are already exact; overwrite the B faces in id order
-    # (supports may reference hybrid faces, never other B faces).
-    for fid in bary:
-        face_values[fid] = weights.reconstruct(fid, cell_values, face_values)
+    # Supports reference cell points and hybrid faces, never other B faces,
+    # so one product over the samples fills every B face.
+    check_weights(mesh, partition, weights)
+    if weights is not None:
+        bary = partition.tags == BARYCENTRIC
+        face_values[bary] = (weights.matrix()
+                             @ weights.by_point(cell_values, face_values))[bary]
     return DiscreteFunction(cell_values, face_values)

@@ -45,6 +45,26 @@ def face_views(mesh):
     return [face_view(mesh, f) for f in range(mesh.n_faces)]
 
 
+def weights_table(mesh, rows):
+    """A weight table from ``{face: [(point id, beta), ...]}``."""
+    faces = sorted(rows)
+    entries = [e for f in faces for e in sorted(rows[f])]
+    counts = np.zeros(mesh.n_faces, dtype=np.int64)
+    counts[faces] = [len(rows[f]) for f in faces]
+    return sushi.BarycentricWeights(
+        mesh.n_cells, np.concatenate([[0], np.cumsum(counts)]),
+        np.array([p for p, _ in entries], dtype=np.int64),
+        np.array([b for _, b in entries], dtype=float))
+
+
+def weight_rows(weights):
+    """``{face: [(point id, beta), ...]}`` of the occupied rows of a weight table."""
+    ptr = weights.ptr.tolist()
+    return {f: list(zip(weights.points[ptr[f]:ptr[f + 1]].tolist(),
+                        weights.beta[ptr[f]:ptr[f + 1]].tolist()))
+            for f in range(len(ptr) - 1) if ptr[f + 1] > ptr[f]}
+
+
 def build_zigzag_three_row(columns=3):
     """Three stacked rows of quads; the middle row is one cell thick with
     zigzag bounding lines, so its cell points are not collinear with the

@@ -257,9 +257,7 @@ def test_criterion_6_property_suites(rng):
         xv = rng.standard_normal(mesh44.n_cells)
 
         def mk(vec):
-            fv = np.zeros(mesh44.n_faces)
-            for fid in part.barycentric_faces():
-                fv[fid] = weights.reconstruct(fid, vec, fv)
+            fv = weights.matrix() @ weights.by_point(vec, np.zeros(mesh44.n_faces))
             return DiscreteFunction(vec, fv)
 
         u, v = mk(xu), mk(xv)

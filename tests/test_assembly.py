@@ -4,7 +4,13 @@ import scipy.integrate
 import scipy.io
 
 import sushi
-from conftest import cell_views, random_zero_boundary, two_point_reference
+from conftest import (
+    cell_views,
+    random_zero_boundary,
+    two_point_reference,
+    weight_rows,
+    weights_table,
+)
 from sushi.assembly import (
     TensorField,
     assemble,
@@ -157,9 +163,7 @@ def test_bilinear_form_equivalence(rng):
 
     def materialize(vec):
         cv = vec[: mesh.n_cells]
-        fv = np.zeros(mesh.n_faces)
-        for fid in part.barycentric_faces():
-            fv[fid] = weights.reconstruct(fid, cv, fv)
+        fv = weights.matrix() @ weights.by_point(cv, np.zeros(mesh.n_faces))
         return DiscreteFunction(cv, fv)
 
     for _ in range(5):
@@ -272,15 +276,14 @@ def test_inconsistent_weights_detected():
     weights = compute_weights(mesh, part)
     tensor = TensorField.from_constant(np.eye(2))
 
-    incomplete = sushi.BarycentricWeights(dict(weights.support))
+    rows = weight_rows(weights)
     dropped = part.barycentric_faces()[0]
-    del incomplete.support[dropped]
+    incomplete = weights_table(mesh, {f: r for f, r in rows.items() if f != dropped})
     with pytest.raises(InconsistentWeights):
         assemble(mesh, part, incomplete, tensor)
 
-    extra = sushi.BarycentricWeights(dict(weights.support))
     some_boundary = mesh.boundary_faces()[0]
-    extra.support[some_boundary] = [("cell", 0, 1.0)]
+    extra = weights_table(mesh, {**rows, some_boundary: [(0, 1.0)]})
     with pytest.raises(InconsistentWeights):
         assemble(mesh, part, extra, tensor)
 

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import build_zigzag_three_row, cell_views, face_views, random_zero_boundary
+from conftest import (
+    build_zigzag_three_row,
+    cell_views,
+    face_views,
+    random_zero_boundary,
+    weight_rows,
+    weights_table,
+)
 from sushi.assembly import TensorField, assemble, local_matrices, rhs_cell_integrals
 from sushi.gradient import cell_gradients, gradient_field, gradient_operator, resolve_alpha
 from sushi.postproc import cone_fluxes, reconstruct_faces
@@ -276,7 +283,8 @@ def test_nm_counts_a_stored_zero_weight():
     before = assemble(mesh, part, weights, tensor).nm
     fid = part.barycentric_faces()[0]
     far = mesh.n_cells - 1
-    assert far not in {idx for _, idx, _ in weights.support[fid]}
-    weights.support[fid] = weights.support[fid] + [("cell", far, 0.0)]
+    rows = weight_rows(weights)
+    assert far not in {p for p, _ in rows[fid]}
+    weights = weights_table(mesh, {**rows, fid: rows[fid] + [(far, 0.0)]})
     rows, _, _, _, _ = reference_triplets(mesh, part, weights, tensor)
     assert assemble(mesh, part, weights, tensor).nm == len(rows) > before

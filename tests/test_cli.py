@@ -159,21 +159,27 @@ def test_outputs_are_byte_deterministic(tmp_path):
 
 
 def test_manifest_independent_of_blas_threads(tmp_path):
-    # N = 12,160 is above the length from which OpenBLAS splits a dot
-    # product across threads, so BLAS reductions would sum in another order
+    cases = {
+        # N = 12,160 is above the length from which OpenBLAS splits a dot
+        # product across threads, so BLAS reductions would sum in another order
+        "cg": ["--mesh", "rect:64x64", "--policy", "all-hybrid"],
+        # a threaded dense Cholesky solve rounds differently
+        "dense": ["--problem", "tilted-barrier", "--mesh", "barrier:2",
+                  "--policy", "discontinuity", "--method", "dense"],
+    }
     src = str(Path(sushi.__file__).resolve().parents[1])
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run(
-            [sys.executable, "-m", "sushi.cli", "solve", "--mesh", "rect:64x64",
-             "--policy", "all-hybrid", "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300,
-        )
-        outs.append((out / "manifest.json").read_bytes())
-    assert outs[0] == outs[1]
+    for name, args in cases.items():
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run(
+                [sys.executable, "-m", "sushi.cli", "solve", *args, "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            outs.append((out / "manifest.json").read_bytes())
+        assert outs[0] == outs[1], name
 
 
 def test_convergence_synthetic_replay(tmp_path, capsys):

@@ -6,9 +6,8 @@ import pytest
 import sushi
 from sushi.errors import DegenerateFace, InvalidTopology, NonStarShaped
 from sushi.geometry import compute_geometry, domain_measure, regularity, theta_D, theta_DB, validate
-from sushi.spaces import BarycentricWeights
 
-from conftest import cell_view, cell_views, face_view, face_views
+from conftest import cell_view, cell_views, face_view, face_views, weights_table
 
 
 def test_unit_square_cell():
@@ -133,7 +132,7 @@ def test_theta_d_invariant_under_rigid_motion_and_scaling():
 
 def test_theta_db_empty_b_equals_theta_d():
     mesh = sushi.gen_rect(3, 3)
-    assert theta_DB(mesh, BarycentricWeights()) == theta_D(mesh)
+    assert theta_DB(mesh, weights_table(mesh, {})) == theta_D(mesh)
 
 
 def test_theta_db_midpoint_weights_uniform_grid():
@@ -160,10 +159,7 @@ def test_theta_db_grows_with_far_weights():
     pk, p1, p2 = (mesh.cell_point[i] for i in (k, far1, far2))
     a = np.vstack([np.ones(3), np.array([pk, p1, p2]).T])
     beta = np.linalg.solve(a, np.array([1.0, *f.centre]))
-    weights = BarycentricWeights(
-        {fid: [("cell", k, beta[0]), ("cell", far1, beta[1]),
-               ("cell", far2, beta[2])]}
-    )
+    weights = weights_table(mesh, {fid: [(k, beta[0]), (far1, beta[1]), (far2, beta[2])]})
     assert theta_DB(mesh, weights) > theta_D(mesh)
 
 

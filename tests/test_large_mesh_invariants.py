@@ -12,7 +12,7 @@ from sushi.assembly import TensorField, assemble
 from sushi.postproc import cell_balance_residuals, composite_fluxes, reconstruct_faces
 from sushi.run import parse_mesh_spec
 from sushi.solver import solve_cg
-from sushi.spaces import compute_weights, partition_faces
+from sushi.spaces import BARYCENTRIC, compute_weights, partition_faces
 
 CLUBAR = np.array([[1.5, 0.5], [0.5, 1.5]])
 
@@ -46,3 +46,19 @@ def test_invariants_on_large_meshes(spec, policy):
     assert scale > 0.0
     assert report.max_conservativity_defect() <= 1e-9 * scale
     assert np.abs(cell_balance_residuals(mesh, report)).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("spec", ["tri:64", "rect:128x128"])
+def test_weight_table_on_large_meshes(spec):
+    # the whole table at once: its rows are the barycentric faces, and each
+    # row reproduces constants and the face centre
+    mesh, _, _ = parse_mesh_spec(spec)
+    part = partition_faces(mesh, "all-barycentric")
+    weights = compute_weights(mesh, part)
+    occupied = np.diff(weights.ptr) > 0
+    assert np.array_equal(occupied, part.tags == BARYCENTRIC)
+    table = weights.matrix()
+    points = weights.by_point(mesh.cell_point, mesh.face_centre)
+    assert np.abs(table @ np.ones(len(points)) - 1.0)[occupied].max() <= 1e-12
+    moment = table @ points - mesh.face_centre
+    assert np.abs(moment[occupied]).max() <= 1e-12 * mesh.h

@@ -137,17 +137,22 @@ def test_weights_deterministic():
     w1 = compute_weights(mesh, part)
     w2 = compute_weights(mesh, part)
     assert w1.support == w2.support
+    for name in ("ptr", "points", "beta"):
+        assert np.array_equal(getattr(w1, name), getattr(w2, name))
 
 
-def test_weights_csv_dump_deterministic(tmp_path):
-    mesh = sushi.gen_nonconforming_rect(1)
-    part = partition_faces(mesh, "all-barycentric")
-    weights = compute_weights(mesh, part)
-    p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    weights.dump_csv(p1)
-    weights.dump_csv(p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_text().startswith("face,kind,id,beta")
+def test_support_view_is_read_only_copy_of_table():
+    mesh, regions = build_zigzag_three_row(columns=4)
+    part = partition_faces(mesh, "discontinuity", regions)
+    weights = compute_weights(mesh, part, regions)
+    view = weights.support
+    with pytest.raises(TypeError):
+        view[0] = ()
+    n = mesh.n_cells
+    entries = [e for f in sorted(view) for e in view[f]]
+    assert [i if kind == "cell" else n + i for kind, i, _ in entries] == weights.points.tolist()
+    assert [b for _, _, b in entries] == weights.beta.tolist()
+    assert sorted(view) == np.nonzero(np.diff(weights.ptr))[0].tolist()
 
 
 def test_extended_weights_use_hybrid_face_points():

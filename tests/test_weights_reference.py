@@ -1,0 +1,158 @@
+"""The flat weight table against the per-face search it replaced.
+
+The reference below is the earlier ``compute_weights``: a loop over the
+barycentric faces that builds every face's candidate list, tries the two
+adjacent cell points one face at a time with BLAS dot products, and falls
+back to the pair/triple search, storing ``face -> [(kind, id, beta)]``.
+The table must hold the same faces and the same support points in the
+same order.  The array dot rounds differently from BLAS on some faces, so
+each beta is compared within ``4 eps max(1, |beta|)``.
+"""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from conftest import build_zigzag_three_row
+from sushi.run import parse_mesh_spec
+from sushi.spaces import AFFINE_TOL, CANDIDATE_CAP, SUPPORT_SIZE, compute_weights, partition_faces
+
+BETA_TOL = 4.0 * np.finfo(float).eps
+
+
+def reference_vertex_cells(mesh):
+    keys = np.unique(mesh.cone_vertex.astype(np.int64) * mesh.n_cells + mesh.cone_cell)
+    verts, cells = np.divmod(keys, mesh.n_cells)
+    cuts = np.nonzero(np.diff(verts))[0] + 1
+    return {int(v[0]): c.tolist() for v, c in zip(np.split(verts, cuts), np.split(cells, cuts))}
+
+
+def reference_solve_pair(p, q, x, h):
+    d = q - p
+    l2 = float(d @ d)
+    if l2 == 0.0:
+        return None
+    t = float((x - p) @ d) / l2
+    if np.linalg.norm(p + t * d - x) > AFFINE_TOL * h:
+        return None
+    return 1.0 - t, t
+
+
+def reference_solve_triple(pts, x, h):
+    a = np.vstack([np.ones(3), pts.T])
+    b = np.array([1.0, x[0], x[1]])
+    try:
+        beta = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
+    if np.linalg.norm(a @ beta - b) > AFFINE_TOL * max(h, 1.0):
+        return None
+    return beta
+
+
+def reference_candidates(mesh, fid, regions, region, vertex_cells, hybrid_touching):
+    near_cells = {c for c in mesh.face_cells[fid].tolist() if c >= 0}
+    for v in mesh.face_vertices[fid].tolist():
+        near_cells.update(vertex_cells.get(v, ()))
+    if regions is not None and region is not None:
+        near_cells = {c for c in near_cells if regions[c] == region}
+    cands = [("cell", c, mesh.cell_point[c]) for c in sorted(near_cells)]
+    extended = []
+    if hybrid_touching is not None:
+        near_faces = set()
+        for c in near_cells:
+            near_faces.update(mesh.cone_face[mesh.cones(c)].tolist())
+        for g in sorted(near_faces):
+            if g != fid and g in hybrid_touching:
+                extended.append(("face", g, mesh.face_centre[g]))
+    return cands, extended
+
+
+def reference_best_support(cands, x, h):
+    ranked = sorted(cands, key=lambda c: (float(np.sum((c[2] - x) ** 2)), c[0], c[1]))
+    ranked = ranked[:CANDIDATE_CAP]
+    options = []
+    for combo in list(combinations(range(len(ranked)), 2)) + list(
+        combinations(range(len(ranked)), SUPPORT_SIZE)
+    ):
+        pts = np.array([ranked[i][2] for i in combo])
+        if len(combo) == 2:
+            sol = reference_solve_pair(pts[0], pts[1], x, h)
+        else:
+            sol = reference_solve_triple(pts, x, h)
+        if sol is None:
+            continue
+        betas = np.asarray(sol, dtype=float)
+        if np.abs(betas).max() > 1e6:
+            continue
+        dist2 = np.sum((pts - x) ** 2, axis=1)
+        spread = float(np.sum(np.abs(betas) * dist2))
+        ids = tuple(sorted((ranked[i][0], ranked[i][1]) for i in combo))
+        support = [(ranked[i][0], ranked[i][1], float(b))
+                   for i, b in zip(combo, betas) if b != 0.0]
+        options.append((spread, float(dist2.max()), ids, support))
+    if not options:
+        return None
+    best_spread = min(o[0] for o in options)
+    ties = [o for o in options if o[0] <= best_spread * (1.0 + 1e-9) + 1e-300]
+    ties.sort(key=lambda o: (o[1], o[2]))
+    return ties[0][3]
+
+
+def reference_weights(mesh, partition, regions=None):
+    h = mesh.h
+    vertex_cells = reference_vertex_cells(mesh)
+    hybrid_set = set(partition.hybrid_faces())
+    table = {}
+    for fid in partition.barycentric_faces():
+        k, l = mesh.face_cells[fid].tolist()
+        region = None
+        if regions is not None and regions[k] == regions[l]:
+            region = int(regions[k])
+        cands, extended = reference_candidates(
+            mesh, fid, regions, region, vertex_cells,
+            hybrid_set if regions is not None else None,
+        )
+        x = mesh.face_centre[fid]
+        allowed = {c for _, c, _ in cands}
+        support = None
+        if k in allowed and l in allowed:
+            pair = reference_solve_pair(mesh.cell_point[k], mesh.cell_point[l], x, h)
+            if pair is not None:
+                support = [("cell", k, pair[0]), ("cell", l, pair[1])]
+        if support is None:
+            support = reference_best_support(cands, x, h)
+        if support is None and extended:
+            support = reference_best_support(cands + extended, x, h)
+        assert support is not None
+        support.sort(key=lambda e: (e[0], e[1]))
+        table[fid] = support
+    return table
+
+
+def build(spec):
+    if spec == "zigzag":
+        mesh, regions = build_zigzag_three_row(columns=4)
+    else:
+        mesh, regions, _ = parse_mesh_spec(spec)
+    policy = "all-barycentric" if regions is None else "discontinuity"
+    return mesh, partition_faces(mesh, policy, regions), regions
+
+
+@pytest.mark.parametrize("spec", ["rect:8x6", "tri:8", "ncrect:2", "barrier:1", "zigzag"])
+def test_weight_table_matches_face_loop(spec):
+    mesh, part, regions = build(spec)
+    weights = compute_weights(mesh, part, regions)
+    ref = reference_weights(mesh, part, regions)
+
+    occupied = np.nonzero(np.diff(weights.ptr))[0].tolist()
+    assert occupied == sorted(ref)
+    n = mesh.n_cells
+    ref_points = [p if kind == "cell" else n + p for f in occupied for kind, p, _ in ref[f]]
+    ref_beta = np.array([b for f in occupied for _, _, b in ref[f]])
+    assert weights.points.tolist() == ref_points
+    assert np.all(np.abs(weights.beta - ref_beta) <= BETA_TOL * np.maximum(1.0, np.abs(ref_beta)))
+    if spec == "zigzag":
+        # the one case whose supports reach hybrid-face points
+        assert np.any(weights.points >= n)
