@@ -45,6 +45,7 @@ from .spaces import (
     UnknownNumbering,
     face_expansions,
     numbering_for,
+    sample_field,
 )
 
 
@@ -66,7 +67,8 @@ class TensorField:
     """Symmetric positive-definite diffusion tensor, sampled per cone.
 
     ``per_cell`` tensors (the default construction) are treated as exactly
-    piecewise constant; a callable is sampled at cone centroids.
+    piecewise constant; a callable is sampled at all cone centroids in one
+    call and puts its 2x2 entries on the two leading axes.
     """
 
     per_cell_tensors: np.ndarray | None = None
@@ -110,8 +112,7 @@ class TensorField:
         elif self.per_cell_tensors is not None:
             sampled = self.per_cell_tensors[mesh.cone_cell]
         else:
-            sampled = np.array([np.asarray(self.func(x), dtype=float)
-                                for x in mesh.cone_centroid])
+            sampled = sample_field(self.func, mesh.cone_centroid, "tensor", (2, 2))
             _spd_eigenvalues(sampled)
         return mesh.cone_measure[:, None, None] * sampled
 
@@ -130,7 +131,7 @@ def local_matrices(mesh: Mesh, tensor: TensorField,
 
 def rhs_cell_integrals(mesh: Mesh, f) -> np.ndarray:
     """Integral of f over every cell by the cone-centroid rule (exact for affine f)."""
-    values = np.array([f(x) for x in mesh.cone_centroid], dtype=float)
+    values = sample_field(f, mesh.cone_centroid, "source")
     return segment_sums(mesh.cone_measure * values, mesh.cell_ptr)
 
 
@@ -168,9 +169,10 @@ def assemble(mesh: Mesh, partition: EdgePartition,
              source=None, dirichlet=None, alpha: float | None = None) -> LinearSystem:
     """Assemble the sparse SPD system for the composite scheme.
 
-    ``source`` and ``dirichlet`` are scalar callables of position (both
-    optional; absent means zero).  Raises the errors of ``check_weights``,
-    and ``SingularAfterElimination`` when elimination leaves an unknown
+    ``source`` and ``dirichlet`` are scalar user fields, each called once
+    on its point array (:func:`sushi.spaces.sample_field`); both optional,
+    absent means zero.  Raises the errors of ``check_weights``, and
+    ``SingularAfterElimination`` when elimination leaves an unknown
     without a positive diagonal.
     """
     a = resolve_alpha(alpha, mesh.dim)

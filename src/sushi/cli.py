@@ -118,13 +118,13 @@ _FAMILIES = {
 
 
 def cmd_convergence(args) -> int:
-    problem = _load_problem(args)
     if args.check is not None:
         # Synthetic replay: fit stored (h, error) pairs only.
         pairs = [tuple(map(float, tok.split(":"))) for tok in args.check.split(",")]
         slope = convergence_order(pairs)
         print(f"slope(synthetic)={_fmt(slope)}")
         return 0
+    problem = _load_problem(args)
     if problem.exact is None:
         raise SushiError("convergence study needs a problem with an exact solution")
     family = _FAMILIES.get(args.family)

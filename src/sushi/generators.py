@@ -21,21 +21,17 @@ BARRIER_THICKNESS = 0.05
 THIN_LAYER = 1e-4
 
 
-def phi1(x: float, y: float) -> float:
+def phi1(x, y):
     return y - BARRIER_SLOPE * (x - 0.5) - BARRIER_LEVEL
 
 
-def phi2(x: float, y: float) -> float:
+def phi2(x, y):
     return phi1(x, y) - BARRIER_THICKNESS
 
 
-def barrier_region(x: float, y: float) -> int:
-    """Region index of a point: 1 below the barrier, 2 inside, 3 above."""
-    if phi1(x, y) < 0.0:
-        return 1
-    if phi2(x, y) < 0.0:
-        return 2
-    return 3
+def barrier_region(x, y) -> np.ndarray:
+    """Region index of each point: 1 below the barrier, 2 inside, 3 above."""
+    return np.where(phi1(x, y) < 0.0, 1, np.where(phi2(x, y) < 0.0, 2, 3))
 
 
 def gen_rect(nx: int, ny: int) -> Mesh:
@@ -190,7 +186,4 @@ def gen_tilted_barrier(variant: int) -> tuple[Mesh, np.ndarray]:
         for i in range(ncols)
     ]
     mesh = compute_geometry(np.array(vertices), loops)
-    regions = np.array(
-        [barrier_region(x, y) for x, y in mesh.cell_point], dtype=int
-    )
-    return mesh, regions
+    return mesh, barrier_region(*mesh.cell_point.T)

@@ -3,7 +3,8 @@
 Everything here is an array expression over the flat mesh arrays: the
 numerical fluxes are ``-B delta`` for the local matrices ``B`` of
 :func:`sushi.assembly.local_matrices`, the gradients come from
-:mod:`sushi.gradient`, and the user's fields are sampled once per point.
+:mod:`sushi.gradient`, and each user field is called once per point set
+(:func:`sushi.spaces.sample_field`).
 Boundary flux totals follow the reporting convention of the benchmark
 tables: the per-side total approximates the co-normal integral over the
 side of Lambda grad u . n_out, which is the negative of the outgoing
@@ -37,6 +38,7 @@ from .spaces import (
     face_expansions,
     interpolate,
     numbering_for,
+    sample_field,
 )
 
 # 3-point Gauss-Legendre rule on [-1, 1]; exact up to degree 5.
@@ -210,7 +212,7 @@ def norm_1pm(mesh: Mesh, cell_values: np.ndarray, p: float = 2.0) -> float:
 
 def _cone_errors_sq(mesh: Mesh, u: DiscreteFunction, exact_grad, alpha: float) -> np.ndarray:
     """Per cone: squared error of the stabilized gradient at the cone centroid."""
-    exact = np.array([exact_grad(x) for x in mesh.cone_centroid], dtype=float)
+    exact = sample_field(exact_grad, mesh.cone_centroid, "exact_grad", (2,))
     diff = gradient_field(mesh, u, alpha).cones - exact
     return np.sum(diff * diff, axis=1)
 
@@ -226,8 +228,8 @@ def error_norms(mesh: Mesh, u: DiscreteFunction, exact, exact_grad,
     """
     a = resolve_alpha(alpha, mesh.dim)
     meas = mesh.cell_measure
-    ux = np.array([exact(x) for x in mesh.cell_point], dtype=float)
-    gx = np.array([exact_grad(x) for x in mesh.cell_point], dtype=float)
+    ux = sample_field(exact, mesh.cell_point, "exact")
+    gx = sample_field(exact_grad, mesh.cell_point, "exact_grad", (2,))
     err_u = float(np.sum(meas * (u.cell_values - ux) ** 2))
     ref_u = float(np.sum(meas * ux ** 2))
     diff = cell_gradients(mesh, u) - gx
@@ -250,7 +252,7 @@ def normal_gradient_integrals(mesh: Mesh, exact_grad) -> np.ndarray:
     ends = mesh.vertices[mesh.face_vertices]
     mid, half = 0.5 * (ends[:, 0] + ends[:, 1]), 0.5 * (ends[:, 1] - ends[:, 0])
     points = mid[:, None, :] + _GAUSS3_POINTS[None, :, None] * half[:, None, :]
-    grads = np.array([exact_grad(x) for x in points.reshape(-1, 2)], dtype=float)
+    grads = sample_field(exact_grad, points.reshape(-1, 2), "exact_grad", (2,))
     # Along the outward normal of the face's first cone; the other cone's
     # normal is its negative.
     normal = mesh.cone_normal[mesh.face_cones[:, 0]]

@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval2d
 
 from .assembly import TensorField
 from .errors import ParseError
@@ -21,7 +22,8 @@ from .generators import (
 class ProblemSpec:
     """Problem definition bundle.
 
-    ``exact`` and ``exact_grad`` are optional callables of position;
+    ``source``, ``dirichlet``, ``exact`` and ``exact_grad`` are user fields
+    (:func:`sushi.spaces.sample_field`), the last two optional;
     ``dirichlet`` defaults to the exact solution when one is known.
     ``make_tensor`` builds the tensor field for a given mesh and region
     map, so heterogeneous problems bind their coefficients per cell.
@@ -107,24 +109,18 @@ BARRIER_CONTRAST = 1e-2
 _TOP_OFFSET = BARRIER_THICKNESS / BARRIER_CONTRAST - BARRIER_THICKNESS
 
 
-def barrier_exact(p, region: int | None = None) -> float:
+def barrier_exact(p, region=None) -> np.ndarray:
     x, y = p
     r = barrier_region(x, y) if region is None else region
     f1 = phi1(x, y)
-    if r == 1:
-        return -f1
-    if r == 2:
-        return -f1 / BARRIER_CONTRAST
-    return -f1 - _TOP_OFFSET
+    return np.where(r == 1, -f1, np.where(r == 2, -f1 / BARRIER_CONTRAST, -f1 - _TOP_OFFSET))
 
 
-def barrier_exact_grad(p, region: int | None = None) -> np.ndarray:
+def barrier_exact_grad(p, region=None) -> np.ndarray:
     x, y = p
     r = barrier_region(x, y) if region is None else region
-    g = np.array([BARRIER_SLOPE, -1.0])
-    if r == 2:
-        return g / BARRIER_CONTRAST
-    return g
+    scale = np.broadcast_to(np.where(r == 2, BARRIER_CONTRAST, 1.0), np.shape(x))
+    return np.stack([BARRIER_SLOPE / scale, -1.0 / scale])
 
 
 def problem_tilted_barrier() -> ProblemSpec:
@@ -177,24 +173,6 @@ BUILTIN_PROBLEMS = {
     "quartic-isotropic": problem_quartic_isotropic,
     "tilted-barrier": problem_tilted_barrier,
 }
-
-
-def _poly_eval(coeffs: np.ndarray, x: float, y: float) -> float:
-    xs = x ** np.arange(coeffs.shape[0])
-    ys = y ** np.arange(coeffs.shape[1])
-    return float(xs @ coeffs @ ys)
-
-
-def _poly_dx(coeffs: np.ndarray) -> np.ndarray:
-    if coeffs.shape[0] == 1:
-        return np.zeros((1, coeffs.shape[1]))
-    return coeffs[1:, :] * np.arange(1, coeffs.shape[0])[:, None]
-
-
-def _poly_dy(coeffs: np.ndarray) -> np.ndarray:
-    if coeffs.shape[1] == 1:
-        return np.zeros((coeffs.shape[0], 1))
-    return coeffs[:, 1:] * np.arange(1, coeffs.shape[1])[None, :]
 
 
 def _numbers(value, what: str) -> np.ndarray:
@@ -265,21 +243,22 @@ def load_problem_descriptor(path) -> ProblemSpec:
         coeffs = _numbers(desc["exact_poly"], "'exact_poly'")
         if coeffs.ndim != 2 or coeffs.size == 0:
             raise ParseError("'exact_poly' must be a non-empty 2D coefficient matrix")
-        cx, cy = _poly_dx(coeffs), _poly_dy(coeffs)
-        exact = lambda p: _poly_eval(coeffs, p[0], p[1])
+        # polyval2d is Horner's rule over elementwise products, without BLAS.
+        cx, cy = polyder(coeffs, axis=0), polyder(coeffs, axis=1)
+        exact = lambda p: polyval2d(p[0], p[1], coeffs)
         exact_grad = lambda p: np.array(
-            [_poly_eval(cx, p[0], p[1]), _poly_eval(cy, p[0], p[1])]
+            [polyval2d(p[0], p[1], cx), polyval2d(p[0], p[1], cy)]
         )
         if constant is not None:
-            cxx, cxy, cyy = _poly_dx(cx), _poly_dy(cx), _poly_dy(cy)
+            cxx, cxy, cyy = polyder(cx, axis=0), polyder(cx, axis=1), polyder(cy, axis=1)
             l00, l01, l11 = constant[0, 0], constant[0, 1], constant[1, 1]
 
             def source(p):
                 x, y = p
                 return -(
-                    l00 * _poly_eval(cxx, x, y)
-                    + 2.0 * l01 * _poly_eval(cxy, x, y)
-                    + l11 * _poly_eval(cyy, x, y)
+                    l00 * polyval2d(x, y, cxx)
+                    + 2.0 * l01 * polyval2d(x, y, cxy)
+                    + l11 * polyval2d(x, y, cyy)
                 )
 
     return ProblemSpec(

@@ -70,6 +70,8 @@ def solve_problem(problem: ProblemSpec, mesh: Mesh,
                   with_errors: bool = True,
                   with_fluxes: bool = False) -> RunResult:
     """Assemble, solve and post-process one problem/mesh/policy combination."""
+    if method not in ("cg", "dense"):
+        raise ValueError(f"unknown method {method!r}; expected 'cg' or 'dense'")
     if regions is None and problem.needs_regions:
         regions = split_regions(mesh)
     partition = partition_faces(mesh, policy, regions)

@@ -45,6 +45,24 @@ SUPPORT_SIZE = 3
 CANDIDATE_CAP = 8
 
 
+def sample_field(field, points: np.ndarray, name: str, shape: tuple = ()) -> np.ndarray:
+    """Values of a user field at an (n, 2) point array, point axis first.
+
+    The one contract for user fields (sources, boundary data, exact
+    solutions and gradients, tensors): ``field(p)`` is called once, with
+    x = ``p[0]`` and y = ``p[1]`` over any trailing shape, and returns
+    ``shape`` plus that trailing shape.  A trailing 1 (a constant) is
+    broadcast, and a scalar field may return one plain number.  Any other
+    result shape raises ``ValueError``.
+    """
+    p = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    values = np.asarray(field(p), dtype=float)
+    want = shape + p.shape[1:]
+    if values.shape not in (want, shape + (1,)) and not (values.ndim == 0 and not shape):
+        raise ValueError(f"field {name!r} returned shape {values.shape}, expected {want}")
+    return np.moveaxis(np.broadcast_to(values, want), -1, 0).copy()
+
+
 @dataclass
 class EdgePartition:
     """Per-face tag: DIRICHLET (boundary), HYBRID or BARYCENTRIC."""
@@ -151,8 +169,8 @@ def face_expansions(mesh: Mesh, partition: EdgePartition,
     expansion = sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_faces, numbering.n))
     consts = np.zeros(mesh.n_faces)
     if dirichlet is not None:
-        for fid in np.nonzero(partition.tags == DIRICHLET)[0]:
-            consts[fid] = dirichlet(mesh.face_centre[fid])
+        fixed = partition.tags == DIRICHLET
+        consts[fixed] = sample_field(dirichlet, mesh.face_centre[fixed], "dirichlet")
     return expansion, consts
 
 
@@ -363,8 +381,8 @@ def interpolate(mesh: Mesh, partition: EdgePartition,
     cell points and at hybrid and boundary faces but fills barycentric
     faces with their weight combination.
     """
-    cell_values = np.array([func(x) for x in mesh.cell_point], dtype=float)
-    face_values = np.array([func(x) for x in mesh.face_centre], dtype=float)
+    cell_values = sample_field(func, mesh.cell_point, "func")
+    face_values = sample_field(func, mesh.face_centre, "func")
     if variant == "pd":
         return DiscreteFunction(cell_values, face_values)
     if variant != "pdb":

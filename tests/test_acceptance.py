@@ -229,7 +229,7 @@ def test_criterion_6_property_suites(rng):
     # affine exactness of the discrete gradient
     mesh = sushi.gen_nonconforming_rect(1)
     grad = np.array([1.1, -2.2])
-    aff = lambda p: float(grad @ p) - 0.3
+    aff = lambda p: grad @ p - 0.3
     u_aff = interpolate(mesh, partition_faces(mesh, "all-hybrid"), None, aff,
                         variant="pd")
     field = gradient_field(mesh, u_aff, alpha)

@@ -98,7 +98,7 @@ def test_flux_two_point_on_superadmissible_cells(rng):
 def test_flux_exact_for_affine_identity_tensor():
     mesh = sushi.gen_nonconforming_rect(1)
     grad = np.array([0.7, -1.9])
-    aff = lambda p: float(grad @ p) + 2.0
+    aff = lambda p: grad @ p + 2.0
     part = partition_faces(mesh, "all-hybrid")
     u = interpolate(mesh, part, None, aff, variant="pd")
     tensor = TensorField.from_constant(np.eye(2))
@@ -342,7 +342,10 @@ def test_matrix_market_export(tmp_path):
 def test_smooth_tensor_sampled_at_cone_centroids():
     # a spatially varying tensor is accepted and keeps the matrix SPD
     mesh = sushi.gen_rect(3, 3)
-    fn = lambda p: np.array([[1.0 + p[0], 0.2], [0.2, 2.0 + p[1]]])
+    def fn(p):
+        off = np.full_like(p[0], 0.2)
+        return np.array([[1.0 + p[0], off], [off, 2.0 + p[1]]])
+
     tensor = TensorField.from_callable(fn)
     part = partition_faces(mesh, "all-hybrid")
     system = assemble(mesh, part, None, tensor)

@@ -166,7 +166,8 @@ CASES = [
 
 def sampled_tensor(p):
     """The smooth tensor of ``test_smooth_tensor_sampled_at_cone_centroids``."""
-    return np.array([[1.0 + p[0], 0.2], [0.2, 2.0 + p[1]]])
+    off = np.full_like(p[0], 0.2)
+    return np.array([[1.0 + p[0], off], [off, 2.0 + p[1]]])
 
 
 def build_case(spec, policy):

@@ -191,6 +191,15 @@ def test_convergence_synthetic_replay(tmp_path, capsys):
     assert "slope(synthetic)=2" in capsys.readouterr().out
 
 
+def test_convergence_synthetic_replay_does_not_load_problem(tmp_path, capsys):
+    code = main([
+        "convergence", "--check", "0.5:0.25,0.25:0.0625,0.125:0.015625",
+        "--problem", "nope", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert "slope(synthetic)=2" in capsys.readouterr().out
+
+
 def test_convergence_small_study(tmp_path, capsys):
     code = main([
         "convergence", "--family", "rect", "--levels", "2,4,8",

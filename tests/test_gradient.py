@@ -60,7 +60,7 @@ def test_unit_square_hand_computed_gradient():
 def test_affine_exactness_per_cone(mesh_fn):
     mesh = mesh_fn()
     grad = np.array([1.3, -0.8])
-    aff = lambda p: float(grad @ p) + 0.45
+    aff = lambda p: grad @ p + 0.45
     u = pd_interpolant(mesh, aff)
     field = gradient_field(mesh, u)
     for c in cell_views(mesh):

@@ -169,7 +169,7 @@ def test_flux_consistency_affine_is_exact():
     # E(u) measures numerical-vs-exact flux defects; affine fields give 0
     e = flux_consistency_E(
         mesh, part, weights, tensor,
-        lambda p: float(grad @ p), lambda p: grad,
+        lambda p: grad @ p, lambda p: grad[:, None],
     )
     assert e <= 1e-11
 
@@ -198,7 +198,7 @@ def test_flux_consistency_requires_identity():
     part = partition_faces(mesh, "all-hybrid")
     tensor = TensorField.from_constant([[2.0, 0.0], [0.0, 1.0]])
     with pytest.raises(RequiresIdentityTensor):
-        flux_consistency_E(mesh, part, None, tensor, lambda p: 0.0, lambda p: (0, 0))
+        flux_consistency_E(mesh, part, None, tensor, lambda p: 0.0, lambda p: np.zeros((2, 1)))
 
 
 def test_flux_consistency_decays_first_order():

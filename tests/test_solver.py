@@ -154,3 +154,9 @@ def test_report_manifest_excludes_wall_time():
     manifest = report.to_manifest()
     assert "wall_time" not in manifest
     assert set(manifest) == {"iterations", "relative_residual", "method"}
+
+
+@pytest.mark.parametrize("method", ["bogus", "Dense", ""])
+def test_solve_problem_rejects_unknown_method(method):
+    with pytest.raises(ValueError, match="unknown method"):
+        sushi.solve_problem(problem_anisotropic_smooth(), sushi.gen_rect(2, 2), method=method)
