@@ -1,8 +1,11 @@
 """Deterministic generators for the benchmark mesh families.
 
 All generators mesh the unit square and return meshes that pass
-:func:`sushi.geometry.validate` at 1e-10.  The tilted-barrier generator also
-returns a per-cell region map (1 below the barrier, 2 inside, 3 above).
+:func:`sushi.geometry.validate` at 1e-10.  Vertices and loops are built by
+index arithmetic on the vertex grids; the nonconforming grid lists its
+hanging vertices in the loops of the interface cells.  The tilted-barrier
+generator also returns a per-cell region map (1 below the barrier, 2
+inside, 3 above).
 """
 
 from __future__ import annotations
@@ -34,20 +37,25 @@ def barrier_region(x, y) -> np.ndarray:
     return np.where(phi1(x, y) < 0.0, 1, np.where(phi2(x, y) < 0.0, 2, 3))
 
 
+def _grid_quads(nx: int, ny: int) -> np.ndarray:
+    """(nx*ny, 4) CCW corner ids of the quads of an (nx+1)-by-(ny+1) vertex
+    grid numbered row by row, quads row by row."""
+    v = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
+    return np.stack([v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1]], axis=-1).reshape(-1, 4)
+
+
+def _grid_vertices(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Vertices of the tensor grid ``xs`` x ``ys``, numbered row by row."""
+    x, y = np.meshgrid(xs, ys)
+    return np.stack([x.ravel(), y.ravel()], axis=1)
+
+
 def gen_rect(nx: int, ny: int) -> Mesh:
     """Uniform nx-by-ny rectangular grid on the unit square."""
     if nx < 1 or ny < 1:
         raise InvalidTopology("resolution must be >= 1")
-    xs = np.linspace(0.0, 1.0, nx + 1)
-    ys = np.linspace(0.0, 1.0, ny + 1)
-    vid = lambda i, j: j * (nx + 1) + i
-    vertices = np.array([[xs[i], ys[j]] for j in range(ny + 1) for i in range(nx + 1)])
-    loops = [
-        [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-        for j in range(ny)
-        for i in range(nx)
-    ]
-    return compute_geometry(vertices, loops)
+    vertices = _grid_vertices(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+    return compute_geometry(vertices, _grid_quads(nx, ny))
 
 
 def gen_tri(n: int) -> Mesh:
@@ -55,71 +63,58 @@ def gen_tri(n: int) -> Mesh:
     if n < 1:
         raise InvalidTopology("resolution must be >= 1")
     xs = np.linspace(0.0, 1.0, n + 1)
-    vid = lambda i, j: j * (n + 1) + i
-    vertices = np.array([[xs[i], xs[j]] for j in range(n + 1) for i in range(n + 1)])
-    loops = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            loops.append([a, b, c])
-            loops.append([a, c, d])
-    return compute_geometry(vertices, loops)
+    a, b, c, d = _grid_quads(n, n).T
+    loops = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return compute_geometry(_grid_vertices(xs, xs), loops)
 
 
 def gen_nonconforming_rect(n: int) -> Mesh:
     """Two-block nonconforming grid: the unit square cut vertically at x = 1/2.
 
     The left half carries a 2n-by-3n grid (columns by rows), the right half
-    2n-by-5n, so the interface at x = 1/2 is nonconforming; interface
-    segments are split at the union of both row levels and recorded in the
-    mesh ``splits`` table, giving every face exactly two adjacent cells.
-    Cell count is 16 n^2.
+    2n-by-5n, so the interface at x = 1/2 is nonconforming.  Each interface
+    cell lists the other block's row levels strictly inside its side as
+    hanging vertices of its loop (ascending on the left block's right
+    sides, descending on the right block's left sides), giving every face
+    exactly two adjacent cells.  Vertices are numbered in order of first
+    appearance along the loops.  Cell count is 16 n^2.
     """
     if n < 1:
         raise InvalidTopology("resolution must be >= 1")
     rows_l, rows_r, cols = 3 * n, 5 * n, 2 * n
+    xs = np.arange(cols + 1) / (2 * cols)
+    left = _grid_vertices(xs, np.arange(rows_l + 1) / rows_l)
+    right = _grid_vertices(0.5 + xs, np.arange(rows_r + 1) / rows_r)
 
-    verts: list[tuple[float, float]] = []
-    index: dict[tuple[float, float], int] = {}
+    # Interface levels on the common integer scale y * rows_l * rows_r.
+    level_l = np.arange(rows_l + 1) * rows_r
+    level_r = np.arange(rows_r + 1) * rows_l
+    edge_l = np.arange(rows_l + 1) * (cols + 1) + cols  # left block, x = 1/2
+    edge_r = np.arange(rows_r + 1) * (cols + 1)  # right block, x = 1/2
+    # A right-block vertex at a level the left block has is the left one.
+    right_id = len(left) + np.arange(len(right))
+    shared = level_r % rows_r == 0
+    right_id[edge_r[shared]] = edge_l[level_r[shared] // rows_r]
+    corners = np.concatenate([_grid_quads(cols, rows_l), right_id[_grid_quads(cols, rows_r)]])
 
-    def vid(x: float, y: float) -> int:
-        key = (round(x, 12), round(y, 12))
-        if key not in index:
-            index[key] = len(verts)
-            verts.append((x, y))
-        return index[key]
+    ids, first = np.unique(corners, return_index=True)
+    ids = ids[np.argsort(first)]
+    renumber = np.empty(len(left) + len(right), dtype=np.int64)
+    renumber[ids] = np.arange(len(ids))
+    vertices = np.concatenate([left, right])[ids]
+    loops = renumber[corners].tolist()
 
-    loops: list[list[int]] = []
+    # The interface vertices bottom to top, and each block's levels in it.
+    levels = np.union1d(level_l, level_r)
+    pos_l, pos_r = np.searchsorted(levels, level_l), np.searchsorted(levels, level_r)
+    interface = np.empty(len(levels), dtype=np.int64)
+    interface[pos_l] = renumber[edge_l]
+    interface[pos_r] = renumber[right_id[edge_r]]
     for j in range(rows_l):
-        for i in range(cols):
-            x0, x1 = i / (2 * cols), (i + 1) / (2 * cols)
-            y0, y1 = j / rows_l, (j + 1) / rows_l
-            loops.append([vid(x0, y0), vid(x1, y0), vid(x1, y1), vid(x0, y1)])
-    for j in range(rows_r):
-        for i in range(cols):
-            x0 = 0.5 + i / (2 * cols)
-            x1 = 0.5 + (i + 1) / (2 * cols)
-            y0, y1 = j / rows_r, (j + 1) / rows_r
-            loops.append([vid(x0, y0), vid(x1, y0), vid(x1, y1), vid(x0, y1)])
-
-    # Hanging vertices on the interface: each side's edge is split at the
-    # other side's levels falling strictly inside it.
-    splits: dict[tuple[int, int], list[int]] = {}
-    levels_l = [j / rows_l for j in range(rows_l + 1)]
-    levels_r = [j / rows_r for j in range(rows_r + 1)]
-
-    def record(own_levels, foreign_levels):
-        for j in range(len(own_levels) - 1):
-            y0, y1 = own_levels[j], own_levels[j + 1]
-            mids = [y for y in foreign_levels if y0 + 1e-12 < y < y1 - 1e-12]
-            if mids:
-                a, b = vid(0.5, y0), vid(0.5, y1)
-                splits[(a, b)] = [vid(0.5, y) for y in sorted(mids)]
-
-    record(levels_l, levels_r)
-    record(levels_r, levels_l)
-    return compute_geometry(np.array(verts), loops, splits=splits)
+        loops[(j + 1) * cols - 1][1:3] = interface[pos_l[j]:pos_l[j + 1] + 1].tolist()
+    for k in range(rows_r):
+        loops[(rows_l + k) * cols][3:] = interface[pos_r[k + 1]:pos_r[k]:-1].tolist()
+    return compute_geometry(vertices, loops)
 
 
 def _barrier_levels(n_below: int, n_mid: int, n_above: int, thin: bool):
@@ -174,16 +169,8 @@ def gen_tilted_barrier(variant: int) -> tuple[Mesh, np.ndarray]:
 
     ncols = 10
     xs = np.linspace(0.0, 1.0, ncols + 1)
-    nrows = len(levels) - 1
-    vertices = np.empty(((ncols + 1) * (nrows + 1), 2))
-    for j, (a, b) in enumerate(levels):
-        for i, x in enumerate(xs):
-            vertices[j * (ncols + 1) + i] = (x, a * x + b)
-    vid = lambda i, j: j * (ncols + 1) + i
-    loops = [
-        [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-        for j in range(nrows)
-        for i in range(ncols)
-    ]
-    mesh = compute_geometry(np.array(vertices), loops)
+    a, b = np.array(levels).T
+    y = a[:, None] * xs + b[:, None]
+    vertices = np.stack([np.broadcast_to(xs, y.shape).ravel(), y.ravel()], axis=1)
+    mesh = compute_geometry(vertices, _grid_quads(ncols, len(levels) - 1))
     return mesh, barrier_region(*mesh.cell_point.T)

@@ -19,12 +19,15 @@ sigma of K.  All derived quantities are computed once, as flat arrays:
 Faces are numbered in order of first appearance along the loops.  The
 data model is dimension-generic but the geometry kernels implemented here
 are 2D: faces are straight segments and cells are simple polygons given
-as counter-clockwise vertex loops.
+as counter-clockwise vertex loops.  A hanging node is listed in the loop
+of every cell whose straight side it lies on, so that side is two faces:
+this is how nonconforming meshes are represented, with no other table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -53,10 +56,8 @@ def segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
 class Mesh:
     """Immutable mesh with computed geometry (see the module docstring).
 
-    ``raw_loops`` keeps the cell loops exactly as supplied (before any
-    nonconformity splits are applied) so that file output can reproduce
-    its input; ``cone_vertex`` holds the working loops, with hanging
-    vertices inserted.
+    The cell loops, hanging vertices included, are ``cone_vertex`` cut at
+    ``cell_ptr`` (see :meth:`loops`); they are the only copy kept.
     """
 
     dim: int
@@ -76,8 +77,6 @@ class Mesh:
     cone_normal: np.ndarray
     cone_dist: np.ndarray
     cone_measure: np.ndarray
-    raw_loops: list[list[int]]
-    splits: dict[tuple[int, int], list[int]] = field(default_factory=dict)
     cell_points_given: bool = False
 
     @property
@@ -109,6 +108,11 @@ class Mesh:
     def cones(self, cell: int) -> slice:
         """The cone range of one cell."""
         return slice(int(self.cell_ptr[cell]), int(self.cell_ptr[cell + 1]))
+
+    def loops(self) -> list[list[int]]:
+        """The vertex loop of every cell, as lists of ints."""
+        ptr, verts = self.cell_ptr.tolist(), self.cone_vertex.tolist()
+        return [verts[s:e] for s, e in zip(ptr, ptr[1:])]
 
     def cone_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every (i, j) of cones of one cell, cell by cell, row-major in each."""
@@ -157,22 +161,6 @@ class RegularityReport:
     worst_cell_ratio: np.ndarray
 
 
-def _apply_splits(loop: list[int], splits: dict[tuple[int, int], list[int]]) -> list[int]:
-    """Insert recorded hanging vertices into every refined edge of a loop."""
-    if not splits:
-        return list(loop)
-    out: list[int] = []
-    n = len(loop)
-    for i in range(n):
-        a, b = loop[i], loop[(i + 1) % n]
-        out.append(a)
-        if (a, b) in splits:
-            out.extend(splits[(a, b)])
-        elif (b, a) in splits:
-            out.extend(reversed(splits[(b, a)]))
-    return out
-
-
 def _cone_pairs(cell_ptr: np.ndarray, cone_cell: np.ndarray):
     rep = np.diff(cell_ptr)[cone_cell]
     i = np.repeat(np.arange(len(cone_cell)), rep)
@@ -187,23 +175,21 @@ def _first(mask: np.ndarray) -> int:
 
 def compute_geometry(
     vertices: np.ndarray,
-    loops: list[list[int]],
+    loops,
     cell_points: np.ndarray | None = None,
-    splits: dict[tuple[int, int], list[int]] | None = None,
 ) -> Mesh:
     """Build a fully derived mesh from vertices and CCW cell vertex loops.
 
     Parameters
     ----------
     vertices : (V, 2) array of vertex coordinates.
-    loops : one counter-clockwise vertex-id loop per cell.  Loops may
-        contain collinear vertices; a straight cell side listed with an
+    loops : one counter-clockwise vertex-id loop per cell, as a list of
+        id sequences or as an (M, k) int array.  Loops may contain
+        collinear vertices; a straight cell side listed with an
         intermediate vertex is stored as two distinct faces, which is how
         nonconforming (hanging-node) adjacency is represented.
     cell_points : optional (M, 2) array of cell points; defaults to the
         centre of mass of each cell.
-    splits : optional map (va, vb) -> [mid vertex ids] describing edge
-        refinements to apply before face extraction.
 
     Raises
     ------
@@ -216,28 +202,30 @@ def compute_geometry(
         raise InvalidTopology("non-finite vertex coordinate")
     if len(loops) == 0:
         raise InvalidTopology("mesh has no cells")
-    splits = dict(splits or {})
     nv = len(vertices)
     d = 2
 
-    work_loops: list[list[int]] = []
-    for ci, loop in enumerate(loops):
-        if len(loop) < 3:
-            raise InvalidTopology(f"cell {ci} has fewer than 3 vertices")
-        if any(v < 0 or v >= nv for v in loop):
-            raise InvalidTopology(f"cell {ci} references a missing vertex")
-        work_loops.append(_apply_splits(list(loop), splits))
-    if cell_points is not None:
-        cell_points = np.asarray(cell_points, dtype=float)
-        if cell_points.shape != (len(loops), 2):
-            raise InvalidTopology("cell_points shape mismatch")
-
     # Cones, cell-major; cone i is the loop side from vertex a[i] to b[i].
-    sizes = np.array([len(loop) for loop in work_loops])
+    if isinstance(loops, np.ndarray):
+        if loops.ndim != 2:
+            raise InvalidTopology("expected an (M, k) loop array")
+        sizes = np.full(len(loops), loops.shape[1], dtype=np.int64)
+        a = loops.astype(np.int64).ravel()
+    else:
+        sizes = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
+        a = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(sizes.sum()))
+    if np.any(sizes < 3):
+        raise InvalidTopology(f"cell {_first(sizes < 3)} has fewer than 3 vertices")
     cell_ptr = np.concatenate([[0], np.cumsum(sizes)])
     n_cells, n_cones = len(sizes), int(cell_ptr[-1])
     cone_cell = np.repeat(np.arange(n_cells), sizes)
-    a = np.concatenate(work_loops).astype(np.int64)
+    missing = (a < 0) | (a >= nv)
+    if np.any(missing):
+        raise InvalidTopology(f"cell {cone_cell[_first(missing)]} references a missing vertex")
+    if cell_points is not None:
+        cell_points = np.asarray(cell_points, dtype=float)
+        if cell_points.shape != (n_cells, 2):
+            raise InvalidTopology("cell_points shape mismatch")
     nxt = np.arange(1, n_cones + 1)
     nxt[cell_ptr[1:] - 1] = cell_ptr[:-1]
     b = a[nxt]
@@ -325,8 +313,6 @@ def compute_geometry(
         cone_normal=normal,
         cone_dist=dist,
         cone_measure=length * dist / d,
-        raw_loops=[list(l) for l in loops],
-        splits=splits,
         cell_points_given=cell_points is not None,
     )
 

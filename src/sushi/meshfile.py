@@ -9,11 +9,11 @@ Layout (UTF-8, whitespace separated)::
     v0 v1 v2 ...         # M lines, counter-clockwise vertex loops
     cellpoints M         # optional
     x y                  # M lines
-    split S              # optional, nonconformity refinements
-    va vb m0 [m1 ...]    # S lines: edge (va, vb) is split at m0, m1, ...
 
-Floats are written with ``repr`` so a write/read cycle reproduces the data
-model bit-exactly.
+A nonconforming mesh lists each hanging vertex in the loop of every cell
+whose straight side it lies on, so a cell loop is written as the mesh
+holds it.  Floats are written with ``repr`` so a write/read cycle
+reproduces the data model bit-exactly.
 """
 
 from __future__ import annotations
@@ -24,22 +24,15 @@ from .errors import ParseError
 from .geometry import Mesh, compute_geometry
 
 
+def _xy_lines(points: np.ndarray) -> list[str]:
+    return [f"{x!r} {y!r}" for x, y in np.asarray(points, dtype=float).tolist()]
+
+
 def write_mesh(mesh: Mesh, path) -> None:
-    lines = [f"dim {mesh.dim}"]
-    lines.append(f"vertices {len(mesh.vertices)}")
-    for v in mesh.vertices:
-        lines.append(f"{float(v[0])!r} {float(v[1])!r}")
-    lines.append(f"cells {len(mesh.raw_loops)}")
-    for loop in mesh.raw_loops:
-        lines.append(" ".join(str(i) for i in loop))
+    lines = [f"dim {mesh.dim}", f"vertices {len(mesh.vertices)}", *_xy_lines(mesh.vertices),
+             f"cells {mesh.n_cells}", *(" ".join(map(str, loop)) for loop in mesh.loops())]
     if mesh.cell_points_given:
-        lines.append(f"cellpoints {mesh.n_cells}")
-        for x, y in mesh.cell_point:
-            lines.append(f"{float(x)!r} {float(y)!r}")
-    if mesh.splits:
-        lines.append(f"split {len(mesh.splits)}")
-        for (a, b), mids in sorted(mesh.splits.items()):
-            lines.append(f"{a} {b} " + " ".join(str(m) for m in mids))
+        lines += [f"cellpoints {mesh.n_cells}", *_xy_lines(mesh.cell_point)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -59,31 +52,36 @@ def read_mesh(path) -> Mesh:
                 return pos, stripped.split()
         raise ParseError("unexpected end of file", line=len(raw))
 
-    def expect(keyword: str) -> int:
-        ln, tok = next_line()
+    def count(ln: int, tok: list[str], keyword: str) -> int:
         if tok[0] != keyword or len(tok) != 2:
             raise ParseError(f"expected '{keyword} N'", line=ln)
         try:
-            return int(tok[1])
+            n = int(tok[1])
         except ValueError:
             raise ParseError(f"bad count for '{keyword}'", line=ln)
+        if n < 0:
+            raise ParseError(f"negative count for '{keyword}'", line=ln)
+        return n
+
+    def points(n: int, what: str) -> np.ndarray:
+        out = np.empty((n, 2))
+        for i in range(n):
+            ln, tok = next_line()
+            if len(tok) != 2:
+                raise ParseError("expected 'x y'", line=ln)
+            try:
+                out[i] = (float(tok[0]), float(tok[1]))
+            except ValueError:
+                raise ParseError(f"bad {what}", line=ln)
+        return out
 
     ln, tok = next_line()
     if tok[:1] != ["dim"] or len(tok) != 2 or tok[1] != "2":
         raise ParseError("expected 'dim 2' header", line=ln)
 
-    nv = expect("vertices")
-    vertices = np.empty((nv, 2))
-    for i in range(nv):
-        ln, tok = next_line()
-        if len(tok) != 2:
-            raise ParseError("expected 'x y'", line=ln)
-        try:
-            vertices[i] = (float(tok[0]), float(tok[1]))
-        except ValueError:
-            raise ParseError("bad vertex coordinate", line=ln)
-
-    nc = expect("cells")
+    vertices = points(count(*next_line(), "vertices"), "vertex coordinate")
+    nv = len(vertices)
+    nc = count(*next_line(), "cells")
     loops = []
     for _ in range(nc):
         ln, tok = next_line()
@@ -96,39 +94,15 @@ def read_mesh(path) -> Mesh:
         loops.append(loop)
 
     cell_points = None
-    splits: dict[tuple[int, int], list[int]] = {}
     while pos < len(raw):
-        save = pos
         try:
             ln, tok = next_line()
         except ParseError:
             break
-        if tok[0] == "cellpoints":
-            n = int(tok[1])
-            if n != nc:
-                raise ParseError("cellpoints count differs from cells", line=ln)
-            cell_points = np.empty((nc, 2))
-            for i in range(nc):
-                ln, tok = next_line()
-                try:
-                    cell_points[i] = (float(tok[0]), float(tok[1]))
-                except (ValueError, IndexError):
-                    raise ParseError("bad cell point", line=ln)
-        elif tok[0] == "split":
-            n = int(tok[1])
-            for _ in range(n):
-                ln, tok = next_line()
-                try:
-                    ids = [int(t) for t in tok]
-                except ValueError:
-                    raise ParseError("bad split entry", line=ln)
-                if len(ids) < 3:
-                    raise ParseError("split entry needs an edge and a midpoint", line=ln)
-                if any(v < 0 or v >= nv for v in ids):
-                    raise ParseError("split references a missing vertex", line=ln)
-                splits[(ids[0], ids[1])] = ids[2:]
-        else:
-            pos = save
+        if tok[0] != "cellpoints":
             raise ParseError(f"unknown section '{tok[0]}'", line=ln)
+        if count(ln, tok, "cellpoints") != nc:
+            raise ParseError("cellpoints count differs from cells", line=ln)
+        cell_points = points(nc, "cell point")
 
-    return compute_geometry(vertices, loops, cell_points=cell_points, splits=splits)
+    return compute_geometry(vertices, loops, cell_points=cell_points)

@@ -124,11 +124,14 @@ class DiscreteFunction:
 
 @dataclass
 class UnknownNumbering:
-    """Bijection retained unknowns <-> 0..N-1: cells first, then H faces."""
+    """Bijection retained unknowns <-> 0..N-1: cells first, then H faces.
+
+    ``hybrid_faces`` is sorted; hybrid face ``hybrid_faces[i]`` is unknown
+    ``n_cells + i``.
+    """
 
     n_cells: int
-    hybrid_faces: list[int]
-    face_index: dict[int, int]
+    hybrid_faces: np.ndarray
 
     @property
     def n(self) -> int:
@@ -136,12 +139,7 @@ class UnknownNumbering:
 
 
 def numbering_for(mesh: Mesh, partition: EdgePartition) -> UnknownNumbering:
-    hyb = sorted(partition.hybrid_faces())
-    return UnknownNumbering(
-        n_cells=mesh.n_cells,
-        hybrid_faces=hyb,
-        face_index={f: mesh.n_cells + i for i, f in enumerate(hyb)},
-    )
+    return UnknownNumbering(mesh.n_cells, np.flatnonzero(partition.tags == HYBRID))
 
 
 def face_expansions(mesh: Mesh, partition: EdgePartition,
@@ -157,9 +155,9 @@ def face_expansions(mesh: Mesh, partition: EdgePartition,
     zero, so ``P`` carries the structure that the nonzero count NM follows.
     """
     check_weights(mesh, partition, weights)
-    hybrid = np.asarray(numbering.hybrid_faces, dtype=np.int64)
+    hybrid = numbering.hybrid_faces
     column = np.full(mesh.n_faces, -1, dtype=np.int64)
-    column[hybrid] = [numbering.face_index[f] for f in numbering.hybrid_faces]
+    column[hybrid] = numbering.n_cells + np.arange(len(hybrid))
     rows, cols, vals = hybrid, column[hybrid], np.ones(len(hybrid))
     if weights is not None:
         point_column = weights.by_point(np.arange(mesh.n_cells), column)

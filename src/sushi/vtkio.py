@@ -22,41 +22,37 @@ CSV_COLUMNS = [
 ]
 
 
+def _xyz_lines(points) -> list[str]:
+    return [f"{x!r} {y!r} 0.0" for x, y in np.asarray(points, dtype=float).tolist()]
+
+
 def export_vtk(mesh: Mesh, path, cell_scalars: dict | None = None,
                cell_vectors: dict | None = None, title: str = "sushi run") -> None:
+    loops = mesh.loops()
     lines = [
         "# vtk DataFile Version 3.0",
         title,
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {len(mesh.vertices)} double",
+        *_xyz_lines(mesh.vertices),
+        f"CELLS {len(loops)} {mesh.n_cones + len(loops)}",
+        *(" ".join(map(str, [len(loop), *loop])) for loop in loops),
+        f"CELL_TYPES {len(loops)}",
+        *["7"] * len(loops),  # VTK_POLYGON
     ]
-    for v in mesh.vertices:
-        lines.append(f"{float(v[0])!r} {float(v[1])!r} 0.0")
-    loops = np.split(mesh.cone_vertex, mesh.cell_ptr[1:-1])
-    total = sum(len(l) + 1 for l in loops)
-    lines.append(f"CELLS {len(loops)} {total}")
-    for loop in loops:
-        lines.append(f"{len(loop)} " + " ".join(str(int(v)) for v in loop))
-    lines.append(f"CELL_TYPES {len(loops)}")
-    lines.extend("7" for _ in loops)  # VTK_POLYGON
-
     if cell_scalars or cell_vectors:
         lines.append(f"CELL_DATA {len(loops)}")
     for name, values in (cell_scalars or {}).items():
         values = np.asarray(values)
         if np.issubdtype(values.dtype, np.integer):
-            lines.append(f"SCALARS {name} int 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(str(int(v)) for v in values)
+            lines += [f"SCALARS {name} int 1", "LOOKUP_TABLE default"]
+            lines += map(str, values.tolist())
         else:
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(repr(float(v)) for v in values)
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            lines += map(repr, values.astype(float).tolist())
     for name, vecs in (cell_vectors or {}).items():
-        lines.append(f"VECTORS {name} double")
-        for v in vecs:
-            lines.append(f"{float(v[0])!r} {float(v[1])!r} 0.0")
+        lines += [f"VECTORS {name} double", *_xyz_lines(vecs)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

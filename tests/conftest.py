@@ -1,5 +1,6 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,17 @@ from sushi.geometry import compute_geometry
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def assert_same_mesh(a, b):
+    """Every field of two meshes is equal, arrays with their dtype and shape."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
 
 
 def cell_view(mesh, k):

@@ -196,7 +196,7 @@ def test_elimination_matches_projected_full_form(rng):
     e = np.zeros((q_sys.n, n_cells))
     e[:n_cells, :] = np.eye(n_cells)
     for fid in bar.barycentric_faces():
-        row = q_sys.numbering.face_index[fid]
+        row = n_cells + np.searchsorted(q_sys.numbering.hybrid_faces, fid)
         for kind, idx, beta in weights.support[fid]:
             assert kind == "cell"
             e[row, idx] = beta

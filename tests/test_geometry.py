@@ -7,7 +7,7 @@ import sushi
 from sushi.errors import DegenerateFace, InvalidTopology, NonStarShaped
 from sushi.geometry import compute_geometry, domain_measure, regularity, theta_D, theta_DB, validate
 
-from conftest import cell_view, cell_views, face_view, face_views, weights_table
+from conftest import assert_same_mesh, cell_view, cell_views, face_view, face_views, weights_table
 
 
 def test_unit_square_cell():
@@ -126,7 +126,7 @@ def test_theta_d_invariant_under_rigid_motion_and_scaling():
     scale = 3.7
     shift = np.array([2.5, -1.3])
     verts = scale * (mesh.vertices @ rot.T) + shift
-    moved = compute_geometry(verts, mesh.raw_loops, splits=mesh.splits)
+    moved = compute_geometry(verts, mesh.loops())
     assert theta_D(moved) == pytest.approx(base, rel=1e-10)
 
 
@@ -211,7 +211,22 @@ TWO_SQUARES = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], dtype=f
     (SQUARE, [[0, 1, 2, 3]], np.zeros((2, 2)), InvalidTopology, "shape mismatch"),
     (np.array([[0.0, 0.0], [np.inf, 0.0], [1.0, 1.0]]), [[0, 1, 2]], None,
      InvalidTopology, "non-finite"),
+    (TWO_SQUARES, [[0, 1, 4, 5], [1, 2]], None, InvalidTopology, "cell 1 has fewer than 3"),
+    (TWO_SQUARES, [[0, 1, 4, 5], [1, 2, 9, 4]], None, InvalidTopology,
+     "cell 1 references a missing vertex"),
+    (TWO_SQUARES, [[0, 1, 4, 5], [4, 1, 2, 4]], None, InvalidTopology,
+     "cell 1 has a repeated consecutive vertex"),
 ])
 def test_single_defect_meshes_raise_typed_errors(verts, loops, points, error, message):
     with pytest.raises(error, match=message):
         compute_geometry(verts, loops, cell_points=points)
+
+
+def test_loop_array_gives_the_same_mesh_as_loop_lists():
+    loops = [[0, 1, 4, 5], [1, 2, 3, 4]]
+    assert_same_mesh(compute_geometry(TWO_SQUARES, np.array(loops, dtype=np.int32)),
+                     compute_geometry(TWO_SQUARES, loops))
+    with pytest.raises(InvalidTopology, match="cell 1 references a missing vertex"):
+        compute_geometry(TWO_SQUARES, np.array([[0, 1, 4, 5], [1, 2, -1, 4]]))
+    with pytest.raises(InvalidTopology, match="loop array"):
+        compute_geometry(TWO_SQUARES, np.array(loops[0]))

@@ -2,19 +2,11 @@ import numpy as np
 import pytest
 
 import sushi
-from conftest import cell_view, cell_views
+from conftest import assert_same_mesh, cell_view
+from sushi.cli import main
 from sushi.errors import ParseError
 from sushi.meshfile import read_mesh, write_mesh
-
-
-def assert_same_mesh(a, b):
-    assert a.n_cells == b.n_cells
-    assert a.n_faces == b.n_faces
-    assert np.array_equal(a.vertices, b.vertices)
-    for ca, cb in zip(cell_views(a), cell_views(b)):
-        assert np.array_equal(ca.loop, cb.loop)
-        assert np.array_equal(ca.point, cb.point)
-        assert ca.measure == cb.measure
+from sushi.run import parse_mesh_spec
 
 
 def test_round_trip_rect(tmp_path):
@@ -26,14 +18,28 @@ def test_round_trip_rect(tmp_path):
 
 
 def test_round_trip_nonconforming_splits(tmp_path):
+    # the hanging vertices of the split interface sides are written in the
+    # cell loops, and read back into the same working loops
     mesh = sushi.gen_nonconforming_rect(1)
-    assert mesh.splits
+    split = [loop for loop in mesh.loops() if len(loop) > 4]
+    assert len(split) == 3 + 2  # the three left interface sides, two of the five right
     path = tmp_path / "m.txt"
     write_mesh(mesh, path)
     back = read_mesh(path)
-    assert back.splits == mesh.splits
+    assert back.loops() == mesh.loops()
     assert_same_mesh(mesh, back)
-    assert "split" in path.read_text()
+    text = path.read_text()
+    assert all(" ".join(map(str, loop)) in text.splitlines() for loop in split)
+    assert "split" not in text
+
+
+@pytest.mark.parametrize("spec", ["rect:1x1", "rect:7x5", "tri:6", "ncrect:1", "ncrect:3",
+                                  "barrier:1", "barrier:2", "barrier:3"])
+def test_round_trip_reproduces_every_mesh_array(tmp_path, spec):
+    mesh = parse_mesh_spec(spec)[0]
+    path = tmp_path / "m.txt"
+    write_mesh(mesh, path)
+    assert_same_mesh(read_mesh(path), mesh)
 
 
 def test_round_trip_is_byte_stable(tmp_path):
@@ -53,6 +59,7 @@ def test_round_trip_cell_points(tmp_path):
     back = read_mesh(path)
     assert back.cell_points_given
     assert np.array_equal(cell_view(back, 0).point, [0.4, 0.6])
+    assert_same_mesh(back, mesh)
 
 
 def test_missing_vertex_is_parse_error(tmp_path):
@@ -84,3 +91,39 @@ def test_truncated_file_is_parse_error(tmp_path):
     path.write_text("dim 2\nvertices 4\n0 0\n1 0\n")
     with pytest.raises(ParseError):
         read_mesh(path)
+
+
+def test_legacy_split_section_is_parse_error(tmp_path):
+    path = tmp_path / "old.txt"
+    path.write_text("dim 2\nvertices 5\n0 0\n1 0\n1 1\n0 1\n1 0.5\n"
+                    "cells 1\n0 1 2 3\nsplit 1\n1 2 4\n")
+    with pytest.raises(ParseError, match="unknown section 'split'") as err:
+        read_mesh(path)
+    assert err.value.line == 10
+
+
+HEAD = "dim 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 2\n"
+
+
+@pytest.mark.parametrize("text,line,message", [
+    (HEAD + "cellpoints\n", 8, "expected 'cellpoints N'"),
+    (HEAD + "cellpoints x\n0.2 0.2\n", 8, "bad count for 'cellpoints'"),
+    (HEAD + "cellpoints -1\n", 8, "negative count for 'cellpoints'"),
+    ("dim 2\nvertices -2\n", 2, "negative count for 'vertices'"),
+    ("dim 2\nvertices\n", 2, "expected 'vertices N'"),
+    ("dim 2\nvertices 3\n0 0\n1 0\n0 1\ncells -1\n", 6, "negative count for 'cells'"),
+], ids=["bare-cellpoints", "cellpoints-x", "cellpoints-negative", "vertices-negative",
+        "bare-vertices", "cells-negative"])
+def test_bad_section_header_is_parse_error_with_line(tmp_path, text, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as err:
+        read_mesh(path)
+    assert err.value.line == line
+
+
+def test_bare_section_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.mesh"
+    path.write_text(HEAD + "cellpoints\n")
+    assert main(["mesh-check", "--mesh", f"file:{path}"]) == 2
+    assert "cellpoints N" in capsys.readouterr().err

@@ -17,7 +17,7 @@ def system_from_dense(mat, rhs):
     mat = np.asarray(mat, dtype=float)
     n = len(rhs)
     upper = sp.csr_matrix(np.triu(mat, k=1))
-    numbering = UnknownNumbering(n_cells=n, hybrid_faces=[], face_index={})
+    numbering = UnknownNumbering(n_cells=n, hybrid_faces=np.array([], dtype=np.int64))
     return LinearSystem(n=n, upper=upper, diag=np.diag(mat).copy(),
                         rhs=np.asarray(rhs, dtype=float),
                         numbering=numbering, nm=int(np.count_nonzero(mat)))

@@ -233,6 +233,5 @@ def test_numbering_deterministic_and_complete():
     part = partition_faces(mesh, "all-hybrid")
     num = numbering_for(mesh, part)
     assert num.n == mesh.n_cells + len(part.hybrid_faces())
-    assert sorted(num.face_index.values()) == list(
-        range(mesh.n_cells, num.n)
-    )
+    assert num.hybrid_faces.tolist() == sorted(part.hybrid_faces())
+    assert num.hybrid_faces.tolist() == numbering_for(mesh, part).hybrid_faces.tolist()
