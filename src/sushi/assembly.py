@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import (
@@ -209,4 +208,6 @@ def assemble(mesh: Mesh, partition: EdgePartition,
 
 
 def export_matrix_market(system: LinearSystem, path) -> None:
+    import scipy.io  # only here, off every run's start-up
+
     scipy.io.mmwrite(path, system.full(), symmetry="symmetric")

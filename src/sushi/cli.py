@@ -74,8 +74,8 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     grad = gradient_field(mesh, result.u, result.alpha)
     scalars = {"u": result.u.cell_values}
-    if regions is not None:
-        scalars["region"] = np.asarray(regions, dtype=int)
+    if result.regions is not None:
+        scalars["region"] = np.asarray(result.regions, dtype=int)
     export_vtk(mesh, out / "solution.vtk", cell_scalars=scalars,
                cell_vectors={"gradient": grad.cell_average(mesh)},
                title=f"{args.problem} on {label}")

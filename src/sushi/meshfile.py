@@ -101,6 +101,8 @@ def read_mesh(path) -> Mesh:
             break
         if tok[0] != "cellpoints":
             raise ParseError(f"unknown section '{tok[0]}'", line=ln)
+        if cell_points is not None:
+            raise ParseError("second 'cellpoints' section", line=ln)
         if count(ln, tok, "cellpoints") != nc:
             raise ParseError("cellpoints count differs from cells", line=ln)
         cell_points = points(nc, "cell point")

@@ -27,6 +27,8 @@ class ProblemSpec:
     ``dirichlet`` defaults to the exact solution when one is known.
     ``make_tensor`` builds the tensor field for a given mesh and region
     map, so heterogeneous problems bind their coefficients per cell.
+    ``region``, optional, is the problem's own region map as a user field;
+    it is sampled at the cell points when the mesh brings no region map.
     """
 
     name: str
@@ -35,7 +37,7 @@ class ProblemSpec:
     dirichlet: object = None
     exact: object = None
     exact_grad: object = None
-    needs_regions: bool = False
+    region: object = None
     exact_boundary_flux: dict | None = None
 
 
@@ -141,7 +143,7 @@ def problem_tilted_barrier() -> ProblemSpec:
         dirichlet=barrier_exact,
         exact=barrier_exact,
         exact_grad=barrier_exact_grad,
-        needs_regions=True,
+        region=lambda p: barrier_region(p[0], p[1]),
         exact_boundary_flux={"x=0": -0.2, "x=1": 0.2, "y=0": 1.0, "y=1": -1.0},
     )
 
@@ -159,13 +161,7 @@ def problem_superadmissible_oracle(lam_left: float, lam_right: float) -> Problem
         make_tensor=_two_region_tensor(0.5, lam_left, lam_right),
         source=None,
         dirichlet=lambda p: 0.0,
-        needs_regions=False,
     )
-
-
-def split_regions(mesh, x_split: float = 0.5) -> np.ndarray:
-    """Two-region map for half-domain problems: 1 left of the split, 2 right."""
-    return np.where(mesh.cell_point[:, 0] < x_split, 1, 2)
 
 
 BUILTIN_PROBLEMS = {

@@ -7,11 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import LinearSystem, TensorField, assemble
+from .errors import UnclassifiedBoundaryFace
 from .generators import gen_nonconforming_rect, gen_rect, gen_tilted_barrier, gen_tri
 from .geometry import Mesh
 from .meshfile import read_mesh
 from .postproc import ErrorReport, boundary_flux_totals, error_norms, reconstruct_faces
-from .problems import ProblemSpec, split_regions
+from .problems import ProblemSpec
 from .solver import SolveReport, solve_cg, solve_dense
 from .spaces import (
     BarycentricWeights,
@@ -19,6 +20,7 @@ from .spaces import (
     EdgePartition,
     compute_weights,
     partition_faces,
+    sample_field,
 )
 
 
@@ -67,13 +69,17 @@ def solve_problem(problem: ProblemSpec, mesh: Mesh,
                   alpha: float | None = None,
                   tol: float = 1e-12,
                   method: str = "cg",
-                  with_errors: bool = True,
                   with_fluxes: bool = False) -> RunResult:
-    """Assemble, solve and post-process one problem/mesh/policy combination."""
+    """Assemble, solve and post-process one problem/mesh/policy combination.
+
+    Errors are computed whenever the problem has an exact solution and
+    gradient.  With ``with_fluxes`` the per-side totals of the unit square
+    are computed; on a domain with other sides they are left out (``None``).
+    """
     if method not in ("cg", "dense"):
         raise ValueError(f"unknown method {method!r}; expected 'cg' or 'dense'")
-    if regions is None and problem.needs_regions:
-        regions = split_regions(mesh)
+    if regions is None and problem.region is not None:
+        regions = sample_field(problem.region, mesh.cell_point, "region").astype(int)
     partition = partition_faces(mesh, policy, regions)
     weights = None
     if partition.barycentric_faces():
@@ -94,8 +100,11 @@ def solve_problem(problem: ProblemSpec, mesh: Mesh,
         tensor=tensor, alpha=alpha, system=system, solution=solution,
         u=u, report=report,
     )
-    if with_errors and problem.exact is not None and problem.exact_grad is not None:
+    if problem.exact is not None and problem.exact_grad is not None:
         result.errors = error_norms(mesh, u, problem.exact, problem.exact_grad, alpha)
     if with_fluxes:
-        result.fluxes = boundary_flux_totals(mesh, tensor, u, alpha)
+        try:
+            result.fluxes = boundary_flux_totals(mesh, tensor, u, alpha)
+        except UnclassifiedBoundaryFace:
+            pass
     return result

@@ -8,7 +8,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
 
@@ -47,29 +46,23 @@ class SolveReport:
     def to_manifest(self) -> dict:
         # Wall time and the restart diagnostics are excluded: run artifacts
         # must be byte-deterministic and keep a fixed schema.
-        return {
-            "iterations": self.iterations,
-            "relative_residual": self.relative_residual,
-            "method": self.method,
-        }
+        return {"iterations": self.iterations,
+                "relative_residual": self.relative_residual, "method": self.method}
 
 
 def solve_cg(system, tol: float = 1e-12,
              max_iters: int | None = None) -> tuple[np.ndarray, SolveReport]:
     """Jacobi-preconditioned conjugate gradients on the assembled system.
 
-    Stops when the float64 relative residual ||b - M x|| / ||b|| is at
-    most ``tol``; ``tol`` must be finite and positive (``ValueError``
-    otherwise).  When the recurrence residual meets the tolerance but the
-    true one does not, CG restarts from the true residual computed in
-    ``np.longdouble``: float64 rounding puts a floor under ``b - Mx`` that
-    can sit above ``tol``, and the extended-precision replacement lets the
-    float64 iteration correct ``x`` below it (one step of mixed-precision
-    iterative refinement).  Raises ``MaxIterations`` when that residual has
-    not halved over ``STAGNATION_RESTARTS`` consecutive restarts or after
-    ``max_iters`` iterations (default ``10 n``), and ``BreakdownNonSPD`` on
-    negative curvature (which would signal an assembly bug, not a solver
-    failure).
+    Stops when the float64 relative residual ||b - M x|| / ||b|| is at most
+    ``tol``, which must be finite and positive (``ValueError`` otherwise).
+    Float64 rounding can put the true residual's floor above ``tol`` when the
+    recurrence residual is below it: CG then restarts from the true residual
+    computed in ``np.longdouble`` (mixed-precision iterative refinement).
+    Raises ``MaxIterations`` when that residual has not halved over
+    ``STAGNATION_RESTARTS`` consecutive restarts or after ``max_iters``
+    iterations (default ``10 n``), and ``BreakdownNonSPD`` on negative
+    curvature, which signals an assembly bug.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -144,27 +137,32 @@ def solve_cg(system, tol: float = 1e-12,
     return x, report
 
 
-def solve_dense(system) -> tuple[np.ndarray, SolveReport]:
-    """Sparse direct (SuperLU) solve of a system certified SPD by dense Cholesky.
+def _spd_factor(mat):
+    """SuperLU factor of the symmetric ``mat`` if every pivot of its symmetric
+    elimination is > 0, i.e. ``mat`` is SPD; else ``None``.  SuperLU pivots off
+    the diagonal only at an exact zero, which shows as ``perm_r != perm_c``."""
+    from scipy.sparse.linalg import splu  # loaded here, off CG's start-up
+    try:
+        lu = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return None
+    spd = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)
+    return lu if spd else None
 
-    Neither the solution nor the residual goes through threaded BLAS, so both
-    are the same under every thread count.  SuperLU loads here, off CG's start-up.
-    """
-    from scipy.sparse.linalg import spsolve
+
+def solve_dense(system) -> tuple[np.ndarray, SolveReport]:
+    """Solve with the factor that certifies the system SPD, else ``NotPositiveDefinite``."""
     t0 = time.perf_counter()
-    if not spd_certificate(system):
-        raise NotPositiveDefinite("dense Cholesky factorization found a non-positive pivot")
     mat = system.full()
-    x = spsolve(mat, system.rhs)
-    bnorm = _norm(system.rhs)
-    res = _norm(system.rhs - mat @ x) / bnorm if bnorm else 0.0
+    lu = _spd_factor(mat)
+    if lu is None:
+        raise NotPositiveDefinite("the symmetric factorization found a non-positive pivot")
+    x = lu.solve(system.rhs)
+    res = _norm(system.rhs - mat @ x) / (_norm(system.rhs) or 1.0)
     return x, SolveReport(0, res, time.perf_counter() - t0, "dense-cholesky")
 
 
 def spd_certificate(system) -> bool:
-    """True iff the dense Cholesky factorization succeeds (all pivots > 0)."""
-    try:
-        scipy.linalg.cho_factor(system.to_dense(), lower=True)
-    except scipy.linalg.LinAlgError:
-        return False
-    return True
+    """True iff the factorization of ``solve_dense`` finds every pivot > 0."""
+    return _spd_factor(system.full()) is not None

@@ -5,14 +5,28 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sushi
+from sushi.assembly import LinearSystem
 from sushi.geometry import compute_geometry
+from sushi.spaces import UnknownNumbering
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def system_from_dense(mat, rhs):
+    """A ``LinearSystem`` holding the symmetric matrix ``mat``."""
+    mat = np.asarray(mat, dtype=float)
+    n = len(rhs)
+    upper = sp.csr_matrix(np.triu(mat, k=1))
+    numbering = UnknownNumbering(n_cells=n, hybrid_faces=np.array([], dtype=np.int64))
+    return LinearSystem(n=n, upper=upper, diag=np.diag(mat).copy(),
+                        rhs=np.asarray(rhs, dtype=float),
+                        numbering=numbering, nm=int(np.count_nonzero(mat)))
 
 
 def assert_same_mesh(a, b):

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import sushi
+from conftest import system_from_dense
 from sushi.cli import main
+from sushi.generators import barrier_region
+from sushi.geometry import compute_geometry
 from sushi.gradient import default_alpha
 from sushi.meshfile import write_mesh
 from sushi.vtkio import read_csv
@@ -103,6 +106,53 @@ def test_solve_barrier_prints_fluxes(tmp_path, capsys):
     assert "region" in cell_data
 
 
+def test_solve_barrier_problem_on_rect_writes_its_regions(tmp_path):
+    assert main(["solve", "--problem", "tilted-barrier", "--mesh", "rect:4x4",
+                 "--policy", "discontinuity", "--out", str(tmp_path)]) == 0
+    _, _, cell_data = parse_legacy_vtk(tmp_path / "solution.vtk")
+    mesh = sushi.gen_rect(4, 4)
+    assert cell_data["region"] == barrier_region(*mesh.cell_point.T).tolist()
+
+
+def test_solve_off_the_unit_square_writes_artifacts_without_fluxes(tmp_path, capsys):
+    # the per-side flux totals name the sides of the unit square only
+    mesh = sushi.gen_rect(4, 4)
+    path = tmp_path / "big.mesh"
+    write_mesh(compute_geometry(2.0 * mesh.vertices, mesh.loops()), path)
+    out = tmp_path / "out"
+    assert main(["solve", "--mesh", f"file:{path}", "--out", str(out)]) == 0
+    assert "boundary fluxes" not in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "boundary_flux" not in manifest and "errors" in manifest
+    row = read_csv(out / "report.csv")[0]
+    assert row["flux_x0"] == row["flux_y1"] == ""
+    assert (out / "solution.vtk").exists()
+
+
+@pytest.mark.parametrize("mat", [
+    [[1.0, 1.0], [1.0, 1.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[1.0, 2.0], [2.0, 1.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+], ids=["singular", "zero-diagonal", "negative-pivot", "negative-diagonal"])
+def test_solve_dense_non_spd_exits_1(tmp_path, capsys, monkeypatch, mat):
+    monkeypatch.setattr("sushi.run.assemble",
+                        lambda *args, **kwargs: system_from_dense(mat, np.ones(2)))
+    code = main(["solve", "--mesh", "rect:2x2", "--method", "dense", "--out", str(tmp_path)])
+    assert code == 1
+    assert "non-positive pivot" in capsys.readouterr().err
+
+
+def test_import_loads_only_what_cg_runs_use():
+    src = str(Path(sushi.__file__).resolve().parents[1])
+    probe = ("import sys, sushi.cli; "
+             "print(sorted(m for m in ('scipy.linalg', 'scipy.io') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]"
+
+
 def test_solve_missing_mesh_file_exits_2(tmp_path, capsys):
     code = main(["solve", "--mesh", "file:does-not-exist.msh",
                  "--out", str(tmp_path)])
@@ -163,7 +213,7 @@ def test_manifest_independent_of_blas_threads(tmp_path):
         # N = 12,160 is above the length from which OpenBLAS splits a dot
         # product across threads, so BLAS reductions would sum in another order
         "cg": ["--mesh", "rect:64x64", "--policy", "all-hybrid"],
-        # a threaded dense Cholesky solve rounds differently
+        # the direct solve's SuperLU factorization calls BLAS
         "dense": ["--problem", "tilted-barrier", "--mesh", "barrier:2",
                   "--policy", "discontinuity", "--method", "dense"],
     }

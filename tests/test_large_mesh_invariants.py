@@ -11,7 +11,7 @@ import pytest
 from sushi.assembly import TensorField, assemble
 from sushi.postproc import cell_balance_residuals, composite_fluxes, reconstruct_faces
 from sushi.run import parse_mesh_spec
-from sushi.solver import solve_cg
+from sushi.solver import solve_cg, solve_dense, spd_certificate
 from sushi.spaces import BARYCENTRIC, compute_weights, partition_faces
 
 CLUBAR = np.array([[1.5, 0.5], [0.5, 1.5]])
@@ -35,10 +35,13 @@ def test_invariants_on_large_meshes(spec, policy):
     full = system.full()
     assert abs(full - full.T).max() == 0.0
     assert np.all(system.diag > 0.0)
+    assert spd_certificate(system)
 
     x, _ = solve_cg(system, tol=1e-12)
     exact = np.array([affine(p) for p in mesh.cell_point])
     assert np.abs(x[: mesh.n_cells] - exact).max() <= 1e-9 * np.abs(exact).max()
+    x_dense, _ = solve_dense(system)
+    assert np.abs(x_dense - x).max() <= 1e-8 * np.abs(x).max()
 
     u = reconstruct_faces(mesh, part, weights, x, system.numbering, dirichlet=affine)
     report = composite_fluxes(mesh, part, weights, tensor, u)

@@ -122,6 +122,15 @@ def test_bad_section_header_is_parse_error_with_line(tmp_path, text, line, messa
     assert err.value.line == line
 
 
+def test_second_cellpoints_section_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "twice.mesh"
+    path.write_text(HEAD + "cellpoints 1\n0.2 0.2\ncellpoints 1\n0.3 0.3\n")
+    with pytest.raises(ParseError, match="second 'cellpoints' section") as err:
+        read_mesh(path)
+    assert err.value.line == 10
+    assert main(["mesh-check", "--mesh", f"file:{path}"]) == 2
+
+
 def test_bare_section_header_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.mesh"
     path.write_text(HEAD + "cellpoints\n")

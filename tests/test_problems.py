@@ -6,7 +6,7 @@ import pytest
 import sushi
 from conftest import cell_views
 from sushi.errors import ParseError
-from sushi.generators import phi1
+from sushi.generators import barrier_region, phi1
 from sushi.problems import (
     BARRIER_CONTRAST,
     barrier_exact,
@@ -113,10 +113,23 @@ def test_barrier_problem_solves_exactly_with_hybrid_faces():
     prob = problem_tilted_barrier()
     mesh, regions = sushi.gen_tilted_barrier(1)
     r = solve_problem(prob, mesh, regions=regions, policy="discontinuity",
-                      method="dense", with_errors=False)
+                      method="dense")
     for c in cell_views(mesh):
         exact = barrier_exact(c.point, regions[c.id])
         assert r.solution[c.id] == pytest.approx(exact, abs=1e-10)
+
+
+def test_barrier_problem_brings_its_region_map():
+    # on a mesh without a region map the problem samples its own at the
+    # cell points; a wrong map gives eps_u ~ 1.1 that does not fall
+    prob = problem_tilted_barrier()
+    eps = []
+    for n in (16, 32):
+        mesh = sushi.gen_rect(n, n)
+        r = solve_problem(prob, mesh, policy="all-hybrid")
+        assert np.array_equal(r.regions, barrier_region(*mesh.cell_point.T))
+        eps.append(r.errors.eps_u)
+    assert eps[1] < 0.5 * eps[0]
 
 
 def test_superadmissible_oracle_validation():

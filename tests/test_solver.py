@@ -1,26 +1,17 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import sushi
-from sushi.assembly import LinearSystem, assemble
+from conftest import system_from_dense
+from sushi.assembly import assemble
 from sushi.errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
 from sushi.problems import problem_anisotropic_smooth
 from sushi.solver import solve_cg, solve_dense, spd_certificate
-from sushi.spaces import UnknownNumbering, compute_weights, partition_faces
-
-
-def system_from_dense(mat, rhs):
-    mat = np.asarray(mat, dtype=float)
-    n = len(rhs)
-    upper = sp.csr_matrix(np.triu(mat, k=1))
-    numbering = UnknownNumbering(n_cells=n, hybrid_faces=np.array([], dtype=np.int64))
-    return LinearSystem(n=n, upper=upper, diag=np.diag(mat).copy(),
-                        rhs=np.asarray(rhs, dtype=float),
-                        numbering=numbering, nm=int(np.count_nonzero(mat)))
+from sushi.spaces import compute_weights, partition_faces
 
 
 def test_cg_identity_single_iteration():
@@ -138,6 +129,32 @@ def test_dense_rejects_rank_deficient():
     with pytest.raises(NotPositiveDefinite):
         solve_dense(sys_)
     assert not spd_certificate(sys_)
+
+
+@pytest.mark.parametrize("mat", [
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[1.0, 2.0], [2.0, 1.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+], ids=["zero-diagonal", "negative-pivot", "negative-diagonal"])
+def test_dense_rejects_indefinite(mat):
+    # the zero diagonal factors with positive pivots, (1, 1), but only by
+    # pivoting off the diagonal
+    sys_ = system_from_dense(mat, np.ones(2))
+    with pytest.raises(NotPositiveDefinite):
+        solve_dense(sys_)
+    assert not spd_certificate(sys_)
+
+
+def test_dense_solve_allocates_no_dense_matrix():
+    # a dense copy of this system (N = 3,136) alone takes 79 MB
+    system = hybrid_rect_system(32)
+    tracemalloc.start()
+    try:
+        solve_dense(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_benchmark_system_is_spd():
