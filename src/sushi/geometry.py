@@ -119,10 +119,10 @@ class Mesh:
         return _cone_pairs(self.cell_ptr, self.cone_cell)
 
     def interior_faces(self) -> list[int]:
-        return np.nonzero(~self.face_boundary)[0].tolist()
+        return np.flatnonzero(~self.face_boundary).tolist()
 
     def boundary_faces(self) -> list[int]:
-        return np.nonzero(self.face_boundary)[0].tolist()
+        return np.flatnonzero(self.face_boundary).tolist()
 
     def vertex_cell_map(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR vertex -> cell map ``(ptr, cells)``: vertex v lies on the loops

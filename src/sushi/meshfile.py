@@ -61,6 +61,9 @@ def read_mesh(path) -> Mesh:
             raise ParseError(f"bad count for '{keyword}'", line=ln)
         if n < 0:
             raise ParseError(f"negative count for '{keyword}'", line=ln)
+        if n > len(raw) - pos:  # each item takes a line; also bounds the allocation below
+            raise ParseError(f"count for '{keyword}' exceeds the {len(raw) - pos} lines left",
+                             line=ln)
         return n
 
     def points(n: int, what: str) -> np.ndarray:

@@ -15,6 +15,7 @@ from .postproc import ErrorReport, boundary_flux_totals, error_norms, reconstruc
 from .problems import ProblemSpec
 from .solver import SolveReport, solve_cg, solve_dense
 from .spaces import (
+    BARYCENTRIC,
     BarycentricWeights,
     DiscreteFunction,
     EdgePartition,
@@ -82,7 +83,7 @@ def solve_problem(problem: ProblemSpec, mesh: Mesh,
         regions = sample_field(problem.region, mesh.cell_point, "region").astype(int)
     partition = partition_faces(mesh, policy, regions)
     weights = None
-    if partition.barycentric_faces():
+    if np.any(partition.tags == BARYCENTRIC):
         weights = compute_weights(mesh, partition, regions)
     tensor = problem.make_tensor(mesh, regions)
     system = assemble(

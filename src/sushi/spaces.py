@@ -43,6 +43,9 @@ AFFINE_TOL = 1e-12
 # nearest few before enumerating triples.
 SUPPORT_SIZE = 3
 CANDIDATE_CAP = 8
+# Candidate index combinations, pairs (third index -1) before triples.
+_COMBOS = np.array([(*c, -1) for c in combinations(range(CANDIDATE_CAP), 2)]
+                   + list(combinations(range(CANDIDATE_CAP), SUPPORT_SIZE)))
 
 
 def sample_field(field, points: np.ndarray, name: str, shape: tuple = ()) -> np.ndarray:
@@ -71,10 +74,10 @@ class EdgePartition:
     policy: str = "custom"
 
     def hybrid_faces(self) -> list[int]:
-        return [int(i) for i in np.nonzero(self.tags == HYBRID)[0]]
+        return np.flatnonzero(self.tags == HYBRID).tolist()
 
     def barycentric_faces(self) -> list[int]:
-        return [int(i) for i in np.nonzero(self.tags == BARYCENTRIC)[0]]
+        return np.flatnonzero(self.tags == BARYCENTRIC).tolist()
 
 
 @dataclass
@@ -236,16 +239,17 @@ def _pair_weights(p: np.ndarray, q: np.ndarray, x: np.ndarray,
     return np.stack([1.0 - t, t], axis=1), ok
 
 
-def _solve_triple(pts: np.ndarray, x: np.ndarray, h: float) -> np.ndarray | None:
-    a = np.vstack([np.ones(3), pts.T])
-    b = np.array([1.0, x[0], x[1]])
-    try:
-        beta = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return None
-    if np.linalg.norm(a @ beta - b) > AFFINE_TOL * max(h, 1.0):
-        return None
-    return beta
+def _triple_weights(p: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise affine coordinates of ``x`` on the triangles ``p`` (m x 3 x 2) by
+    Cramer's rule in the frame of their first point; ``ok`` is False where the
+    determinant is zero or the residual exceeds ``AFFINE_TOL * max(h, 1)``."""
+    e1, e2, r = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], x - p[:, 0]
+    # cross products e1 x e2, r x e2 and e1 x r
+    det, n1, n2 = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] for a, b in ((e1, e2), (r, e2), (e1, r)))
+    beta = np.stack([det - n1 - n2, n1, n2], axis=1) / np.where(det == 0.0, 1.0, det)[:, None]
+    residual = np.column_stack([beta.sum(axis=1) - 1.0, (beta[:, :, None] * p).sum(axis=1) - x])
+    ok = (det != 0.0) & (np.sqrt((residual ** 2).sum(axis=1)) <= AFFINE_TOL * max(h, 1.0))
+    return beta, ok
 
 
 def _candidate_points(mesh, fid, vertex_map, regions, hybrid):
@@ -275,35 +279,29 @@ def _best_support(cands, coords, x, h):
     sum |beta| |p - x|^2, the quantity entering the mesh-regularity
     metric.  Spreads equal up to rounding are ties (structured meshes
     produce exactly tied supports); ties prefer the most compact support
-    (smallest maximum point distance), then lowest point ids, which
-    keeps the selection invariant under mesh symmetries.  Returns sorted
-    ``(point, beta)`` pairs without exact zeros, or None.
+    (smallest maximum point distance), then lowest sorted point ids, which
+    keeps the selection invariant under mesh symmetries.  Returns the
+    support's point ids and weights, sorted by id without exact zeros, or None.
     """
     dist2 = ((coords[cands] - x) ** 2).sum(axis=1)
-    order = np.lexsort((cands, dist2))[:CANDIDATE_CAP]
-    ranked, dist2 = cands[order], dist2[order]
-    pts = coords[ranked]
-    pairs = np.array(list(combinations(range(len(ranked)), 2)), dtype=np.int64).reshape(-1, 2)
-    betas, ok = _pair_weights(pts[pairs[:, 0]], pts[pairs[:, 1]], x, h)
-    solved = list(zip(pairs[ok], betas[ok]))
-    for combo in combinations(range(len(ranked)), SUPPORT_SIZE):
-        beta = _solve_triple(pts[list(combo)], x, h)
-        if beta is not None:
-            solved.append((np.array(combo), beta))
-    options = []
-    for combo, beta in solved:
-        if np.abs(beta).max() > 1e6:
-            continue
-        spread = float(np.sum(np.abs(beta) * dist2[combo]))
-        ids = ranked[combo].tolist()
-        options.append((spread, float(dist2[combo].max()), sorted(ids),
-                        sorted((p, b) for p, b in zip(ids, beta.tolist()) if b != 0.0)))
-    if not options:
+    near = np.sort(np.lexsort((cands, dist2))[:CANDIDATE_CAP])  # cands ascend, so combo ids do
+    pts = coords[cands[near]]
+    # Index -1 is every pair's third point: distance 0, id -1 (so [a, b] precedes [a, b, c]).
+    ids, dist2 = np.append(cands[near], -1), np.append(dist2[near], 0.0)
+    combo = _COMBOS[_COMBOS.max(axis=1) < len(near)]
+    pair = combo[:, -1] < 0
+    beta, ok = np.zeros(combo.shape), np.zeros(len(combo), dtype=bool)
+    beta[pair, :2], ok[pair] = _pair_weights(pts[combo[pair, 0]], pts[combo[pair, 1]], x, h)
+    beta[~pair], ok[~pair] = _triple_weights(pts[combo[~pair]], x, h)
+    ok &= np.abs(beta).max(axis=1) <= 1e6
+    if not ok.any():
         return None
-    best_spread = min(o[0] for o in options)
-    ties = [o for o in options if o[0] <= best_spread * (1.0 + 1e-9) + 1e-300]
-    ties.sort(key=lambda o: (o[1], o[2]))
-    return ties[0][3]
+    combo, beta = combo[ok], beta[ok]
+    spread = (np.abs(beta) * dist2[combo]).sum(axis=1)
+    ties = np.flatnonzero(spread <= spread.min() * (1.0 + 1e-9) + 1e-300)
+    best = ties[np.lexsort((*ids[combo[ties]].T[::-1], dist2[combo[ties]].max(axis=1)))[0]]
+    keep = beta[best] != 0.0
+    return ids[combo[best]][keep], beta[best][keep]
 
 
 def compute_weights(mesh: Mesh, partition: EdgePartition,
@@ -325,7 +323,8 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
     # K and L always belong to the face's own support region.
     beta, ok = _pair_weights(mesh.cell_point[pair[:, 0]], mesh.cell_point[pair[:, 1]],
                              mesh.face_centre[bary], h)
-    rest = []  # (face, point, beta) of the searched faces
+    found = [(np.repeat(bary[ok], 2), pair[ok].ravel(), beta[ok].ravel())]
+    n_extended = 0
     if not ok.all():
         coords = BarycentricWeights.by_point(mesh.cell_point, mesh.face_centre)
         vertex_map = mesh.vertex_cell_map()
@@ -336,13 +335,13 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
             support = _best_support(cands, coords, x, h)
             if support is None and len(extended):
                 support = _best_support(np.concatenate([cands, extended]), coords, x, h)
+                n_extended += 1
             if support is None:
                 raise NoValidCombination(f"face {fid}: no affine support found")
-            rest += [(fid, p, b) for p, b in support]
-
-    faces = np.concatenate([np.repeat(bary[ok], 2), [e[0] for e in rest]]).astype(np.int64)
-    points = np.concatenate([pair[ok].ravel(), [e[1] for e in rest]]).astype(np.int64)
-    values = np.concatenate([beta[ok].ravel(), [e[2] for e in rest]])
+            found.append((np.full(len(support[0]), fid), *support))
+    faces, points, values = (np.concatenate(a) for a in zip(*found))
+    log.debug("weights: %d natural pairs, %d cell searches, %d extended; max |beta| %.3g",
+              ok.sum(), (~ok).sum() - n_extended, n_extended, np.abs(values).max(initial=0.0))
     order = np.lexsort((points, faces))
     for fid in np.unique(faces[np.abs(values) > 4.0]).tolist():
         log.warning("face %d: weight magnitude %.3g exceeds 4", fid,

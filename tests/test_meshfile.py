@@ -112,8 +112,14 @@ HEAD = "dim 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 2\n"
     ("dim 2\nvertices -2\n", 2, "negative count for 'vertices'"),
     ("dim 2\nvertices\n", 2, "expected 'vertices N'"),
     ("dim 2\nvertices 3\n0 0\n1 0\n0 1\ncells -1\n", 6, "negative count for 'cells'"),
+    ("dim 2\nvertices 1000000000000\n0 0\n", 2,
+     "count for 'vertices' exceeds the 1 lines left"),
+    ("dim 2\nvertices 3\n0 0\n1 0\n0 1\ncells 2\n0 1 2\n", 6,
+     "count for 'cells' exceeds the 1 lines left"),
+    (HEAD + "cellpoints 1\n", 8, "count for 'cellpoints' exceeds the 0 lines left"),
 ], ids=["bare-cellpoints", "cellpoints-x", "cellpoints-negative", "vertices-negative",
-        "bare-vertices", "cells-negative"])
+        "bare-vertices", "cells-negative", "vertices-huge", "cells-past-end",
+        "cellpoints-past-end"])
 def test_bad_section_header_is_parse_error_with_line(tmp_path, text, line, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -136,3 +142,11 @@ def test_bare_section_header_exits_2(tmp_path, capsys):
     path.write_text(HEAD + "cellpoints\n")
     assert main(["mesh-check", "--mesh", f"file:{path}"]) == 2
     assert "cellpoints N" in capsys.readouterr().err
+
+
+def test_huge_vertex_count_exits_2_naming_the_line(tmp_path, capsys):
+    # the count is checked against the lines left before any array is allocated
+    path = tmp_path / "huge.mesh"
+    path.write_text("dim 2\nvertices 1000000000000\n0 0\n1 0\n0 1\ncells 1\n0 1 2\n")
+    assert main(["mesh-check", "--mesh", f"file:{path}"]) == 2
+    assert "line 2: count for 'vertices' exceeds the 5 lines left" in capsys.readouterr().err

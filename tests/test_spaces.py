@@ -1,9 +1,13 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
 import sushi
 from conftest import build_zigzag_three_row, cell_view, face_view, face_views
 from sushi.errors import MissingRegionMap, MissingWeights, NoValidCombination
+from sushi.run import parse_mesh_spec
 from sushi.spaces import (
     BARYCENTRIC,
     HYBRID,
@@ -174,6 +178,27 @@ def test_extended_weights_use_hybrid_face_points():
     check_affinity(mesh, weights, tol_sum=1e-12, tol_pos=1e-12 * mesh.h)
     kinds = {fid: {kind for kind, _, _ in weights.support[fid]} for fid in forced}
     assert any("face" in k for k in kinds.values())
+
+
+@pytest.mark.parametrize("spec", ["barrier:2", "zigzag"])
+def test_weight_diagnostics_are_logged(caplog, spec):
+    if spec == "zigzag":
+        mesh, regions = build_zigzag_three_row(columns=4)
+    else:
+        mesh, regions, _ = parse_mesh_spec(spec)
+    part = partition_faces(mesh, "discontinuity", regions)
+    with caplog.at_level(logging.DEBUG, logger="sushi.spaces"):
+        weights = compute_weights(mesh, part, regions)
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("weights:")]
+    found = re.fullmatch(r"weights: (\d+) natural pairs, (\d+) cell searches, (\d+) extended; "
+                         r"max \|beta\| (\S+)", line)
+    natural, searched, extended = map(int, found.groups()[:3])
+    assert natural + searched + extended == len(part.barycentric_faces())
+    assert float(found[4]) == float(f"{np.abs(weights.beta).max():.3g}")
+    if spec == "barrier:2":
+        assert (natural, searched, extended) == (990, 880, 0)
+    else:
+        assert extended >= 1
 
 
 def test_no_valid_combination_raises():

@@ -5,8 +5,10 @@ barycentric faces that builds every face's candidate list, tries the two
 adjacent cell points one face at a time with BLAS dot products, and falls
 back to the pair/triple search, storing ``face -> [(kind, id, beta)]``.
 The table must hold the same faces and the same support points in the
-same order.  The array dot rounds differently from BLAS on some faces, so
-each beta is compared within ``4 eps max(1, |beta|)``.
+same order.  The array dot rounds differently from BLAS on some faces, and
+the table solves each candidate triple in closed form (Cramer's rule) where
+the reference calls LAPACK, so each beta is compared within
+``4 eps max(1, |beta|)``.
 """
 
 from itertools import combinations
@@ -16,7 +18,14 @@ import pytest
 
 from conftest import build_zigzag_three_row
 from sushi.run import parse_mesh_spec
-from sushi.spaces import AFFINE_TOL, CANDIDATE_CAP, SUPPORT_SIZE, compute_weights, partition_faces
+from sushi.spaces import (
+    AFFINE_TOL,
+    CANDIDATE_CAP,
+    SUPPORT_SIZE,
+    _best_support,
+    compute_weights,
+    partition_faces,
+)
 
 BETA_TOL = 4.0 * np.finfo(float).eps
 
@@ -51,6 +60,24 @@ def reference_solve_triple(pts, x, h):
     return beta
 
 
+def closed_form_triple(pts, x, h):
+    """The table's closed form (Cramer's rule) for one triple.
+
+    On dyadic lattice points every product and difference is exact, so
+    each weight is one rounded quotient in any frame and this agrees with
+    the table bit for bit; it isolates the selection rule from LAPACK.
+    """
+    e1, e2, r = pts[1] - pts[0], pts[2] - pts[0], x - pts[0]
+    det, n1, n2 = (a[0] * b[1] - a[1] * b[0] for a, b in ((e1, e2), (r, e2), (e1, r)))
+    if det == 0.0:
+        return None
+    beta = np.array([det - n1 - n2, n1, n2]) / det
+    a = np.vstack([np.ones(3), pts.T])
+    if np.linalg.norm(a @ beta - np.array([1.0, x[0], x[1]])) > AFFINE_TOL * max(h, 1.0):
+        return None
+    return beta
+
+
 def reference_candidates(mesh, fid, regions, region, vertex_cells, hybrid_touching):
     near_cells = {c for c in mesh.face_cells[fid].tolist() if c >= 0}
     for v in mesh.face_vertices[fid].tolist():
@@ -69,7 +96,7 @@ def reference_candidates(mesh, fid, regions, region, vertex_cells, hybrid_touchi
     return cands, extended
 
 
-def reference_best_support(cands, x, h):
+def reference_best_support(cands, x, h, solve_triple=reference_solve_triple):
     ranked = sorted(cands, key=lambda c: (float(np.sum((c[2] - x) ** 2)), c[0], c[1]))
     ranked = ranked[:CANDIDATE_CAP]
     options = []
@@ -80,7 +107,7 @@ def reference_best_support(cands, x, h):
         if len(combo) == 2:
             sol = reference_solve_pair(pts[0], pts[1], x, h)
         else:
-            sol = reference_solve_triple(pts, x, h)
+            sol = solve_triple(pts, x, h)
         if sol is None:
             continue
         betas = np.asarray(sol, dtype=float)
@@ -140,7 +167,8 @@ def build(spec):
     return mesh, partition_faces(mesh, policy, regions), regions
 
 
-@pytest.mark.parametrize("spec", ["rect:8x6", "tri:8", "ncrect:2", "barrier:1", "zigzag"])
+@pytest.mark.parametrize("spec", ["rect:8x6", "tri:8", "ncrect:2", "ncrect:4", "barrier:1",
+                                  "barrier:2", "barrier:3", "zigzag"])
 def test_weight_table_matches_face_loop(spec):
     mesh, part, regions = build(spec)
     weights = compute_weights(mesh, part, regions)
@@ -156,3 +184,35 @@ def test_weight_table_matches_face_loop(spec):
     if spec == "zigzag":
         # the one case whose supports reach hybrid-face points
         assert np.any(weights.points >= n)
+
+
+def test_selection_matches_option_list_on_lattices():
+    # Up to 12 candidates with shuffled ids on a quarter lattice, around an
+    # eighth-lattice point: exact spread and compactness ties, collinear and
+    # repeated points, exact-zero weights, and the cap of 8 all occur.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        cands = np.sort(rng.choice(20, int(rng.integers(2, 13)), replace=False))
+        coords = np.round(rng.random((20, 2)) * 4) / 4
+        x = np.round(rng.random(2) * 8) / 8
+        got = _best_support(cands, coords, x, 1.0)
+        ref = reference_best_support([("cell", int(c), coords[c]) for c in cands], x, 1.0,
+                                     solve_triple=closed_form_triple)
+        if ref is None:
+            assert got is None, seed
+            continue
+        ref.sort(key=lambda e: e[1])
+        assert got[0].tolist() == [p for _, p, _ in ref], seed
+        assert got[1].tolist() == [b for _, _, b in ref], seed
+
+
+@pytest.mark.parametrize("pts,x", [
+    # exact weights 2**21 on the pair (0, 2) and the triple: over the 1e6 bound
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0 ** -21]], [0.0, 1.0]),
+    # weights ~5e4, under the bound, with a residual of ~3e-12 > AFFINE_TOL
+    ([[0.0, 0.0], [1.0, 0.0], [2.0, 3e-5]], [0.3, 0.7]),
+], ids=["weight-bound", "residual"])
+def test_ill_conditioned_supports_are_rejected(pts, x):
+    coords, x = np.array(pts), np.array(x)
+    assert reference_best_support([("cell", i, p) for i, p in enumerate(coords)], x, 1.0) is None
+    assert _best_support(np.arange(3), coords, x, 1.0) is None
