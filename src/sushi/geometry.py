@@ -339,7 +339,8 @@ def validate(mesh: Mesh, tolerance: float = 1e-10) -> ValidationReport:
     * sum |sigma| n = 0 (closed boundary),
 
     plus the face/cone cross-references and the partition-of-domain
-    check sum |K| = |Omega|.
+    check sum |K| = |Omega|.  Raises ``InvalidTopology`` when the boundary
+    faces enclose no domain (a mesh with none, for one).
     """
     d = mesh.dim
     ptr = mesh.cell_ptr
@@ -365,6 +366,9 @@ def validate(mesh: Mesh, tolerance: float = 1e-10) -> ValidationReport:
              for f, j in zip(*np.nonzero(wrong))]
 
     domain = domain_measure(mesh)
+    if domain == 0.0:
+        raise InvalidTopology(f"the boundary ({int(mesh.face_boundary.sum())} faces) "
+                              "encloses no domain")
     vol_rel = abs(float(meas.sum()) - domain) / abs(domain)
     return ValidationReport(
         identity_residuals=ident,

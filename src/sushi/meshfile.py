@@ -76,6 +76,8 @@ def read_mesh(path) -> Mesh:
                 out[i] = (float(tok[0]), float(tok[1]))
             except ValueError:
                 raise ParseError(f"bad {what}", line=ln)
+            if not np.isfinite(out[i]).all():
+                raise ParseError(f"non-finite {what}", line=ln)
         return out
 
     ln, tok = next_line()

@@ -57,9 +57,10 @@ def solve_cg(system, tol: float = 1e-12,
     Stops when the float64 relative residual ||b - M x|| / ||b|| is at most
     ``tol``, which must be finite and positive (``ValueError`` otherwise).
     Float64 rounding can put the true residual's floor above ``tol`` when the
-    recurrence residual is below it: CG then restarts from the true residual
-    computed in ``np.longdouble`` (mixed-precision iterative refinement).
-    Raises ``MaxIterations`` when that residual has not halved over
+    recurrence residual is below it: CG then computes the true residual in
+    ``np.longdouble``, stops if that is at most ``tol`` (and reports it), and
+    else restarts from it (mixed-precision iterative refinement).  Raises
+    ``MaxIterations`` when that residual has not halved over
     ``STAGNATION_RESTARTS`` consecutive restarts or after ``max_iters``
     iterations (default ``10 n``), and ``BreakdownNonSPD`` on negative
     curvature, which signals an assembly bug.
@@ -120,6 +121,9 @@ def solve_cg(system, tol: float = 1e-12,
         history.append(accurate)
         log.debug("CG restart %d after %d iterations: residual %.3e "
                   "(float64 %.3e)", len(history), iterations, accurate, true_res)
+        if accurate <= tol:
+            true_res = accurate
+            break
         if accurate <= 0.5 * reference:
             reference, stalls = accurate, 0
         else:

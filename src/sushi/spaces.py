@@ -46,6 +46,11 @@ CANDIDATE_CAP = 8
 # Candidate index combinations, pairs (third index -1) before triples.
 _COMBOS = np.array([(*c, -1) for c in combinations(range(CANDIDATE_CAP), 2)]
                    + list(combinations(range(CANDIDATE_CAP), SUPPORT_SIZE)))
+# The candidate slots of each combination; a pair's third is the empty slot CANDIDATE_CAP.
+_COMBO_SLOTS = np.where(_COMBOS < 0, CANDIDATE_CAP, _COMBOS)
+# Faces that miss the natural pair are searched this many at a time, which
+# bounds the search's transient arrays to about 1 MB.
+SEARCH_BLOCK = 128
 
 
 def sample_field(field, points: np.ndarray, name: str, shape: tuple = ()) -> np.ndarray:
@@ -252,56 +257,98 @@ def _triple_weights(p: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray,
     return beta, ok
 
 
-def _candidate_points(mesh, fid, vertex_map, regions, hybrid):
-    """Candidate support point ids near face ``fid``: cells, then extended faces.
+def _csr_rows(ptr: np.ndarray, values: np.ndarray,
+              keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``keys`` of the CSR table ``(ptr, values)`` as ``(position in keys, value)``."""
+    counts = ptr[keys + 1] - ptr[keys]
+    offset = np.repeat(ptr[keys] - (np.cumsum(counts) - counts), counts)
+    return np.repeat(np.arange(len(keys)), counts), values[np.arange(counts.sum()) + offset]
 
-    Cell points of all cells sharing a vertex with the face; with a region
-    map, only those of the face's region if both its cells share one, and
-    the centres of the hybrid faces of those cells for the extended formula.
+
+def _sorted_entries(rows: np.ndarray, ids: np.ndarray, n_ids: int):
+    """``(row, id)`` entries without duplicates, sorted by row, then id."""
+    return np.divmod(np.unique(rows * n_ids + ids), n_ids)
+
+
+def _candidate_cells(mesh: Mesh, faces: np.ndarray, vertex_map, regions):
+    """Candidate cells of each face: entries ``(row, cell)``, sorted by row and id.
+
+    The face's two cells and every cell whose loop passes through either of
+    its vertices; with a region map, only those of the face's region if
+    both its cells share one.
     """
     ptr, cells = vertex_map
-    (a, b), (k, l) = mesh.face_vertices[fid], mesh.face_cells[fid]
-    near = np.unique(np.concatenate([[k, l], cells[ptr[a]:ptr[a + 1]],
-                                     cells[ptr[b]:ptr[b + 1]]]))
-    if regions is None:
-        return near, near[:0]
-    if regions[k] == regions[l]:
-        near = near[regions[near] == regions[k]]
-    faces = np.unique(np.concatenate([mesh.cone_face[mesh.cones(c)] for c in near]))
-    faces = faces[(faces != fid) & hybrid[faces]]
-    return near, mesh.n_cells + faces
+    rows, ids = zip(*(_csr_rows(ptr, cells, v) for v in mesh.face_vertices[faces].T))
+    k, l = mesh.face_cells[faces].T
+    arange = np.arange(len(faces))
+    rows, ids = _sorted_entries(np.concatenate([arange, arange, *rows]),
+                                np.concatenate([k, l, *ids]), mesh.n_cells)
+    if regions is not None:
+        same = regions[k] == regions[l]
+        keep = ~same[rows] | (regions[ids] == regions[k][rows])
+        rows, ids = rows[keep], ids[keep]
+    return rows, ids
 
 
-def _best_support(cands, coords, x, h):
-    """Smallest-spread valid support among the candidate point ids.
+def _hybrid_points(mesh: Mesh, rows: np.ndarray, cells: np.ndarray, hybrid: np.ndarray):
+    """Support points of the extended formula: the centres of the hybrid faces
+    of each face's candidate cells, as entries ``(row, point)`` with point
+    ``n_cells + g`` (duplicates possible)."""
+    entry, near = _csr_rows(mesh.cell_ptr, mesh.cone_face, cells)
+    keep = hybrid[near]
+    return rows[entry][keep], mesh.n_cells + near[keep]
 
-    Every pair and triple of the nearest candidates competes on
-    sum |beta| |p - x|^2, the quantity entering the mesh-regularity
-    metric.  Spreads equal up to rounding are ties (structured meshes
-    produce exactly tied supports); ties prefer the most compact support
-    (smallest maximum point distance), then lowest sorted point ids, which
-    keeps the selection invariant under mesh symmetries.  Returns the
-    support's point ids and weights, sorted by id without exact zeros, or None.
+
+def _best_supports(rows: np.ndarray, ids: np.ndarray, pts: np.ndarray,
+                   x: np.ndarray, h: float):
+    """Smallest-spread valid support of every face row among its candidates.
+
+    Candidate ``i`` of face row ``rows[i]`` is point ``ids[i]`` at ``pts[i]``,
+    sorted by row and then by id; row ``r`` has centre ``x[r]``.  Every pair
+    and triple of the ``CANDIDATE_CAP`` nearest candidates of a row, taken in
+    id order, competes on sum |beta| |p - x|^2, the quantity entering the
+    mesh-regularity metric: all rows at once, as one array of (row,
+    combination) cases.  A weight over 1e6 rejects a case.  Spreads equal up
+    to rounding are ties (structured meshes produce exactly tied supports);
+    ties prefer the most compact support (smallest maximum point distance),
+    then the lowest sorted point ids, which keeps the selection invariant
+    under mesh symmetries.  Returns ``found`` per row (False where no case
+    is valid) and the support entries ``(row, id, beta)`` of the found rows,
+    sorted by row and id, without exact zeros.
     """
-    dist2 = ((coords[cands] - x) ** 2).sum(axis=1)
-    near = np.sort(np.lexsort((cands, dist2))[:CANDIDATE_CAP])  # cands ascend, so combo ids do
-    pts = coords[cands[near]]
-    # Index -1 is every pair's third point: distance 0, id -1 (so [a, b] precedes [a, b, c]).
-    ids, dist2 = np.append(cands[near], -1), np.append(dist2[near], 0.0)
-    combo = _COMBOS[_COMBOS.max(axis=1) < len(near)]
-    pair = combo[:, -1] < 0
-    beta, ok = np.zeros(combo.shape), np.zeros(len(combo), dtype=bool)
-    beta[pair, :2], ok[pair] = _pair_weights(pts[combo[pair, 0]], pts[combo[pair, 1]], x, h)
-    beta[~pair], ok[~pair] = _triple_weights(pts[combo[~pair]], x, h)
+    n_rows = len(x)
+    dist2 = ((pts - x[rows]) ** 2).sum(axis=1)
+    # the CANDIDATE_CAP nearest of each row by (dist2, id), back in id order
+    first = np.searchsorted(rows, np.arange(n_rows))
+    order = np.lexsort((ids, dist2, rows))
+    near = np.zeros(len(rows), dtype=bool)
+    near[order] = np.arange(len(rows)) - first[rows[order]] < CANDIDATE_CAP
+    rows, pts = rows[near], pts[near]
+    # Slot CANDIDATE_CAP of each row is a pair's third point: distance 0, id -1
+    # (so [a, b] precedes [a, b, c]).
+    ids, dist2 = np.append(ids[near], -1), np.append(dist2[near], 0.0)
+    count = np.bincount(rows, minlength=n_rows)
+    entry = np.full((n_rows, CANDIDATE_CAP + 1), len(rows))
+    entry[rows, np.arange(len(rows)) - (np.cumsum(count) - count)[rows]] = np.arange(len(rows))
+    row, combo = np.nonzero(_COMBOS.max(axis=1) < count[:, None])
+    case = entry[row[:, None], _COMBO_SLOTS[combo]]
+    pair = _COMBOS[combo, -1] < 0
+    beta, ok = np.zeros(case.shape), np.zeros(len(case), dtype=bool)
+    beta[pair, :2], ok[pair] = _pair_weights(pts[case[pair, 0]], pts[case[pair, 1]],
+                                             x[row[pair]], h)
+    beta[~pair], ok[~pair] = _triple_weights(pts[case[~pair]], x[row[~pair]], h)
     ok &= np.abs(beta).max(axis=1) <= 1e6
-    if not ok.any():
-        return None
-    combo, beta = combo[ok], beta[ok]
-    spread = (np.abs(beta) * dist2[combo]).sum(axis=1)
-    ties = np.flatnonzero(spread <= spread.min() * (1.0 + 1e-9) + 1e-300)
-    best = ties[np.lexsort((*ids[combo[ties]].T[::-1], dist2[combo[ties]].max(axis=1)))[0]]
+    spread = (np.abs(beta) * dist2[case]).sum(axis=1)
+    least = np.full(n_rows, np.inf)
+    np.minimum.at(least, row[ok], spread[ok])
+    ties = np.flatnonzero(ok & (spread <= least[row] * (1.0 + 1e-9) + 1e-300))
+    tie_ids = ids[case[ties]]
+    ties = ties[np.lexsort((*tie_ids.T[::-1], dist2[case[ties]].max(axis=1), row[ties]))]
+    best = ties[np.flatnonzero(np.diff(row[ties], prepend=-1))]
     keep = beta[best] != 0.0
-    return ids[combo[best]][keep], beta[best][keep]
+    found = np.zeros(n_rows, dtype=bool)
+    found[row[best]] = True
+    return found, row[best][np.nonzero(keep)[0]], ids[case[best]][keep], beta[best][keep]
 
 
 def compute_weights(mesh: Mesh, partition: EdgePartition,
@@ -309,36 +356,49 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
     """Affine elimination weights for every barycentric face.
 
     The two adjacent cell points are tried first, for all faces at once;
-    only the faces off their line search further.  Without a region map,
-    any nearby cell point may enter a support.  With one, supports are
-    restricted to the region of the face's two adjacent cells; if no
-    same-region cell support exists the search is extended with
-    hybrid-face barycentres touching that region (the one-cell-thick
-    layer case).  Raises ``NoValidCombination`` when no local support
-    satisfies the affine conditions.
+    only the faces off their line search further, ``SEARCH_BLOCK`` faces
+    at a time, each block in one array pass (:func:`_best_supports`) that
+    bounds its transient arrays to a few MB.  Without a region map, any
+    nearby cell point may enter a support.  With one, supports are
+    restricted to the region of the face's two adjacent cells; the faces
+    left without a same-region cell support go once more through the same
+    pass with the hybrid-face barycentres of their candidate cells added
+    (the one-cell-thick layer case).  Raises ``NoValidCombination`` when no
+    local support satisfies the affine conditions.
     """
     h = mesh.h
-    bary = np.nonzero(partition.tags == BARYCENTRIC)[0]
+    bary = np.flatnonzero(partition.tags == BARYCENTRIC)
     pair = mesh.face_cells[bary]
     # K and L always belong to the face's own support region.
     beta, ok = _pair_weights(mesh.cell_point[pair[:, 0]], mesh.cell_point[pair[:, 1]],
                              mesh.face_centre[bary], h)
     found = [(np.repeat(bary[ok], 2), pair[ok].ravel(), beta[ok].ravel())]
+    searched = bary[~ok]
     n_extended = 0
-    if not ok.all():
+    if len(searched):
         coords = BarycentricWeights.by_point(mesh.cell_point, mesh.face_centre)
         vertex_map = mesh.vertex_cell_map()
         hybrid = partition.tags == HYBRID
-        for fid in bary[~ok].tolist():
-            cands, extended = _candidate_points(mesh, fid, vertex_map, regions, hybrid)
-            x = mesh.face_centre[fid]
-            support = _best_support(cands, coords, x, h)
-            if support is None and len(extended):
-                support = _best_support(np.concatenate([cands, extended]), coords, x, h)
-                n_extended += 1
-            if support is None:
-                raise NoValidCombination(f"face {fid}: no affine support found")
-            found.append((np.full(len(support[0]), fid), *support))
+        for start in range(0, len(searched), SEARCH_BLOCK):
+            faces = searched[start:start + SEARCH_BLOCK]
+            x = mesh.face_centre[faces]
+            rows, ids = _candidate_cells(mesh, faces, vertex_map, regions)
+            got, row, point, value = _best_supports(rows, ids, coords[ids], x, h)
+            found.append((faces[row], point, value))
+            if regions is not None and not got.all():
+                ext_rows, ext_ids = _hybrid_points(mesh, rows, ids, hybrid)
+                retry = ~got & (np.bincount(ext_rows, minlength=len(faces)) > 0)
+                n_extended += int(retry.sum())
+                rows, ids = np.concatenate([rows, ext_rows]), np.concatenate([ids, ext_ids])
+                keep = retry[rows]
+                # the retried faces are rows 0, 1, ... of the second pass
+                rows, ids = _sorted_entries((np.cumsum(retry) - 1)[rows[keep]], ids[keep],
+                                            len(coords))
+                again, row, point, value = _best_supports(rows, ids, coords[ids], x[retry], h)
+                found.append((faces[retry][row], point, value))
+                got[retry] = again
+            if not got.all():
+                raise NoValidCombination(f"face {faces[~got][0]}: no affine support found")
     faces, points, values = (np.concatenate(a) for a in zip(*found))
     log.debug("weights: %d natural pairs, %d cell searches, %d extended; max |beta| %.3g",
               ok.sum(), (~ok).sum() - n_extended, n_extended, np.abs(values).max(initial=0.0))

@@ -197,6 +197,17 @@ def test_solve_unreachable_tol_exits_1(tmp_path, capsys):
     assert "CG stagnated" in capsys.readouterr().err
 
 
+def test_solve_default_tol_stops_on_extended_precision_residual(tmp_path):
+    # At rect:192x192 all-hybrid the float64 evaluation of b - Kx stays near
+    # 1.7e-12 while the iterate's residual, computed in extended precision,
+    # is below the default tol of 1e-12: CG stops there and reports it
+    code = main(["solve", "--mesh", "rect:192x192", "--policy", "all-hybrid",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    solve = json.loads((tmp_path / "manifest.json").read_text())["solve"]
+    assert solve["relative_residual"] <= 1e-12
+
+
 def test_outputs_are_byte_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

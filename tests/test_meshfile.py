@@ -150,3 +150,31 @@ def test_huge_vertex_count_exits_2_naming_the_line(tmp_path, capsys):
     path.write_text("dim 2\nvertices 1000000000000\n0 0\n1 0\n0 1\ncells 1\n0 1 2\n")
     assert main(["mesh-check", "--mesh", f"file:{path}"]) == 2
     assert "line 2: count for 'vertices' exceeds the 5 lines left" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["nan nan", "0.2 inf", "-inf 0.2"])
+def test_non_finite_cell_point_exits_2_naming_the_line(tmp_path, capsys, point):
+    path = tmp_path / "nan.mesh"
+    path.write_text(HEAD + f"cellpoints 1\n{point}\n")
+    with pytest.raises(ParseError, match="non-finite cell point") as err:
+        read_mesh(path)
+    assert err.value.line == 9
+    assert main(["mesh-check", "--mesh", f"file:{path}"]) == 2
+    assert "line 9: non-finite cell point" in capsys.readouterr().err
+
+
+def test_non_finite_vertex_names_the_line(tmp_path):
+    path = tmp_path / "nan.mesh"
+    path.write_text("dim 2\nvertices 3\n0 0\nnan 0\n0 1\ncells 1\n0 1 2\n")
+    with pytest.raises(ParseError, match="non-finite vertex coordinate") as err:
+        read_mesh(path)
+    assert err.value.line == 4
+
+
+def test_mesh_without_boundary_faces_exits_2(tmp_path, capsys):
+    # the same loop twice: every face has two cells, so no face is on the
+    # boundary and the boundary encloses no domain
+    path = tmp_path / "twice.mesh"
+    path.write_text("dim 2\nvertices 4\n0 0\n1 0\n1 1\n0 1\ncells 2\n0 1 2 3\n0 1 2 3\n")
+    assert main(["mesh-check", "--mesh", f"file:{path}"]) == 2
+    assert "the boundary (0 faces) encloses no domain" in capsys.readouterr().err

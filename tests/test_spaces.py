@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,21 @@ def test_weight_diagnostics_are_logged(caplog, spec):
         assert extended >= 1
 
 
+def test_weight_search_allocates_a_few_megabytes():
+    # the 880 searched faces of barrier:2 go through the search in blocks,
+    # so its candidate and combination arrays stay small: ~1 MB at the
+    # peak, where one block of all 880 faces takes ~6 MB
+    mesh, regions, _ = parse_mesh_spec("barrier:2")
+    part = partition_faces(mesh, "discontinuity", regions)
+    tracemalloc.start()
+    try:
+        compute_weights(mesh, part, regions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_no_valid_combination_raises():
     # two non-collinear cells alone in their region, no hybrid faces nearby
     mesh, regions = build_zigzag_three_row(columns=2)
@@ -211,7 +227,7 @@ def test_no_valid_combination_raises():
     tags = np.full(mesh.n_faces, 0, dtype=np.int8)
     tags[mid[0]] = BARYCENTRIC
     part = EdgePartition(tags=tags, policy="custom")
-    with pytest.raises(NoValidCombination):
+    with pytest.raises(NoValidCombination, match=f"face {mid[0]}: "):
         compute_weights(mesh, part, regions)
 
 

@@ -5,10 +5,11 @@ barycentric faces that builds every face's candidate list, tries the two
 adjacent cell points one face at a time with BLAS dot products, and falls
 back to the pair/triple search, storing ``face -> [(kind, id, beta)]``.
 The table must hold the same faces and the same support points in the
-same order.  The array dot rounds differently from BLAS on some faces, and
-the table solves each candidate triple in closed form (Cramer's rule) where
-the reference calls LAPACK, so each beta is compared within
-``4 eps max(1, |beta|)``.
+same order, whatever the size of the blocks in which the batched search
+takes its faces.  The array dot rounds differently from BLAS on some
+faces, and the table solves each candidate triple in closed form
+(Cramer's rule) where the reference calls LAPACK, so each beta is
+compared within ``4 eps max(1, |beta|)``.
 """
 
 from itertools import combinations
@@ -16,13 +17,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import sushi.spaces
 from conftest import build_zigzag_three_row
 from sushi.run import parse_mesh_spec
 from sushi.spaces import (
     AFFINE_TOL,
     CANDIDATE_CAP,
     SUPPORT_SIZE,
-    _best_support,
+    _best_supports,
     compute_weights,
     partition_faces,
 )
@@ -186,24 +188,42 @@ def test_weight_table_matches_face_loop(spec):
         assert np.any(weights.points >= n)
 
 
+@pytest.mark.parametrize("spec", ["ncrect:4", "barrier:2", "zigzag"])
+def test_weight_table_independent_of_search_block(spec, monkeypatch):
+    mesh, part, regions = build(spec)
+    whole = compute_weights(mesh, part, regions)
+    monkeypatch.setattr(sushi.spaces, "SEARCH_BLOCK", 7)
+    blocks = compute_weights(mesh, part, regions)
+    for name in ("ptr", "points", "beta"):
+        assert np.array_equal(getattr(blocks, name), getattr(whole, name)), name
+
+
 def test_selection_matches_option_list_on_lattices():
     # Up to 12 candidates with shuffled ids on a quarter lattice, around an
     # eighth-lattice point: exact spread and compactness ties, collinear and
     # repeated points, exact-zero weights, and the cap of 8 all occur.
+    # The 200 sets are the rows of one batched call.
+    sets = []
     for seed in range(200):
         rng = np.random.default_rng(seed)
         cands = np.sort(rng.choice(20, int(rng.integers(2, 13)), replace=False))
         coords = np.round(rng.random((20, 2)) * 4) / 4
         x = np.round(rng.random(2) * 8) / 8
-        got = _best_support(cands, coords, x, 1.0)
-        ref = reference_best_support([("cell", int(c), coords[c]) for c in cands], x, 1.0,
+        sets.append((cands, coords[cands], x))
+    rows = np.repeat(np.arange(len(sets)), [len(c) for c, _, _ in sets])
+    found, got_rows, got_ids, got_beta = _best_supports(
+        rows, np.concatenate([c for c, _, _ in sets]), np.concatenate([p for _, p, _ in sets]),
+        np.array([x for _, _, x in sets]), 1.0)
+    for seed, (cands, pts, x) in enumerate(sets):
+        ref = reference_best_support([("cell", int(c), p) for c, p in zip(cands, pts)], x, 1.0,
                                      solve_triple=closed_form_triple)
         if ref is None:
-            assert got is None, seed
+            assert not found[seed], seed
             continue
         ref.sort(key=lambda e: e[1])
-        assert got[0].tolist() == [p for _, p, _ in ref], seed
-        assert got[1].tolist() == [b for _, _, b in ref], seed
+        assert found[seed], seed
+        assert got_ids[got_rows == seed].tolist() == [p for _, p, _ in ref], seed
+        assert got_beta[got_rows == seed].tolist() == [b for _, _, b in ref], seed
 
 
 @pytest.mark.parametrize("pts,x", [
@@ -215,4 +235,6 @@ def test_selection_matches_option_list_on_lattices():
 def test_ill_conditioned_supports_are_rejected(pts, x):
     coords, x = np.array(pts), np.array(x)
     assert reference_best_support([("cell", i, p) for i, p in enumerate(coords)], x, 1.0) is None
-    assert _best_support(np.arange(3), coords, x, 1.0) is None
+    found, *support = _best_supports(np.zeros(3, dtype=int), np.arange(3), coords, x[None], 1.0)
+    assert not found[0]
+    assert all(len(s) == 0 for s in support)
