@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .assembly import LinearSystem, TensorField, assemble, local_matrices
 from .generators import gen_nonconforming_rect, gen_rect, gen_tilted_barrier, gen_tri
-from .geometry import Mesh, compute_geometry, regularity, theta_D, theta_DB, validate
+from .geometry import Mesh, compute_geometry, theta_D, theta_DB, validate
 from .gradient import GradientField, cell_gradients, gradient_field, gradient_operator
 from .meshfile import read_mesh, write_mesh
 from .postproc import (
@@ -45,7 +45,7 @@ from .spaces import (
 
 __all__ = [
     "__version__",
-    "Mesh", "compute_geometry", "validate", "theta_D", "theta_DB", "regularity",
+    "Mesh", "compute_geometry", "validate", "theta_D", "theta_DB",
     "gen_rect", "gen_tri", "gen_nonconforming_rect", "gen_tilted_barrier",
     "read_mesh", "write_mesh",
     "EdgePartition", "BarycentricWeights", "DiscreteFunction", "UnknownNumbering",

@@ -48,8 +48,8 @@ from .spaces import (
 )
 
 
-def _spd_eigenvalues(mats) -> np.ndarray:
-    """Ascending eigenvalues of each 2x2 tensor; typed errors unless all are SPD."""
+def _check_spd(mats) -> None:
+    """Typed errors unless every 2x2 tensor of ``mats`` is SPD."""
     mats = np.asarray(mats, dtype=float).reshape(-1, 2, 2)
     scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1e-300)
     asym = np.abs(mats - mats.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12 * scale
@@ -58,36 +58,30 @@ def _spd_eigenvalues(mats) -> np.ndarray:
     ev = np.linalg.eigvalsh(mats)
     if np.any(ev[:, 0] <= 0.0):
         raise NonPositiveTensor(f"tensor not positive definite: {mats[ev[:, 0] <= 0.0][0]}")
-    return ev
 
 
 @dataclass
 class TensorField:
     """Symmetric positive-definite diffusion tensor, sampled per cone.
 
-    ``per_cell`` tensors (the default construction) are treated as exactly
-    piecewise constant; a callable is sampled at all cone centroids in one
-    call and puts its 2x2 entries on the two leading axes.
+    ``tensors`` is (1, 2, 2) for a constant tensor or (n_cells, 2, 2) for
+    one tensor per cell, exactly constant on each cell.  Otherwise ``func``
+    is a callable sampled at all cone centroids in one call, putting its
+    2x2 entries on the two leading axes.
     """
 
-    per_cell_tensors: np.ndarray | None = None
-    constant: np.ndarray | None = None
+    tensors: np.ndarray | None = None
     func: object = None
-    lambda_min: float = 0.0
-    lambda_max: float = 0.0
 
     @classmethod
     def from_constant(cls, mat) -> "TensorField":
-        mat = np.asarray(mat, dtype=float)
-        ev = _spd_eigenvalues(mat)[0]
-        return cls(constant=mat, lambda_min=float(ev[0]), lambda_max=float(ev[-1]))
+        return cls.from_per_cell(np.reshape(mat, (1, 2, 2)))
 
     @classmethod
     def from_per_cell(cls, tensors) -> "TensorField":
         tensors = np.asarray(tensors, dtype=float)
-        ev = _spd_eigenvalues(tensors)
-        return cls(per_cell_tensors=tensors, lambda_min=float(ev[:, 0].min()),
-                   lambda_max=float(ev[:, -1].max()))
+        _check_spd(tensors)
+        return cls(tensors=tensors)
 
     @classmethod
     def isotropic_by_region(cls, regions, values: dict) -> "TensorField":
@@ -98,21 +92,21 @@ class TensorField:
 
     @classmethod
     def from_callable(cls, func) -> "TensorField":
-        return cls(func=func, lambda_min=np.nan, lambda_max=np.nan)
+        return cls(func=func)
 
     @property
     def is_identity(self) -> bool:
-        return self.constant is not None and np.array_equal(self.constant, np.eye(2))
+        return self.tensors is not None and np.array_equal(self.tensors, np.eye(2)[None])
 
     def cone_tensors(self, mesh: Mesh) -> np.ndarray:
         """(n_cones, 2, 2): |D(K, s)| times the tensor sampled on each cone."""
-        if self.constant is not None:
-            sampled = self.constant[None, :, :]
-        elif self.per_cell_tensors is not None:
-            sampled = self.per_cell_tensors[mesh.cone_cell]
-        else:
+        if self.tensors is None:
             sampled = sample_field(self.func, mesh.cone_centroid, "tensor", (2, 2))
-            _spd_eigenvalues(sampled)
+            _check_spd(sampled)
+        elif len(self.tensors) == 1:
+            sampled = self.tensors
+        else:
+            sampled = self.tensors[mesh.cone_cell]
         return mesh.cone_measure[:, None, None] * sampled
 
 

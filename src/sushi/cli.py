@@ -9,6 +9,7 @@ identities and regularity).  Exit codes: 0 success, 1 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from .geometry import theta_D, validate
 from .gradient import gradient_field, resolve_alpha
 from .postproc import convergence_order
 from .problems import BUILTIN_PROBLEMS, load_problem_descriptor
-from .run import parse_mesh_spec, solve_problem
+from .run import MESH_GRAMMAR, parse_mesh_spec, solve_problem
 from .vtkio import export_csv, export_vtk
 
 
@@ -53,7 +54,7 @@ def _manifest(args, result, label) -> dict:
         "solve": result.report.to_manifest(),
     }
     if result.errors is not None:
-        manifest["errors"] = result.errors.as_dict()
+        manifest["errors"] = dataclasses.asdict(result.errors)
     if result.fluxes is not None:
         manifest["boundary_flux"] = result.fluxes
     return manifest
@@ -61,6 +62,26 @@ def _manifest(args, result, label) -> dict:
 
 def manifest_alpha(result) -> float:
     return resolve_alpha(result.alpha, result.mesh.dim)
+
+
+# The report.csv column of each side's boundary flux total, in print order.
+FLUX_COLUMNS = {"x=0": "flux_x0", "x=1": "flux_x1", "y=0": "flux_y0", "y=1": "flux_y1"}
+
+
+def _csv_row(label: str, result) -> dict:
+    """The report.csv / study.csv row of one run."""
+    row = {
+        "mesh": label, "policy": result.partition.policy,
+        "alpha": manifest_alpha(result), "N": result.system.n, "NM": result.system.nm,
+        "iterations": result.report.iterations,
+        "residual": result.report.relative_residual,
+    }
+    if result.errors is not None:
+        row["eps_u"] = result.errors.eps_u
+        row["eps_grad"] = result.errors.eps_grad
+    if result.fluxes is not None:
+        row.update((FLUX_COLUMNS[side], total) for side, total in result.fluxes.items())
+    return row
 
 
 def cmd_solve(args) -> int:
@@ -79,21 +100,7 @@ def cmd_solve(args) -> int:
     export_vtk(mesh, out / "solution.vtk", cell_scalars=scalars,
                cell_vectors={"gradient": grad.cell_average(mesh)},
                title=f"{args.problem} on {label}")
-
-    row = {
-        "mesh": label, "policy": result.partition.policy,
-        "alpha": manifest_alpha(result), "N": result.system.n, "NM": result.system.nm,
-        "iterations": result.report.iterations,
-        "residual": result.report.relative_residual,
-    }
-    if result.errors is not None:
-        row["eps_u"] = result.errors.eps_u
-        row["eps_grad"] = result.errors.eps_grad
-    if result.fluxes is not None:
-        for side, key in (("x=0", "flux_x0"), ("x=1", "flux_x1"),
-                          ("y=0", "flux_y0"), ("y=1", "flux_y1")):
-            row[key] = result.fluxes[side]
-    export_csv([row], out / "report.csv")
+    export_csv([_csv_row(label, result)], out / "report.csv")
     (out / "manifest.json").write_text(
         json.dumps(_manifest(args, result, label), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -105,7 +112,7 @@ def cmd_solve(args) -> int:
         print(f"eps_u={_fmt(result.errors.eps_u)} "
               f"eps_grad={_fmt(result.errors.eps_grad)}")
     if result.fluxes is not None:
-        flux_str = " ".join(_fmt(result.fluxes[s]) for s in ("x=0", "x=1", "y=0", "y=1"))
+        flux_str = " ".join(_fmt(result.fluxes[s]) for s in FLUX_COLUMNS)
         print(f"boundary fluxes: {flux_str}")
     return 0
 
@@ -130,7 +137,11 @@ def cmd_convergence(args) -> int:
     family = _FAMILIES.get(args.family)
     if family is None:
         raise SushiError(f"unknown family {args.family!r}; choose from {sorted(_FAMILIES)}")
-    levels = [int(t) for t in args.levels.split(",")]
+    try:
+        levels = [int(t) for t in args.levels.split(",")]
+    except ValueError:
+        raise ValueError(f"bad --levels {args.levels!r}; expected comma-separated "
+                         "resolutions N of the family (rect:NxN | tri:N | ncrect:N)") from None
     if len(set(levels)) < 3:
         raise InsufficientLevels(f"need at least three distinct levels, got {args.levels!r}")
     rows, hs, eus, egs = [], [], [], []
@@ -141,14 +152,7 @@ def cmd_convergence(args) -> int:
         hs.append(mesh.h)
         eus.append(result.errors.eps_u)
         egs.append(result.errors.eps_grad)
-        rows.append({
-            "mesh": f"{args.family}:{n}", "policy": result.partition.policy,
-            "alpha": manifest_alpha(result), "N": result.system.n,
-            "NM": result.system.nm, "eps_u": result.errors.eps_u,
-            "eps_grad": result.errors.eps_grad,
-            "iterations": result.report.iterations,
-            "residual": result.report.relative_residual,
-        })
+        rows.append(_csv_row(f"{args.family}:{n}", result))
         print(f"{args.family}:{n} h={_fmt(mesh.h)} N={result.system.n} "
               f"eps_u={_fmt(result.errors.eps_u)} eps_grad={_fmt(result.errors.eps_grad)}")
     out = Path(args.out)
@@ -201,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output directory")
 
     p_solve = sub.add_parser("solve", parents=[common], help="solve one run")
-    p_solve.add_argument("--mesh", required=True,
-                         help="rect:NxM | tri:N | ncrect:N | barrier:V | file:PATH")
+    p_solve.add_argument("--mesh", required=True, help=MESH_GRAMMAR)
     p_solve.add_argument("--method", default="cg", choices=("cg", "dense"))
     p_solve.set_defaults(func=cmd_solve)
 

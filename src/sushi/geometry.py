@@ -36,6 +36,8 @@ from .errors import DegenerateFace, InvalidTopology, MissingWeights, NonStarShap
 # Rejection threshold for cell-point/face distances: the scheme divides
 # by d(K,sigma), so nearly tangent cell points are refused outright.
 DIST_REL_TOL = 1e-12
+# Largest relative residual of a geometric identity that ``validate`` passes.
+IDENTITY_TOL = 1e-10
 
 
 def segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
@@ -141,24 +143,16 @@ class ValidationReport:
     closure_residuals: np.ndarray
     volume_residual: float
     topology_errors: list[str]
-    tolerance: float = 1e-10
 
     @property
     def passed(self) -> bool:
         return (
             not self.topology_errors
-            and float(np.max(self.identity_residuals, initial=0.0)) <= self.tolerance
-            and float(np.max(self.cone_sum_residuals, initial=0.0)) <= self.tolerance
-            and float(np.max(self.closure_residuals, initial=0.0)) <= self.tolerance
-            and self.volume_residual <= self.tolerance
+            and float(np.max(self.identity_residuals, initial=0.0)) <= IDENTITY_TOL
+            and float(np.max(self.cone_sum_residuals, initial=0.0)) <= IDENTITY_TOL
+            and float(np.max(self.closure_residuals, initial=0.0)) <= IDENTITY_TOL
+            and self.volume_residual <= IDENTITY_TOL
         )
-
-
-@dataclass
-class RegularityReport:
-    theta_D: float
-    theta_DB: float | None
-    worst_cell_ratio: np.ndarray
 
 
 def _cone_pairs(cell_ptr: np.ndarray, cone_cell: np.ndarray):
@@ -329,7 +323,7 @@ def domain_measure(mesh: Mesh) -> float:
     return float(flux.sum()) / mesh.dim
 
 
-def validate(mesh: Mesh, tolerance: float = 1e-10) -> ValidationReport:
+def validate(mesh: Mesh) -> ValidationReport:
     """Check the geometric identities every accepted mesh must satisfy.
 
     Per cell, relative residuals of
@@ -376,45 +370,31 @@ def validate(mesh: Mesh, tolerance: float = 1e-10) -> ValidationReport:
         closure_residuals=closure,
         volume_residual=vol_rel,
         topology_errors=topo,
-        tolerance=tolerance,
     )
-
-
-def _cell_ratios(mesh: Mesh) -> np.ndarray:
-    """Per cell h_K / min over sigma of d(K, sigma)."""
-    return mesh.cell_diameter / np.minimum.reduceat(mesh.cone_dist, mesh.cell_ptr[:-1])
 
 
 def theta_D(mesh: Mesh) -> float:
     """Mesh regularity: max of interior distance ratios and h_K/d(K,sigma)."""
     shared = mesh.face_cones[~mesh.face_boundary]
     dk, dl = mesh.cone_dist[shared[:, 0]], mesh.cone_dist[shared[:, 1]]
-    return float(max(_cell_ratios(mesh).max(), np.max(dk / dl, initial=0.0),
+    ratios = mesh.cell_diameter / np.minimum.reduceat(mesh.cone_dist, mesh.cell_ptr[:-1])
+    return float(max(ratios.max(), np.max(dk / dl, initial=0.0),
                      np.max(dl / dk, initial=0.0)))
 
 
-def regularity(mesh: Mesh, weights=None) -> RegularityReport:
-    """Regularity report; includes the weight-spread metric when weights given.
+def theta_DB(mesh: Mesh, weights) -> float:
+    """Regularity including the barycentric-weight spread term.
 
-    The weight metric is, per cell K and barycentric face sigma of K,
+    The spread term is, per cell K and barycentric face sigma of K,
     sum |beta| |x_point - x_sigma|^2 / h_K^2, maximised with theta_D.
     """
-    td = theta_D(mesh)
-    tdb = None
-    if weights is not None:
-        faces = np.repeat(np.arange(mesh.n_faces), np.diff(weights.ptr))
-        offset = weights.by_point(mesh.cell_point, mesh.face_centre)[weights.points] \
-            - mesh.face_centre[faces]
-        spread = np.bincount(faces, weights=np.abs(weights.beta) * (offset ** 2).sum(axis=1),
-                             minlength=mesh.n_faces)
-        on = (np.diff(weights.ptr) > 0)[mesh.cone_face]
-        ratio = spread[mesh.cone_face[on]] / mesh.cell_diameter[mesh.cone_cell[on]] ** 2
-        tdb = max(td, float(np.max(ratio, initial=0.0)))
-    return RegularityReport(theta_D=td, theta_DB=tdb, worst_cell_ratio=_cell_ratios(mesh))
-
-
-def theta_DB(mesh: Mesh, weights) -> float:
-    """Regularity including the barycentric-weight spread term."""
     if weights is None:
         raise MissingWeights("weights required for theta_DB")
-    return regularity(mesh, weights).theta_DB
+    faces = np.repeat(np.arange(mesh.n_faces), np.diff(weights.ptr))
+    offset = weights.by_point(mesh.cell_point, mesh.face_centre)[weights.points] \
+        - mesh.face_centre[faces]
+    spread = np.bincount(faces, weights=np.abs(weights.beta) * (offset ** 2).sum(axis=1),
+                         minlength=mesh.n_faces)
+    on = (np.diff(weights.ptr) > 0)[mesh.cone_face]
+    ratio = spread[mesh.cone_face[on]] / mesh.cell_diameter[mesh.cone_cell[on]] ** 2
+    return max(theta_D(mesh), float(np.max(ratio, initial=0.0)))

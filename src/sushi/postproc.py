@@ -14,7 +14,7 @@ numerical flux sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,34 +67,30 @@ class ErrorReport:
     seminorm_x: float
     norm_12m: float
 
-    def as_dict(self) -> dict:
-        return {
-            "eps_u": self.eps_u,
-            "eps_grad": self.eps_grad,
-            "eps_u_rel": self.eps_u_rel,
-            "eps_grad_rel": self.eps_grad_rel,
-            "eps_grad_stab": self.eps_grad_stab,
-            "seminorm_x": self.seminorm_x,
-            "norm_12m": self.norm_12m,
-        }
-
 
 @dataclass
 class FluxReport:
-    """Hybrid-face and composite pairwise fluxes with per-cell balances."""
+    """Conservative fluxes of a solved run, outflow positive, as arrays.
 
-    hybrid_fluxes: dict[int, tuple[float, float]] = field(default_factory=dict)
-    pair_fluxes: dict[tuple[int, int], float] = field(default_factory=dict)
-    cell_outflux: np.ndarray | None = None
+    ``hybrid_faces`` lists the interior hybrid faces and row i of
+    ``hybrid_fluxes`` the fluxes of the two cones of face
+    ``hybrid_faces[i]``, in ``face_cones`` order.  ``pair_fluxes`` is the
+    antisymmetric (n_cells, n_cells) sparse matrix of the pairwise fluxes
+    through barycentric faces, entry (K, L) the flux from K to L.
+    ``cell_outflux`` is each cell's total outflux.
+    """
+
+    hybrid_faces: np.ndarray
+    hybrid_fluxes: np.ndarray
+    pair_fluxes: sp.csr_matrix
+    cell_outflux: np.ndarray
 
     def max_conservativity_defect(self) -> float:
-        pairs = np.array(list(self.hybrid_fluxes.values()), dtype=float).reshape(-1, 2)
-        return float(np.max(np.abs(pairs.sum(axis=1)), initial=0.0))
+        return float(np.max(np.abs(self.hybrid_fluxes.sum(axis=1)), initial=0.0))
 
     def max_flux_scale(self) -> float:
-        values = np.concatenate([np.ravel(list(self.hybrid_fluxes.values())),
-                                 list(self.pair_fluxes.values())])
-        return float(np.max(np.abs(values), initial=0.0))
+        return float(max(np.max(np.abs(self.hybrid_fluxes), initial=0.0),
+                         np.max(np.abs(self.pair_fluxes.data), initial=0.0)))
 
 
 def reconstruct_faces(mesh: Mesh, partition: EdgePartition,
@@ -132,11 +128,9 @@ def composite_fluxes(mesh: Mesh, partition: EdgePartition,
     fluxes = cone_fluxes(mesh, tensor, u, alpha)
     tags = partition.tags
     hybrid = np.nonzero((tags == HYBRID) & ~mesh.face_boundary)[0]
-    pairs = fluxes[mesh.face_cones[hybrid]]
-    report = FluxReport(hybrid_fluxes=dict(zip(hybrid.tolist(), map(tuple, pairs.tolist()))))
-
     bary = tags[mesh.cone_face] == BARYCENTRIC
-    report.cell_outflux = segment_sums(np.where(bary, 0.0, fluxes), mesh.cell_ptr)
+    outflux = segment_sums(np.where(bary, 0.0, fluxes), mesh.cell_ptr)
+    pair = sp.csr_matrix((mesh.n_cells, mesh.n_cells))
     if bary.any():
         # flow[K, L]: the barycentric fluxes of K weighted by L's coefficients.
         numbering = numbering_for(mesh, partition)
@@ -145,13 +139,10 @@ def composite_fluxes(mesh: Mesh, partition: EdgePartition,
         cone_flux = sp.csr_matrix((fluxes, (mesh.cone_cell, np.arange(mesh.n_cones))),
                                   shape=(mesh.n_cells, mesh.n_cones))
         flow = cone_flux @ expansion[mesh.cone_face][:, : mesh.n_cells]
-        pair = (flow - flow.T).tocoo()
-        off = pair.row != pair.col
-        report.pair_fluxes = dict(zip(zip(pair.row[off].tolist(), pair.col[off].tolist()),
-                                      pair.data[off].tolist()))
-        report.cell_outflux += np.bincount(pair.row[off], weights=pair.data[off],
-                                           minlength=mesh.n_cells)
-    return report
+        pair = (flow - flow.T).tocsr()
+        outflux += segment_sums(pair.data, pair.indptr)
+    return FluxReport(hybrid_faces=hybrid, hybrid_fluxes=fluxes[mesh.face_cones[hybrid]],
+                      pair_fluxes=pair, cell_outflux=outflux)
 
 
 def cell_balance_residuals(mesh: Mesh, report: FluxReport, source=None) -> np.ndarray:
@@ -162,30 +153,33 @@ def cell_balance_residuals(mesh: Mesh, report: FluxReport, source=None) -> np.nd
     return res
 
 
+# The sides of the unit square, and how far a boundary face barycentre
+# may lie off its side.
 UNIT_SQUARE_SIDES = ("x=0", "x=1", "y=0", "y=1")
+SIDE_TOL = 1e-9
 
 
 def boundary_flux_totals(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
-                         alpha: float | None = None,
-                         sides=UNIT_SQUARE_SIDES, tol: float = 1e-9) -> dict:
+                         alpha: float | None = None) -> dict:
     """Per-side totals of the co-normal boundary flux (Lambda grad u . n).
 
-    Faces are classified by barycentre against the requested axis-aligned
-    sides, the first matching side winning; a boundary face matching none
-    raises ``UnclassifiedBoundaryFace``.
+    Faces are classified by barycentre against the sides of the unit
+    square, the first matching side winning; a boundary face matching
+    none raises ``UnclassifiedBoundaryFace``.
     """
     faces = np.nonzero(mesh.face_boundary)[0]
     centres = mesh.face_centre[faces]
     side_of = np.full(len(faces), -1)
-    for s, side in enumerate(sides):
+    for s, side in enumerate(UNIT_SQUARE_SIDES):
         axis, val = side.split("=")
         coord = centres[:, 0] if axis == "x" else centres[:, 1]
-        side_of[(side_of < 0) & (np.abs(coord - float(val)) <= tol)] = s
+        side_of[(side_of < 0) & (np.abs(coord - float(val)) <= SIDE_TOL)] = s
     if np.any(side_of < 0):
         i = int(np.nonzero(side_of < 0)[0][0])
         raise UnclassifiedBoundaryFace(f"face {faces[i]} at {centres[i]}")
     outflow = cone_fluxes(mesh, tensor, u, alpha)[mesh.face_cones[faces, 0]]
-    return {side: -float(outflow[side_of == s].sum()) for s, side in enumerate(sides)}
+    return {side: -float(outflow[side_of == s].sum())
+            for s, side in enumerate(UNIT_SQUARE_SIDES)}
 
 
 def seminorm_x(mesh: Mesh, u: DiscreteFunction) -> float:
@@ -303,21 +297,3 @@ def gradient_max_error(mesh: Mesh, u: DiscreteFunction, exact_grad,
     a = resolve_alpha(alpha, mesh.dim)
     return math.sqrt(float(_cone_errors_sq(mesh, u, exact_grad, a).max()))
 
-
-__all__ = [
-    "ErrorReport",
-    "FluxReport",
-    "reconstruct_faces",
-    "cone_fluxes",
-    "composite_fluxes",
-    "cell_balance_residuals",
-    "boundary_flux_totals",
-    "seminorm_x",
-    "norm_1pm",
-    "error_norms",
-    "flux_consistency_E",
-    "normal_gradient_integrals",
-    "convergence_order",
-    "gradient_max_error",
-    "gradient_field",
-]

@@ -25,27 +25,28 @@ from .spaces import (
 )
 
 
-def parse_mesh_spec(spec: str) -> tuple[Mesh, np.ndarray | None, str]:
-    """Build a mesh from the CLI shorthand grammar.
+MESH_GRAMMAR = "rect:NxM | tri:N | ncrect:N | barrier:V | file:PATH"
+_GENERATORS = {"rect": gen_rect, "tri": gen_tri, "ncrect": gen_nonconforming_rect,
+               "barrier": gen_tilted_barrier}
 
-    ``rect:NxM | tri:N | ncrect:N | barrier:V | file:PATH``; returns the
-    mesh, an optional region map, and a normalized label.
+
+def parse_mesh_spec(spec: str) -> tuple[Mesh, np.ndarray | None, str]:
+    """Build a mesh from the CLI shorthand grammar, :data:`MESH_GRAMMAR`.
+
+    Returns the mesh, an optional region map, and a normalized label.  A
+    spec outside the grammar raises a ``ValueError`` that quotes it.
     """
     kind, _, arg = spec.partition(":")
-    if kind == "rect":
-        nx, _, ny = arg.partition("x")
-        mesh = gen_rect(int(nx), int(ny))
-        return mesh, None, f"rect:{int(nx)}x{int(ny)}"
-    if kind == "tri":
-        return gen_tri(int(arg)), None, f"tri:{int(arg)}"
-    if kind == "ncrect":
-        return gen_nonconforming_rect(int(arg)), None, f"ncrect:{int(arg)}"
-    if kind == "barrier":
-        mesh, regions = gen_tilted_barrier(int(arg))
-        return mesh, regions, f"barrier:{int(arg)}"
     if kind == "file":
         return read_mesh(arg), None, f"file:{arg}"
-    raise ValueError(f"unknown mesh spec {spec!r}")
+    try:
+        generate = _GENERATORS[kind]
+        sizes = [int(t) for t in (arg.partition("x")[::2] if kind == "rect" else [arg])]
+    except (KeyError, ValueError):
+        raise ValueError(f"bad mesh spec {spec!r}; expected {MESH_GRAMMAR}") from None
+    built = generate(*sizes)
+    mesh, regions = built if kind == "barrier" else (built, None)
+    return mesh, regions, f"{kind}:{'x'.join(map(str, sizes))}"
 
 
 @dataclass

@@ -222,7 +222,7 @@ def test_criterion_5_convergence_orders():
 def test_criterion_6_property_suites(rng):
     t0 = time.perf_counter()
     prob = problem_anisotropic_smooth()
-    clubar = prob.make_tensor(None).constant
+    clubar = prob.make_tensor(None).tensors[0]
     alpha = default_alpha(2)
 
     # affine exactness of the discrete gradient

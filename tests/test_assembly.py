@@ -33,8 +33,8 @@ def test_tensor_validation():
     with pytest.raises(NonPositiveTensor):
         TensorField.from_constant([[1.0, 2.0], [2.0, 1.0]])
     t = TensorField.from_constant(CLUBAR)
-    assert t.lambda_min == pytest.approx(1.0)
-    assert t.lambda_max == pytest.approx(2.0)
+    assert t.tensors.shape == (1, 2, 2)
+    assert np.array_equal(t.tensors[0], CLUBAR)
 
 
 def test_unit_square_local_matrix_is_two_point_diagonal():

@@ -55,7 +55,7 @@ def reference_cone_tensors(tensor, c):
         for i, centroid in enumerate((c.point[None, :] + 2.0 * c.face_centres) / 3.0):
             out[i] = c.cone_measures[i] * np.asarray(tensor.func(centroid), dtype=float)
         return out
-    cell = tensor.constant if tensor.constant is not None else tensor.per_cell_tensors[c.id]
+    cell = tensor.tensors[c.id if len(tensor.tensors) > 1 else 0]
     return c.cone_measures[:, None, None] * cell[None, :, :]
 
 

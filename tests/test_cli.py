@@ -104,6 +104,11 @@ def test_solve_barrier_prints_fluxes(tmp_path, capsys):
     assert "-0.2 0.2 1 -1" in out
     _, _, cell_data = parse_legacy_vtk(tmp_path / "solution.vtk")
     assert "region" in cell_data
+    (row,) = read_csv(tmp_path / "report.csv")
+    totals = json.loads((tmp_path / "manifest.json").read_text())["boundary_flux"]
+    for side, column in (("x=0", "flux_x0"), ("x=1", "flux_x1"),
+                         ("y=0", "flux_y0"), ("y=1", "flux_y1")):
+        assert float(row[column]) == totals[side]
 
 
 def test_solve_barrier_problem_on_rect_writes_its_regions(tmp_path):
@@ -164,6 +169,26 @@ def test_unknown_problem_exits_2(tmp_path, capsys):
     code = main(["solve", "--problem", "nope", "--mesh", "rect:2x2",
                  "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["rect:8", "rect:8x", "tri:", "rect:axb", "ncrect:two", "hex:4"])
+def test_malformed_mesh_spec_names_itself_exits_2(tmp_path, capsys, spec):
+    code = main(["solve", "--mesh", spec, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert repr(spec) in err
+    assert "rect:NxM | tri:N | ncrect:N | barrier:V | file:PATH" in err
+    assert "invalid literal" not in err
+
+
+def test_malformed_levels_name_themselves_exits_2(tmp_path, capsys):
+    code = main(["convergence", "--family", "rect", "--levels", "4,a,8",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'4,a,8'" in err
+    assert "invalid literal" not in err
+    assert not (tmp_path / "study.csv").exists()
 
 
 @pytest.mark.parametrize("option,value", [

@@ -5,7 +5,7 @@ import pytest
 
 import sushi
 from sushi.errors import DegenerateFace, InvalidTopology, NonStarShaped
-from sushi.geometry import compute_geometry, domain_measure, regularity, theta_D, theta_DB, validate
+from sushi.geometry import compute_geometry, domain_measure, theta_D, theta_DB, validate
 
 from conftest import assert_same_mesh, cell_view, cell_views, face_view, face_views, weights_table
 
@@ -161,14 +161,6 @@ def test_theta_db_grows_with_far_weights():
     beta = np.linalg.solve(a, np.array([1.0, *f.centre]))
     weights = weights_table(mesh, {fid: [(k, beta[0]), (far1, beta[1]), (far2, beta[2])]})
     assert theta_DB(mesh, weights) > theta_D(mesh)
-
-
-def test_regularity_report_fields():
-    mesh = sushi.gen_rect(2, 3)
-    rep = regularity(mesh)
-    assert rep.theta_D >= 1.0
-    assert rep.theta_DB is None
-    assert len(rep.worst_cell_ratio) == mesh.n_cells
 
 
 def test_non_star_shaped_rejected():

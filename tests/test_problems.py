@@ -46,7 +46,7 @@ def fd_divergence(tensor_at, exact, p, step=1e-5):
 )
 def test_source_matches_finite_difference_oracle(prob_fn, rng):
     prob = prob_fn()
-    lam = prob.make_tensor(sushi.gen_rect(1, 1)).constant
+    lam = prob.make_tensor(sushi.gen_rect(1, 1)).tensors[0]
     pts = 0.1 + 0.8 * rng.random((100, 2))
     for p in pts:
         expect = fd_divergence(lambda q: lam, prob.exact, p)
@@ -138,7 +138,7 @@ def test_superadmissible_oracle_validation():
     prob = problem_superadmissible_oracle(1.0, 100.0)
     mesh = sushi.gen_rect(4, 2)
     tensor = prob.make_tensor(mesh)
-    lam = tensor.per_cell_tensors
+    lam = tensor.tensors
     assert lam.shape == (8, 2, 2)
     assert {m[0, 0] for m in lam} == {1.0, 100.0}
 
@@ -185,7 +185,7 @@ def test_json_descriptor_two_region(tmp_path):
     prob = load_problem_descriptor(path)
     mesh = sushi.gen_rect(4, 4)
     tensor = prob.make_tensor(mesh)
-    assert tensor.per_cell_tensors is not None
+    assert tensor.tensors.shape == (mesh.n_cells, 2, 2)
 
 
 def test_json_descriptor_errors(tmp_path):
