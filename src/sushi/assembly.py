@@ -37,7 +37,7 @@ from .errors import (
     SingularAfterElimination,
 )
 from .geometry import Mesh, segment_sums
-from .gradient import gradient_operator, resolve_alpha
+from .gradient import gradient_operator
 from .spaces import (
     BarycentricWeights,
     EdgePartition,
@@ -168,7 +168,6 @@ def assemble(mesh: Mesh, partition: EdgePartition,
     ``SingularAfterElimination`` when elimination leaves an unknown
     without a positive diagonal.
     """
-    a = resolve_alpha(alpha, mesh.dim)
     numbering = numbering_for(mesh, partition)
     n = numbering.n
     expansion, consts = face_expansions(mesh, partition, weights, numbering, dirichlet)
@@ -180,7 +179,7 @@ def assemble(mesh: Mesh, partition: EdgePartition,
                           shape=(n_cones, n))
     picked = expansion[mesh.cone_face]
     cone_map = (cells - picked).tocsr()
-    local = local_matrices(mesh, tensor, a)
+    local = local_matrices(mesh, tensor, alpha)
 
     mat = (cone_map.T @ (local @ cone_map)).tocsr()
     # The value product drops exact zeros, but NM counts every entry that a

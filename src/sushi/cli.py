@@ -2,8 +2,8 @@
 
 Subcommands: ``solve`` (one run, writes VTK/CSV/manifest), ``convergence``
 (refinement study with fitted orders) and ``mesh-check`` (geometry
-identities and regularity).  Exit codes: 0 success, 1 numerical failure,
-2 input error.
+identities and regularity).  Exit codes: 0 success, 1 numerical failure
+(``NumericalFailure``), 2 input error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InsufficientLevels, SushiError
+from .errors import InsufficientLevels, NumericalFailure, SushiError
 from .generators import gen_nonconforming_rect, gen_rect, gen_tri
 from .geometry import theta_D, validate
 from .gradient import gradient_field, resolve_alpha
@@ -127,7 +127,14 @@ _FAMILIES = {
 def cmd_convergence(args) -> int:
     if args.check is not None:
         # Synthetic replay: fit stored (h, error) pairs only.
-        pairs = [tuple(map(float, tok.split(":"))) for tok in args.check.split(",")]
+        pairs = []
+        for tok in args.check.split(","):
+            try:
+                h, err = tok.split(":")
+                pairs.append((float(h), float(err)))
+            except ValueError:
+                raise ValueError(f"bad --check pair {tok!r} in {args.check!r}; "
+                                 "expected h:error,h:error,...") from None
         slope = convergence_order(pairs)
         print(f"slope(synthetic)={_fmt(slope)}")
         return 0
@@ -232,18 +239,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, SushiError) as exc:
-        from .errors import (
-            BreakdownNonSPD,
-            MaxIterations,
-            NotPositiveDefinite,
-            SingularAfterElimination,
-        )
-
-        numerical = (MaxIterations, BreakdownNonSPD, NotPositiveDefinite,
-                     SingularAfterElimination)
-        code = 1 if isinstance(exc, numerical) else 2
         print(f"error: {exc}", file=sys.stderr)
-        return code
+        return 1 if isinstance(exc, NumericalFailure) else 2
 
 
 if __name__ == "__main__":

@@ -51,7 +51,11 @@ class NonPositiveTensor(SushiError):
     """Diffusion tensor has a non-positive eigenvalue."""
 
 
-class SingularAfterElimination(SushiError):
+class NumericalFailure(SushiError):
+    """The numerics failed on a well-formed input; ``sushi`` exits 1, not 2."""
+
+
+class SingularAfterElimination(NumericalFailure):
     """Elimination of face values produced a zero diagonal entry."""
 
 
@@ -59,7 +63,7 @@ class InconsistentWeights(SushiError):
     """Weight table disagrees with the face partition."""
 
 
-class MaxIterations(SushiError):
+class MaxIterations(NumericalFailure):
     """Iterative solver failed to reach the requested tolerance.
 
     Carries the relative residual it stopped at and the iteration count
@@ -72,11 +76,11 @@ class MaxIterations(SushiError):
         self.iterations = iterations
 
 
-class BreakdownNonSPD(SushiError):
+class BreakdownNonSPD(NumericalFailure):
     """Negative curvature in CG: the operator is not positive definite."""
 
 
-class NotPositiveDefinite(SushiError):
+class NotPositiveDefinite(NumericalFailure):
     """Dense factorization found a non-positive pivot."""
 
 

@@ -51,7 +51,6 @@ class GradientField:
     """Piecewise-constant gradient: ``cones[i]`` is the gradient on cone i."""
 
     cones: np.ndarray  # (n_cones, d)
-    alpha: float
 
     def cell_average(self, mesh: Mesh) -> np.ndarray:
         """Cone-measure-weighted average per cell, for visualization."""
@@ -121,6 +120,5 @@ def gradient_field(mesh: Mesh, u: DiscreteFunction,
     ``u`` must carry materialized face values (barycentric faces already
     reconstructed; see :func:`sushi.postproc.reconstruct_faces`).
     """
-    a = resolve_alpha(alpha, mesh.dim)
-    cones = gradient_operator(mesh, a) @ cone_increments(mesh, u)
-    return GradientField(cones=cones.reshape(-1, mesh.dim), alpha=a)
+    cones = gradient_operator(mesh, alpha) @ cone_increments(mesh, u)
+    return GradientField(cones=cones.reshape(-1, mesh.dim))

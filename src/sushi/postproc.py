@@ -27,7 +27,7 @@ from .errors import (
     UnclassifiedBoundaryFace,
 )
 from .geometry import Mesh, segment_sums
-from .gradient import cell_gradients, cone_increments, gradient_field, resolve_alpha
+from .gradient import cell_gradients, cone_increments, gradient_field
 from .spaces import (
     BARYCENTRIC,
     HYBRID,
@@ -204,7 +204,8 @@ def norm_1pm(mesh: Mesh, cell_values: np.ndarray, p: float = 2.0) -> float:
     return total ** (1.0 / p)
 
 
-def _cone_errors_sq(mesh: Mesh, u: DiscreteFunction, exact_grad, alpha: float) -> np.ndarray:
+def _cone_errors_sq(mesh: Mesh, u: DiscreteFunction, exact_grad,
+                    alpha: float | None) -> np.ndarray:
     """Per cone: squared error of the stabilized gradient at the cone centroid."""
     exact = sample_field(exact_grad, mesh.cone_centroid, "exact_grad", (2,))
     diff = gradient_field(mesh, u, alpha).cones - exact
@@ -220,7 +221,6 @@ def error_norms(mesh: Mesh, u: DiscreteFunction, exact, exact_grad,
     exact gradient at cone centroids.  Sums use NumPy's own summation,
     not BLAS, so they do not depend on the BLAS thread count.
     """
-    a = resolve_alpha(alpha, mesh.dim)
     meas = mesh.cell_measure
     ux = sample_field(exact, mesh.cell_point, "exact")
     gx = sample_field(exact_grad, mesh.cell_point, "exact_grad", (2,))
@@ -229,7 +229,7 @@ def error_norms(mesh: Mesh, u: DiscreteFunction, exact, exact_grad,
     diff = cell_gradients(mesh, u) - gx
     err_g = float(np.sum(meas * np.sum(diff * diff, axis=1)))
     ref_g = float(np.sum(meas * np.sum(gx * gx, axis=1)))
-    err_stab = float(np.sum(mesh.cone_measure * _cone_errors_sq(mesh, u, exact_grad, a)))
+    err_stab = float(np.sum(mesh.cone_measure * _cone_errors_sq(mesh, u, exact_grad, alpha)))
     return ErrorReport(
         eps_u=math.sqrt(err_u),
         eps_grad=math.sqrt(err_g),
@@ -294,6 +294,5 @@ def convergence_order(series) -> float:
 def gradient_max_error(mesh: Mesh, u: DiscreteFunction, exact_grad,
                        alpha: float | None = None) -> float:
     """Max cone-wise gradient error, sampled at cone centroids."""
-    a = resolve_alpha(alpha, mesh.dim)
-    return math.sqrt(float(_cone_errors_sq(mesh, u, exact_grad, a).max()))
+    return math.sqrt(float(_cone_errors_sq(mesh, u, exact_grad, alpha).max()))
 

@@ -23,8 +23,8 @@ class ProblemSpec:
     """Problem definition bundle.
 
     ``source``, ``dirichlet``, ``exact`` and ``exact_grad`` are user fields
-    (:func:`sushi.spaces.sample_field`), the last two optional;
-    ``dirichlet`` defaults to the exact solution when one is known.
+    (:func:`sushi.spaces.sample_field`), all optional; no ``source`` or
+    ``dirichlet`` means zero.
     ``make_tensor`` builds the tensor field for a given mesh and region
     map, so heterogeneous problems bind their coefficients per cell.
     ``region``, optional, is the problem's own region map as a user field;
@@ -41,69 +41,23 @@ class ProblemSpec:
     exact_boundary_flux: dict | None = None
 
 
-def _bubble(p) -> float:
-    """u = 16 x (1-x) y (1-y), zero on the unit-square boundary."""
-    x, y = p
-    return 16.0 * x * (1.0 - x) * y * (1.0 - y)
-
-
-def _bubble_grad(p) -> np.ndarray:
-    x, y = p
-    return np.array(
-        [16.0 * (1.0 - 2.0 * x) * y * (1.0 - y),
-         16.0 * x * (1.0 - x) * (1.0 - 2.0 * y)]
-    )
-
-
-def _two_region_tensor(split_x: float, left: float, right: float):
-    """``make_tensor`` of an isotropic coefficient split at x = ``split_x``."""
-    def make_tensor(mesh, regions=None):
-        lam = np.where(mesh.cell_point[:, 0] < split_x, left, right)
-        return TensorField.from_per_cell(lam[:, None, None] * np.eye(2))
-
-    return make_tensor
+# The quartic bubble u = 16 x (1-x) y (1-y), zero on the boundary of the unit
+# square and 1 at its centre, as ``exact_poly`` coefficients c[i][j] of x^i y^j.
+_BUBBLE_POLY = (16.0 * np.outer([0, 1, -1], [0, 1, -1])).tolist()
 
 
 def problem_anisotropic_smooth() -> ProblemSpec:
-    """Constant full tensor with the quartic bubble exact solution.
-
-    Lambda = [[1.5, 0.5], [0.5, 1.5]]; the source is the
-    hand-differentiated negative divergence of Lambda grad u.
-    """
-    lam = np.array([[1.5, 0.5], [0.5, 1.5]])
-
-    def source(p):
-        x, y = p
-        return (
-            48.0 * y * (1.0 - y)
-            + 48.0 * x * (1.0 - x)
-            - 16.0 * (1.0 - 2.0 * x) * (1.0 - 2.0 * y)
-        )
-
-    return ProblemSpec(
-        name="anisotropic-smooth",
-        make_tensor=lambda mesh, regions=None: TensorField.from_constant(lam),
-        source=source,
-        dirichlet=lambda p: 0.0,
-        exact=_bubble,
-        exact_grad=_bubble_grad,
-    )
+    """Constant full tensor with the quartic bubble exact solution."""
+    return problem_from_descriptor({"name": "anisotropic-smooth",
+                                    "tensor": {"constant": [[1.5, 0.5], [0.5, 1.5]]},
+                                    "exact_poly": _BUBBLE_POLY})
 
 
 def problem_quartic_isotropic() -> ProblemSpec:
     """Identity tensor with the same quartic bubble; used by the E(u) study."""
-    def source(p):
-        x, y = p
-        return 32.0 * y * (1.0 - y) + 32.0 * x * (1.0 - x)
-
-    return ProblemSpec(
-        name="quartic-isotropic",
-        make_tensor=lambda mesh, regions=None: TensorField.from_constant(np.eye(2)),
-        source=source,
-        dirichlet=lambda p: 0.0,
-        exact=_bubble,
-        exact_grad=_bubble_grad,
-    )
+    return problem_from_descriptor({"name": "quartic-isotropic",
+                                    "tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]},
+                                    "exact_poly": _BUBBLE_POLY})
 
 
 BARRIER_CONTRAST = 1e-2
@@ -156,12 +110,10 @@ def problem_superadmissible_oracle(lam_left: float, lam_right: float) -> Problem
     """
     if lam_left <= 0.0 or lam_right <= 0.0:
         raise ValueError("coefficients must be positive")
-    return ProblemSpec(
-        name="superadmissible-oracle",
-        make_tensor=_two_region_tensor(0.5, lam_left, lam_right),
-        source=None,
-        dirichlet=lambda p: 0.0,
-    )
+    return problem_from_descriptor({
+        "name": "superadmissible-oracle",
+        "tensor": {"two_region": {"split_x": 0.5, "left": lam_left, "right": lam_right}},
+    })
 
 
 BUILTIN_PROBLEMS = {
@@ -194,23 +146,30 @@ def _number(value, what: str) -> float:
 
 
 def load_problem_descriptor(path) -> ProblemSpec:
-    """Custom problem from a JSON descriptor.
-
-    Recognised keys: ``name``; ``tensor`` (either ``{"constant": 2x2}`` or
-    ``{"two_region": {"split_x": v, "left": lam, "right": lam}}``); optional
-    ``exact_poly``, a 2D coefficient matrix c[i][j] of sum c_ij x^i y^j, from
-    which the gradient, the source -div(Lambda grad u) (constant tensors
-    only) and the boundary data are derived.  A malformed descriptor,
-    including a non-numeric value, raises ``ParseError``.
-    """
+    """Custom problem from a JSON descriptor file
+    (:func:`problem_from_descriptor`); bad JSON raises ``ParseError``."""
     with open(path, encoding="utf-8") as fh:
         try:
             desc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON descriptor: {exc}")
+    return problem_from_descriptor(desc)
+
+
+def problem_from_descriptor(desc) -> ProblemSpec:
+    """Problem from a descriptor object, as read from JSON.
+
+    Recognised keys: ``name``; ``tensor`` (either ``{"constant": 2x2}`` or
+    ``{"two_region": {"split_x": v, "left": lam, "right": lam}}``, an
+    isotropic coefficient split at x = ``split_x``, default 1/2); optional
+    ``exact_poly``, a 2D coefficient matrix c[i][j] of sum c_ij x^i y^j, from
+    which the gradient, the source -div(Lambda grad u) (constant tensors
+    only) and the boundary data are derived; without it both are zero.  A
+    malformed descriptor, including a non-numeric value, raises
+    ``ParseError``.
+    """
     if not isinstance(desc, dict):
         raise ParseError("descriptor must be a JSON object")
-    name = desc.get("name", "custom")
     tensor = desc.get("tensor")
     if not isinstance(tensor, dict):
         raise ParseError("descriptor needs a 'tensor' object")
@@ -228,9 +187,13 @@ def load_problem_descriptor(path) -> ProblemSpec:
         tr = tensor["two_region"]
         if not (isinstance(tr, dict) and "left" in tr and "right" in tr):
             raise ParseError("'two_region' must be an object with 'left' and 'right'")
-        make_tensor = _two_region_tensor(_number(tr.get("split_x", 0.5), "'split_x'"),
-                                        _number(tr["left"], "'left'"),
-                                        _number(tr["right"], "'right'"))
+        split_x = _number(tr.get("split_x", 0.5), "'split_x'")
+        left, right = _number(tr["left"], "'left'"), _number(tr["right"], "'right'")
+
+        def make_tensor(mesh, regions=None):
+            lam = np.where(mesh.cell_point[:, 0] < split_x, left, right)
+            return TensorField.from_per_cell(lam[:, None, None] * np.eye(2))
+
     else:
         raise ParseError("tensor must define 'constant' or 'two_region'")
 
@@ -242,26 +205,21 @@ def load_problem_descriptor(path) -> ProblemSpec:
         # polyval2d is Horner's rule over elementwise products, without BLAS.
         cx, cy = polyder(coeffs, axis=0), polyder(coeffs, axis=1)
         exact = lambda p: polyval2d(p[0], p[1], coeffs)
-        exact_grad = lambda p: np.array(
-            [polyval2d(p[0], p[1], cx), polyval2d(p[0], p[1], cy)]
-        )
+        exact_grad = lambda p: np.array([polyval2d(p[0], p[1], cx), polyval2d(p[0], p[1], cy)])
         if constant is not None:
             cxx, cxy, cyy = polyder(cx, axis=0), polyder(cx, axis=1), polyder(cy, axis=1)
             l00, l01, l11 = constant[0, 0], constant[0, 1], constant[1, 1]
 
             def source(p):
                 x, y = p
-                return -(
-                    l00 * polyval2d(x, y, cxx)
-                    + 2.0 * l01 * polyval2d(x, y, cxy)
-                    + l11 * polyval2d(x, y, cyy)
-                )
+                return -(l00 * polyval2d(x, y, cxx) + 2.0 * l01 * polyval2d(x, y, cxy)
+                         + l11 * polyval2d(x, y, cyy))
 
     return ProblemSpec(
-        name=name,
+        name=desc.get("name", "custom"),
         make_tensor=make_tensor,
         source=source,
-        dirichlet=exact if exact is not None else (lambda p: 0.0),
+        dirichlet=exact,
         exact=exact,
         exact_grad=exact_grad,
     )

@@ -10,6 +10,13 @@ import pytest
 import sushi
 from conftest import system_from_dense
 from sushi.cli import main
+from sushi.errors import (
+    BreakdownNonSPD,
+    MaxIterations,
+    NotPositiveDefinite,
+    SingularAfterElimination,
+    SushiError,
+)
 from sushi.generators import barrier_region
 from sushi.geometry import compute_geometry
 from sushi.gradient import default_alpha
@@ -189,6 +196,57 @@ def test_malformed_levels_name_themselves_exits_2(tmp_path, capsys):
     assert "'4,a,8'" in err
     assert "invalid literal" not in err
     assert not (tmp_path / "study.csv").exists()
+
+
+@pytest.mark.parametrize("check,bad", [
+    ("0.5,0.25,0.1", "'0.5'"),
+    ("0.5:a,0.25:0.0625,0.125:0.015625", "'0.5:a'"),
+    ("0.5:0.1:3,0.25:0.0625,0.125:0.015625", "'0.5:0.1:3'"),
+], ids=["no-colon", "non-numeric", "three-fields"])
+def test_malformed_check_pairs_name_themselves_exits_2(tmp_path, capsys, check, bad):
+    code = main(["convergence", "--check", check, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"bad --check pair {bad}" in err
+    assert "h:error,h:error,..." in err
+    assert "unpack" not in err and "could not convert" not in err
+
+
+@pytest.mark.parametrize("error,code", [
+    (MaxIterations, 1), (BreakdownNonSPD, 1), (NotPositiveDefinite, 1),
+    (SingularAfterElimination, 1), (SushiError, 2),
+])
+def test_exit_code_follows_error_class(tmp_path, capsys, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error("stop")
+
+    monkeypatch.setattr("sushi.cli.solve_problem", fail)
+    assert main(["solve", "--mesh", "rect:2x2", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == "error: stop\n"
+
+
+@pytest.mark.parametrize("mesh,policy", [
+    ("rect:8x6", "all-barycentric"), ("ncrect:2", "all-hybrid"),
+])
+def test_builtin_problem_equals_its_descriptor(tmp_path, mesh, policy):
+    # anisotropic-smooth written out as a JSON descriptor gives the same run
+    desc = {"name": "anisotropic-smooth",
+            "tensor": {"constant": [[1.5, 0.5], [0.5, 1.5]]},
+            "exact_poly": (16.0 * np.outer([0, 1, -1], [0, 1, -1])).tolist()}
+    path = tmp_path / "smooth.json"
+    path.write_text(json.dumps(desc))
+    builtin, file = tmp_path / "builtin", tmp_path / "file"
+    for problem, out in (("anisotropic-smooth", builtin), (str(path), file)):
+        assert main(["solve", "--problem", problem, "--mesh", mesh, "--policy", policy,
+                     "--out", str(out)]) == 0
+    assert (builtin / "report.csv").read_bytes() == (file / "report.csv").read_bytes()
+    vtk = [(d / "solution.vtk").read_text().splitlines() for d in (builtin, file)]
+    del vtk[0][1], vtk[1][1]  # the title line names the problem
+    assert vtk[0] == vtk[1]
+    manifests = [json.loads((d / "manifest.json").read_text()) for d in (builtin, file)]
+    assert manifests[1].pop("problem") == str(path)
+    assert manifests[0].pop("problem") == "anisotropic-smooth"
+    assert manifests[0] == manifests[1]
 
 
 @pytest.mark.parametrize("option,value", [

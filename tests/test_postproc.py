@@ -5,7 +5,7 @@ import pytest
 
 import sushi
 from conftest import cell_view, cell_views, face_view, face_views, random_zero_boundary
-from sushi.assembly import TensorField, rhs_cell_integrals
+from sushi.assembly import TensorField, assemble, rhs_cell_integrals
 from sushi.errors import (
     InsufficientLevels,
     InvalidSeries,
@@ -13,6 +13,7 @@ from sushi.errors import (
     UnclassifiedBoundaryFace,
 )
 from sushi.geometry import compute_geometry
+from sushi.gradient import gradient_field
 from sushi.postproc import (
     boundary_flux_totals,
     cell_balance_residuals,
@@ -255,3 +256,25 @@ def test_convergence_order_rejects_non_positive_or_non_finite(bad):
         convergence_order([(0.5, 1.0), (0.25, bad), (0.125, 0.0625)])
     with pytest.raises(InvalidSeries):
         convergence_order([(0.5, 1.0), (bad, 0.25), (0.125, 0.0625)])
+
+
+@pytest.mark.parametrize("alpha", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("operator", ["assemble", "gradient_field", "error_norms",
+                                      "boundary_flux_totals"])
+def test_invalid_alpha_raises_value_error(operator, alpha):
+    # alpha is checked once, where each of these builds the gradient operator
+    prob = problem_anisotropic_smooth()
+    mesh = sushi.gen_rect(3, 3)
+    part = partition_faces(mesh, "all-barycentric")
+    weights = compute_weights(mesh, part)
+    tensor = prob.make_tensor(mesh)
+    u = interpolate(mesh, part, weights, prob.exact)
+    calls = {
+        "assemble": lambda: assemble(mesh, part, weights, tensor, source=prob.source,
+                                     dirichlet=prob.dirichlet, alpha=alpha),
+        "gradient_field": lambda: gradient_field(mesh, u, alpha),
+        "error_norms": lambda: error_norms(mesh, u, prob.exact, prob.exact_grad, alpha),
+        "boundary_flux_totals": lambda: boundary_flux_totals(mesh, tensor, u, alpha),
+    }
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        calls[operator]()
