@@ -49,8 +49,11 @@ from .spaces import (
 
 
 def _check_spd(mats) -> None:
-    """Typed errors unless every 2x2 tensor of ``mats`` is SPD."""
+    """Typed errors unless every 2x2 tensor of ``mats`` is SPD (and finite)."""
     mats = np.asarray(mats, dtype=float).reshape(-1, 2, 2)
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        raise NonPositiveTensor(f"tensor not finite: {mats[~finite][0]}")
     scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1e-300)
     asym = np.abs(mats - mats.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12 * scale
     if asym.any():

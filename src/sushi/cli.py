@@ -24,6 +24,7 @@ from .gradient import gradient_field, resolve_alpha
 from .postproc import convergence_order
 from .problems import BUILTIN_PROBLEMS, load_problem_descriptor
 from .run import MESH_GRAMMAR, parse_mesh_spec, solve_problem
+from .solver import DEFAULT_TOL
 from .vtkio import export_csv, export_vtk
 
 
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="face partition policy")
     common.add_argument("--alpha", type=float, default=None,
                         help="stabilization coefficient (default sqrt(d))")
-    common.add_argument("--tol", type=float, default=1e-12,
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="CG relative residual tolerance")
     common.add_argument("--out", default="out", help="output directory")
 

@@ -48,7 +48,7 @@ class NonSymmetricTensor(SushiError):
 
 
 class NonPositiveTensor(SushiError):
-    """Diffusion tensor has a non-positive eigenvalue."""
+    """Diffusion tensor has a non-positive eigenvalue or a non-finite entry."""
 
 
 class NumericalFailure(SushiError):
@@ -66,8 +66,8 @@ class InconsistentWeights(SushiError):
 class MaxIterations(NumericalFailure):
     """Iterative solver failed to reach the requested tolerance.
 
-    Carries the relative residual it stopped at and the iteration count
-    when known.
+    Carries the relative residual it stopped at (in extended precision)
+    and the iteration count when known.
     """
 
     def __init__(self, message, residual=None, iterations=None):
@@ -77,7 +77,8 @@ class MaxIterations(NumericalFailure):
 
 
 class BreakdownNonSPD(NumericalFailure):
-    """Negative curvature in CG: the operator is not positive definite."""
+    """Curvature in CG that is not positive (NaN included): the system is
+    not positive definite or not finite."""
 
 
 class NotPositiveDefinite(NumericalFailure):

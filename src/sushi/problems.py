@@ -124,9 +124,10 @@ BUILTIN_PROBLEMS = {
 
 
 def _numbers(value, what: str) -> np.ndarray:
-    """JSON numbers (possibly nested in lists) as a float array.
+    """Finite JSON numbers (possibly nested in lists) as a float array.
 
-    Anything else (``null``, strings, objects, ragged nesting) raises
+    Anything else (``null``, strings, objects, ragged nesting, and the
+    ``NaN`` and ``Infinity`` that Python's ``json`` reads) raises
     ``ParseError``.
     """
     try:
@@ -135,6 +136,8 @@ def _numbers(value, what: str) -> np.ndarray:
         arr = None
     if arr is None or arr.dtype.kind not in "iuf":
         raise ParseError(f"{what} must hold numbers only, got {value!r}")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{what} must hold finite numbers only, got {value!r}")
     return arr.astype(float)
 
 
@@ -163,10 +166,11 @@ def problem_from_descriptor(desc) -> ProblemSpec:
     ``{"two_region": {"split_x": v, "left": lam, "right": lam}}``, an
     isotropic coefficient split at x = ``split_x``, default 1/2); optional
     ``exact_poly``, a 2D coefficient matrix c[i][j] of sum c_ij x^i y^j, from
-    which the gradient, the source -div(Lambda grad u) (constant tensors
-    only) and the boundary data are derived; without it both are zero.  A
-    malformed descriptor, including a non-numeric value, raises
-    ``ParseError``.
+    which the gradient, the source -div(Lambda grad u) and the boundary
+    data are derived; without it both are zero.  ``exact_poly`` needs a
+    ``constant`` tensor, as no source is derived region by region.  A
+    malformed descriptor, including a non-numeric or non-finite value,
+    raises ``ParseError``.
     """
     if not isinstance(desc, dict):
         raise ParseError("descriptor must be a JSON object")
@@ -199,6 +203,8 @@ def problem_from_descriptor(desc) -> ProblemSpec:
 
     exact = exact_grad = source = None
     if "exact_poly" in desc:
+        if constant is None:
+            raise ParseError("'exact_poly' needs a 'constant' tensor, not 'two_region'")
         coeffs = _numbers(desc["exact_poly"], "'exact_poly'")
         if coeffs.ndim != 2 or coeffs.size == 0:
             raise ParseError("'exact_poly' must be a non-empty 2D coefficient matrix")
@@ -206,14 +212,13 @@ def problem_from_descriptor(desc) -> ProblemSpec:
         cx, cy = polyder(coeffs, axis=0), polyder(coeffs, axis=1)
         exact = lambda p: polyval2d(p[0], p[1], coeffs)
         exact_grad = lambda p: np.array([polyval2d(p[0], p[1], cx), polyval2d(p[0], p[1], cy)])
-        if constant is not None:
-            cxx, cxy, cyy = polyder(cx, axis=0), polyder(cx, axis=1), polyder(cy, axis=1)
-            l00, l01, l11 = constant[0, 0], constant[0, 1], constant[1, 1]
+        cxx, cxy, cyy = polyder(cx, axis=0), polyder(cx, axis=1), polyder(cy, axis=1)
+        l00, l01, l11 = constant[0, 0], constant[0, 1], constant[1, 1]
 
-            def source(p):
-                x, y = p
-                return -(l00 * polyval2d(x, y, cxx) + 2.0 * l01 * polyval2d(x, y, cxy)
-                         + l11 * polyval2d(x, y, cyy))
+        def source(p):
+            x, y = p
+            return -(l00 * polyval2d(x, y, cxx) + 2.0 * l01 * polyval2d(x, y, cxy)
+                     + l11 * polyval2d(x, y, cyy))
 
     return ProblemSpec(
         name=desc.get("name", "custom"),

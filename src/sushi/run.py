@@ -13,7 +13,7 @@ from .geometry import Mesh
 from .meshfile import read_mesh
 from .postproc import ErrorReport, boundary_flux_totals, error_norms, reconstruct_faces
 from .problems import ProblemSpec
-from .solver import SolveReport, solve_cg, solve_dense
+from .solver import DEFAULT_TOL, SolveReport, solve_cg, solve_dense
 from .spaces import (
     BARYCENTRIC,
     BarycentricWeights,
@@ -69,7 +69,7 @@ def solve_problem(problem: ProblemSpec, mesh: Mesh,
                   regions: np.ndarray | None = None,
                   policy: str = "all-barycentric",
                   alpha: float | None = None,
-                  tol: float = 1e-12,
+                  tol: float = DEFAULT_TOL,
                   method: str = "cg",
                   with_fluxes: bool = False) -> RunResult:
     """Assemble, solve and post-process one problem/mesh/policy combination.

@@ -13,9 +13,11 @@ from .errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
 
 log = logging.getLogger(__name__)
 
-# Consecutive restarts without halving the extended-precision residual
-# after which CG gives up: the residual has reached its attainable floor.
+# Consecutive restarts without halving the relative residual after which
+# CG gives up: the residual has reached its attainable floor.
 STAGNATION_RESTARTS = 5
+
+DEFAULT_TOL = 1e-12  # relative residual requested when none is given
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -32,14 +34,23 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
+def _residual(mat_ext, b_ext, bnorm: float, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """b - Mx and ||b - Mx|| / ``bnorm``, from the system in ``np.longdouble``:
+    the module's one residual, clear of float64 rounding noise at 1e-12."""
+    r = b_ext - mat_ext @ x
+    return r, _norm(r) / bnorm
+
+
 @dataclass
 class SolveReport:
+    """Iterations, wall time, method and the relative residual
+    ||b - Mx|| / ||b|| of the returned x, evaluated in ``np.longdouble``."""
+
     iterations: int
     relative_residual: float
     wall_time: float
     method: str
-    # CG only: restarts from a replaced residual, and the extended-precision
-    # relative residual ||b - Mx|| / ||b|| computed at each of them.
+    # CG only: restarts, and the relative residual each one started from.
     restarts: int = 0
     residual_history: list[float] = field(default_factory=list)
 
@@ -50,20 +61,19 @@ class SolveReport:
                 "relative_residual": self.relative_residual, "method": self.method}
 
 
-def solve_cg(system, tol: float = 1e-12,
+def solve_cg(system, tol: float = DEFAULT_TOL,
              max_iters: int | None = None) -> tuple[np.ndarray, SolveReport]:
     """Jacobi-preconditioned conjugate gradients on the assembled system.
 
-    Stops when the float64 relative residual ||b - M x|| / ||b|| is at most
-    ``tol``, which must be finite and positive (``ValueError`` otherwise).
-    Float64 rounding can put the true residual's floor above ``tol`` when the
-    recurrence residual is below it: CG then computes the true residual in
-    ``np.longdouble``, stops if that is at most ``tol`` (and reports it), and
-    else restarts from it (mixed-precision iterative refinement).  Raises
-    ``MaxIterations`` when that residual has not halved over
-    ``STAGNATION_RESTARTS`` consecutive restarts or after ``max_iters``
-    iterations (default ``10 n``), and ``BreakdownNonSPD`` on negative
-    curvature, which signals an assembly bug.
+    Stops when the relative residual ||b - M x|| / ||b||, evaluated in
+    ``np.longdouble``, is at most ``tol``, which must be finite and positive
+    (``ValueError`` otherwise), and reports it.  CG checks it once the
+    float64 recurrence residual is below ``tol / 4``; if it is above ``tol``,
+    CG restarts from it (mixed-precision iterative refinement).  Raises
+    ``MaxIterations`` when it has not halved over ``STAGNATION_RESTARTS``
+    consecutive restarts or after ``max_iters`` iterations (default
+    ``10 n``), and ``BreakdownNonSPD`` on a curvature p.Mp that is not
+    positive, which signals an assembly bug or a non-finite system.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -77,12 +87,12 @@ def solve_cg(system, tol: float = 1e-12,
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, time.perf_counter() - t0, "cg")
 
+    mat_ext, b_ext = mat.astype(np.longdouble), b.astype(np.longdouble)
     inv_diag = 1.0 / system.diag
     x = np.zeros(n)
     r = b.copy()
     iterations = 0
     history: list[float] = []
-    mat_ext = b_ext = None
     reference = math.inf
     stalls = 0
     while True:
@@ -93,8 +103,9 @@ def solve_cg(system, tol: float = 1e-12,
             iterations += 1
             ap = mat @ p
             pap = _dot(p, ap)
-            if pap <= 0.0:
-                raise BreakdownNonSPD(f"negative curvature at iteration {iterations}")
+            if not pap > 0.0:
+                raise BreakdownNonSPD(f"curvature {pap} at iteration {iterations}: "
+                                      "the system is not SPD or not finite")
             alpha = rz / pap
             x += alpha * p
             r -= alpha * ap
@@ -104,41 +115,26 @@ def solve_cg(system, tol: float = 1e-12,
             rz_new = _dot(r, z)
             p = z + (rz_new / rz) * p
             rz = rz_new
-        true_res = _norm(b - mat @ x) / bnorm
-        if true_res <= tol:
+        r_ext, res = _residual(mat_ext, b_ext, bnorm, x)
+        if res <= tol:
             break
         if iterations >= max_iters:
-            raise MaxIterations(
-                f"CG stopped at residual {true_res:.3e} after {iterations} "
-                f"iterations (cap {max_iters})",
-                residual=true_res, iterations=iterations,
-            )
-        if mat_ext is None:
-            mat_ext = mat.astype(np.longdouble)
-            b_ext = b.astype(np.longdouble)
-        r_ext = b_ext - mat_ext @ x
-        accurate = _norm(r_ext) / bnorm
-        history.append(accurate)
-        log.debug("CG restart %d after %d iterations: residual %.3e "
-                  "(float64 %.3e)", len(history), iterations, accurate, true_res)
-        if accurate <= tol:
-            true_res = accurate
-            break
-        if accurate <= 0.5 * reference:
-            reference, stalls = accurate, 0
-        else:
-            stalls += 1
-        if stalls >= STAGNATION_RESTARTS or accurate == 0.0:
-            raise MaxIterations(
-                f"CG stagnated at residual {true_res:.3e} (extended-precision "
-                f"floor {min(history):.3e}) after {iterations} iterations and "
-                f"{len(history)} restarts",
-                residual=true_res, iterations=iterations,
-            )
+            raise MaxIterations(f"CG stopped at residual {res:.3e} after {iterations} "
+                                f"iterations (cap {max_iters})", residual=res,
+                                iterations=iterations)
+        if res <= 0.5 * reference:
+            reference, stalls = res, 0
+        elif (stalls := stalls + 1) >= STAGNATION_RESTARTS:
+            raise MaxIterations(f"CG stagnated at residual {res:.3e} (floor "
+                                f"{min(res, *history):.3e}) after {iterations} iterations "
+                                f"and {len(history)} restarts", residual=res,
+                                iterations=iterations)
+        history.append(res)
+        log.debug("CG restart %d after %d iterations: residual %.3e",
+                  len(history), iterations, res)
         r = r_ext.astype(np.float64)
-    report = SolveReport(iterations, true_res, time.perf_counter() - t0, "cg",
-                         restarts=len(history), residual_history=history)
-    return x, report
+    return x, SolveReport(iterations, res, time.perf_counter() - t0, "cg",
+                          restarts=len(history), residual_history=history)
 
 
 def _spd_factor(mat):
@@ -156,14 +152,16 @@ def _spd_factor(mat):
 
 
 def solve_dense(system) -> tuple[np.ndarray, SolveReport]:
-    """Solve with the factor that certifies the system SPD, else ``NotPositiveDefinite``."""
+    """Solve with the factor that certifies the system SPD, else
+    ``NotPositiveDefinite``; reports the relative residual as ``solve_cg`` does."""
     t0 = time.perf_counter()
     mat = system.full()
     lu = _spd_factor(mat)
     if lu is None:
         raise NotPositiveDefinite("the symmetric factorization found a non-positive pivot")
     x = lu.solve(system.rhs)
-    res = _norm(system.rhs - mat @ x) / (_norm(system.rhs) or 1.0)
+    _, res = _residual(mat.astype(np.longdouble), system.rhs.astype(np.longdouble),
+                       _norm(system.rhs) or 1.0, x)
     return x, SolveReport(0, res, time.perf_counter() - t0, "dense-cholesky")
 
 

@@ -61,13 +61,15 @@ def sample_field(field, points: np.ndarray, name: str, shape: tuple = ()) -> np.
     x = ``p[0]`` and y = ``p[1]`` over any trailing shape, and returns
     ``shape`` plus that trailing shape.  A trailing 1 (a constant) is
     broadcast, and a scalar field may return one plain number.  Any other
-    result shape raises ``ValueError``.
+    result shape, or a value that is not finite, raises ``ValueError``.
     """
     p = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     values = np.asarray(field(p), dtype=float)
     want = shape + p.shape[1:]
     if values.shape not in (want, shape + (1,)) and not (values.ndim == 0 and not shape):
         raise ValueError(f"field {name!r} returned shape {values.shape}, expected {want}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"field {name!r} returned a non-finite value")
     return np.moveaxis(np.broadcast_to(values, want), -1, 0).copy()
 
 

@@ -37,6 +37,19 @@ def test_tensor_validation():
     assert np.array_equal(t.tensors[0], CLUBAR)
 
 
+@pytest.mark.parametrize("mat", [
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[1.0, 0.0], [-np.inf, 1.0]],
+], ids=["inf-diagonal", "nan-off-diagonal", "inf-lower"])
+def test_non_finite_tensor_is_not_positive(mat):
+    # refused before the symmetry test, whose inf - inf would warn
+    with pytest.raises(NonPositiveTensor, match="not finite"):
+        TensorField.from_constant(mat)
+    with pytest.raises(NonPositiveTensor, match="not finite"):
+        TensorField.from_per_cell([np.eye(2), mat])
+
+
 def test_unit_square_local_matrix_is_two_point_diagonal():
     # isotropic tensor + superadmissible cell: A_K = diag(|s|/d(K,s))
     mesh = sushi.gen_rect(1, 1)

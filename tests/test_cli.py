@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -247,6 +248,27 @@ def test_builtin_problem_equals_its_descriptor(tmp_path, mesh, policy):
     assert manifests[1].pop("problem") == str(path)
     assert manifests[0].pop("problem") == "anisotropic-smooth"
     assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("desc,key", [
+    ({"tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]}, "exact_poly": [[0.0, math.nan]]},
+     "'exact_poly'"),
+    ({"tensor": {"two_region": {"left": math.inf, "right": 1.0}}}, "'left'"),
+    ({"tensor": {"constant": [[1.0, 0.0], [0.0, -math.inf]]}}, "'constant'"),
+    ({"tensor": {"two_region": {"left": 1.0, "right": 1.0}}, "exact_poly": [[0.0, 1.0]]},
+     "'exact_poly'"),
+], ids=["exact-poly-nan", "left-infinity", "constant-minus-infinity",
+        "exact-poly-with-two-region"])
+def test_bad_descriptor_number_exits_2_before_solving(tmp_path, capsys, desc, key):
+    # Python's json reads NaN and Infinity; the descriptor is refused before
+    # the mesh is built, where CG would run on a NaN system to its 10 n cap
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(desc))
+    code = main(["solve", "--problem", str(path), "--mesh", "rect:128x128",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("option,value", [

@@ -187,6 +187,18 @@ def test_wrong_result_shape_names_field_and_expected_shape(case):
     assert f"'{name}'" in str(info.value) and expected in str(info.value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_field_value_names_field(value):
+    mesh = sushi.gen_rect(3, 3)
+    prob = BUILTIN_PROBLEMS["anisotropic-smooth"]()
+    prob.source = lambda p: np.where(p[0] > 0.5, value, 1.0)
+    with pytest.raises(ValueError, match="field 'source' returned a non-finite value"):
+        solve_problem(prob, mesh)
+    tensor = TensorField.from_callable(lambda p: np.full((2, 2, 1), value))
+    with pytest.raises(ValueError, match="field 'tensor' returned a non-finite value"):
+        assemble(mesh, partition_faces(mesh, "all-hybrid"), None, tensor)
+
+
 def test_each_field_is_called_once_per_point_set():
     calls = {}
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -214,11 +215,16 @@ def test_json_descriptor_errors(tmp_path):
     {"tensor": {"constant": [[1.0, 0.0], [0.0]]}},
     {"tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]}, "exact_poly": [[1, None]]},
     {"tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]}, "exact_poly": [[1, {}]]},
+    {"tensor": {"constant": [[math.nan, 0.0], [0.0, 1.0]]}},
+    {"tensor": {"two_region": {"left": math.inf, "right": 2}}},
+    {"tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]}, "exact_poly": [[1, -math.inf]]},
+    {"tensor": {"two_region": {"left": 1, "right": 2}}, "exact_poly": [[0, 1]]},
 ], ids=["tensor-not-object", "top-level-list", "two-region-not-object",
         "exact-poly-1d", "constant-not-2x2", "two-region-without-right",
         "split-x-null", "left-string", "left-list", "constant-null-entry",
         "constant-string-entry", "constant-ragged", "exact-poly-null-entry",
-        "exact-poly-object-entry"])
+        "exact-poly-object-entry", "constant-nan-entry", "left-infinity",
+        "exact-poly-minus-infinity", "exact-poly-with-two-region"])
 def test_json_descriptor_rejects_malformed_shapes(tmp_path, desc):
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(desc))

@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import sushi
 from conftest import system_from_dense
 from sushi.assembly import assemble
 from sushi.errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
-from sushi.problems import problem_anisotropic_smooth
+from sushi.problems import problem_anisotropic_smooth, problem_tilted_barrier
 from sushi.solver import solve_cg, solve_dense, spd_certificate
 from sushi.spaces import compute_weights, partition_faces
 
@@ -114,6 +115,53 @@ def test_cg_unreachable_tol_stops_on_stagnation():
     assert exc.value.iterations <= system.n
     assert math.isfinite(exc.value.residual)
     assert exc.value.residual > 1e-16
+
+
+def exact_relative_residual(system, x):
+    """||b - Kx|| / ||b|| in exact rational arithmetic, rounded at the end."""
+    mat = system.full().tocoo()
+    xs = [Fraction(v) for v in x.tolist()]
+    r = [Fraction(v) for v in system.rhs.tolist()]
+    for i, j, v in zip(mat.row.tolist(), mat.col.tolist(), mat.data.tolist()):
+        r[i] -= Fraction(v) * xs[j]
+    bb = sum(Fraction(v) ** 2 for v in system.rhs.tolist())
+    return math.sqrt(sum(v * v for v in r) / bb)
+
+
+@pytest.mark.parametrize("method", ["cg", "dense"])
+def test_reported_residual_is_the_relative_residual_of_x(method):
+    # barrier:3 (N = 270) ends CG without a restart.  A float64 evaluation
+    # of b - Kx reads 7.39e-13 (CG) and 1.29e-13 (dense) here, 6% and 147%
+    # above the exact 6.99e-13 and 5.25e-14; the extended one is within 1e-4
+    mesh, regions, _ = sushi.parse_mesh_spec("barrier:3")
+    result = sushi.solve_problem(problem_tilted_barrier(), mesh, regions,
+                                 policy="discontinuity", method=method)
+    report = result.report
+    assert report.restarts == 0
+    exact = exact_relative_residual(result.system, result.solution)
+    assert report.relative_residual == pytest.approx(exact, rel=1e-4, abs=0.0)
+
+
+def test_restarts_count_only_real_restarts():
+    # At tol = 1e-14 this system restarts twice, from 5.9e-14 and 2.3e-14,
+    # and the residual after the second restart ends the run
+    tol = 1e-14
+    _, report = solve_cg(hybrid_rect_system(16), tol=tol)
+    assert report.restarts == len(report.residual_history) >= 1
+    assert all(res > tol for res in report.residual_history)
+    assert report.relative_residual <= tol
+
+
+@pytest.mark.parametrize("mat,rhs", [
+    ([[1.0, np.nan], [np.nan, 1.0]], [1.0, 1.0]),
+    ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+    ([[2.0, 1.0], [1.0, 2.0]], [1.0, np.nan]),
+], ids=["nan-off-diagonal", "nan-diagonal", "nan-rhs"])
+def test_cg_non_finite_system_breaks_down_at_once(mat, rhs):
+    # a NaN curvature fails the positivity test at the first iteration,
+    # instead of running to the 10 n cap
+    with pytest.raises(BreakdownNonSPD, match="at iteration 1: .*not finite"):
+        solve_cg(system_from_dense(mat, rhs))
 
 
 def test_dense_two_by_two():
