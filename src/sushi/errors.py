@@ -77,8 +77,10 @@ class MaxIterations(NumericalFailure):
 
 
 class BreakdownNonSPD(NumericalFailure):
-    """Curvature in CG that is not positive (NaN included): the system is
-    not positive definite or not finite."""
+    """The system is not positive definite or not finite: a curvature in CG
+    or a diagonal entry or pivot of its multigrid hierarchy that is not
+    positive (NaN included), or a non-finite matrix or right-hand side
+    entry, which both solvers reject before they start."""
 
 
 class NotPositiveDefinite(NumericalFailure):

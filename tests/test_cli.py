@@ -159,7 +159,8 @@ def test_solve_dense_non_spd_exits_1(tmp_path, capsys, monkeypatch, mat):
 def test_import_loads_only_what_cg_runs_use():
     src = str(Path(sushi.__file__).resolve().parents[1])
     probe = ("import sys, sushi.cli; "
-             "print(sorted(m for m in ('scipy.linalg', 'scipy.io') if m in sys.modules))")
+             "print(sorted(m for m in ('scipy.linalg', 'scipy.io', 'scipy.sparse.linalg') "
+             "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
@@ -305,12 +306,14 @@ def test_solve_unreachable_tol_exits_1(tmp_path, capsys):
 def test_solve_default_tol_stops_on_extended_precision_residual(tmp_path):
     # At rect:192x192 all-hybrid the float64 evaluation of b - Kx stays near
     # 1.7e-12 while the iterate's residual, computed in extended precision,
-    # is below the default tol of 1e-12: CG stops there and reports it
+    # is below the default tol of 1e-12: CG stops there and reports it.
+    # The multigrid preconditioner gets there in 39 iterations (Jacobi: 1,402)
     code = main(["solve", "--mesh", "rect:192x192", "--policy", "all-hybrid",
                  "--out", str(tmp_path)])
     assert code == 0
     solve = json.loads((tmp_path / "manifest.json").read_text())["solve"]
     assert solve["relative_residual"] <= 1e-12
+    assert solve["iterations"] <= 80
 
 
 def test_outputs_are_byte_deterministic(tmp_path):
@@ -327,7 +330,9 @@ def test_outputs_are_byte_deterministic(tmp_path):
 def test_manifest_independent_of_blas_threads(tmp_path):
     cases = {
         # N = 12,160 is above the length from which OpenBLAS splits a dot
-        # product across threads, so BLAS reductions would sum in another order
+        # product across threads, so BLAS reductions would sum in another
+        # order; it is also above AMG_MIN_N, so the multigrid setup and
+        # V-cycle run here
         "cg": ["--mesh", "rect:64x64", "--policy", "all-hybrid"],
         # the direct solve's SuperLU factorization calls BLAS
         "dense": ["--problem", "tilted-barrier", "--mesh", "barrier:2",

@@ -1,18 +1,20 @@
 import logging
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sushi
 from conftest import system_from_dense
-from sushi.assembly import assemble
+from sushi.assembly import LinearSystem, assemble
 from sushi.errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
 from sushi.problems import problem_anisotropic_smooth, problem_tilted_barrier
-from sushi.solver import solve_cg, solve_dense, spd_certificate
-from sushi.spaces import compute_weights, partition_faces
+from sushi.solver import AMG_MIN_N, _smoothed_aggregation, solve_cg, solve_dense, spd_certificate
+from sushi.spaces import UnknownNumbering, compute_weights, partition_faces
 
 
 def test_cg_identity_single_iteration():
@@ -90,11 +92,21 @@ def hybrid_rect_system(n):
                     source=prob.source, dirichlet=prob.dirichlet)
 
 
+def cellcentred_rect_system(n):
+    prob = problem_anisotropic_smooth()
+    mesh = sushi.gen_rect(n, n)
+    part = partition_faces(mesh, "all-barycentric")
+    return assemble(mesh, part, compute_weights(mesh, part), prob.make_tensor(mesh),
+                    source=prob.source, dirichlet=prob.dirichlet)
+
+
 def test_cg_reaches_tol_below_float64_restart_floor(caplog):
     # Restarts from the float64 residual stall at ~1.1e-12 on this system
     # (N = 48,896), just above tol; without the stagnation exit CG crawls
     # to the 10 n cap (488,960 iterations).  The extended-precision
-    # restart residual gets below that floor within a few restarts.
+    # restart residual gets below that floor within a few restarts.  This
+    # system is above AMG_MIN_N, so the preconditioner is the multigrid
+    # V-cycle: 36 iterations and 1 restart, where Jacobi took 810 and 1.
     system = hybrid_rect_system(128)
     caplog.set_level(logging.DEBUG, logger="sushi.solver")
     _, report = solve_cg(system, tol=1e-12)
@@ -162,6 +174,88 @@ def test_cg_non_finite_system_breaks_down_at_once(mat, rhs):
     # instead of running to the 10 n cap
     with pytest.raises(BreakdownNonSPD, match="at iteration 1: .*not finite"):
         solve_cg(system_from_dense(mat, rhs))
+
+
+@pytest.mark.parametrize("solve", [solve_cg, solve_dense], ids=["cg", "dense"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+def test_infinite_rhs_is_rejected_before_any_work(solve, value):
+    # before the check, dense returned x = (-inf, inf) with residual nan, and
+    # CG warned on -inf and broke down only at iteration 2 on inf
+    sys_ = system_from_dense([[2.0, 1.0], [1.0, 2.0]], [1.0, value])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BreakdownNonSPD, match="the right-hand side is not finite"):
+            solve(sys_)
+
+
+def test_non_finite_entry_stops_before_multigrid_setup(caplog):
+    system = hybrid_rect_system(64)
+    assert system.n >= AMG_MIN_N
+    system.upper.data[system.upper.nnz // 2] = np.nan
+    caplog.set_level(logging.DEBUG, logger="sushi.solver")
+    with pytest.raises(BreakdownNonSPD, match="at iteration 1: the matrix is not finite"):
+        solve_cg(system)
+    assert not [r for r in caplog.records if "AMG setup" in r.getMessage()]
+
+
+def test_multigrid_only_from_amg_min_n(caplog):
+    caplog.set_level(logging.DEBUG, logger="sushi.solver")
+    small, large = hybrid_rect_system(32), hybrid_rect_system(64)
+    assert small.n < AMG_MIN_N <= large.n
+    # below AMG_MIN_N the Jacobi iterates are kept: 197 iterations, as before
+    assert solve_cg(small)[1].iterations == 197
+    assert not [r for r in caplog.records if "AMG setup" in r.getMessage()]
+    _, report = solve_cg(large)
+    setups = [r.getMessage() for r in caplog.records if "AMG setup" in r.getMessage()]
+    assert len(setups) == 1
+    assert setups[0].startswith(f"AMG setup: levels {large.n}/")
+    assert "operator complexity" in setups[0]
+    assert report.iterations <= 40  # 31 here; Jacobi took 400
+
+
+AMG_SYSTEMS = {"rect:64x64 all-hybrid": lambda: hybrid_rect_system(64),
+               "rect:128x128 all-barycentric": lambda: cellcentred_rect_system(128)}
+
+
+@pytest.mark.parametrize("build", AMG_SYSTEMS.values(), ids=AMG_SYSTEMS.keys())
+def test_multigrid_preconditioner_is_symmetric_positive_definite(build, rng):
+    system = build()
+    assert system.n >= AMG_MIN_N
+    precond = _smoothed_aggregation(system.full(), system.diag)
+    u, v = rng.standard_normal((2, system.n))
+    uv, vu = u @ precond(v), v @ precond(u)
+    assert abs(uv - vu) <= 1e-12 * max(abs(uv), abs(vu))
+    for w in (u, v, np.ones(system.n), system.rhs):
+        assert w @ precond(w) > 0.0
+
+
+@pytest.mark.parametrize("build", AMG_SYSTEMS.values(), ids=AMG_SYSTEMS.keys())
+def test_multigrid_solve_is_bitwise_reproducible(build):
+    system = build()
+    (x1, r1), (x2, r2) = solve_cg(system), solve_cg(system)
+    assert np.array_equal(x1, x2)
+    assert r1.to_manifest() == r2.to_manifest()
+    assert r1.residual_history == r2.residual_history
+
+
+def test_multigrid_setup_rejects_a_non_positive_diagonal():
+    system = hybrid_rect_system(64)
+    system.diag[100] = -system.diag[100]
+    with pytest.raises(BreakdownNonSPD, match="diagonal entry 100 of multigrid level 0"):
+        solve_cg(system)
+
+
+def test_multigrid_level_that_does_not_coarsen():
+    # no off-diagonal entries: no unknown has a strong neighbour, so no
+    # aggregate forms and the hierarchy stops at the fine level, smoothing there
+    n = AMG_MIN_N
+    numbering = UnknownNumbering(n_cells=n, hybrid_faces=np.array([], dtype=np.int64))
+    rhs = np.linspace(1.0, 2.0, n)
+    system = LinearSystem(n=n, upper=sp.csr_matrix((n, n)), diag=np.full(n, 2.0), rhs=rhs,
+                          numbering=numbering, nm=n)
+    x, report = solve_cg(system)
+    assert report.iterations == 1
+    assert np.allclose(x, rhs / 2.0, rtol=1e-15)
 
 
 def test_dense_two_by_two():
