@@ -9,7 +9,8 @@ the local flux matrices of all cells form the block-diagonal
 
 whose block A_K reproduces the bilinear form integral of
 grad_D u . Lambda grad_D v over K.  The numerical fluxes, outflow
-positive, are ``-B delta`` (:func:`sushi.postproc.cone_fluxes`).
+positive, are ``-B delta``; :func:`sushi.postproc.cone_fluxes` evaluates
+them cell by cell without forming ``B``.
 
 Assembly restricts this hybrid form to the retained unknowns x (cells and
 hybrid faces).  With ``P`` and ``c`` the face expansion of
@@ -201,9 +202,3 @@ def assemble(mesh: Mesh, partition: EdgePartition,
         raise SingularAfterElimination(f"unknown {bad} has non-positive diagonal")
     return LinearSystem(n=n, upper=sp.triu(mat, 1, format="csr"), diag=diag, rhs=rhs,
                         numbering=numbering, nm=nm)
-
-
-def export_matrix_market(system: LinearSystem, path) -> None:
-    import scipy.io  # only here, off every run's start-up
-
-    scipy.io.mmwrite(path, system.full(), symmetry="symmetric")

@@ -1,4 +1,4 @@
-"""Stabilized discrete gradient as one sparse operator over the cones.
+"""Stabilized discrete gradient, evaluated cone by cone.
 
 Per cell K the gradient of a grid function u is
 
@@ -11,10 +11,10 @@ face-normal direction:
     R(K,sigma) u = (alpha/d(K,sigma)) (u_sigma - u_K - grad_K u . (x_sigma - x_K)),
     grad(K,sigma) u = grad_K u + R(K,sigma) u * n(K,sigma).
 
-Both are linear in the cone increments delta = u_sigma - u_K.  Their
-coefficients are defined once (:func:`gradient_coefficients`,
-:func:`residual_coefficients`) and evaluated for every pair of cones of a
-cell at once.  They form the sparse operator ``G`` (2 n_cones x n_cones,
+Both are linear in the cone increments delta = u_sigma - u_K and local to
+one cell.  grad_K u (:func:`gradient_coefficients`) and R (:func:`_residuals`)
+are defined once and evaluated on the flat cone arrays.  Only assembly
+needs a matrix: the sparse operator ``G`` (2 n_cones x n_cones,
 block-diagonal by cell) with ``G delta`` the cone gradients, row
 ``2 i + a`` holding component ``a`` of cone ``i``; the local flux
 matrices are ``G^T Lambda G`` (:func:`sushi.assembly.local_matrices`).
@@ -73,24 +73,21 @@ def gradient_coefficients(mesh: Mesh) -> np.ndarray:
             / mesh.cell_measure[mesh.cone_cell][:, None])
 
 
-def residual_coefficients(mesh: Mesh, g: np.ndarray, alpha: float):
-    """Cone pairs ``(i, j)`` of :meth:`Mesh.cone_pairs` and the coefficient
-    of delta_j in R(K, sigma_i) u for each.
-
-    ``g`` is :func:`gradient_coefficients`.
-    """
-    i, j = mesh.cone_pairs()
-    rel = mesh.face_centre[mesh.cone_face[i]] - mesh.cell_point[mesh.cone_cell[i]]
-    proj = (rel * g[j]).sum(axis=1)
-    coef = (np.where(i == j, 1.0, 0.0) - proj) * (alpha / mesh.cone_dist[i])
-    return i, j, coef
+def _residuals(mesh: Mesh, cones, delta: np.ndarray, grad: np.ndarray, alpha: float):
+    """R(K, sigma) = (alpha/d) (delta - (x_sigma - x_K) . grad) on the cones
+    ``cones``, for their increments ``delta`` and cell gradients ``grad``."""
+    rel = mesh.face_centre[mesh.cone_face[cones]] - mesh.cell_point[mesh.cone_cell[cones]]
+    proj = (rel * grad).sum(axis=1)
+    return (delta - proj) * (alpha / mesh.cone_dist[cones])
 
 
 def gradient_operator(mesh: Mesh, alpha: float | None = None) -> sp.csr_matrix:
     """Sparse ``G``: the cone gradients are ``(G @ delta).reshape(-1, d)``."""
     a = resolve_alpha(alpha, mesh.dim)
     g = gradient_coefficients(mesh)
-    i, j, coef = residual_coefficients(mesh, g, a)
+    # The coefficient of delta_j in R(K, sigma_i) u: R for delta = [i == j], grad_K = g_j.
+    i, j = mesh.cone_pairs()
+    coef = _residuals(mesh, i, np.where(i == j, 1.0, 0.0), g[j], a)
     y = g[j] + coef[:, None] * mesh.cone_normal[i]
     d = mesh.dim
     rows = (d * i[:, None] + np.arange(d)).ravel()
@@ -107,18 +104,17 @@ def cell_gradients(mesh: Mesh, u: DiscreteFunction) -> np.ndarray:
 def stabilization_residuals(mesh: Mesh, u: DiscreteFunction,
                             alpha: float | None = None) -> np.ndarray:
     """R(K, sigma) u on every cone."""
-    i, j, coef = residual_coefficients(mesh, gradient_coefficients(mesh),
-                                       resolve_alpha(alpha, mesh.dim))
-    residual = sp.csr_matrix((coef, (i, j)), shape=(mesh.n_cones, mesh.n_cones))
-    return residual @ cone_increments(mesh, u)
+    return _residuals(mesh, slice(None), cone_increments(mesh, u),
+                      cell_gradients(mesh, u)[mesh.cone_cell], resolve_alpha(alpha, mesh.dim))
 
 
 def gradient_field(mesh: Mesh, u: DiscreteFunction,
                    alpha: float | None = None) -> GradientField:
-    """Stabilized gradient on every cone.
+    """Stabilized gradient grad_K u + R(K, sigma) u n(K, sigma) on every cone.
 
     ``u`` must carry materialized face values (barycentric faces already
     reconstructed; see :func:`sushi.postproc.reconstruct_faces`).
     """
-    cones = gradient_operator(mesh, alpha) @ cone_increments(mesh, u)
-    return GradientField(cones=cones.reshape(-1, mesh.dim))
+    residuals = stabilization_residuals(mesh, u, alpha)
+    cones = cell_gradients(mesh, u)[mesh.cone_cell] + residuals[:, None] * mesh.cone_normal
+    return GradientField(cones=cones)

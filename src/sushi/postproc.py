@@ -1,9 +1,9 @@
 """Post-processing: reconstruction, fluxes, discrete norms, error measures.
 
-Everything here is an array expression over the flat mesh arrays: the
-numerical fluxes are ``-B delta`` for the local matrices ``B`` of
-:func:`sushi.assembly.local_matrices`, the gradients come from
-:mod:`sushi.gradient`, and each user field is called once per point set
+Everything here is an array expression over the flat mesh arrays, with no
+gradient or flux matrix: the gradients come from :mod:`sushi.gradient`,
+the numerical fluxes ``-G^T Lambda G delta`` are evaluated cell by cell
+(:func:`cone_fluxes`), and each user field is called once per point set
 (:func:`sushi.spaces.sample_field`).
 Boundary flux totals follow the reporting convention of the benchmark
 tables: the per-side total approximates the co-normal integral over the
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import TensorField, local_matrices, rhs_cell_integrals
+from .assembly import TensorField, rhs_cell_integrals
 from .errors import (
     InsufficientLevels,
     InvalidSeries,
@@ -27,7 +27,13 @@ from .errors import (
     UnclassifiedBoundaryFace,
 )
 from .geometry import Mesh, segment_sums
-from .gradient import cell_gradients, cone_increments, gradient_field
+from .gradient import (
+    cell_gradients,
+    cone_increments,
+    gradient_coefficients,
+    gradient_field,
+    resolve_alpha,
+)
 from .spaces import (
     BARYCENTRIC,
     HYBRID,
@@ -109,8 +115,16 @@ def cone_fluxes(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
     """Numerical flux of every cone through its face, outflow positive.
 
     It approximates the integral over the face of -Lambda grad u . n_out.
+    They are ``-G^T w`` for w = |D| Lambda grad_D u, cell by cell: with
+    s = (alpha/d) n . w, cone j of K gets -(s_j + g_j . v_K), g from
+    :func:`gradient_coefficients`, v_K the sum of w - s (x_sigma - x_K) over K.
     """
-    return -(local_matrices(mesh, tensor, alpha) @ cone_increments(mesh, u))
+    a = resolve_alpha(alpha, mesh.dim)
+    w = (tensor.cone_tensors(mesh) * gradient_field(mesh, u, a).cones[:, None, :]).sum(axis=2)
+    s = (a / mesh.cone_dist) * (mesh.cone_normal * w).sum(axis=1)
+    rel = mesh.face_centre[mesh.cone_face] - mesh.cell_point[mesh.cone_cell]
+    v = segment_sums(w - s[:, None] * rel, mesh.cell_ptr)[mesh.cone_cell]
+    return -(s + (gradient_coefficients(mesh) * v).sum(axis=1))
 
 
 def composite_fluxes(mesh: Mesh, partition: EdgePartition,

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.io
 
 import sushi
 from conftest import (
@@ -14,7 +13,6 @@ from conftest import (
 from sushi.assembly import (
     TensorField,
     assemble,
-    export_matrix_market,
     local_matrices,
     rhs_cell_integrals,
 )
@@ -338,18 +336,6 @@ def test_five_point_laplacian_special_case():
     got = assemble(mesh, part, weights, tensor).to_dense()
     ref = two_point_reference(mesh, np.ones(mesh.n_cells), "harmonic")
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_matrix_market_export(tmp_path):
-    mesh = sushi.gen_rect(3, 3)
-    prob = problem_anisotropic_smooth()
-    part = partition_faces(mesh, "all-barycentric")
-    weights = compute_weights(mesh, part)
-    system = assemble(mesh, part, weights, prob.make_tensor(mesh), source=prob.source)
-    path = tmp_path / "system.mtx"
-    export_matrix_market(system, path)
-    back = scipy.io.mmread(path).toarray()
-    assert np.allclose(back, system.to_dense(), rtol=1e-12, atol=1e-14)
 
 
 def test_smooth_tensor_sampled_at_cone_centroids():

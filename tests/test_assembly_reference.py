@@ -205,10 +205,17 @@ def test_local_matrices_match_cell_loop(spec, policy):
     assert all(np.array_equal(g, g.T) for g in got)
 
 
-@pytest.mark.parametrize("spec,policy", CASES)
-def test_fluxes_and_gradients_match_cell_loop(spec, policy, rng):
+# alpha enters the cone gradients and the fluxes through R; the default
+# alpha keeps the bare case ids.
+ALPHA_CASES = [pytest.param(spec, policy, alpha,
+                            id=f"{spec}-{policy}" + ("" if alpha is None else f"-alpha{alpha}"))
+               for alpha in (None, 0.3, 5.0) for spec, policy in CASES]
+
+
+@pytest.mark.parametrize("spec,policy,alpha", ALPHA_CASES)
+def test_fluxes_and_gradients_match_cell_loop(spec, policy, alpha, rng):
     mesh, _, _, tensor, _ = build_case(spec, policy)
-    a = resolve_alpha(None, mesh.dim)
+    a = resolve_alpha(alpha, mesh.dim)
     u = random_zero_boundary(mesh, rng)
     cells = cell_views(mesh)
 

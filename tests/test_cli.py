@@ -19,7 +19,7 @@ from sushi.errors import (
     SushiError,
 )
 from sushi.generators import barrier_region
-from sushi.geometry import compute_geometry
+from sushi.geometry import Mesh, compute_geometry
 from sushi.gradient import default_alpha
 from sushi.meshfile import write_mesh
 from sushi.vtkio import read_csv
@@ -100,6 +100,30 @@ def test_solve_hybrid_counts(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "N=130" in out and "NM=874" in out
+
+
+@pytest.mark.parametrize("mesh,policy", [("rect:8x8", "all-barycentric"),
+                                         ("ncrect:2", "all-hybrid")])
+def test_solve_builds_each_operator_once(tmp_path, monkeypatch, mesh, policy):
+    # G is built from the cone pairs and B by local_matrices; the
+    # post-processing of the run evaluates both on cone arrays instead.
+    calls = {"G": 0, "B": 0}
+
+    def counted(key, func):
+        def spy(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(Mesh, "cone_pairs", counted("G", Mesh.cone_pairs))
+    local_matrices = sushi.assembly.local_matrices
+    spy = counted("B", local_matrices)
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("sushi")
+                and getattr(module, "local_matrices", None) is local_matrices):
+            monkeypatch.setattr(module, "local_matrices", spy)
+    assert main(["solve", "--mesh", mesh, "--policy", policy, "--out", str(tmp_path)]) == 0
+    assert calls == {"G": 1, "B": 1}
 
 
 def test_solve_barrier_prints_fluxes(tmp_path, capsys):

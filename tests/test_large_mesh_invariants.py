@@ -23,12 +23,14 @@ def affine(p):
 
 # CG iterations allowed.  rect:128x128 all-hybrid (N = 48,896) is above
 # AMG_MIN_N and takes 27 with the multigrid preconditioner, where Jacobi took
-# hundreds; tri:64 (N = 8,192) stays on Jacobi.
+# hundreds, and all-barycentric (N = 16,384) takes 19; tri:64 (N = 8,192)
+# stays on Jacobi.
 CG_BUDGET = {"rect:128x128": 60}
 
 
 @pytest.mark.parametrize("spec,policy", [
     ("rect:128x128", "all-hybrid"),
+    ("rect:128x128", "all-barycentric"),
     ("tri:64", "all-barycentric"),
 ])
 def test_invariants_on_large_meshes(spec, policy):

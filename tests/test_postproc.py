@@ -262,7 +262,7 @@ def test_convergence_order_rejects_non_positive_or_non_finite(bad):
 @pytest.mark.parametrize("operator", ["assemble", "gradient_field", "error_norms",
                                       "boundary_flux_totals"])
 def test_invalid_alpha_raises_value_error(operator, alpha):
-    # alpha is checked once, where each of these builds the gradient operator
+    # alpha is checked once, where each of these evaluates the gradient
     prob = problem_anisotropic_smooth()
     mesh = sushi.gen_rect(3, 3)
     part = partition_faces(mesh, "all-barycentric")
