@@ -115,6 +115,7 @@ def gradient_field(mesh: Mesh, u: DiscreteFunction,
     ``u`` must carry materialized face values (barycentric faces already
     reconstructed; see :func:`sushi.postproc.reconstruct_faces`).
     """
-    residuals = stabilization_residuals(mesh, u, alpha)
-    cones = cell_gradients(mesh, u)[mesh.cone_cell] + residuals[:, None] * mesh.cone_normal
-    return GradientField(cones=cones)
+    grad = cell_gradients(mesh, u)[mesh.cone_cell]
+    residuals = _residuals(mesh, slice(None), cone_increments(mesh, u), grad,
+                           resolve_alpha(alpha, mesh.dim))
+    return GradientField(cones=grad + residuals[:, None] * mesh.cone_normal)

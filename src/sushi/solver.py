@@ -1,5 +1,10 @@
 """SPD linear solvers: CG preconditioned by Jacobi or by smoothed-aggregation
-multigrid, plus a certified direct solve."""
+multigrid, plus a certified direct solve.
+
+Where the cell block of a multigrid-sized system is diagonal (every face a
+hybrid unknown), CG eliminates the cells exactly and iterates on the face
+Schur complement; its stopping test and reported residual stay on the full
+system."""
 
 from __future__ import annotations
 
@@ -224,6 +229,51 @@ def _smooth(mat: sp.csr_matrix, smoother: np.ndarray, b: np.ndarray, x: np.ndarr
 
 
 @dataclass
+class _CellElimination:
+    """The cell unknowns of a system whose cell block D is diagonal,
+    eliminated exactly: CG iterates on the face Schur complement
+    S = K_FF - K_FC D^-1 K_CF, made exactly symmetric, and each cycle
+    maps the full residual to S and its face correction back."""
+
+    n_cells: int
+    inv_diag: np.ndarray  # D^-1
+    face_cell: sp.csr_matrix  # K_FC; K_CF is its transpose
+    schur: sp.csr_matrix
+
+    def condense(self, r: np.ndarray) -> np.ndarray:
+        """r_F - K_FC D^-1 r_C: the residual of S for the full residual r."""
+        nc = self.n_cells
+        return r[nc:] - self.face_cell @ (self.inv_diag * r[:nc])
+
+    def back_substitute(self, x: np.ndarray, e: np.ndarray, r: np.ndarray) -> None:
+        """x_F += e and x_C += D^-1 (r_C - K_CF e), in place, for the full
+        residual r of x."""
+        nc = self.n_cells
+        x[nc:] += e
+        x[:nc] += self.inv_diag * (r[:nc] - self.face_cell.T @ e)
+
+
+def _cell_elimination(system, mat: sp.csr_matrix) -> _CellElimination | None:
+    """The elimination of the cell unknowns of ``system`` (matrix ``mat``),
+    or None unless the system has a face unknown, its cell block stores no
+    off-diagonal entry and every diagonal entry is > 0.  A system with a
+    non-positive diagonal entry keeps the full path, whose multigrid setup
+    names the unknown."""
+    nc = system.numbering.n_cells
+    upper = system.upper
+    if not (nc < system.n and np.all(system.diag > 0.0)
+            and not np.any(upper.indices[:upper.indptr[nc]] < nc)):
+        return None
+    inv_diag = 1.0 / system.diag[:nc]
+    face_cell = mat[nc:, :nc]
+    schur = mat[nc:, nc:] - face_cell @ (sp.diags(inv_diag) @ face_cell.T)
+    schur = (0.5 * (schur + schur.T)).tocsr()
+    log.debug("cell unknowns eliminated: CG on the face Schur complement, %d -> %d unknowns",
+              system.n, schur.shape[0])
+    return _CellElimination(nc, inv_diag, face_cell, schur)
+
+
+@dataclass
 class SolveReport:
     """Iterations, wall time, method and the relative residual
     ||b - Mx|| / ||b|| of the returned x, evaluated in ``np.longdouble``."""
@@ -250,13 +300,20 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
     Below ``AMG_MIN_N`` unknowns the preconditioner is Jacobi; from there on
     it is one symmetric V-cycle of smoothed aggregation, set up here on
     every call (``_smoothed_aggregation``).  Both run without BLAS, so the
-    iterates do not depend on its thread count.
+    iterates do not depend on its thread count.  From ``AMG_MIN_N`` on, a
+    system with a face unknown, no stored off-diagonal entry in its cell
+    block and a positive diagonal (``all-hybrid``) has its cells
+    eliminated exactly (``_cell_elimination``): the V-cycle is built on the
+    face Schur complement S, each cycle of CG iterates on S from the
+    condensed full residual, and its face correction is back-substituted
+    into x.
 
     Stops when the relative residual ||b - M x|| / ||b||, evaluated in
     ``np.longdouble``, is at most ``tol``, which must be finite and positive
     (``ValueError`` otherwise), and reports it.  CG checks it once the
-    float64 recurrence residual is below ``tol / 4``; if it is above ``tol``,
-    CG restarts from it (mixed-precision iterative refinement).  Raises
+    float64 recurrence residual (of S, when the cells are eliminated) is
+    below ``tol / 4``; if it is above ``tol``, CG restarts from it
+    (mixed-precision iterative refinement).  Raises
     ``MaxIterations`` when it has not halved over ``STAGNATION_RESTARTS``
     consecutive restarts or after ``max_iters`` iterations (default
     ``10 n``).  Raises ``BreakdownNonSPD`` before any work on a matrix or
@@ -279,10 +336,14 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
         return np.zeros(n), SolveReport(0, 0.0, time.perf_counter() - t0, "cg")
 
     mat_ext, b_ext = mat.astype(np.longdouble), b.astype(np.longdouble)
+    elim = None
     if n < AMG_MIN_N:
         precond = functools.partial(np.multiply, 1.0 / system.diag)
-    else:
+    elif (elim := _cell_elimination(system, mat)) is None:
         precond = _smoothed_aggregation(mat, system.diag)
+    else:
+        precond = _smoothed_aggregation(elim.schur, elim.schur.diagonal())
+    cg_mat = mat if elim is None else elim.schur
     x = np.zeros(n)
     r = b.copy()
     iterations = 0
@@ -290,25 +351,30 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
     reference = math.inf
     stalls = 0
     while True:
-        z = precond(r)
+        # CG runs on e with residual s: x and r themselves, or the face
+        # correction from 0 and the condensed residual
+        e, s = (x, r) if elim is None else (np.zeros(cg_mat.shape[0]), elim.condense(r))
+        z = precond(s)
         p = z.copy()
-        rz = _dot(r, z)
+        rz = _dot(s, z)
         while iterations < max_iters:
             iterations += 1
-            ap = mat @ p
+            ap = cg_mat @ p
             pap = _dot(p, ap)
             if not pap > 0.0:
                 raise BreakdownNonSPD(f"curvature {pap} at iteration {iterations}: "
                                       "the system is not SPD or not finite")
             alpha = rz / pap
-            x += alpha * p
-            r -= alpha * ap
-            if _norm(r) <= 0.25 * tol * bnorm:
+            e += alpha * p
+            s -= alpha * ap
+            if _norm(s) <= 0.25 * tol * bnorm:
                 break
-            z = precond(r)
-            rz_new = _dot(r, z)
+            z = precond(s)
+            rz_new = _dot(s, z)
             p = z + (rz_new / rz) * p
             rz = rz_new
+        if elim is not None:
+            elim.back_substitute(x, e, r)
         r_ext, res = _residual(mat_ext, b_ext, bnorm, x)
         if res <= tol:
             break

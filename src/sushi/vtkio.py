@@ -26,9 +26,18 @@ def _xyz_lines(points) -> list[str]:
     return [f"{x!r} {y!r} 0.0" for x, y in np.asarray(points, dtype=float).tolist()]
 
 
+def _cell_rows(mesh: Mesh) -> str:
+    """The rows ``k v_1 ... v_k`` of every cell loop, by one %-format over
+    the loop sizes interleaved with ``cone_vertex``."""
+    sizes = np.diff(mesh.cell_ptr)
+    row = {k: " ".join(["%d"] * (k + 1)) for k in set(sizes.tolist())}
+    values = np.insert(mesh.cone_vertex, mesh.cell_ptr[:-1], sizes)
+    return "\n".join([row[k] for k in sizes.tolist()]) % tuple(values.tolist())
+
+
 def export_vtk(mesh: Mesh, path, cell_scalars: dict | None = None,
                cell_vectors: dict | None = None, title: str = "sushi run") -> None:
-    loops = mesh.loops()
+    n_cells = mesh.n_cells
     lines = [
         "# vtk DataFile Version 3.0",
         title,
@@ -36,13 +45,13 @@ def export_vtk(mesh: Mesh, path, cell_scalars: dict | None = None,
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {len(mesh.vertices)} double",
         *_xyz_lines(mesh.vertices),
-        f"CELLS {len(loops)} {mesh.n_cones + len(loops)}",
-        *(" ".join(map(str, [len(loop), *loop])) for loop in loops),
-        f"CELL_TYPES {len(loops)}",
-        *["7"] * len(loops),  # VTK_POLYGON
+        f"CELLS {n_cells} {mesh.n_cones + n_cells}",
+        _cell_rows(mesh),
+        f"CELL_TYPES {n_cells}",
+        *["7"] * n_cells,  # VTK_POLYGON
     ]
     if cell_scalars or cell_vectors:
-        lines.append(f"CELL_DATA {len(loops)}")
+        lines.append(f"CELL_DATA {n_cells}")
     for name, values in (cell_scalars or {}).items():
         values = np.asarray(values)
         if np.issubdtype(values.dtype, np.integer):

@@ -331,7 +331,8 @@ def test_solve_default_tol_stops_on_extended_precision_residual(tmp_path):
     # At rect:192x192 all-hybrid the float64 evaluation of b - Kx stays near
     # 1.7e-12 while the iterate's residual, computed in extended precision,
     # is below the default tol of 1e-12: CG stops there and reports it.
-    # The multigrid preconditioner gets there in 39 iterations (Jacobi: 1,402)
+    # CG on the face Schur complement with the multigrid preconditioner gets
+    # there in 26 iterations (39 on the full system; Jacobi: 1,402)
     code = main(["solve", "--mesh", "rect:192x192", "--policy", "all-hybrid",
                  "--out", str(tmp_path)])
     assert code == 0
@@ -355,8 +356,8 @@ def test_manifest_independent_of_blas_threads(tmp_path):
     cases = {
         # N = 12,160 is above the length from which OpenBLAS splits a dot
         # product across threads, so BLAS reductions would sum in another
-        # order; it is also above AMG_MIN_N, so the multigrid setup and
-        # V-cycle run here
+        # order; it is also above AMG_MIN_N, so the cell elimination and
+        # the multigrid setup and V-cycle on the face Schur complement run here
         "cg": ["--mesh", "rect:64x64", "--policy", "all-hybrid"],
         # the direct solve's SuperLU factorization calls BLAS
         "dense": ["--problem", "tilted-barrier", "--mesh", "barrier:2",

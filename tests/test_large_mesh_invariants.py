@@ -22,9 +22,9 @@ def affine(p):
 
 
 # CG iterations allowed.  rect:128x128 all-hybrid (N = 48,896) is above
-# AMG_MIN_N and takes 27 with the multigrid preconditioner, where Jacobi took
-# hundreds, and all-barycentric (N = 16,384) takes 19; tri:64 (N = 8,192)
-# stays on Jacobi.
+# AMG_MIN_N and takes 18 on the face Schur complement with the multigrid
+# preconditioner (27 on the full system; Jacobi took hundreds), and
+# all-barycentric (N = 16,384) takes 19; tri:64 (N = 8,192) stays on Jacobi.
 CG_BUDGET = {"rect:128x128": 60}
 
 

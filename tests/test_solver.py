@@ -13,7 +13,14 @@ from conftest import system_from_dense
 from sushi.assembly import LinearSystem, assemble
 from sushi.errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
 from sushi.problems import problem_anisotropic_smooth, problem_tilted_barrier
-from sushi.solver import AMG_MIN_N, _smoothed_aggregation, solve_cg, solve_dense, spd_certificate
+from sushi.solver import (
+    AMG_MIN_N,
+    _cell_elimination,
+    _smoothed_aggregation,
+    solve_cg,
+    solve_dense,
+    spd_certificate,
+)
 from sushi.spaces import UnknownNumbering, compute_weights, partition_faces
 
 
@@ -105,8 +112,10 @@ def test_cg_reaches_tol_below_float64_restart_floor(caplog):
     # (N = 48,896), just above tol; without the stagnation exit CG crawls
     # to the 10 n cap (488,960 iterations).  The extended-precision
     # restart residual gets below that floor within a few restarts.  This
-    # system is above AMG_MIN_N, so the preconditioner is the multigrid
-    # V-cycle: 36 iterations and 1 restart, where Jacobi took 810 and 1.
+    # system is above AMG_MIN_N, so CG eliminates the cells and runs on the
+    # face Schur complement under the multigrid V-cycle: 24 iterations and
+    # 1 restart, where the V-cycle on the full system took 36 and 1, and
+    # Jacobi 810 and 1.
     system = hybrid_rect_system(128)
     caplog.set_level(logging.DEBUG, logger="sushi.solver")
     _, report = solve_cg(system, tol=1e-12)
@@ -208,25 +217,69 @@ def test_multigrid_only_from_amg_min_n(caplog):
     _, report = solve_cg(large)
     setups = [r.getMessage() for r in caplog.records if "AMG setup" in r.getMessage()]
     assert len(setups) == 1
-    assert setups[0].startswith(f"AMG setup: levels {large.n}/")
+    # all-hybrid: the hierarchy is built on the face Schur complement
+    assert setups[0].startswith(f"AMG setup: levels {large.n - large.numbering.n_cells}/")
     assert "operator complexity" in setups[0]
-    assert report.iterations <= 40  # 31 here; Jacobi took 400
+    # 21 here; 31 with the V-cycle on the full system; Jacobi took 400
+    assert report.iterations <= 40
 
 
 AMG_SYSTEMS = {"rect:64x64 all-hybrid": lambda: hybrid_rect_system(64),
                "rect:128x128 all-barycentric": lambda: cellcentred_rect_system(128)}
 
 
+def assert_spd_preconditioner(precond, rhs, rng):
+    u, v = rng.standard_normal((2, len(rhs)))
+    uv, vu = u @ precond(v), v @ precond(u)
+    assert abs(uv - vu) <= 1e-12 * max(abs(uv), abs(vu))
+    for w in (u, v, np.ones(len(rhs)), rhs):
+        assert w @ precond(w) > 0.0
+
+
 @pytest.mark.parametrize("build", AMG_SYSTEMS.values(), ids=AMG_SYSTEMS.keys())
 def test_multigrid_preconditioner_is_symmetric_positive_definite(build, rng):
     system = build()
     assert system.n >= AMG_MIN_N
-    precond = _smoothed_aggregation(system.full(), system.diag)
-    u, v = rng.standard_normal((2, system.n))
-    uv, vu = u @ precond(v), v @ precond(u)
-    assert abs(uv - vu) <= 1e-12 * max(abs(uv), abs(vu))
-    for w in (u, v, np.ones(system.n), system.rhs):
-        assert w @ precond(w) > 0.0
+    assert_spd_preconditioner(_smoothed_aggregation(system.full(), system.diag),
+                              system.rhs, rng)
+
+
+def test_condensed_system_is_symmetric_with_spd_preconditioner(rng):
+    system = hybrid_rect_system(64)
+    elim = _cell_elimination(system, system.full())
+    schur = elim.schur
+    assert schur.shape == (system.n - system.numbering.n_cells,) * 2
+    assert (schur != schur.T).nnz == 0
+    assert_spd_preconditioner(_smoothed_aggregation(schur, schur.diagonal()),
+                              elim.condense(system.rhs), rng)
+
+
+def test_condensed_solve_reports_the_full_system_residual():
+    # CG iterates on the face Schur complement, but the reported residual is
+    # that of the full system for the back-substituted x
+    system = hybrid_rect_system(64)
+    x, report = solve_cg(system)
+    assert report.relative_residual <= 1e-12
+    exact = exact_relative_residual(system, x)
+    assert report.relative_residual == pytest.approx(exact, rel=1e-4, abs=0.0)
+
+
+def test_barycentric_system_keeps_the_full_hierarchy(caplog):
+    # a barycentric face couples cells: the cell block is not diagonal
+    system = cellcentred_rect_system(128)
+    caplog.set_level(logging.DEBUG, logger="sushi.solver")
+    solve_cg(system)
+    messages = [r.getMessage() for r in caplog.records]
+    assert not [m for m in messages if "eliminated" in m]
+    setups = [m for m in messages if "AMG setup" in m]
+    assert len(setups) == 1
+    assert setups[0].startswith(f"AMG setup: levels {system.n}/")
+
+
+def test_condensed_solve_iteration_budget():
+    # 24 iterations on the face Schur complement; 36 on the full system
+    _, report = solve_cg(hybrid_rect_system(128))
+    assert report.iterations <= 30
 
 
 @pytest.mark.parametrize("build", AMG_SYSTEMS.values(), ids=AMG_SYSTEMS.keys())
@@ -242,6 +295,15 @@ def test_multigrid_setup_rejects_a_non_positive_diagonal():
     system = hybrid_rect_system(64)
     system.diag[100] = -system.diag[100]
     with pytest.raises(BreakdownNonSPD, match="diagonal entry 100 of multigrid level 0"):
+        solve_cg(system)
+
+
+def test_non_positive_face_diagonal_is_named_in_the_full_system():
+    # the cells are not eliminated, so the setup names the system's unknown
+    system = hybrid_rect_system(64)
+    face = system.numbering.n_cells + 100
+    system.diag[face] = -system.diag[face]
+    with pytest.raises(BreakdownNonSPD, match=f"diagonal entry {face} of multigrid level 0"):
         solve_cg(system)
 
 
