@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .assembly import LinearSystem, TensorField, assemble, local_matrices
 from .generators import gen_nonconforming_rect, gen_rect, gen_tilted_barrier, gen_tri
 from .geometry import Mesh, compute_geometry, theta_D, theta_DB, validate
-from .gradient import GradientField, cell_gradients, gradient_field, gradient_operator
+from .gradient import GradientField, cell_gradients, gradient_field
 from .meshfile import read_mesh, write_mesh
 from .postproc import (
     ErrorReport,
@@ -50,7 +50,7 @@ __all__ = [
     "read_mesh", "write_mesh",
     "EdgePartition", "BarycentricWeights", "DiscreteFunction", "UnknownNumbering",
     "partition_faces", "compute_weights", "interpolate",
-    "GradientField", "cell_gradients", "gradient_field", "gradient_operator",
+    "GradientField", "cell_gradients", "gradient_field",
     "TensorField", "LinearSystem", "local_matrices", "assemble",
     "SolveReport", "solve_cg", "solve_dense",
     "ErrorReport", "FluxReport", "reconstruct_faces", "cone_fluxes", "composite_fluxes",

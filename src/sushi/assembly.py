@@ -1,16 +1,21 @@
 """Local flux matrices, elimination of barycentric faces, global SPD assembly.
 
-With ``G`` the gradient operator of :mod:`sushi.gradient` (cone gradients
-``G delta`` of the cone increments delta = u_sigma - u_K) and ``Lambda``
-the block diagonal of the diffusion tensors integrated over each cone,
-the local flux matrices of all cells form the block-diagonal
+The stabilized gradient on cone i of a cell K (:mod:`sushi.gradient`) is
+linear in the cone increments delta = u_sigma - u_K of K:
+grad(K, sigma_i) u = sum_j delta_j y_ij, with the cone vectors
+y_ij = g_j + R_ij n_i (g_j the coefficient of delta_j in grad_K u, R_ij its
+coefficient in R(K, sigma_i) u).  With Lambda_i the diffusion tensor
+integrated over cone i, the local flux matrix of K is the k x k block
 
-    B = G^T Lambda G,
+    (A_K)_jl = sum_i y_ij . Lambda_i y_il,
 
-whose block A_K reproduces the bilinear form integral of
-grad_D u . Lambda grad_D v over K.  The numerical fluxes, outflow
-positive, are ``-B delta``; :func:`sushi.postproc.cone_fluxes` evaluates
-them cell by cell without forming ``B``.
+which reproduces the bilinear form integral of grad_D u . Lambda grad_D v
+over K.  :func:`local_matrices` computes these blocks with array
+operations, a block of cells of one loop size at a time, and stores them
+as the block-diagonal ``B`` over the cones; no operator over cone pairs is
+formed.  The numerical fluxes, outflow positive, are ``-B delta``;
+:func:`sushi.postproc.cone_fluxes` evaluates them cell by cell without
+forming ``B``.
 
 Assembly restricts this hybrid form to the retained unknowns x (cells and
 hybrid faces).  With ``P`` and ``c`` the face expansion of
@@ -38,7 +43,7 @@ from .errors import (
     SingularAfterElimination,
 )
 from .geometry import Mesh, segment_sums
-from .gradient import gradient_operator
+from .gradient import _residuals, gradient_coefficients, resolve_alpha
 from .spaces import (
     BarycentricWeights,
     EdgePartition,
@@ -47,6 +52,11 @@ from .spaces import (
     numbering_for,
     sample_field,
 )
+
+# Cells per array pass of ``local_matrices``.  It bounds the pass's
+# transient arrays, each (cells, k, k) or (cells, k, k, 2): 256 or 512 kB
+# for quadrilaterals.
+LOCAL_BLOCK = 2048
 
 
 def _check_spd(mats) -> None:
@@ -116,14 +126,46 @@ class TensorField:
 
 def local_matrices(mesh: Mesh, tensor: TensorField,
                    alpha: float | None = None) -> sp.csr_matrix:
-    """``B = G^T Lambda G``: the symmetric local flux matrices as one
-    block-diagonal matrix over the cones."""
-    grad = gradient_operator(mesh, alpha)
-    n = mesh.n_cones
-    lam = sp.bsr_matrix((tensor.cone_tensors(mesh), np.arange(n), np.arange(n + 1)),
-                        shape=(2 * n, 2 * n))
-    mat = (grad.T @ (lam @ grad)).tocsr()
-    return 0.5 * (mat + mat.T)
+    """``B``: the local flux matrices A_K as one block-diagonal matrix over
+    the cones, every entry of each k x k block stored, exact zeros included.
+
+    The cells of each loop size k are taken ``LOCAL_BLOCK`` at a time.  An
+    entry sums y_ij . (Lambda_i y_il) over the cones i and the components
+    in ascending order, starting from zero: the order of the sparse product
+    ``G^T (Lambda G)`` over the gradient operator ``G``, so both give the
+    same values bit for bit.  Symmetric: the block is 0.5 (A + A^T).
+    """
+    a = resolve_alpha(alpha, mesh.dim)
+    coeffs = gradient_coefficients(mesh)
+    tensors = tensor.cone_tensors(mesh)
+    sizes = np.diff(mesh.cell_ptr)
+    block_start = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    values = np.empty(block_start[-1])
+    columns = np.empty(block_start[-1], dtype=np.int64)
+    dims = range(mesh.dim)
+    for k in np.unique(sizes).tolist():
+        square = np.arange(k * k).reshape(k, k)
+        of_size = np.flatnonzero(sizes == k)
+        for first in range(0, len(of_size), LOCAL_BLOCK):
+            cells = of_size[first:first + LOCAL_BLOCK]
+            cones = mesh.cell_ptr[cells][:, None] + np.arange(k)
+            # y[e][c, i, j], component e of the coefficient of delta_j in the
+            # gradient of cone i: grad_K = g_j, plus R for delta = [i == j].
+            g = coeffs[cones]
+            coef = _residuals(mesh, cones[:, :, None], np.eye(k), g[:, None], a)
+            normal = mesh.cone_normal[cones]
+            y = [g[:, None, :, e] + coef * normal[:, :, None, e] for e in dims]
+            lam = tensors[cones]
+            ly = [sum(lam[:, :, None, d, e] * y[e] for e in dims) for d in dims]
+            b = np.zeros((len(cells), k, k))
+            for i in range(k):
+                for e in dims:
+                    b += y[e][:, i, :, None] * ly[e][:, i, None, :]
+            at = block_start[cells][:, None, None] + square
+            values[at] = 0.5 * (b + b.transpose(0, 2, 1))
+            columns[at] = cones[:, None, :]
+    row_ptr = np.concatenate([[0], np.cumsum(sizes[mesh.cone_cell])])
+    return sp.csr_matrix((values, columns, row_ptr), shape=(mesh.n_cones, mesh.n_cones))
 
 
 def rhs_cell_integrals(mesh: Mesh, f) -> np.ndarray:
@@ -187,10 +229,11 @@ def assemble(mesh: Mesh, partition: EdgePartition,
 
     mat = (cone_map.T @ (local @ cone_map)).tocsr()
     # The value product drops exact zeros, but NM counts every entry that a
-    # stored weight and a local matrix entry reach: the same product over
-    # the 0/1 patterns, with the full k x k block of every cell.
-    reach = cells + _structure(picked)
-    nm = (reach.T @ ((cells @ cells.T) @ reach)).nnz
+    # stored weight and a local matrix entry reach: two unknowns reached
+    # from the cones of one cell, as the 0/1 product T^T T over the
+    # cell-to-unknown pattern T = C^T (C + pattern(P[cone_face])).
+    reach = cells.T @ (cells + _structure(picked))
+    nm = (reach.T @ reach).nnz
 
     rhs = cone_map.T @ (local @ consts[mesh.cone_face])
     if source is not None:

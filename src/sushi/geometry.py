@@ -116,10 +116,6 @@ class Mesh:
         ptr, verts = self.cell_ptr.tolist(), self.cone_vertex.tolist()
         return [verts[s:e] for s, e in zip(ptr, ptr[1:])]
 
-    def cone_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every (i, j) of cones of one cell, cell by cell, row-major in each."""
-        return _cone_pairs(self.cell_ptr, self.cone_cell)
-
     def interior_faces(self) -> list[int]:
         return np.flatnonzero(~self.face_boundary).tolist()
 
@@ -156,6 +152,7 @@ class ValidationReport:
 
 
 def _cone_pairs(cell_ptr: np.ndarray, cone_cell: np.ndarray):
+    """Every (i, j) of cones of one cell, cell by cell, row-major in each."""
     rep = np.diff(cell_ptr)[cone_cell]
     i = np.repeat(np.arange(len(cone_cell)), rep)
     starts = np.repeat(np.cumsum(rep) - rep, rep)

@@ -13,11 +13,9 @@ face-normal direction:
 
 Both are linear in the cone increments delta = u_sigma - u_K and local to
 one cell.  grad_K u (:func:`gradient_coefficients`) and R (:func:`_residuals`)
-are defined once and evaluated on the flat cone arrays.  Only assembly
-needs a matrix: the sparse operator ``G`` (2 n_cones x n_cones,
-block-diagonal by cell) with ``G delta`` the cone gradients, row
-``2 i + a`` holding component ``a`` of cone ``i``; the local flux
-matrices are ``G^T Lambda G`` (:func:`sushi.assembly.local_matrices`).
+are defined once and evaluated on the flat cone arrays.  No gradient
+operator is formed: assembly evaluates the same R on blocks of cells to
+build the local flux matrices (:func:`sushi.assembly.local_matrices`).
 ``alpha`` defaults to sqrt(d); any finite positive value is admissible
 (:func:`resolve_alpha`).
 """
@@ -28,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import Mesh, segment_sums
 from .spaces import DiscreteFunction
@@ -75,24 +72,12 @@ def gradient_coefficients(mesh: Mesh) -> np.ndarray:
 
 def _residuals(mesh: Mesh, cones, delta: np.ndarray, grad: np.ndarray, alpha: float):
     """R(K, sigma) = (alpha/d) (delta - (x_sigma - x_K) . grad) on the cones
-    ``cones``, for their increments ``delta`` and cell gradients ``grad``."""
+    ``cones``, for their increments ``delta`` and cell gradients ``grad``
+    (components on the last axis); the shape of the index array ``cones``
+    broadcasts with the leading axes of the other two."""
     rel = mesh.face_centre[mesh.cone_face[cones]] - mesh.cell_point[mesh.cone_cell[cones]]
-    proj = (rel * grad).sum(axis=1)
+    proj = (rel * grad).sum(axis=-1)
     return (delta - proj) * (alpha / mesh.cone_dist[cones])
-
-
-def gradient_operator(mesh: Mesh, alpha: float | None = None) -> sp.csr_matrix:
-    """Sparse ``G``: the cone gradients are ``(G @ delta).reshape(-1, d)``."""
-    a = resolve_alpha(alpha, mesh.dim)
-    g = gradient_coefficients(mesh)
-    # The coefficient of delta_j in R(K, sigma_i) u: R for delta = [i == j], grad_K = g_j.
-    i, j = mesh.cone_pairs()
-    coef = _residuals(mesh, i, np.where(i == j, 1.0, 0.0), g[j], a)
-    y = g[j] + coef[:, None] * mesh.cone_normal[i]
-    d = mesh.dim
-    rows = (d * i[:, None] + np.arange(d)).ravel()
-    return sp.csr_matrix((y.ravel(), (rows, np.repeat(j, d))),
-                         shape=(d * mesh.n_cones, mesh.n_cones))
 
 
 def cell_gradients(mesh: Mesh, u: DiscreteFunction) -> np.ndarray:

@@ -35,35 +35,33 @@ def _cell_rows(mesh: Mesh) -> str:
     return "\n".join([row[k] for k in sizes.tolist()]) % tuple(values.tolist())
 
 
+def _write_block(fh, header: str, lines) -> None:
+    """``header`` and then ``lines``, each ended by a newline."""
+    fh.write("\n".join([header, *lines]))
+    fh.write("\n")
+
+
 def export_vtk(mesh: Mesh, path, cell_scalars: dict | None = None,
                cell_vectors: dict | None = None, title: str = "sushi run") -> None:
+    """Write the grid and its cell data block by block, each as it is formatted."""
     n_cells = mesh.n_cells
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {len(mesh.vertices)} double",
-        *_xyz_lines(mesh.vertices),
-        f"CELLS {n_cells} {mesh.n_cones + n_cells}",
-        _cell_rows(mesh),
-        f"CELL_TYPES {n_cells}",
-        *["7"] * n_cells,  # VTK_POLYGON
-    ]
-    if cell_scalars or cell_vectors:
-        lines.append(f"CELL_DATA {n_cells}")
-    for name, values in (cell_scalars or {}).items():
-        values = np.asarray(values)
-        if np.issubdtype(values.dtype, np.integer):
-            lines += [f"SCALARS {name} int 1", "LOOKUP_TABLE default"]
-            lines += map(str, values.tolist())
-        else:
-            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-            lines += map(repr, values.astype(float).tolist())
-    for name, vecs in (cell_vectors or {}).items():
-        lines += [f"VECTORS {name} double", *_xyz_lines(vecs)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        _write_block(fh, f"POINTS {len(mesh.vertices)} double", _xyz_lines(mesh.vertices))
+        _write_block(fh, f"CELLS {n_cells} {mesh.n_cones + n_cells}", [_cell_rows(mesh)])
+        _write_block(fh, f"CELL_TYPES {n_cells}", ["7"] * n_cells)  # VTK_POLYGON
+        if cell_scalars or cell_vectors:
+            fh.write(f"CELL_DATA {n_cells}\n")
+        for name, values in (cell_scalars or {}).items():
+            values = np.asarray(values)
+            if np.issubdtype(values.dtype, np.integer):
+                _write_block(fh, f"SCALARS {name} int 1\nLOOKUP_TABLE default",
+                             map(str, values.tolist()))
+            else:
+                _write_block(fh, f"SCALARS {name} double 1\nLOOKUP_TABLE default",
+                             map(repr, values.astype(float).tolist()))
+        for name, vecs in (cell_vectors or {}).items():
+            _write_block(fh, f"VECTORS {name} double", _xyz_lines(vecs))
 
 
 def export_csv(rows: list[dict], path) -> None:

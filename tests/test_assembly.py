@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -20,6 +22,7 @@ from sushi.errors import MissingWeights, NonPositiveTensor, NonSymmetricTensor
 from sushi.gradient import default_alpha, gradient_field
 from sushi.postproc import cone_fluxes
 from sushi.problems import problem_anisotropic_smooth, problem_superadmissible_oracle
+from sushi.run import parse_mesh_spec
 from sushi.spaces import DiscreteFunction, compute_weights, interpolate, partition_faces
 
 CLUBAR = np.array([[1.5, 0.5], [0.5, 1.5]])
@@ -132,8 +135,6 @@ TABLE1 = {
 
 @pytest.mark.parametrize("spec,policy", sorted(TABLE1))
 def test_unknown_and_nonzero_counts(spec, policy):
-    from sushi.run import parse_mesh_spec
-
     mesh, _, _ = parse_mesh_spec(spec)
     prob = problem_anisotropic_smooth()
     part = partition_faces(mesh, policy)
@@ -141,6 +142,25 @@ def test_unknown_and_nonzero_counts(spec, policy):
     system = assemble(mesh, part, weights, prob.make_tensor(mesh),
                       source=prob.source, dirichlet=prob.dirichlet)
     assert (system.n, system.nm) == TABLE1[(spec, policy)]
+
+
+@pytest.mark.parametrize("policy", ["all-barycentric", "all-hybrid"])
+def test_assemble_peak_memory_at_128x128(policy):
+    # The local flux matrices are built LOCAL_BLOCK cells at a time; the
+    # sparse product over every cone pair they replaced peaked at 36 MB
+    # (barycentric) and 34 MB (hybrid) here.
+    mesh, _, _ = parse_mesh_spec("rect:128x128")
+    prob = problem_anisotropic_smooth()
+    tensor = prob.make_tensor(mesh)
+    part = partition_faces(mesh, policy)
+    weights = compute_weights(mesh, part) if part.barycentric_faces() else None
+    tracemalloc.start()
+    try:
+        assemble(mesh, part, weights, tensor, source=prob.source, dirichlet=prob.dirichlet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25e6
 
 
 def test_assembled_matrix_exactly_symmetric():

@@ -9,6 +9,10 @@ a canonical coalescing of the triplets.
 Sums now run in a different order, so values are compared within a
 tolerance fixed from the float64 epsilon (``REL_TOL`` times the largest
 magnitude); the structural counts must match exactly.
+
+The local flux matrices are also held to the sparse products
+``G^T (Lambda G)`` they replaced (:func:`reference_local_matrices`), which
+sum in the same order: there every value must be equal, bit for bit.
 """
 
 import numpy as np
@@ -23,8 +27,21 @@ from conftest import (
     weight_rows,
     weights_table,
 )
-from sushi.assembly import TensorField, assemble, local_matrices, rhs_cell_integrals
-from sushi.gradient import cell_gradients, gradient_field, gradient_operator, resolve_alpha
+from sushi.assembly import (
+    LOCAL_BLOCK,
+    TensorField,
+    assemble,
+    local_matrices,
+    rhs_cell_integrals,
+)
+from sushi.geometry import _cone_pairs
+from sushi.gradient import (
+    _residuals,
+    cell_gradients,
+    gradient_coefficients,
+    gradient_field,
+    resolve_alpha,
+)
 from sushi.postproc import cone_fluxes, reconstruct_faces
 from sushi.problems import problem_anisotropic_smooth, problem_tilted_barrier
 from sushi.run import parse_mesh_spec
@@ -46,6 +63,33 @@ def reference_cone_vectors(c, alpha):
     proj = (c.face_centres - c.point) @ g.T
     coef = (np.eye(len(c.faces)) - proj) * (alpha / c.dists)[:, None]
     return g[None, :, :] + coef[:, :, None] * c.normals[:, None, :]
+
+
+def reference_gradient_operator(mesh, alpha=None):
+    """Sparse ``G`` (d n_cones x n_cones, block-diagonal by cell): the cone
+    gradients are ``(G @ delta).reshape(-1, d)``, row ``d i + a`` holding
+    component ``a`` of cone ``i``."""
+    a = resolve_alpha(alpha, mesh.dim)
+    g = gradient_coefficients(mesh)
+    # The coefficient of delta_j in R(K, sigma_i) u: R for delta = [i == j], grad_K = g_j.
+    i, j = _cone_pairs(mesh.cell_ptr, mesh.cone_cell)
+    coef = _residuals(mesh, i, np.where(i == j, 1.0, 0.0), g[j], a)
+    y = g[j] + coef[:, None] * mesh.cone_normal[i]
+    d = mesh.dim
+    rows = (d * i[:, None] + np.arange(d)).ravel()
+    return sp.csr_matrix((y.ravel(), (rows, np.repeat(j, d))),
+                         shape=(d * mesh.n_cones, mesh.n_cones))
+
+
+def reference_local_matrices(mesh, tensor, alpha=None):
+    """``B = G^T Lambda G`` by two sparse products, symmetrized; the product
+    drops the entries that sum to exactly zero."""
+    grad = reference_gradient_operator(mesh, alpha)
+    n = mesh.n_cones
+    lam = sp.bsr_matrix((tensor.cone_tensors(mesh), np.arange(n), np.arange(n + 1)),
+                        shape=(2 * n, 2 * n))
+    mat = (grad.T @ (lam @ grad)).tocsr()
+    return 0.5 * (mat + mat.T)
 
 
 def reference_cone_tensors(tensor, c):
@@ -212,6 +256,47 @@ ALPHA_CASES = [pytest.param(spec, policy, alpha,
                for alpha in (None, 0.3, 5.0) for spec, policy in CASES]
 
 
+def anisotropic_per_cell(mesh, rng):
+    """A different full SPD tensor on every cell."""
+    a, b = rng.uniform(0.5, 2.0, (2, mesh.n_cells))
+    c = rng.uniform(-0.3, 0.3, mesh.n_cells)
+    return TensorField.from_per_cell(np.stack([np.stack([a, c], -1), np.stack([c, b], -1)], 1))
+
+
+def assert_bit_identical(got, ref):
+    """Every entry ``ref`` stores is equal in ``got``; every other entry of
+    ``got`` is exactly 0.0."""
+    got, ref = got.tocoo(), ref.tocoo()
+    n = got.shape[1]
+    got_keys = got.row.astype(np.int64) * n + got.col
+    ref_keys = ref.row.astype(np.int64) * n + ref.col
+    order = np.argsort(got_keys)
+    got_keys, got_values = got_keys[order], got.data[order]
+    assert np.all(np.diff(got_keys) > 0)  # no duplicates
+    at = np.searchsorted(got_keys, ref_keys)
+    assert np.array_equal(got_keys[np.minimum(at, len(got_keys) - 1)], ref_keys)
+    assert np.array_equal(got_values[at], ref.data)
+    only_got = np.ones(len(got_keys), dtype=bool)
+    only_got[at] = False
+    assert np.all(got_values[only_got] == 0.0)
+
+
+@pytest.mark.parametrize("spec,policy,alpha", ALPHA_CASES)
+def test_local_matrices_equal_sparse_product(spec, policy, alpha, rng):
+    mesh, _, _, tensor, _ = build_case(spec, policy)
+    for field in (tensor, anisotropic_per_cell(mesh, rng)):
+        assert_bit_identical(local_matrices(mesh, field, alpha),
+                             reference_local_matrices(mesh, field, alpha))
+
+
+def test_local_matrices_equal_sparse_product_over_several_blocks(rng):
+    mesh, _, _ = parse_mesh_spec("rect:128x128")
+    assert mesh.n_cells > 4 * LOCAL_BLOCK
+    for field in (problem_anisotropic_smooth().make_tensor(mesh),
+                  anisotropic_per_cell(mesh, rng)):
+        assert_bit_identical(local_matrices(mesh, field), reference_local_matrices(mesh, field))
+
+
 @pytest.mark.parametrize("spec,policy,alpha", ALPHA_CASES)
 def test_fluxes_and_gradients_match_cell_loop(spec, policy, alpha, rng):
     mesh, _, _, tensor, _ = build_case(spec, policy)
@@ -229,7 +314,7 @@ def test_fluxes_and_gradients_match_cell_loop(spec, policy, alpha, rng):
     assert within_tol(cell_gradients(mesh, u), ref_cell)
 
     # G itself holds each cell's Y as its diagonal block
-    grad = gradient_operator(mesh, a).tocsr()
+    grad = reference_gradient_operator(mesh, a).tocsr()
     d = mesh.dim
     got_y, ref_y = [], []
     for c in cells:

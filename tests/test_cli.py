@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sushi
 from conftest import system_from_dense
@@ -19,7 +20,7 @@ from sushi.errors import (
     SushiError,
 )
 from sushi.generators import barrier_region
-from sushi.geometry import Mesh, compute_geometry
+from sushi.geometry import compute_geometry
 from sushi.gradient import default_alpha
 from sushi.meshfile import write_mesh
 from sushi.vtkio import read_csv
@@ -105,8 +106,10 @@ def test_solve_hybrid_counts(tmp_path, capsys):
 @pytest.mark.parametrize("mesh,policy", [("rect:8x8", "all-barycentric"),
                                          ("ncrect:2", "all-hybrid")])
 def test_solve_builds_each_operator_once(tmp_path, monkeypatch, mesh, policy):
-    # G is built from the cone pairs and B by local_matrices; the
-    # post-processing of the run evaluates both on cone arrays instead.
+    # B is built once, by local_matrices, from per-cell blocks.  No sparse
+    # operator with a row per cone gradient component (G, or Lambda G) is
+    # built at all: the post-processing evaluates both on cone arrays.
+    gradient_rows = 2 * sushi.parse_mesh_spec(mesh)[0].n_cones
     calls = {"G": 0, "B": 0}
 
     def counted(key, func):
@@ -115,7 +118,14 @@ def test_solve_builds_each_operator_once(tmp_path, monkeypatch, mesh, policy):
             return func(*args, **kwargs)
         return spy
 
-    monkeypatch.setattr(Mesh, "cone_pairs", counted("G", Mesh.cone_pairs))
+    def counted_init(init):
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            calls["G"] += self.shape[0] == gradient_rows
+        return spy
+
+    for cls in (sp.bsr_matrix, sp.coo_matrix, sp.csc_matrix, sp.csr_matrix):
+        monkeypatch.setattr(cls, "__init__", counted_init(cls.__init__))
     local_matrices = sushi.assembly.local_matrices
     spy = counted("B", local_matrices)
     for module in list(sys.modules.values()):
@@ -123,7 +133,7 @@ def test_solve_builds_each_operator_once(tmp_path, monkeypatch, mesh, policy):
                 and getattr(module, "local_matrices", None) is local_matrices):
             monkeypatch.setattr(module, "local_matrices", spy)
     assert main(["solve", "--mesh", mesh, "--policy", policy, "--out", str(tmp_path)]) == 0
-    assert calls == {"G": 1, "B": 1}
+    assert calls == {"G": 0, "B": 1}
 
 
 def test_solve_barrier_prints_fluxes(tmp_path, capsys):
