@@ -28,6 +28,8 @@ system is
 
 f holding the cell integrals of the source.  Only the strict upper
 triangle and the diagonal are stored, so the matrix is exactly symmetric.
+Each of C, P[cone_face], B and E is released as soon as it has been used,
+so the peak memory of assembly is that of one stage, not of all of them.
 """
 
 from __future__ import annotations
@@ -224,18 +226,21 @@ def assemble(mesh: Mesh, partition: EdgePartition,
     cells = sp.csr_matrix((np.ones(n_cones), (np.arange(n_cones), mesh.cone_cell)),
                           shape=(n_cones, n))
     picked = expansion[mesh.cone_face]
+    del expansion
     cone_map = (cells - picked).tocsr()
-    local = local_matrices(mesh, tensor, alpha)
-
-    mat = (cone_map.T @ (local @ cone_map)).tocsr()
     # The value product drops exact zeros, but NM counts every entry that a
     # stored weight and a local matrix entry reach: two unknowns reached
     # from the cones of one cell, as the 0/1 product T^T T over the
     # cell-to-unknown pattern T = C^T (C + pattern(P[cone_face])).
     reach = cells.T @ (cells + _structure(picked))
+    del cells, picked
     nm = (reach.T @ reach).nnz
+    del reach
 
+    local = local_matrices(mesh, tensor, alpha)
+    mat = (cone_map.T @ (local @ cone_map)).tocsr()
     rhs = cone_map.T @ (local @ consts[mesh.cone_face])
+    del cone_map, local
     if source is not None:
         rhs[: mesh.n_cells] += rhs_cell_integrals(mesh, source)
 

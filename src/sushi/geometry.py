@@ -8,7 +8,9 @@ sigma of K.  All derived quantities are computed once, as flat arrays:
 * per face: ``face_vertices``, ``face_cells`` (the two cells; -1 for the
   missing neighbour of a boundary face), ``face_cones`` (the cone of each
   entry of ``face_cells``), ``face_measure`` and ``face_centre``;
-* per cell: ``cell_point``, ``cell_measure`` and ``cell_diameter``;
+* per cell: ``cell_point``, ``cell_measure`` and ``cell_diameter``, the
+  largest distance between two loop vertices, taken as a running maximum
+  over one pass per loop offset, so no table of vertex pairs is formed;
 * per cone, cell-major: the cones of cell K are ``cell_ptr[K]`` to
   ``cell_ptr[K + 1] - 1``, in the order of the cell's working loop.  Each
   has ``cone_cell``, ``cone_face``, ``cone_vertex`` (the loop vertex that
@@ -151,15 +153,6 @@ class ValidationReport:
         )
 
 
-def _cone_pairs(cell_ptr: np.ndarray, cone_cell: np.ndarray):
-    """Every (i, j) of cones of one cell, cell by cell, row-major in each."""
-    rep = np.diff(cell_ptr)[cone_cell]
-    i = np.repeat(np.arange(len(cone_cell)), rep)
-    starts = np.repeat(np.cumsum(rep) - rep, rep)
-    j = cell_ptr[cone_cell[i]] + np.arange(len(i)) - starts
-    return i, j
-
-
 def _first(mask: np.ndarray) -> int:
     return int(np.nonzero(mask)[0][0])
 
@@ -263,10 +256,15 @@ def compute_geometry(
         )
     tri_centroids = origin[cone_cell] + (q + qn) / 3.0
     centroid = segment_sums(cross[:, None] * tri_centroids, cell_ptr) / (2.0 * area[:, None])
-    pi, pj = _cone_pairs(cell_ptr, cone_cell)
-    diff = pts[pi] - pts[pj]
-    pair_ptr = np.concatenate([[0], np.cumsum(sizes * sizes)])
-    diam = np.maximum.reduceat(np.sqrt((diff ** 2).sum(axis=1)), pair_ptr[:-1])
+    # Diameter: the largest vertex distance, over the pairs (i, i + s mod k)
+    # of each loop, one offset s at a time; s <= k // 2 meets every pair.
+    loop_size, first = sizes[cone_cell], cell_ptr[cone_cell]
+    local = np.arange(n_cones) - first
+    diam = np.zeros(n_cells)
+    for s in range(1, int(sizes.max()) // 2 + 1):
+        diff = pts - pts[first + (local + s) % loop_size]
+        diam = np.maximum(diam, np.maximum.reduceat(np.sqrt((diff ** 2).sum(axis=1)),
+                                                    cell_ptr[:-1]))
     xk = centroid if cell_points is None else cell_points
 
     t = vertices[b] - pts

@@ -3,7 +3,8 @@
 The VTK writer emits ASCII version 3.0 unstructured grids with polygon
 cells and cell data (solution scalars, optional region tags, cell-averaged
 gradient vectors).  Output is byte-deterministic for fixed inputs: floats
-are written with ``repr``.
+are written with ``repr``.  Each block is formatted and written a chunk of
+rows at a time, so the text held at once stays bounded whatever the mesh.
 """
 
 from __future__ import annotations
@@ -22,46 +23,61 @@ CSV_COLUMNS = [
 ]
 
 
-def _xyz_lines(points) -> list[str]:
-    return [f"{x!r} {y!r} 0.0" for x, y in np.asarray(points, dtype=float).tolist()]
+# Rows formatted per write of ``export_vtk``: bounds the Python strings
+# and lists that hold one chunk of a block.
+VTK_BLOCK = 4096
 
 
-def _cell_rows(mesh: Mesh) -> str:
-    """The rows ``k v_1 ... v_k`` of every cell loop, by one %-format over
-    the loop sizes interleaved with ``cone_vertex``."""
-    sizes = np.diff(mesh.cell_ptr)
+def _xyz_rows(points) -> str:
+    return "\n".join([f"{x!r} {y!r} 0.0" for x, y in np.asarray(points, dtype=float).tolist()])
+
+
+def _cell_rows(mesh: Mesh, lo: int, hi: int) -> str:
+    """The rows ``k v_1 ... v_k`` of the loops of cells ``lo`` to ``hi - 1``,
+    by one %-format over the loop sizes interleaved with ``cone_vertex``."""
+    ptr = mesh.cell_ptr[lo:hi + 1]
+    sizes = np.diff(ptr)
     row = {k: " ".join(["%d"] * (k + 1)) for k in set(sizes.tolist())}
-    values = np.insert(mesh.cone_vertex, mesh.cell_ptr[:-1], sizes)
+    values = np.insert(mesh.cone_vertex[ptr[0]:ptr[-1]], ptr[:-1] - ptr[0], sizes)
     return "\n".join([row[k] for k in sizes.tolist()]) % tuple(values.tolist())
 
 
-def _write_block(fh, header: str, lines) -> None:
-    """``header`` and then ``lines``, each ended by a newline."""
-    fh.write("\n".join([header, *lines]))
-    fh.write("\n")
+def _write_block(fh, header: str, n_rows: int, rows) -> None:
+    """``header``, then the text ``rows(lo, hi)`` of rows ``lo`` to ``hi - 1``
+    for ``VTK_BLOCK`` rows at a time; each line is ended by a newline."""
+    fh.write(header + "\n")
+    for lo in range(0, n_rows, VTK_BLOCK):
+        fh.write(rows(lo, min(lo + VTK_BLOCK, n_rows)))
+        fh.write("\n")
 
 
 def export_vtk(mesh: Mesh, path, cell_scalars: dict | None = None,
                cell_vectors: dict | None = None, title: str = "sushi run") -> None:
-    """Write the grid and its cell data block by block, each as it is formatted."""
+    """Write the grid and its cell data block by block, ``VTK_BLOCK`` rows at
+    a time, each chunk as it is formatted."""
     n_cells = mesh.n_cells
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        _write_block(fh, f"POINTS {len(mesh.vertices)} double", _xyz_lines(mesh.vertices))
-        _write_block(fh, f"CELLS {n_cells} {mesh.n_cones + n_cells}", [_cell_rows(mesh)])
-        _write_block(fh, f"CELL_TYPES {n_cells}", ["7"] * n_cells)  # VTK_POLYGON
+        _write_block(fh, f"POINTS {len(mesh.vertices)} double", len(mesh.vertices),
+                     lambda lo, hi: _xyz_rows(mesh.vertices[lo:hi]))
+        _write_block(fh, f"CELLS {n_cells} {mesh.n_cones + n_cells}", n_cells,
+                     lambda lo, hi: _cell_rows(mesh, lo, hi))
+        _write_block(fh, f"CELL_TYPES {n_cells}", n_cells,  # VTK_POLYGON
+                     lambda lo, hi: "\n".join(["7"] * (hi - lo)))
         if cell_scalars or cell_vectors:
             fh.write(f"CELL_DATA {n_cells}\n")
         for name, values in (cell_scalars or {}).items():
             values = np.asarray(values)
             if np.issubdtype(values.dtype, np.integer):
-                _write_block(fh, f"SCALARS {name} int 1\nLOOKUP_TABLE default",
-                             map(str, values.tolist()))
+                header, text = f"SCALARS {name} int 1", str
             else:
-                _write_block(fh, f"SCALARS {name} double 1\nLOOKUP_TABLE default",
-                             map(repr, values.astype(float).tolist()))
+                header, text = f"SCALARS {name} double 1", repr
+                values = values.astype(float)
+            _write_block(fh, f"{header}\nLOOKUP_TABLE default", n_cells,
+                         lambda lo, hi: "\n".join(map(text, values[lo:hi].tolist())))
         for name, vecs in (cell_vectors or {}).items():
-            _write_block(fh, f"VECTORS {name} double", _xyz_lines(vecs))
+            _write_block(fh, f"VECTORS {name} double", n_cells,
+                         lambda lo, hi: _xyz_rows(vecs[lo:hi]))
 
 
 def export_csv(rows: list[dict], path) -> None:

@@ -12,7 +12,9 @@ magnitude); the structural counts must match exactly.
 
 The local flux matrices are also held to the sparse products
 ``G^T (Lambda G)`` they replaced (:func:`reference_local_matrices`), which
-sum in the same order: there every value must be equal, bit for bit.
+sum in the same order: there every value must be equal, bit for bit.  So
+is the cell diameter to the maximum over every cone pair of each cell
+(:func:`reference_cell_diameter`).
 """
 
 import numpy as np
@@ -34,7 +36,7 @@ from sushi.assembly import (
     local_matrices,
     rhs_cell_integrals,
 )
-from sushi.geometry import _cone_pairs
+from sushi.geometry import compute_geometry
 from sushi.gradient import (
     _residuals,
     cell_gradients,
@@ -42,6 +44,7 @@ from sushi.gradient import (
     gradient_field,
     resolve_alpha,
 )
+from sushi.meshfile import write_mesh
 from sushi.postproc import cone_fluxes, reconstruct_faces
 from sushi.problems import problem_anisotropic_smooth, problem_tilted_barrier
 from sushi.run import parse_mesh_spec
@@ -65,6 +68,26 @@ def reference_cone_vectors(c, alpha):
     return g[None, :, :] + coef[:, :, None] * c.normals[:, None, :]
 
 
+def cone_pairs(cell_ptr, cone_cell):
+    """Every (i, j) of cones of one cell, cell by cell, row-major in each."""
+    rep = np.diff(cell_ptr)[cone_cell]
+    i = np.repeat(np.arange(len(cone_cell)), rep)
+    starts = np.repeat(np.cumsum(rep) - rep, rep)
+    j = cell_ptr[cone_cell[i]] + np.arange(len(i)) - starts
+    return i, j
+
+
+def reference_cell_diameter(mesh):
+    """The largest distance between two loop vertices of each cell, over
+    all k^2 cone pairs at once."""
+    pts = mesh.vertices[mesh.cone_vertex]
+    pi, pj = cone_pairs(mesh.cell_ptr, mesh.cone_cell)
+    diff = pts[pi] - pts[pj]
+    sizes = np.diff(mesh.cell_ptr)
+    pair_ptr = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    return np.maximum.reduceat(np.sqrt((diff ** 2).sum(axis=1)), pair_ptr[:-1])
+
+
 def reference_gradient_operator(mesh, alpha=None):
     """Sparse ``G`` (d n_cones x n_cones, block-diagonal by cell): the cone
     gradients are ``(G @ delta).reshape(-1, d)``, row ``d i + a`` holding
@@ -72,7 +95,7 @@ def reference_gradient_operator(mesh, alpha=None):
     a = resolve_alpha(alpha, mesh.dim)
     g = gradient_coefficients(mesh)
     # The coefficient of delta_j in R(K, sigma_i) u: R for delta = [i == j], grad_K = g_j.
-    i, j = _cone_pairs(mesh.cell_ptr, mesh.cone_cell)
+    i, j = cone_pairs(mesh.cell_ptr, mesh.cone_cell)
     coef = _residuals(mesh, i, np.where(i == j, 1.0, 0.0), g[j], a)
     y = g[j] + coef[:, None] * mesh.cone_normal[i]
     d = mesh.dim
@@ -383,3 +406,40 @@ def test_nm_counts_a_stored_zero_weight():
     weights = weights_table(mesh, {**rows, fid: rows[fid] + [(far, 0.0)]})
     rows, _, _, _, _ = reference_triplets(mesh, part, weights, tensor)
     assert assemble(mesh, part, weights, tensor).nm == len(rows) > before
+
+
+def polygon_soup(rng):
+    """Disjoint cells of 3 to 8 vertices in shuffled order, each a jittered
+    regular polygon, so loops of every size sit side by side."""
+    sizes = rng.permutation(np.repeat(np.arange(3, 9), 5))
+    vertices, loops = [], []
+    for c, k in enumerate(sizes):
+        angle = (np.arange(k) + rng.uniform(-0.3, 0.3, k)) * (2.0 * np.pi / k)
+        radius = rng.uniform(0.8, 1.0, k)
+        loops.append(list(range(len(vertices), len(vertices) + k)))
+        vertices += (np.stack([np.cos(angle), np.sin(angle)], 1) * radius[:, None]
+                     + [3.0 * c, 0.0]).tolist()
+    return compute_geometry(np.array(vertices), loops)
+
+
+def jittered_file_mesh(rng, path):
+    """``rect:6x5`` with its interior vertices moved, read back as ``file:``."""
+    mesh, _, _ = parse_mesh_spec("rect:6x5")
+    vertices = mesh.vertices.copy()
+    inner = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    vertices[inner] += rng.uniform(-0.03, 0.03, (int(inner.sum()), 2))
+    write_mesh(compute_geometry(vertices, mesh.loops()), path)
+    return parse_mesh_spec(f"file:{path}")[0]
+
+
+@pytest.mark.parametrize("spec", ["rect:8x6", "tri:4", "ncrect:3", "barrier:1", "barrier:2",
+                                  "barrier:3", "file", "loops-3-to-8"])
+def test_cell_diameter_equals_all_pairs_maximum(spec, rng, tmp_path):
+    if spec == "file":
+        mesh = jittered_file_mesh(rng, tmp_path / "jittered.mesh")
+    elif spec == "loops-3-to-8":
+        mesh = polygon_soup(rng)
+        assert set(np.diff(mesh.cell_ptr).tolist()) == set(range(3, 9))
+    else:
+        mesh, _, _ = parse_mesh_spec(spec)
+    assert np.array_equal(mesh.cell_diameter, reference_cell_diameter(mesh))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,3 +223,17 @@ def test_loop_array_gives_the_same_mesh_as_loop_lists():
         compute_geometry(TWO_SQUARES, np.array([[0, 1, 4, 5], [1, 2, -1, 4]]))
     with pytest.raises(InvalidTopology, match="loop array"):
         compute_geometry(TWO_SQUARES, np.array(loops[0]))
+
+
+def test_compute_geometry_peak_memory_at_128x128():
+    # The diameter over all k^2 cone pairs at once peaked at 27.7 MB here;
+    # one pass per loop offset peaks at 20.7 MB.
+    mesh = sushi.gen_rect(128, 128)
+    loops = mesh.cone_vertex.reshape(-1, 4)
+    tracemalloc.start()
+    try:
+        compute_geometry(mesh.vertices, loops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 23e6
