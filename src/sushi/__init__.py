@@ -9,7 +9,7 @@ at diffusion-tensor discontinuities.
 
 __version__ = "0.1.0"
 
-from .assembly import LinearSystem, TensorField, assemble, local_matrices
+from .assembly import LinearSystem, TensorField, assemble
 from .generators import gen_nonconforming_rect, gen_rect, gen_tilted_barrier, gen_tri
 from .geometry import Mesh, compute_geometry, theta_D, theta_DB, validate
 from .gradient import GradientField, cell_gradients, gradient_field
@@ -51,7 +51,7 @@ __all__ = [
     "EdgePartition", "BarycentricWeights", "DiscreteFunction", "UnknownNumbering",
     "partition_faces", "compute_weights", "interpolate",
     "GradientField", "cell_gradients", "gradient_field",
-    "TensorField", "LinearSystem", "local_matrices", "assemble",
+    "TensorField", "LinearSystem", "assemble",
     "SolveReport", "solve_cg", "solve_dense",
     "ErrorReport", "FluxReport", "reconstruct_faces", "cone_fluxes", "composite_fluxes",
     "boundary_flux_totals", "error_norms", "flux_consistency_E", "convergence_order",

@@ -10,10 +10,10 @@ integrated over cone i, the local flux matrix of K is the k x k block
     (A_K)_jl = sum_i y_ij . Lambda_i y_il,
 
 which reproduces the bilinear form integral of grad_D u . Lambda grad_D v
-over K.  :func:`local_matrices` computes these blocks with array
-operations, a block of cells of one loop size at a time, and stores them
-as the block-diagonal ``B`` over the cones; no operator over cone pairs is
-formed.  The numerical fluxes, outflow positive, are ``-B delta``;
+over K.  :func:`local_blocks` computes these blocks with array
+operations, ``LOCAL_BLOCK`` consecutive cells at a time, each block the
+part of the block-diagonal ``B`` over those cells' cones; no operator over
+cone pairs is formed.  The numerical fluxes, outflow positive, are ``-B delta``;
 :func:`sushi.postproc.cone_fluxes` evaluates them cell by cell without
 forming ``B``.
 
@@ -28,8 +28,14 @@ system is
 
 f holding the cell integrals of the source.  Only the strict upper
 triangle and the diagonal are stored, so the matrix is exactly symmetric.
-Each of C, P[cone_face], B and E is released as soon as it has been used,
-so the peak memory of assembly is that of one stage, not of all of them.
+
+:func:`assemble` never holds the whole ``B``, and never ``B E`` next to a
+second copy of K.  At once it holds ``E`` and ``B E``, built one block of
+``B`` at a time, then ``E^T`` and ``B E`` while K is formed ``ROW_BLOCK``
+rows at a time straight into its upper triangle and diagonal.  NM is
+counted the same way, a block of rows of ``T^T T`` at a time.  Each sum
+runs over the same terms in the same order as the sparse products over
+the whole matrices, so K and the right-hand side are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -55,10 +61,11 @@ from .spaces import (
     sample_field,
 )
 
-# Cells per array pass of ``local_matrices``.  It bounds the pass's
-# transient arrays, each (cells, k, k) or (cells, k, k, 2): 256 or 512 kB
-# for quadrilaterals.
-LOCAL_BLOCK = 2048
+# Cells per block of ``local_blocks``.  It bounds the block's transient
+# arrays, each at most (cells, k, k, 2): 512 kB for quadrilaterals.
+LOCAL_BLOCK = 1024
+# Unknowns per row block of K = E^T (B E) and of the NM count.
+ROW_BLOCK = 4096
 
 
 def _check_spd(mats) -> None:
@@ -114,60 +121,73 @@ class TensorField:
     def is_identity(self) -> bool:
         return self.tensors is not None and np.array_equal(self.tensors, np.eye(2)[None])
 
-    def cone_tensors(self, mesh: Mesh) -> np.ndarray:
-        """(n_cones, 2, 2): |D(K, s)| times the tensor sampled on each cone."""
+    def cone_tensors(self, mesh: Mesh, cones=slice(None)) -> np.ndarray:
+        """|D(K, s)| times the tensor sampled on the cones ``cones`` (an index
+        array or a slice; all by default), the 2 x 2 entries on two new last
+        axes.  A callable is called once, at the centroids of ``cones``."""
+        measure = mesh.cone_measure[cones]
         if self.tensors is None:
-            sampled = sample_field(self.func, mesh.cone_centroid, "tensor", (2, 2))
+            sampled = sample_field(self.func, mesh.cone_centroids(cones).reshape(-1, 2),
+                                   "tensor", (2, 2))
             _check_spd(sampled)
+            sampled = sampled.reshape(measure.shape + (2, 2))
         elif len(self.tensors) == 1:
             sampled = self.tensors
         else:
-            sampled = self.tensors[mesh.cone_cell]
-        return mesh.cone_measure[:, None, None] * sampled
+            sampled = self.tensors[mesh.cone_cell[cones]]
+        return measure[..., None, None] * sampled
 
 
-def local_matrices(mesh: Mesh, tensor: TensorField,
-                   alpha: float | None = None) -> sp.csr_matrix:
-    """``B``: the local flux matrices A_K as one block-diagonal matrix over
-    the cones, every entry of each k x k block stored, exact zeros included.
+def local_blocks(mesh: Mesh, tensor: TensorField, alpha: float | None = None):
+    """The local flux matrices A_K, ``LOCAL_BLOCK`` consecutive cells at a
+    time: yields ``(cones, block)``, the slice of those cells' cones and the
+    block of ``B`` over them, a CSR matrix in cone numbers relative to
+    ``cones.start`` with every entry of each k x k block stored, exact zeros
+    included.
 
-    The cells of each loop size k are taken ``LOCAL_BLOCK`` at a time.  An
+    Within a block the cells of each loop size k are one array pass.  An
     entry sums y_ij . (Lambda_i y_il) over the cones i and the components
     in ascending order, starting from zero: the order of the sparse product
     ``G^T (Lambda G)`` over the gradient operator ``G``, so both give the
-    same values bit for bit.  Symmetric: the block is 0.5 (A + A^T).
+    same values bit for bit.  Symmetric: the block is 0.5 (A + A^T).  A
+    callable tensor is sampled once, at every cone centroid.
     """
     a = resolve_alpha(alpha, mesh.dim)
-    coeffs = gradient_coefficients(mesh)
-    tensors = tensor.cone_tensors(mesh)
-    sizes = np.diff(mesh.cell_ptr)
-    block_start = np.concatenate([[0], np.cumsum(sizes * sizes)])
-    values = np.empty(block_start[-1])
-    columns = np.empty(block_start[-1], dtype=np.int64)
+    sampled = tensor.cone_tensors(mesh) if tensor.func is not None else None
+    ptr = mesh.cell_ptr
     dims = range(mesh.dim)
-    for k in np.unique(sizes).tolist():
-        square = np.arange(k * k).reshape(k, k)
-        of_size = np.flatnonzero(sizes == k)
-        for first in range(0, len(of_size), LOCAL_BLOCK):
-            cells = of_size[first:first + LOCAL_BLOCK]
-            cones = mesh.cell_ptr[cells][:, None] + np.arange(k)
+    for c0 in range(0, mesh.n_cells, LOCAL_BLOCK):
+        c1 = min(c0 + LOCAL_BLOCK, mesh.n_cells)
+        sizes = np.diff(ptr[c0:c1 + 1])
+        block_start = np.concatenate([[0], np.cumsum(sizes * sizes)])
+        values = np.empty(block_start[-1])
+        columns = np.empty(block_start[-1], dtype=np.int64)
+        for k in np.unique(sizes).tolist():
+            square = np.arange(k * k).reshape(k, k)
+            of_size = np.flatnonzero(sizes == k)
+            cones = ptr[c0 + of_size][:, None] + np.arange(k)
             # y[e][c, i, j], component e of the coefficient of delta_j in the
             # gradient of cone i: grad_K = g_j, plus R for delta = [i == j].
-            g = coeffs[cones]
+            g = gradient_coefficients(mesh, cones)
             coef = _residuals(mesh, cones[:, :, None], np.eye(k), g[:, None], a)
             normal = mesh.cone_normal[cones]
             y = [g[:, None, :, e] + coef * normal[:, :, None, e] for e in dims]
-            lam = tensors[cones]
+            del g, coef, normal
+            lam = tensor.cone_tensors(mesh, cones) if sampled is None else sampled[cones]
             ly = [sum(lam[:, :, None, d, e] * y[e] for e in dims) for d in dims]
-            b = np.zeros((len(cells), k, k))
+            del lam
+            b = np.zeros((len(of_size), k, k))
             for i in range(k):
                 for e in dims:
                     b += y[e][:, i, :, None] * ly[e][:, i, None, :]
-            at = block_start[cells][:, None, None] + square
+            del y, ly
+            at = block_start[of_size][:, None, None] + square
             values[at] = 0.5 * (b + b.transpose(0, 2, 1))
-            columns[at] = cones[:, None, :]
-    row_ptr = np.concatenate([[0], np.cumsum(sizes[mesh.cone_cell])])
-    return sp.csr_matrix((values, columns, row_ptr), shape=(mesh.n_cones, mesh.n_cones))
+            columns[at] = cones[:, None, :] - ptr[c0]
+        cones = slice(int(ptr[c0]), int(ptr[c1]))
+        row_ptr = np.concatenate([[0], np.cumsum(np.repeat(sizes, sizes))])
+        m = cones.stop - cones.start
+        yield cones, sp.csr_matrix((values, columns, row_ptr), shape=(m, m))
 
 
 def rhs_cell_integrals(mesh: Mesh, f) -> np.ndarray:
@@ -205,6 +225,46 @@ def _structure(mat: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape)
 
 
+def _rows(mat: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
+    """The rows ``rows`` of the CSR matrix ``mat``, on views of its arrays."""
+    ptr = mat.indptr
+    span = slice(ptr[rows.start], ptr[rows.stop])
+    return sp.csr_matrix((mat.data[span], mat.indices[span],
+                          ptr[rows.start:rows.stop + 1] - ptr[rows.start]),
+                         shape=(rows.stop - rows.start, mat.shape[1]))
+
+
+def _row_blocks(mat: sp.csr_matrix):
+    """``(rows, block)``: the rows of ``mat``, ``ROW_BLOCK`` at a time."""
+    n = mat.shape[0]
+    for first in range(0, n, ROW_BLOCK):
+        rows = slice(first, min(first + ROW_BLOCK, n))
+        yield rows, _rows(mat, rows)
+
+
+def _local_products(mesh: Mesh, tensor: TensorField, alpha: float | None,
+                    cone_map: sp.csr_matrix, consts: np.ndarray, nnz_bound: int):
+    """``B E`` and ``B c[cone_face]``, one block of :func:`local_blocks` at a
+    time, so the whole ``B`` is never held.  Each row of ``B E`` is the one
+    the sparse product over the whole ``B`` gives, zeros dropped; at most
+    ``nnz_bound`` entries are stored."""
+    # 32-bit indices wherever they hold, as scipy's own products store them.
+    index = np.int32 if max(nnz_bound, cone_map.shape[1]) < 2 ** 31 else np.int64
+    data, indices = np.empty(nnz_bound), np.empty(nnz_bound, dtype=index)
+    indptr = np.zeros(mesh.n_cones + 1, dtype=index)
+    local_lift = np.empty(mesh.n_cones)
+    for cones, block in local_blocks(mesh, tensor, alpha):
+        rows = block @ _rows(cone_map, cones)
+        at, nnz = indptr[cones.start], rows.nnz
+        data[at:at + nnz] = rows.data[:nnz]
+        indices[at:at + nnz] = rows.indices[:nnz]
+        indptr[cones.start + 1:cones.stop + 1] = at + rows.indptr[1:]
+        local_lift[cones] = block @ consts[mesh.cone_face[cones]]
+    nnz = indptr[-1]
+    product = sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=cone_map.shape)
+    return product, local_lift
+
+
 def assemble(mesh: Mesh, partition: EdgePartition,
              weights: BarycentricWeights | None, tensor: TensorField,
              source=None, dirichlet=None, alpha: float | None = None) -> LinearSystem:
@@ -220,33 +280,65 @@ def assemble(mesh: Mesh, partition: EdgePartition,
     n = numbering.n
     expansion, consts = face_expansions(mesh, partition, weights, numbering, dirichlet)
 
-    # C (cone -> cell incidence), E = C - P[cone_face] and B of the module
-    # docstring are ``cells``, ``cone_map`` and ``local``.
+    # C (cone -> cell incidence) and E = C - P[cone_face] of the module
+    # docstring are ``cells`` and ``cone_map``.
     n_cones = mesh.n_cones
-    cells = sp.csr_matrix((np.ones(n_cones), (np.arange(n_cones), mesh.cone_cell)),
+    cells = sp.csr_matrix((np.ones(n_cones), mesh.cone_cell, np.arange(n_cones + 1)),
                           shape=(n_cones, n))
     picked = expansion[mesh.cone_face]
     del expansion
-    cone_map = (cells - picked).tocsr()
+    # The difference keeps arrays sized for the entries of both operands;
+    # the copy holds only its own.
+    cone_map = (cells - picked).tocsr(copy=True)
+    del cells
     # The value product drops exact zeros, but NM counts every entry that a
     # stored weight and a local matrix entry reach: two unknowns reached
-    # from the cones of one cell, as the 0/1 product T^T T over the
-    # cell-to-unknown pattern T = C^T (C + pattern(P[cone_face])).
-    reach = cells.T @ (cells + _structure(picked))
-    del cells, picked
-    nm = (reach.T @ reach).nnz
-    del reach
+    # from the cones of one cell, the nonzeros of the 0/1 product T^T T over
+    # the cell-to-unknown pattern T = C^T (C + pattern(P[cone_face])), here
+    # each cell itself plus what the stored weights of its faces reach.
+    by_cell = sp.csr_matrix((np.ones(n_cones), np.arange(n_cones), mesh.cell_ptr),
+                            shape=(mesh.n_cells, n_cones))
+    itself = sp.csr_matrix((np.ones(mesh.n_cells), np.arange(mesh.n_cells),
+                            np.arange(mesh.n_cells + 1)), shape=(mesh.n_cells, n))
+    reach = by_cell @ _structure(picked) + itself
+    del picked, by_cell, itself
+    # Row i of B E has at most as many entries as the cell of cone i reaches.
+    nnz_bound = int(np.diff(mesh.cell_ptr) @ np.diff(reach.indptr))
+    reached = reach.T.tocsr()
+    nm = sum((block @ reach).nnz for _, block in _row_blocks(reached))
+    del reach, reached
 
-    local = local_matrices(mesh, tensor, alpha)
-    mat = (cone_map.T @ (local @ cone_map)).tocsr()
-    rhs = cone_map.T @ (local @ consts[mesh.cone_face])
-    del cone_map, local
+    product, local_lift = _local_products(mesh, tensor, alpha, cone_map, consts, nnz_bound)
+    # E^T by rows: row u lists the cones that reach unknown u, ascending, so
+    # each entry of E^T (B E) sums over the cones in the order of the sparse
+    # product over the whole matrices.
+    transposed = cone_map.T.tocsr()
+    del cone_map
+    rhs = transposed @ local_lift
+    del local_lift
+
+    # K a block of rows at a time: its diagonal and its strict upper triangle.
+    diag = np.zeros(n)
+    data, indices, counts = [], [], []
+    for rows, block in _row_blocks(transposed):
+        # Through CSC and back, so each row lists its columns in order.
+        part = (block @ product).tocsc().tocsr()
+        row = np.repeat(np.arange(rows.start, rows.stop), np.diff(part.indptr))
+        col, values = part.indices, part.data
+        on = col == row
+        diag[row[on]] = values[on]
+        above = col > row
+        data.append(values[above])
+        indices.append(col[above])
+        counts.append(np.bincount(row[above] - rows.start, minlength=rows.stop - rows.start))
+    del product, transposed
+    upper = sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
+                           np.concatenate([[0], np.cumsum(np.concatenate(counts))])),
+                          shape=(n, n))
+    del data, indices, counts
     if source is not None:
         rhs[: mesh.n_cells] += rhs_cell_integrals(mesh, source)
-
-    diag = mat.diagonal()
     if np.any(diag <= 0.0):
         bad = int(np.nonzero(diag <= 0.0)[0][0])
         raise SingularAfterElimination(f"unknown {bad} has non-positive diagonal")
-    return LinearSystem(n=n, upper=sp.triu(mat, 1, format="csr"), diag=diag, rhs=rhs,
-                        numbering=numbering, nm=nm)
+    return LinearSystem(n=n, upper=upper, diag=diag, rhs=rhs, numbering=numbering, nm=nm)

@@ -20,7 +20,7 @@ from . import __version__
 from .errors import InsufficientLevels, NumericalFailure, SushiError
 from .generators import gen_nonconforming_rect, gen_rect, gen_tri
 from .geometry import theta_D, validate
-from .gradient import gradient_field, resolve_alpha
+from .gradient import resolve_alpha
 from .postproc import convergence_order
 from .problems import BUILTIN_PROBLEMS, load_problem_descriptor
 from .run import MESH_GRAMMAR, parse_mesh_spec, solve_problem
@@ -94,12 +94,11 @@ def cmd_solve(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    grad = gradient_field(mesh, result.u, result.alpha)
     scalars = {"u": result.u.cell_values}
     if result.regions is not None:
         scalars["region"] = np.asarray(result.regions, dtype=int)
     export_vtk(mesh, out / "solution.vtk", cell_scalars=scalars,
-               cell_vectors={"gradient": grad.cell_average(mesh)},
+               cell_vectors={"gradient": result.gradient.cell_average(mesh)},
                title=f"{args.problem} on {label}")
     export_csv([_csv_row(label, result)], out / "report.csv")
     (out / "manifest.json").write_text(

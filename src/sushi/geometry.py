@@ -24,6 +24,12 @@ are 2D: faces are straight segments and cells are simple polygons given
 as counter-clockwise vertex loops.  A hanging node is listed in the loop
 of every cell whose straight side it lies on, so that side is two faces:
 this is how nonconforming meshes are represented, with no other table.
+
+:func:`compute_geometry` holds at most its returned arrays, plus a few
+integer arrays of one entry per cone while it numbers the faces, plus the
+temporaries of ``GEOMETRY_BLOCK`` cells: the measures, centroids,
+diameters, normals and distances are computed a block of cells at a time,
+straight into the arrays it returns.
 """
 
 from __future__ import annotations
@@ -40,6 +46,10 @@ from .errors import DegenerateFace, InvalidTopology, MissingWeights, NonStarShap
 DIST_REL_TOL = 1e-12
 # Largest relative residual of a geometric identity that ``validate`` passes.
 IDENTITY_TOL = 1e-10
+# Cells per array pass of ``compute_geometry``'s measures, centroids,
+# diameters, normals and distances.  It bounds the pass's transient arrays,
+# each at most (cones, 2): 256 kB for quadrilaterals.
+GEOMETRY_BLOCK = 4096
 
 
 def segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
@@ -105,9 +115,14 @@ class Mesh:
 
     @property
     def cone_centroid(self) -> np.ndarray:
-        """(n_cones, d) centroids (x_K + 2 x_sigma) / 3 of the cones."""
-        return (self.cell_point[self.cone_cell]
-                + 2.0 * self.face_centre[self.cone_face]) / 3.0
+        """(n_cones, d) centroids of the cones."""
+        return self.cone_centroids(slice(None))
+
+    def cone_centroids(self, cones) -> np.ndarray:
+        """Centroids (x_K + 2 x_sigma) / 3 of the cones ``cones`` (an index
+        array or a slice), components on a new last axis."""
+        return (self.cell_point[self.cone_cell[cones]]
+                + 2.0 * self.face_centre[self.cone_face[cones]]) / 3.0
 
     def cones(self, cell: int) -> slice:
         """The cone range of one cell."""
@@ -155,6 +170,28 @@ class ValidationReport:
 
 def _first(mask: np.ndarray) -> int:
     return int(np.nonzero(mask)[0][0])
+
+
+def _next_in_loop(ptr: np.ndarray) -> np.ndarray:
+    """For each cone of the segments ``ptr``, the next cone of its loop."""
+    nxt = np.arange(1, int(ptr[-1]) + 1)
+    nxt[ptr[1:] - 1] = ptr[:-1]
+    return nxt
+
+
+def _loop_diameters(pts: np.ndarray, ptr: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The largest distance between two of the points ``pts`` of each segment
+    of ``ptr``, over the pairs (i, i + s mod k) of each loop, one offset s at
+    a time; s <= k // 2 meets every pair."""
+    sizes = np.diff(ptr)
+    loop_size, first = sizes[owner], ptr[owner]
+    local = np.arange(len(pts)) - first
+    diam = np.zeros(len(sizes))
+    for s in range(1, int(sizes.max()) // 2 + 1):
+        diff = pts - pts[first + (local + s) % loop_size]
+        diam = np.maximum(diam, np.maximum.reduceat(np.sqrt((diff ** 2).sum(axis=1)),
+                                                    ptr[:-1]))
+    return diam
 
 
 def compute_geometry(
@@ -210,27 +247,33 @@ def compute_geometry(
         cell_points = np.asarray(cell_points, dtype=float)
         if cell_points.shape != (n_cells, 2):
             raise InvalidTopology("cell_points shape mismatch")
-    nxt = np.arange(1, n_cones + 1)
-    nxt[cell_ptr[1:] - 1] = cell_ptr[:-1]
-    b = a[nxt]
+    b = a[_next_in_loop(cell_ptr)]
     if np.any(a == b):
         ci = cone_cell[_first(a == b)]
         raise InvalidTopology(f"cell {ci} has a repeated consecutive vertex")
 
     # Faces: loop sides deduplicated by endpoint set, ids in first-appearance order.
-    _, first, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
-                                  return_index=True, return_inverse=True)
+    keys = np.minimum(a, b)
+    keys *= nv
+    keys += np.maximum(a, b)
+    first, inverse = np.unique(keys, return_index=True, return_inverse=True)[1:]
+    del keys
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     cone_face = rank[inverse.ravel()]
+    del inverse, rank
     face_first = first[order]
-    n_faces = len(order)
+    del first, order
+    face_vertices = np.stack([a[face_first], b[face_first]], axis=1)
+    del b
+    n_faces = len(face_first)
     pair_keys = np.sort(cone_cell * n_faces + cone_face)
     twice = pair_keys[1:] == pair_keys[:-1]
     if np.any(twice):
         ci, fid = divmod(int(pair_keys[1:][twice][0]), n_faces)
         raise InvalidTopology(f"cell {ci} lists face {fid} twice")
+    del pair_keys, twice
     counts = np.bincount(cone_face, minlength=n_faces)
     if np.any(counts > 2):
         raise InvalidTopology(f"face {_first(counts > 2)} shared by more than two cells")
@@ -240,59 +283,70 @@ def compute_geometry(
     face_cones[:, 0] = by_face[starts]
     shared = counts == 2
     face_cones[shared, 1] = by_face[starts[shared] + 1]
+    del by_face, starts, counts, shared
     face_cells = np.where(face_cones >= 0, cone_cell[face_cones], -1)
 
-    # Cell measures and centroids: fan triangulation from the vertex average,
-    # exact for simple polygons and robust to collinear (split-edge) vertices.
-    pts = vertices[a]
-    origin = segment_sums(pts, cell_ptr) / sizes[:, None]
-    q = pts - origin[cone_cell]
-    qn = q[nxt]
-    cross = q[:, 0] * qn[:, 1] - q[:, 1] * qn[:, 0]
-    area = 0.5 * segment_sums(cross, cell_ptr)
+    face_centre = 0.5 * (vertices[face_vertices[:, 0]] + vertices[face_vertices[:, 1]])
+    area, centroid, diam = np.empty(n_cells), np.empty((n_cells, 2)), np.empty(n_cells)
+    length, normal, dist = np.empty(n_cones), np.empty((n_cones, 2)), np.empty(n_cones)
+    # A cell that fails a check below gets meaningless values here, with no
+    # warning; the checks then raise in the order area, face, cell point.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c0 in range(0, n_cells, GEOMETRY_BLOCK):
+            cells = slice(c0, min(c0 + GEOMETRY_BLOCK, n_cells))
+            cones = slice(cell_ptr[cells.start], cell_ptr[cells.stop])
+            ptr = cell_ptr[cells.start:cells.stop + 1] - cones.start
+            owner = cone_cell[cones] - c0
+            nxt = _next_in_loop(ptr)
+            # Cell measures and centroids: fan triangulation from the vertex
+            # average, exact for simple polygons and robust to collinear
+            # (split-edge) vertices.
+            pts = vertices[a[cones]]
+            origin = segment_sums(pts, ptr) / sizes[cells, None]
+            q = pts - origin[owner]
+            qn = q[nxt]
+            cross = q[:, 0] * qn[:, 1] - q[:, 1] * qn[:, 0]
+            area[cells] = 0.5 * segment_sums(cross, ptr)
+            tri_centroids = origin[owner] + (q + qn) / 3.0
+            centroid[cells] = (segment_sums(cross[:, None] * tri_centroids, ptr)
+                               / (2.0 * area[cells, None]))
+            diam[cells] = _loop_diameters(pts, ptr, owner)
+            t = pts[nxt] - pts
+            length[cones] = np.sqrt((t * t).sum(axis=1))
+            # CCW loop keeps the interior on the left; outward is the right side.
+            normal[cones] = np.stack([t[:, 1], -t[:, 0]], axis=1) / length[cones, None]
+            xk = centroid[cells] if cell_points is None else cell_points[cells]
+            dist[cones] = ((face_centre[cone_face[cones]] - xk[owner])
+                           * normal[cones]).sum(axis=1)
+
     if np.any(area <= 0.0):
         raise InvalidTopology(
             f"cell {_first(area <= 0.0)} loop is not counter-clockwise or is degenerate"
         )
-    tri_centroids = origin[cone_cell] + (q + qn) / 3.0
-    centroid = segment_sums(cross[:, None] * tri_centroids, cell_ptr) / (2.0 * area[:, None])
-    # Diameter: the largest vertex distance, over the pairs (i, i + s mod k)
-    # of each loop, one offset s at a time; s <= k // 2 meets every pair.
-    loop_size, first = sizes[cone_cell], cell_ptr[cone_cell]
-    local = np.arange(n_cones) - first
-    diam = np.zeros(n_cells)
-    for s in range(1, int(sizes.max()) // 2 + 1):
-        diff = pts - pts[first + (local + s) % loop_size]
-        diam = np.maximum(diam, np.maximum.reduceat(np.sqrt((diff ** 2).sum(axis=1)),
-                                                    cell_ptr[:-1]))
-    xk = centroid if cell_points is None else cell_points
-
-    t = vertices[b] - pts
-    length = np.sqrt((t * t).sum(axis=1))
     bad = length <= DIST_REL_TOL * diam[cone_cell]
     if np.any(bad):
         i = _first(bad)
         raise DegenerateFace(f"cell {cone_cell[i]}, face {cone_face[i]}: zero measure")
-    # CCW loop keeps the interior on the left; outward is the right side.
-    normal = np.stack([t[:, 1], -t[:, 0]], axis=1) / length[:, None]
-    face_centre = 0.5 * (pts[face_first] + vertices[b[face_first]])
-    dist = ((face_centre[cone_face] - xk[cone_cell]) * normal).sum(axis=1)
     bad = dist <= DIST_REL_TOL * diam[cone_cell]
     if np.any(bad):
         i = _first(bad)
         raise NonStarShaped(
             f"cell {cone_cell[i]}, face {cone_face[i]}: cell point distance {dist[i]:.3e}"
         )
+    face_measure = length[face_first]
+    # cone_measure = |sigma| d(K, sigma) / d, in place of the lengths.
+    length *= dist
+    length /= d
 
     return Mesh(
         dim=d,
         vertices=vertices,
-        face_vertices=np.stack([a[face_first], b[face_first]], axis=1),
+        face_vertices=face_vertices,
         face_cells=face_cells,
         face_cones=face_cones,
-        face_measure=length[face_first],
+        face_measure=face_measure,
         face_centre=face_centre,
-        cell_point=np.array(xk, dtype=float),
+        cell_point=centroid if cell_points is None else np.array(cell_points),
         cell_measure=area,
         cell_diameter=diam,
         cell_ptr=cell_ptr,
@@ -301,7 +355,7 @@ def compute_geometry(
         cone_vertex=a,
         cone_normal=normal,
         cone_dist=dist,
-        cone_measure=length * dist / d,
+        cone_measure=length,
         cell_points_given=cell_points is not None,
     )
 

@@ -15,7 +15,7 @@ Both are linear in the cone increments delta = u_sigma - u_K and local to
 one cell.  grad_K u (:func:`gradient_coefficients`) and R (:func:`_residuals`)
 are defined once and evaluated on the flat cone arrays.  No gradient
 operator is formed: assembly evaluates the same R on blocks of cells to
-build the local flux matrices (:func:`sushi.assembly.local_matrices`).
+build the local flux matrices (:func:`sushi.assembly.local_blocks`).
 ``alpha`` defaults to sqrt(d); any finite positive value is admissible
 (:func:`resolve_alpha`).
 """
@@ -64,10 +64,12 @@ def cone_increments(mesh: Mesh, u: DiscreteFunction) -> np.ndarray:
     return u.face_values[mesh.cone_face] - u.cell_values[mesh.cone_cell]
 
 
-def gradient_coefficients(mesh: Mesh) -> np.ndarray:
-    """(n_cones, d) array ``g``: row j multiplies delta_j in grad_K u."""
-    return (mesh.face_measure[mesh.cone_face][:, None] * mesh.cone_normal
-            / mesh.cell_measure[mesh.cone_cell][:, None])
+def gradient_coefficients(mesh: Mesh, cones=slice(None)) -> np.ndarray:
+    """``g`` on the cones ``cones`` (an index array or a slice; all by
+    default), components on a new last axis: g_j multiplies delta_j in
+    grad_K u."""
+    return (mesh.face_measure[mesh.cone_face[cones]][..., None] * mesh.cone_normal[cones]
+            / mesh.cell_measure[mesh.cone_cell[cones]][..., None])
 
 
 def _residuals(mesh: Mesh, cones, delta: np.ndarray, grad: np.ndarray, alpha: float):

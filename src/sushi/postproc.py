@@ -28,6 +28,7 @@ from .errors import (
 )
 from .geometry import Mesh, segment_sums
 from .gradient import (
+    GradientField,
     cell_gradients,
     cone_increments,
     gradient_coefficients,
@@ -115,16 +116,33 @@ def cone_fluxes(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
     """Numerical flux of every cone through its face, outflow positive.
 
     It approximates the integral over the face of -Lambda grad u . n_out.
+    """
+    a = resolve_alpha(alpha, mesh.dim)
+    return _cell_fluxes(mesh, tensor, gradient_field(mesh, u, a), a)[1]
+
+
+def _cell_fluxes(mesh: Mesh, tensor: TensorField, grad: GradientField, a: float,
+                 cells: np.ndarray | None = None) -> tuple:
+    """The cones of the ascending index array ``cells`` and their fluxes.
+    With ``cells`` None they are ``slice(None)`` and the fluxes of every
+    cone, computed on the cone arrays themselves, which are not copied.
+
     They are ``-G^T w`` for w = |D| Lambda grad_D u, cell by cell: with
     s = (alpha/d) n . w, cone j of K gets -(s_j + g_j . v_K), g from
     :func:`gradient_coefficients`, v_K the sum of w - s (x_sigma - x_K) over K.
     """
-    a = resolve_alpha(alpha, mesh.dim)
-    w = (tensor.cone_tensors(mesh) * gradient_field(mesh, u, a).cones[:, None, :]).sum(axis=2)
-    s = (a / mesh.cone_dist) * (mesh.cone_normal * w).sum(axis=1)
-    rel = mesh.face_centre[mesh.cone_face] - mesh.cell_point[mesh.cone_cell]
-    v = segment_sums(w - s[:, None] * rel, mesh.cell_ptr)[mesh.cone_cell]
-    return -(s + (gradient_coefficients(mesh) * v).sum(axis=1))
+    if cells is None:
+        cones, ptr, sizes = slice(None), mesh.cell_ptr, np.diff(mesh.cell_ptr)
+    else:
+        sizes = np.diff(mesh.cell_ptr)[cells]
+        ptr = np.concatenate([[0], np.cumsum(sizes)])
+        cones = np.repeat(mesh.cell_ptr[cells] - ptr[:-1], sizes) + np.arange(ptr[-1])
+    w = (tensor.cone_tensors(mesh, cones) * grad.cones[cones][:, None, :]).sum(axis=2)
+    del grad  # frees a field the caller made for this call only
+    s = (a / mesh.cone_dist[cones]) * (mesh.cone_normal[cones] * w).sum(axis=1)
+    rel = mesh.face_centre[mesh.cone_face[cones]] - mesh.cell_point[mesh.cone_cell[cones]]
+    v = np.repeat(segment_sums(w - s[:, None] * rel, ptr), sizes, axis=0)
+    return cones, -(s + (gradient_coefficients(mesh, cones) * v).sum(axis=1))
 
 
 def composite_fluxes(mesh: Mesh, partition: EdgePartition,
@@ -174,12 +192,15 @@ SIDE_TOL = 1e-9
 
 
 def boundary_flux_totals(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
-                         alpha: float | None = None) -> dict:
+                         alpha: float | None = None,
+                         grad: GradientField | None = None) -> dict:
     """Per-side totals of the co-normal boundary flux (Lambda grad u . n).
 
     Faces are classified by barycentre against the sides of the unit
     square, the first matching side winning; a boundary face matching
-    none raises ``UnclassifiedBoundaryFace``.
+    none raises ``UnclassifiedBoundaryFace``.  The fluxes are evaluated on
+    the cells that own a boundary face only.  ``grad`` is the stabilized
+    gradient of ``u`` if already evaluated.
     """
     faces = np.nonzero(mesh.face_boundary)[0]
     centres = mesh.face_centre[faces]
@@ -191,7 +212,11 @@ def boundary_flux_totals(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
     if np.any(side_of < 0):
         i = int(np.nonzero(side_of < 0)[0][0])
         raise UnclassifiedBoundaryFace(f"face {faces[i]} at {centres[i]}")
-    outflow = cone_fluxes(mesh, tensor, u, alpha)[mesh.face_cones[faces, 0]]
+    a = resolve_alpha(alpha, mesh.dim)
+    grad = gradient_field(mesh, u, a) if grad is None else grad
+    cones = mesh.face_cones[faces, 0]
+    owned, fluxes = _cell_fluxes(mesh, tensor, grad, a, np.unique(mesh.cone_cell[cones]))
+    outflow = fluxes[np.searchsorted(owned, cones)]
     return {side: -float(outflow[side_of == s].sum())
             for s, side in enumerate(UNIT_SQUARE_SIDES)}
 
@@ -219,21 +244,24 @@ def norm_1pm(mesh: Mesh, cell_values: np.ndarray, p: float = 2.0) -> float:
 
 
 def _cone_errors_sq(mesh: Mesh, u: DiscreteFunction, exact_grad,
-                    alpha: float | None) -> np.ndarray:
+                    alpha: float | None, grad: GradientField | None = None) -> np.ndarray:
     """Per cone: squared error of the stabilized gradient at the cone centroid."""
     exact = sample_field(exact_grad, mesh.cone_centroid, "exact_grad", (2,))
-    diff = gradient_field(mesh, u, alpha).cones - exact
+    grad = gradient_field(mesh, u, alpha) if grad is None else grad
+    diff = grad.cones - exact
     return np.sum(diff * diff, axis=1)
 
 
 def error_norms(mesh: Mesh, u: DiscreteFunction, exact, exact_grad,
-                alpha: float | None = None) -> ErrorReport:
+                alpha: float | None = None,
+                grad: GradientField | None = None) -> ErrorReport:
     """Discrete L2 errors of cell values and of the discrete gradients.
 
     Cell values and the cell gradient are compared against the exact
-    fields at cell points; the stabilized per-cone gradient against the
-    exact gradient at cone centroids.  Sums use NumPy's own summation,
-    not BLAS, so they do not depend on the BLAS thread count.
+    fields at cell points; the stabilized per-cone gradient (``grad``, if
+    already evaluated) against the exact gradient at cone centroids.  Sums
+    use NumPy's own summation, not BLAS, so they do not depend on the BLAS
+    thread count.
     """
     meas = mesh.cell_measure
     ux = sample_field(exact, mesh.cell_point, "exact")
@@ -243,7 +271,8 @@ def error_norms(mesh: Mesh, u: DiscreteFunction, exact, exact_grad,
     diff = cell_gradients(mesh, u) - gx
     err_g = float(np.sum(meas * np.sum(diff * diff, axis=1)))
     ref_g = float(np.sum(meas * np.sum(gx * gx, axis=1)))
-    err_stab = float(np.sum(mesh.cone_measure * _cone_errors_sq(mesh, u, exact_grad, alpha)))
+    err_stab = float(np.sum(mesh.cone_measure
+                            * _cone_errors_sq(mesh, u, exact_grad, alpha, grad)))
     return ErrorReport(
         eps_u=math.sqrt(err_u),
         eps_grad=math.sqrt(err_g),

@@ -10,6 +10,7 @@ from .assembly import LinearSystem, TensorField, assemble
 from .errors import UnclassifiedBoundaryFace
 from .generators import gen_nonconforming_rect, gen_rect, gen_tilted_barrier, gen_tri
 from .geometry import Mesh
+from .gradient import GradientField, gradient_field
 from .meshfile import read_mesh
 from .postproc import ErrorReport, boundary_flux_totals, error_norms, reconstruct_faces
 from .problems import ProblemSpec
@@ -63,6 +64,7 @@ class RunResult:
     report: SolveReport
     errors: ErrorReport | None = None
     fluxes: dict | None = None
+    gradient: GradientField | None = None
 
 
 def solve_problem(problem: ProblemSpec, mesh: Mesh,
@@ -77,6 +79,8 @@ def solve_problem(problem: ProblemSpec, mesh: Mesh,
     Errors are computed whenever the problem has an exact solution and
     gradient.  With ``with_fluxes`` the per-side totals of the unit square
     are computed; on a domain with other sides they are left out (``None``).
+    The stabilized gradient is evaluated once, after the solve, and shared
+    by the errors, the fluxes and the caller (``RunResult.gradient``).
     """
     if method not in ("cg", "dense"):
         raise ValueError(f"unknown method {method!r}; expected 'cg' or 'dense'")
@@ -100,13 +104,14 @@ def solve_problem(problem: ProblemSpec, mesh: Mesh,
     result = RunResult(
         mesh=mesh, regions=regions, partition=partition, weights=weights,
         tensor=tensor, alpha=alpha, system=system, solution=solution,
-        u=u, report=report,
+        u=u, report=report, gradient=gradient_field(mesh, u, alpha),
     )
     if problem.exact is not None and problem.exact_grad is not None:
-        result.errors = error_norms(mesh, u, problem.exact, problem.exact_grad, alpha)
+        result.errors = error_norms(mesh, u, problem.exact, problem.exact_grad, alpha,
+                                    result.gradient)
     if with_fluxes:
         try:
-            result.fluxes = boundary_flux_totals(mesh, tensor, u, alpha)
+            result.fluxes = boundary_flux_totals(mesh, tensor, u, alpha, result.gradient)
         except UnclassifiedBoundaryFace:
             pass
     return result

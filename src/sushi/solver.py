@@ -42,8 +42,9 @@ _MIN_SHRINK = 0.8  # coarsening stops on a level that keeps more of its unknowns
 _POWER_STEPS = 15  # power steps estimating the spectral radius of D^-1 A
 _SWEEPS = 2  # damped-Jacobi sweeps before and after each coarse correction
 
-# Matrix rows per pass of ``_residual``: bounds its extended-precision copy
-# of the rows, 16 bytes per stored entry.
+# Matrix rows per pass of ``_residual``, which bounds its extended-precision
+# copy of the rows (16 bytes per stored entry), and of the strength test of
+# ``_aggregates``.
 RESIDUAL_BLOCK = 4096
 
 
@@ -109,11 +110,18 @@ def _aggregates(mat: sp.csr_matrix, diag: np.ndarray) -> np.ndarray:
     varying over four decades from cell to cell).
     """
     n = mat.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    # the diagonal is kept, so every row of the strength graph is non-empty
-    strong = ((np.abs(mat.data) >= _STRENGTH * np.sqrt(diag[rows] * diag[mat.indices]))
-              | (rows == mat.indices))
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(rows[strong], minlength=n))))
+    strong = np.empty(mat.nnz, dtype=bool)
+    counts = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, RESIDUAL_BLOCK):
+        hi = min(lo + RESIDUAL_BLOCK, n)
+        span = slice(mat.indptr[lo], mat.indptr[hi])
+        rows = np.repeat(np.arange(lo, hi), np.diff(mat.indptr[lo:hi + 1]))
+        cols = mat.indices[span]
+        # the diagonal is kept, so every row of the strength graph is non-empty
+        strong[span] = ((np.abs(mat.data[span]) >= _STRENGTH * np.sqrt(diag[rows] * diag[cols]))
+                        | (rows == cols))
+        counts[lo:hi] = np.bincount(rows[strong[span]] - lo, minlength=hi - lo)
+    ptr = np.concatenate(([0], np.cumsum(counts)))
     idx = mat.indices[strong]
 
     # Fixed priorities; a key state * n + rank orders roots (state 2) above

@@ -1,5 +1,6 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+import tracemalloc
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import sushi
-from sushi.assembly import LinearSystem
+from sushi.assembly import LinearSystem, local_blocks
 from sushi.geometry import compute_geometry
 from sushi.spaces import UnknownNumbering
 
@@ -16,6 +17,24 @@ from sushi.spaces import UnknownNumbering
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs, on top
+    of what is allocated before the call."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def local_matrices(mesh, tensor, alpha=None):
+    """``B``: the local flux matrices A_K as one block-diagonal matrix over
+    the cones, the blocks of ``local_blocks`` side by side."""
+    return sp.block_diag([block for _, block in local_blocks(mesh, tensor, alpha)],
+                         format="csr")
 
 
 def system_from_dense(mat, rhs):
@@ -151,6 +170,35 @@ def two_point_reference(mesh, lam, kind):
             mat[k, l] -= t
             mat[l, k] -= t
     return mat
+
+
+def smooth_tensor(p):
+    """A smooth SPD tensor field, [[1 + x, 0.2], [0.2, 2 + y]]."""
+    off = np.full_like(p[0], 0.2)
+    return np.array([[1.0 + p[0], off], [off, 2.0 + p[1]]])
+
+
+def anisotropic_per_cell(mesh, rng):
+    """A different full SPD tensor on every cell."""
+    a, b = rng.uniform(0.5, 2.0, (2, mesh.n_cells))
+    c = rng.uniform(-0.3, 0.3, mesh.n_cells)
+    return sushi.TensorField.from_per_cell(
+        np.stack([np.stack([a, c], -1), np.stack([c, b], -1)], 1))
+
+
+def polygon_soup(rng, copies=5):
+    """Vertices and loops of disjoint cells of 3 to 8 vertices in shuffled
+    order, ``copies`` of each size, each a jittered regular polygon, so loops
+    of every size sit side by side."""
+    sizes = rng.permutation(np.repeat(np.arange(3, 9), copies))
+    vertices, loops = [], []
+    for c, k in enumerate(sizes):
+        angle = (np.arange(k) + rng.uniform(-0.3, 0.3, k)) * (2.0 * np.pi / k)
+        radius = rng.uniform(0.8, 1.0, k)
+        loops.append(list(range(len(vertices), len(vertices) + k)))
+        vertices += (np.stack([np.cos(angle), np.sin(angle)], 1) * radius[:, None]
+                     + [3.0 * c, 0.0]).tolist()
+    return np.array(vertices), loops
 
 
 def random_zero_boundary(mesh, rng):

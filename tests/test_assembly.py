@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.integrate
@@ -7,7 +5,9 @@ import scipy.integrate
 import sushi
 from conftest import (
     cell_views,
+    local_matrices,
     random_zero_boundary,
+    traced_peak,
     two_point_reference,
     weight_rows,
     weights_table,
@@ -15,7 +15,6 @@ from conftest import (
 from sushi.assembly import (
     TensorField,
     assemble,
-    local_matrices,
     rhs_cell_integrals,
 )
 from sushi.errors import MissingWeights, NonPositiveTensor, NonSymmetricTensor
@@ -146,21 +145,18 @@ def test_unknown_and_nonzero_counts(spec, policy):
 
 @pytest.mark.parametrize("policy", ["all-barycentric", "all-hybrid"])
 def test_assemble_peak_memory_at_128x128(policy):
-    # The local flux matrices are built LOCAL_BLOCK cells at a time; the
-    # sparse product over every cone pair they replaced peaked at 36 MB
-    # (barycentric) and 34 MB (hybrid) here.
+    # The sparse product over every cone pair peaked at 36 MB (barycentric)
+    # and 34 MB (hybrid) here; with the whole B, B E and a second copy of K
+    # at once, 17.0 and 18.7 MB.  B E one block of B at a time and K one
+    # block of rows at a time peak at 10.3 and 11.4 MB.
     mesh, _, _ = parse_mesh_spec("rect:128x128")
     prob = problem_anisotropic_smooth()
     tensor = prob.make_tensor(mesh)
     part = partition_faces(mesh, policy)
     weights = compute_weights(mesh, part) if part.barycentric_faces() else None
-    tracemalloc.start()
-    try:
-        assemble(mesh, part, weights, tensor, source=prob.source, dirichlet=prob.dirichlet)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 25e6
+    peak = traced_peak(lambda: assemble(mesh, part, weights, tensor, source=prob.source,
+                                        dirichlet=prob.dirichlet))
+    assert peak <= {"all-barycentric": 11.8e6, "all-hybrid": 13.1e6}[policy]
 
 
 def test_assembled_matrix_exactly_symmetric():

@@ -22,10 +22,14 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import (
+    anisotropic_per_cell,
     build_zigzag_three_row,
     cell_views,
     face_views,
+    local_matrices,
+    polygon_soup,
     random_zero_boundary,
+    smooth_tensor,
     weight_rows,
     weights_table,
 )
@@ -33,7 +37,6 @@ from sushi.assembly import (
     LOCAL_BLOCK,
     TensorField,
     assemble,
-    local_matrices,
     rhs_cell_integrals,
 )
 from sushi.geometry import compute_geometry
@@ -232,12 +235,6 @@ CASES = [
 ]
 
 
-def sampled_tensor(p):
-    """The smooth tensor of ``test_smooth_tensor_sampled_at_cone_centroids``."""
-    off = np.full_like(p[0], 0.2)
-    return np.array([[1.0 + p[0], off], [off, 2.0 + p[1]]])
-
-
 def build_case(spec, policy):
     if spec == "zigzag":
         mesh, regions = build_zigzag_three_row(columns=4)
@@ -249,7 +246,7 @@ def build_case(spec, policy):
     part = partition_faces(mesh, policy, regions)
     weights = compute_weights(mesh, part, regions) if part.barycentric_faces() else None
     if spec == "callable":
-        return mesh, part, weights, TensorField.from_callable(sampled_tensor), prob
+        return mesh, part, weights, TensorField.from_callable(smooth_tensor), prob
     return mesh, part, weights, prob.make_tensor(mesh, regions), prob
 
 
@@ -277,13 +274,6 @@ def test_local_matrices_match_cell_loop(spec, policy):
 ALPHA_CASES = [pytest.param(spec, policy, alpha,
                             id=f"{spec}-{policy}" + ("" if alpha is None else f"-alpha{alpha}"))
                for alpha in (None, 0.3, 5.0) for spec, policy in CASES]
-
-
-def anisotropic_per_cell(mesh, rng):
-    """A different full SPD tensor on every cell."""
-    a, b = rng.uniform(0.5, 2.0, (2, mesh.n_cells))
-    c = rng.uniform(-0.3, 0.3, mesh.n_cells)
-    return TensorField.from_per_cell(np.stack([np.stack([a, c], -1), np.stack([c, b], -1)], 1))
 
 
 def assert_bit_identical(got, ref):
@@ -408,20 +398,6 @@ def test_nm_counts_a_stored_zero_weight():
     assert assemble(mesh, part, weights, tensor).nm == len(rows) > before
 
 
-def polygon_soup(rng):
-    """Disjoint cells of 3 to 8 vertices in shuffled order, each a jittered
-    regular polygon, so loops of every size sit side by side."""
-    sizes = rng.permutation(np.repeat(np.arange(3, 9), 5))
-    vertices, loops = [], []
-    for c, k in enumerate(sizes):
-        angle = (np.arange(k) + rng.uniform(-0.3, 0.3, k)) * (2.0 * np.pi / k)
-        radius = rng.uniform(0.8, 1.0, k)
-        loops.append(list(range(len(vertices), len(vertices) + k)))
-        vertices += (np.stack([np.cos(angle), np.sin(angle)], 1) * radius[:, None]
-                     + [3.0 * c, 0.0]).tolist()
-    return compute_geometry(np.array(vertices), loops)
-
-
 def jittered_file_mesh(rng, path):
     """``rect:6x5`` with its interior vertices moved, read back as ``file:``."""
     mesh, _, _ = parse_mesh_spec("rect:6x5")
@@ -438,7 +414,7 @@ def test_cell_diameter_equals_all_pairs_maximum(spec, rng, tmp_path):
     if spec == "file":
         mesh = jittered_file_mesh(rng, tmp_path / "jittered.mesh")
     elif spec == "loops-3-to-8":
-        mesh = polygon_soup(rng)
+        mesh = compute_geometry(*polygon_soup(rng))
         assert set(np.diff(mesh.cell_ptr).tolist()) == set(range(3, 9))
     else:
         mesh, _, _ = parse_mesh_spec(spec)

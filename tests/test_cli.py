@@ -106,17 +106,11 @@ def test_solve_hybrid_counts(tmp_path, capsys):
 @pytest.mark.parametrize("mesh,policy", [("rect:8x8", "all-barycentric"),
                                          ("ncrect:2", "all-hybrid")])
 def test_solve_builds_each_operator_once(tmp_path, monkeypatch, mesh, policy):
-    # B is built once, by local_matrices, from per-cell blocks.  No sparse
-    # operator with a row per cone gradient component (G, or Lambda G) is
-    # built at all: the post-processing evaluates both on cone arrays.
+    # The blocks of B are built once, by local_blocks.  No sparse operator
+    # with a row per cone gradient component (G, or Lambda G) is built: the
+    # post-processing evaluates both on cone arrays.
     gradient_rows = 2 * sushi.parse_mesh_spec(mesh)[0].n_cones
-    calls = {"G": 0, "B": 0}
-
-    def counted(key, func):
-        def spy(*args, **kwargs):
-            calls[key] += 1
-            return func(*args, **kwargs)
-        return spy
+    calls = {"G": 0, "blocks": 0}
 
     def counted_init(init):
         def spy(self, *args, **kwargs):
@@ -126,14 +120,38 @@ def test_solve_builds_each_operator_once(tmp_path, monkeypatch, mesh, policy):
 
     for cls in (sp.bsr_matrix, sp.coo_matrix, sp.csc_matrix, sp.csr_matrix):
         monkeypatch.setattr(cls, "__init__", counted_init(cls.__init__))
-    local_matrices = sushi.assembly.local_matrices
-    spy = counted("B", local_matrices)
+    local_blocks = sushi.assembly.local_blocks
+
+    def spy(*args, **kwargs):
+        calls["blocks"] += 1
+        return local_blocks(*args, **kwargs)
+
     for module in list(sys.modules.values()):
         if (module.__name__.startswith("sushi")
-                and getattr(module, "local_matrices", None) is local_matrices):
-            monkeypatch.setattr(module, "local_matrices", spy)
+                and getattr(module, "local_blocks", None) is local_blocks):
+            monkeypatch.setattr(module, "local_blocks", spy)
     assert main(["solve", "--mesh", mesh, "--policy", policy, "--out", str(tmp_path)]) == 0
-    assert calls == {"G": 0, "B": 1}
+    assert calls == {"G": 0, "blocks": 1}
+
+
+def test_solve_evaluates_the_gradient_once(tmp_path, monkeypatch):
+    # The VTK cell averages, the gradient error and the boundary fluxes share
+    # one stabilized gradient, evaluated after the solve.
+    calls = []
+    gradient_field = sushi.gradient.gradient_field
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].n_cones)
+        return gradient_field(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("sushi")
+                and getattr(module, "gradient_field", None) is gradient_field):
+            monkeypatch.setattr(module, "gradient_field", spy)
+    assert main(["solve", "--mesh", "rect:8x8", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert "errors" in manifest and "boundary_flux" in manifest
+    assert calls == [256]
 
 
 def test_solve_barrier_prints_fluxes(tmp_path, capsys):

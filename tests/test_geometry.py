@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,15 @@ import sushi
 from sushi.errors import DegenerateFace, InvalidTopology, NonStarShaped
 from sushi.geometry import compute_geometry, domain_measure, theta_D, theta_DB, validate
 
-from conftest import assert_same_mesh, cell_view, cell_views, face_view, face_views, weights_table
+from conftest import (
+    assert_same_mesh,
+    cell_view,
+    cell_views,
+    face_view,
+    face_views,
+    traced_peak,
+    weights_table,
+)
 
 
 def test_unit_square_cell():
@@ -226,14 +233,11 @@ def test_loop_array_gives_the_same_mesh_as_loop_lists():
 
 
 def test_compute_geometry_peak_memory_at_128x128():
-    # The diameter over all k^2 cone pairs at once peaked at 27.7 MB here;
-    # one pass per loop offset peaks at 20.7 MB.
+    # The diameter over all k^2 cone pairs at once peaked at 27.7 MB here,
+    # and one pass per loop offset over the whole mesh at 20.7 MB.  With
+    # the measures, normals and distances GEOMETRY_BLOCK cells at a time it
+    # is 9.95 MB, most of it the 6.7 MB of returned arrays.
     mesh = sushi.gen_rect(128, 128)
     loops = mesh.cone_vertex.reshape(-1, 4)
-    tracemalloc.start()
-    try:
-        compute_geometry(mesh.vertices, loops)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 23e6
+    peak = traced_peak(lambda: compute_geometry(mesh.vertices, loops))
+    assert peak <= 11.5e6

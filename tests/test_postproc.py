@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import sushi
-from conftest import cell_view, cell_views, face_view, face_views, random_zero_boundary
+from conftest import (
+    cell_view,
+    cell_views,
+    face_view,
+    face_views,
+    random_zero_boundary,
+    smooth_tensor,
+)
 from sushi.assembly import TensorField, assemble, rhs_cell_integrals
 from sushi.errors import (
     InsufficientLevels,
@@ -27,7 +34,11 @@ from sushi.postproc import (
     reconstruct_faces,
     seminorm_x,
 )
-from sushi.problems import problem_anisotropic_smooth, problem_quartic_isotropic
+from sushi.problems import (
+    problem_anisotropic_smooth,
+    problem_quartic_isotropic,
+    problem_tilted_barrier,
+)
 from sushi.run import solve_problem
 from sushi.spaces import compute_weights, interpolate, partition_faces
 
@@ -114,6 +125,31 @@ def test_boundary_flux_unclassified_face():
     u = interpolate(mesh, part, None, lambda p: 0.0, variant="pd")
     with pytest.raises(UnclassifiedBoundaryFace):
         boundary_flux_totals(mesh, tensor, u)
+
+
+@pytest.mark.parametrize("spec,policy,tensor", [
+    ("rect:8x6", "all-barycentric", None),
+    ("rect:8x6", "all-hybrid", "callable"),
+    ("tri:4", "all-barycentric", None),
+    ("ncrect:2", "all-hybrid", None),
+    ("barrier:2", "discontinuity", None),
+])
+def test_boundary_flux_totals_sum_the_cone_fluxes_of_all_cells(spec, policy, tensor):
+    # evaluated on the cells that own a boundary face only, each side total
+    # is the sum of the boundary entries of every cone's flux, bit for bit
+    mesh, regions, _ = sushi.parse_mesh_spec(spec)
+    prob = problem_tilted_barrier() if regions is not None else problem_anisotropic_smooth()
+    result = solve_problem(prob, mesh, regions=regions, policy=policy)
+    field = result.tensor if tensor is None else TensorField.from_callable(smooth_tensor)
+    boundary = np.flatnonzero(mesh.face_boundary)
+    outflow = cone_fluxes(mesh, field, result.u)[mesh.face_cones[boundary, 0]]
+    centre = mesh.face_centre[boundary]
+    side = np.select([np.abs(centre[:, 0]) <= 1e-9, np.abs(centre[:, 0] - 1.0) <= 1e-9,
+                      np.abs(centre[:, 1]) <= 1e-9], ["x=0", "x=1", "y=0"], "y=1")
+    expected = {s: -float(outflow[side == s].sum()) for s in ("x=0", "x=1", "y=0", "y=1")}
+    assert boundary_flux_totals(mesh, field, result.u) == expected
+    assert boundary_flux_totals(mesh, field, result.u, grad=result.gradient) == expected
+    assert len(np.unique(mesh.face_cells[boundary, 0])) < mesh.n_cells
 
 
 def test_error_norms_zero_for_interpolated_exact():

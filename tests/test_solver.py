@@ -1,6 +1,5 @@
 import logging
 import math
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import sushi
-from conftest import system_from_dense
+from conftest import system_from_dense, traced_peak
 from sushi.assembly import LinearSystem, assemble
 from sushi.errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
 from sushi.problems import problem_anisotropic_smooth, problem_tilted_barrier
@@ -355,13 +354,7 @@ def test_dense_rejects_indefinite(mat):
 def test_dense_solve_allocates_no_dense_matrix():
     # a dense copy of this system (N = 3,136) alone takes 79 MB
     system = hybrid_rect_system(32)
-    tracemalloc.start()
-    try:
-        solve_dense(system)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6
+    assert traced_peak(lambda: solve_dense(system)) < 20e6
 
 
 def reference_residual(mat, b, bnorm, x):
@@ -417,13 +410,7 @@ def test_cg_peak_memory_at_128x128():
     # A longdouble copy of K held for the whole solve peaked at 28.1 MB here;
     # the residual by RESIDUAL_BLOCK rows at a time peaks at 19.7 MB.
     system = hybrid_rect_system(128)
-    tracemalloc.start()
-    try:
-        solve_cg(system)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 22e6
+    assert traced_peak(lambda: solve_cg(system)) <= 22e6
 
 
 def test_benchmark_system_is_spd():

@@ -1,12 +1,11 @@
 import logging
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import sushi
-from conftest import build_zigzag_three_row, cell_view, face_view, face_views
+from conftest import build_zigzag_three_row, cell_view, face_view, face_views, traced_peak
 from sushi.errors import MissingRegionMap, MissingWeights, NoValidCombination
 from sushi.run import parse_mesh_spec
 from sushi.spaces import (
@@ -208,13 +207,7 @@ def test_weight_search_allocates_a_few_megabytes():
     # peak, where one block of all 880 faces takes ~6 MB
     mesh, regions, _ = parse_mesh_spec("barrier:2")
     part = partition_faces(mesh, "discontinuity", regions)
-    tracemalloc.start()
-    try:
-        compute_weights(mesh, part, regions)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    assert traced_peak(lambda: compute_weights(mesh, part, regions)) < 4e6
 
 
 def test_no_valid_combination_raises():

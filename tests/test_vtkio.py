@@ -1,9 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import sushi
+from conftest import traced_peak
 from sushi.vtkio import VTK_BLOCK, export_vtk
 
 
@@ -72,10 +71,6 @@ def test_export_peak_memory_at_128x128(rng, tmp_path):
     mesh, _, _ = sushi.parse_mesh_spec("rect:128x128")
     u = rng.standard_normal(mesh.n_cells)
     grad = rng.standard_normal((mesh.n_cells, 2))
-    tracemalloc.start()
-    try:
-        export_vtk(mesh, tmp_path / "solution.vtk", {"u": u}, {"grad_u": grad})
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: export_vtk(mesh, tmp_path / "solution.vtk", {"u": u},
+                                          {"grad_u": grad}))
     assert peak <= 2e6
