@@ -16,21 +16,12 @@ from .gradient import GradientField, cell_gradients, gradient_field
 from .meshfile import read_mesh, write_mesh
 from .postproc import (
     ErrorReport,
-    FluxReport,
     boundary_flux_totals,
-    composite_fluxes,
-    cone_fluxes,
     convergence_order,
     error_norms,
-    flux_consistency_E,
     reconstruct_faces,
 )
-from .problems import (
-    ProblemSpec,
-    problem_anisotropic_smooth,
-    problem_superadmissible_oracle,
-    problem_tilted_barrier,
-)
+from .problems import ProblemSpec, problem_anisotropic_smooth, problem_tilted_barrier
 from .run import RunResult, parse_mesh_spec, solve_problem
 from .solver import SolveReport, solve_cg, solve_dense
 from .spaces import (
@@ -39,7 +30,6 @@ from .spaces import (
     EdgePartition,
     UnknownNumbering,
     compute_weights,
-    interpolate,
     partition_faces,
 )
 
@@ -49,13 +39,12 @@ __all__ = [
     "gen_rect", "gen_tri", "gen_nonconforming_rect", "gen_tilted_barrier",
     "read_mesh", "write_mesh",
     "EdgePartition", "BarycentricWeights", "DiscreteFunction", "UnknownNumbering",
-    "partition_faces", "compute_weights", "interpolate",
+    "partition_faces", "compute_weights",
     "GradientField", "cell_gradients", "gradient_field",
     "TensorField", "LinearSystem", "assemble",
     "SolveReport", "solve_cg", "solve_dense",
-    "ErrorReport", "FluxReport", "reconstruct_faces", "cone_fluxes", "composite_fluxes",
-    "boundary_flux_totals", "error_norms", "flux_consistency_E", "convergence_order",
+    "ErrorReport", "reconstruct_faces", "boundary_flux_totals", "error_norms",
+    "convergence_order",
     "ProblemSpec", "problem_anisotropic_smooth", "problem_tilted_barrier",
-    "problem_superadmissible_oracle",
     "RunResult", "solve_problem", "parse_mesh_spec",
 ]

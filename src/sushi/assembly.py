@@ -14,8 +14,8 @@ over K.  :func:`local_blocks` computes these blocks with array
 operations, ``LOCAL_BLOCK`` consecutive cells at a time, each block the
 part of the block-diagonal ``B`` over those cells' cones; no operator over
 cone pairs is formed.  The numerical fluxes, outflow positive, are ``-B delta``;
-:func:`sushi.postproc.cone_fluxes` evaluates them cell by cell without
-forming ``B``.
+:func:`sushi.postproc.boundary_flux_totals` evaluates them cell by cell
+without forming ``B``.
 
 Assembly restricts this hybrid form to the retained unknowns x (cells and
 hybrid faces).  With ``P`` and ``c`` the face expansion of
@@ -64,7 +64,9 @@ from .spaces import (
 # Cells per block of ``local_blocks``.  It bounds the block's transient
 # arrays, each at most (cells, k, k, 2): 512 kB for quadrilaterals.
 LOCAL_BLOCK = 1024
-# Unknowns per row block of K = E^T (B E) and of the NM count.
+# Rows per block of a CSR matrix (:func:`_row_blocks`): the row blocks of
+# K = E^T (B E) and of the NM count here, and of the extended-precision
+# residual and the strength test in :mod:`sushi.solver`.
 ROW_BLOCK = 4096
 
 
@@ -116,10 +118,6 @@ class TensorField:
     @classmethod
     def from_callable(cls, func) -> "TensorField":
         return cls(func=func)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.tensors is not None and np.array_equal(self.tensors, np.eye(2)[None])
 
     def cone_tensors(self, mesh: Mesh, cones=slice(None)) -> np.ndarray:
         """|D(K, s)| times the tensor sampled on the cones ``cones`` (an index
@@ -215,9 +213,6 @@ class LinearSystem:
 
     def full(self) -> sp.csr_matrix:
         return (self.upper + self.upper.T + sp.diags(self.diag)).tocsr()
-
-    def to_dense(self) -> np.ndarray:
-        return self.full().toarray()
 
 
 def _structure(mat: sp.csr_matrix) -> sp.csr_matrix:

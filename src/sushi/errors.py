@@ -97,7 +97,3 @@ class InsufficientLevels(SushiError):
 
 class InvalidSeries(SushiError):
     """Convergence-order fit got an h or error that is not finite and positive."""
-
-
-class RequiresIdentityTensor(SushiError):
-    """Operation is only defined for the identity diffusion tensor."""

@@ -124,20 +124,10 @@ class Mesh:
         return (self.cell_point[self.cone_cell[cones]]
                 + 2.0 * self.face_centre[self.cone_face[cones]]) / 3.0
 
-    def cones(self, cell: int) -> slice:
-        """The cone range of one cell."""
-        return slice(int(self.cell_ptr[cell]), int(self.cell_ptr[cell + 1]))
-
     def loops(self) -> list[list[int]]:
         """The vertex loop of every cell, as lists of ints."""
         ptr, verts = self.cell_ptr.tolist(), self.cone_vertex.tolist()
         return [verts[s:e] for s, e in zip(ptr, ptr[1:])]
-
-    def interior_faces(self) -> list[int]:
-        return np.flatnonzero(~self.face_boundary).tolist()
-
-    def boundary_faces(self) -> list[int]:
-        return np.flatnonzero(self.face_boundary).tolist()
 
     def vertex_cell_map(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR vertex -> cell map ``(ptr, cells)``: vertex v lies on the loops

@@ -55,9 +55,6 @@ class GradientField:
         return (segment_sums(w[:, None] * self.cones, mesh.cell_ptr)
                 / segment_sums(w, mesh.cell_ptr)[:, None])
 
-    def l2_norm_sq(self, mesh: Mesh) -> float:
-        return float(np.sum(mesh.cone_measure * np.sum(self.cones ** 2, axis=1)))
-
 
 def cone_increments(mesh: Mesh, u: DiscreteFunction) -> np.ndarray:
     """delta = u_sigma - u_K on every cone."""
@@ -86,13 +83,6 @@ def cell_gradients(mesh: Mesh, u: DiscreteFunction) -> np.ndarray:
     """(n_cells, d) consistent cell gradients grad_K u."""
     delta = cone_increments(mesh, u)
     return segment_sums(delta[:, None] * gradient_coefficients(mesh), mesh.cell_ptr)
-
-
-def stabilization_residuals(mesh: Mesh, u: DiscreteFunction,
-                            alpha: float | None = None) -> np.ndarray:
-    """R(K, sigma) u on every cone."""
-    return _residuals(mesh, slice(None), cone_increments(mesh, u),
-                      cell_gradients(mesh, u)[mesh.cone_cell], resolve_alpha(alpha, mesh.dim))
 
 
 def gradient_field(mesh: Mesh, u: DiscreteFunction,

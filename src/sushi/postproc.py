@@ -3,7 +3,7 @@
 Everything here is an array expression over the flat mesh arrays, with no
 gradient or flux matrix: the gradients come from :mod:`sushi.gradient`,
 the numerical fluxes ``-G^T Lambda G delta`` are evaluated cell by cell
-(:func:`cone_fluxes`), and each user field is called once per point set
+(:func:`_cell_fluxes`), and each user field is called once per point set
 (:func:`sushi.spaces.sample_field`).
 Boundary flux totals follow the reporting convention of the benchmark
 tables: the per-side total approximates the co-normal integral over the
@@ -17,15 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import TensorField, rhs_cell_integrals
-from .errors import (
-    InsufficientLevels,
-    InvalidSeries,
-    RequiresIdentityTensor,
-    UnclassifiedBoundaryFace,
-)
+from .assembly import TensorField
+from .errors import InsufficientLevels, InvalidSeries, UnclassifiedBoundaryFace
 from .geometry import Mesh, segment_sums
 from .gradient import (
     GradientField,
@@ -36,21 +30,13 @@ from .gradient import (
     resolve_alpha,
 )
 from .spaces import (
-    BARYCENTRIC,
-    HYBRID,
     BarycentricWeights,
     DiscreteFunction,
     EdgePartition,
     UnknownNumbering,
     face_expansions,
-    interpolate,
-    numbering_for,
     sample_field,
 )
-
-# 3-point Gauss-Legendre rule on [-1, 1]; exact up to degree 5.
-_GAUSS3_POINTS = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
-_GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
 @dataclass
@@ -75,31 +61,6 @@ class ErrorReport:
     norm_12m: float
 
 
-@dataclass
-class FluxReport:
-    """Conservative fluxes of a solved run, outflow positive, as arrays.
-
-    ``hybrid_faces`` lists the interior hybrid faces and row i of
-    ``hybrid_fluxes`` the fluxes of the two cones of face
-    ``hybrid_faces[i]``, in ``face_cones`` order.  ``pair_fluxes`` is the
-    antisymmetric (n_cells, n_cells) sparse matrix of the pairwise fluxes
-    through barycentric faces, entry (K, L) the flux from K to L.
-    ``cell_outflux`` is each cell's total outflux.
-    """
-
-    hybrid_faces: np.ndarray
-    hybrid_fluxes: np.ndarray
-    pair_fluxes: sp.csr_matrix
-    cell_outflux: np.ndarray
-
-    def max_conservativity_defect(self) -> float:
-        return float(np.max(np.abs(self.hybrid_fluxes.sum(axis=1)), initial=0.0))
-
-    def max_flux_scale(self) -> float:
-        return float(max(np.max(np.abs(self.hybrid_fluxes), initial=0.0),
-                         np.max(np.abs(self.pair_fluxes.data), initial=0.0)))
-
-
 def reconstruct_faces(mesh: Mesh, partition: EdgePartition,
                       weights: BarycentricWeights | None,
                       solution: np.ndarray,
@@ -111,78 +72,23 @@ def reconstruct_faces(mesh: Mesh, partition: EdgePartition,
     return DiscreteFunction(x[: numbering.n_cells], expansion @ x + consts)
 
 
-def cone_fluxes(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
-                alpha: float | None = None) -> np.ndarray:
-    """Numerical flux of every cone through its face, outflow positive.
-
-    It approximates the integral over the face of -Lambda grad u . n_out.
-    """
-    a = resolve_alpha(alpha, mesh.dim)
-    return _cell_fluxes(mesh, tensor, gradient_field(mesh, u, a), a)[1]
-
-
 def _cell_fluxes(mesh: Mesh, tensor: TensorField, grad: GradientField, a: float,
-                 cells: np.ndarray | None = None) -> tuple:
+                 cells: np.ndarray) -> tuple:
     """The cones of the ascending index array ``cells`` and their fluxes.
-    With ``cells`` None they are ``slice(None)`` and the fluxes of every
-    cone, computed on the cone arrays themselves, which are not copied.
 
     They are ``-G^T w`` for w = |D| Lambda grad_D u, cell by cell: with
     s = (alpha/d) n . w, cone j of K gets -(s_j + g_j . v_K), g from
     :func:`gradient_coefficients`, v_K the sum of w - s (x_sigma - x_K) over K.
     """
-    if cells is None:
-        cones, ptr, sizes = slice(None), mesh.cell_ptr, np.diff(mesh.cell_ptr)
-    else:
-        sizes = np.diff(mesh.cell_ptr)[cells]
-        ptr = np.concatenate([[0], np.cumsum(sizes)])
-        cones = np.repeat(mesh.cell_ptr[cells] - ptr[:-1], sizes) + np.arange(ptr[-1])
+    sizes = np.diff(mesh.cell_ptr)[cells]
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
+    cones = np.repeat(mesh.cell_ptr[cells] - ptr[:-1], sizes) + np.arange(ptr[-1])
     w = (tensor.cone_tensors(mesh, cones) * grad.cones[cones][:, None, :]).sum(axis=2)
     del grad  # frees a field the caller made for this call only
     s = (a / mesh.cone_dist[cones]) * (mesh.cone_normal[cones] * w).sum(axis=1)
     rel = mesh.face_centre[mesh.cone_face[cones]] - mesh.cell_point[mesh.cone_cell[cones]]
     v = np.repeat(segment_sums(w - s[:, None] * rel, ptr), sizes, axis=0)
     return cones, -(s + (gradient_coefficients(mesh, cones) * v).sum(axis=1))
-
-
-def composite_fluxes(mesh: Mesh, partition: EdgePartition,
-                     weights: BarycentricWeights | None,
-                     tensor: TensorField, u: DiscreteFunction,
-                     alpha: float | None = None) -> FluxReport:
-    """Hybrid-face fluxes plus pairwise fluxes through barycentric faces.
-
-    The pairwise flux between cells K and L collects every barycentric
-    flux of K weighted by L's elimination coefficient, minus the mirrored
-    term, and is antisymmetric by construction.  Each cell's total outflux
-    (hybrid + boundary + pairwise) balances its source integral up to the
-    solver tolerance.
-    """
-    fluxes = cone_fluxes(mesh, tensor, u, alpha)
-    tags = partition.tags
-    hybrid = np.nonzero((tags == HYBRID) & ~mesh.face_boundary)[0]
-    bary = tags[mesh.cone_face] == BARYCENTRIC
-    outflux = segment_sums(np.where(bary, 0.0, fluxes), mesh.cell_ptr)
-    pair = sp.csr_matrix((mesh.n_cells, mesh.n_cells))
-    if bary.any():
-        # flow[K, L]: the barycentric fluxes of K weighted by L's coefficients.
-        numbering = numbering_for(mesh, partition)
-        expansion, _ = face_expansions(mesh, partition, weights, numbering)
-        # Only barycentric rows of P reach cell columns.
-        cone_flux = sp.csr_matrix((fluxes, (mesh.cone_cell, np.arange(mesh.n_cones))),
-                                  shape=(mesh.n_cells, mesh.n_cones))
-        flow = cone_flux @ expansion[mesh.cone_face][:, : mesh.n_cells]
-        pair = (flow - flow.T).tocsr()
-        outflux += segment_sums(pair.data, pair.indptr)
-    return FluxReport(hybrid_faces=hybrid, hybrid_fluxes=fluxes[mesh.face_cones[hybrid]],
-                      pair_fluxes=pair, cell_outflux=outflux)
-
-
-def cell_balance_residuals(mesh: Mesh, report: FluxReport, source=None) -> np.ndarray:
-    """Per-cell defect of the flux balance against the source integral."""
-    res = np.array(report.cell_outflux, dtype=float)
-    if source is not None:
-        res -= rhs_cell_integrals(mesh, source)
-    return res
 
 
 # The sides of the unit square, and how far a boundary face barycentre
@@ -284,42 +190,6 @@ def error_norms(mesh: Mesh, u: DiscreteFunction, exact, exact_grad,
     )
 
 
-def normal_gradient_integrals(mesh: Mesh, exact_grad) -> np.ndarray:
-    """Per cone: 3-point Gauss integral over its face of grad u . n_out."""
-    ends = mesh.vertices[mesh.face_vertices]
-    mid, half = 0.5 * (ends[:, 0] + ends[:, 1]), 0.5 * (ends[:, 1] - ends[:, 0])
-    points = mid[:, None, :] + _GAUSS3_POINTS[None, :, None] * half[:, None, :]
-    grads = sample_field(exact_grad, points.reshape(-1, 2), "exact_grad", (2,))
-    # Along the outward normal of the face's first cone; the other cone's
-    # normal is its negative.
-    normal = mesh.cone_normal[mesh.face_cones[:, 0]]
-    along = (grads.reshape(-1, 3, 2) * normal[:, None, :]).sum(axis=2)
-    per_face = 0.5 * mesh.face_measure * (along * _GAUSS3_WEIGHTS).sum(axis=1)
-    first = mesh.face_cones[mesh.cone_face, 0] == np.arange(mesh.n_cones)
-    return np.where(first, 1.0, -1.0) * per_face[mesh.cone_face]
-
-
-def flux_consistency_E(mesh: Mesh, partition: EdgePartition,
-                       weights: BarycentricWeights | None,
-                       tensor: TensorField, exact, exact_grad,
-                       alpha: float | None = None) -> float:
-    """Flux-consistency functional of the interpolated exact solution.
-
-    Defined for the identity tensor only: the squared sum, over every
-    cell/face pair, of d(K,s)/|s| times the defect between the numerical
-    flux of the interpolant and the exact outward co-normal integral.
-    Decays like the mesh size for smooth fields.
-    """
-    if not tensor.is_identity:
-        raise RequiresIdentityTensor("E(u) is defined for Lambda = Id")
-    # Boundary face values take the trace of the exact field (zero in the
-    # homogeneous case the estimate is stated for).
-    pu = interpolate(mesh, partition, weights, exact, variant="pdb")
-    defect = cone_fluxes(mesh, tensor, pu, alpha) + normal_gradient_integrals(mesh, exact_grad)
-    weight = mesh.cone_dist / mesh.face_measure[mesh.cone_face]
-    return math.sqrt(float(np.sum(weight * defect ** 2)))
-
-
 def convergence_order(series) -> float:
     """Least-squares slope of log(error) against log(h).
 
@@ -332,10 +202,3 @@ def convergence_order(series) -> float:
     if len(np.unique(pts[:, 0])) < 3:
         raise InsufficientLevels("need at least three distinct refinement levels")
     return float(np.polyfit(np.log(pts[:, 0]), np.log(pts[:, 1]), 1)[0])
-
-
-def gradient_max_error(mesh: Mesh, u: DiscreteFunction, exact_grad,
-                       alpha: float | None = None) -> float:
-    """Max cone-wise gradient error, sampled at cone centroids."""
-    return math.sqrt(float(_cone_errors_sq(mesh, u, exact_grad, alpha).max()))
-

@@ -54,7 +54,7 @@ def problem_anisotropic_smooth() -> ProblemSpec:
 
 
 def problem_quartic_isotropic() -> ProblemSpec:
-    """Identity tensor with the same quartic bubble; used by the E(u) study."""
+    """Identity tensor with the same quartic bubble."""
     return problem_from_descriptor({"name": "quartic-isotropic",
                                     "tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]},
                                     "exact_poly": _BUBBLE_POLY})
@@ -100,20 +100,6 @@ def problem_tilted_barrier() -> ProblemSpec:
         region=lambda p: barrier_region(p[0], p[1]),
         exact_boundary_flux={"x=0": -0.2, "x=1": 0.2, "y=0": 1.0, "y=1": -1.0},
     )
-
-
-def problem_superadmissible_oracle(lam_left: float, lam_right: float) -> ProblemSpec:
-    """Two half-domain isotropic coefficients split at x = 1/2.
-
-    Pairs with the two-point flux oracle on rectangular grids; no exact
-    solution is attached.
-    """
-    if lam_left <= 0.0 or lam_right <= 0.0:
-        raise ValueError("coefficients must be positive")
-    return problem_from_descriptor({
-        "name": "superadmissible-oracle",
-        "tensor": {"two_region": {"split_x": 0.5, "left": lam_left, "right": lam_right}},
-    })
 
 
 BUILTIN_PROBLEMS = {

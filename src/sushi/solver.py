@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .assembly import _row_blocks
 from .errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
 
 log = logging.getLogger(__name__)
@@ -42,11 +43,6 @@ _MIN_SHRINK = 0.8  # coarsening stops on a level that keeps more of its unknowns
 _POWER_STEPS = 15  # power steps estimating the spectral radius of D^-1 A
 _SWEEPS = 2  # damped-Jacobi sweeps before and after each coarse correction
 
-# Matrix rows per pass of ``_residual``, which bounds its extended-precision
-# copy of the rows (16 bytes per stored entry), and of the strength test of
-# ``_aggregates``.
-RESIDUAL_BLOCK = 4096
-
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product by NumPy's pairwise summation.
@@ -67,19 +63,14 @@ def _residual(mat: sp.csr_matrix, b: np.ndarray, bnorm: float,
     """b - Mx and ||b - Mx|| / ``bnorm``, evaluated in ``np.longdouble``: the
     module's one residual, clear of float64 rounding noise at 1e-12.
 
-    Only ``RESIDUAL_BLOCK`` rows of M at a time are held in extended
-    precision; each row sums in its stored order, as a product with all of
-    M in ``np.longdouble`` would, so r is the same bit for bit."""
-    n = mat.shape[0]
-    r = np.empty(n, dtype=np.longdouble)
-    ptr = mat.indptr
+    Only ``ROW_BLOCK`` rows of M at a time are held in extended precision
+    (16 bytes per stored entry); each row sums in its stored order, as a
+    product with all of M in ``np.longdouble`` would, so r is the same bit
+    for bit."""
+    r = np.empty(mat.shape[0], dtype=np.longdouble)
     x = x.astype(np.longdouble)  # once, not once per block by the product
-    for lo in range(0, n, RESIDUAL_BLOCK):
-        hi = min(lo + RESIDUAL_BLOCK, n)
-        span = slice(ptr[lo], ptr[hi])
-        rows = sp.csr_matrix((mat.data[span].astype(np.longdouble), mat.indices[span],
-                              ptr[lo:hi + 1] - ptr[lo]), shape=(hi - lo, mat.shape[1]))
-        r[lo:hi] = b[lo:hi].astype(np.longdouble) - rows @ x
+    for rows, block in _row_blocks(mat):
+        r[rows] = b[rows].astype(np.longdouble) - block.astype(np.longdouble) @ x
     return r, _norm(r) / bnorm
 
 
@@ -112,15 +103,13 @@ def _aggregates(mat: sp.csr_matrix, diag: np.ndarray) -> np.ndarray:
     n = mat.shape[0]
     strong = np.empty(mat.nnz, dtype=bool)
     counts = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, RESIDUAL_BLOCK):
-        hi = min(lo + RESIDUAL_BLOCK, n)
-        span = slice(mat.indptr[lo], mat.indptr[hi])
-        rows = np.repeat(np.arange(lo, hi), np.diff(mat.indptr[lo:hi + 1]))
-        cols = mat.indices[span]
+    for rows, block in _row_blocks(mat):
+        row = np.repeat(np.arange(rows.start, rows.stop), np.diff(block.indptr))
+        col = block.indices
         # the diagonal is kept, so every row of the strength graph is non-empty
-        strong[span] = ((np.abs(mat.data[span]) >= _STRENGTH * np.sqrt(diag[rows] * diag[cols]))
-                        | (rows == cols))
-        counts[lo:hi] = np.bincount(rows[strong[span]] - lo, minlength=hi - lo)
+        keep = (np.abs(block.data) >= _STRENGTH * np.sqrt(diag[row] * diag[col])) | (row == col)
+        strong[mat.indptr[rows.start]:mat.indptr[rows.stop]] = keep
+        counts[rows] = np.bincount(row[keep] - rows.start, minlength=rows.stop - rows.start)
     ptr = np.concatenate(([0], np.cumsum(counts)))
     idx = mat.indices[strong]
 
@@ -452,8 +441,3 @@ def solve_dense(system) -> tuple[np.ndarray, SolveReport]:
     x = lu.solve(system.rhs)
     _, res = _residual(mat, system.rhs, _norm(system.rhs) or 1.0, x)
     return x, SolveReport(0, res, time.perf_counter() - t0, "dense-cholesky")
-
-
-def spd_certificate(system) -> bool:
-    """True iff the factorization of ``solve_dense`` finds every pivot > 0."""
-    return _spd_factor(system.full()) is not None

@@ -1,4 +1,4 @@
-"""Discrete unknown spaces: face partition, barycentric weights, interpolation.
+"""Discrete unknown spaces: face partition, barycentric weights, face expansion.
 
 Interior faces are split into a hybrid set H (faces keeping their own
 unknown) and a barycentric set B (faces whose value is eliminated as an
@@ -80,9 +80,6 @@ class EdgePartition:
     tags: np.ndarray
     policy: str = "custom"
 
-    def hybrid_faces(self) -> list[int]:
-        return np.flatnonzero(self.tags == HYBRID).tolist()
-
     def barycentric_faces(self) -> list[int]:
         return np.flatnonzero(self.tags == BARYCENTRIC).tolist()
 
@@ -107,12 +104,6 @@ class BarycentricWeights:
     def by_point(per_cell: np.ndarray, per_face: np.ndarray) -> np.ndarray:
         """Per-point array from its cell part and its face part."""
         return np.concatenate([per_cell, per_face])
-
-    def matrix(self) -> sp.csr_matrix:
-        """The table as a sparse (n_faces x n_points) matrix."""
-        n_faces = len(self.ptr) - 1
-        return sp.csr_matrix((self.beta, self.points, self.ptr),
-                             shape=(n_faces, self.n_cells + n_faces))
 
     @property
     def support(self):
@@ -428,29 +419,3 @@ def check_weights(mesh: Mesh, partition: EdgePartition,
                         (have & ~bary, "weights given for non-B faces")):
         if wrong.any():
             raise InconsistentWeights(f"{what} {np.nonzero(wrong)[0][:5].tolist()}")
-
-
-def interpolate(mesh: Mesh, partition: EdgePartition,
-                weights: BarycentricWeights | None, func,
-                variant: str = "pdb") -> DiscreteFunction:
-    """Sample a scalar field into the discrete space.
-
-    ``variant='pd'`` evaluates the field at every cell point and face
-    barycentre, boundary faces included.  ``variant='pdb'`` evaluates at
-    cell points and at hybrid and boundary faces but fills barycentric
-    faces with their weight combination.
-    """
-    cell_values = sample_field(func, mesh.cell_point, "func")
-    face_values = sample_field(func, mesh.face_centre, "func")
-    if variant == "pd":
-        return DiscreteFunction(cell_values, face_values)
-    if variant != "pdb":
-        raise ValueError("variant must be 'pd' or 'pdb'")
-    # Supports reference cell points and hybrid faces, never other B faces,
-    # so one product over the samples fills every B face.
-    check_weights(mesh, partition, weights)
-    if weights is not None:
-        bary = partition.tags == BARYCENTRIC
-        face_values[bary] = (weights.matrix()
-                             @ weights.by_point(cell_values, face_values))[bary]
-    return DiscreteFunction(cell_values, face_values)

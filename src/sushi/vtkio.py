@@ -91,8 +91,3 @@ def export_csv(rows: list[dict], path) -> None:
                 val = row.get(key, "")
                 out[key] = repr(val) if isinstance(val, float) else val
             writer.writerow(out)
-
-
-def read_csv(path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))

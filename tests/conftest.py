@@ -61,7 +61,7 @@ def assert_same_mesh(a, b):
 
 def cell_view(mesh, k):
     """One cell's slice of the flat mesh arrays, entries in its face order."""
-    cones = mesh.cones(k)
+    cones = slice(int(mesh.cell_ptr[k]), int(mesh.cell_ptr[k + 1]))
     faces = mesh.cone_face[cones]
     return SimpleNamespace(
         id=k, cones=cones, faces=faces, loop=mesh.cone_vertex[cones],

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -23,7 +24,11 @@ from sushi.generators import barrier_region
 from sushi.geometry import compute_geometry
 from sushi.gradient import default_alpha
 from sushi.meshfile import write_mesh
-from sushi.vtkio import read_csv
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def parse_legacy_vtk(path):

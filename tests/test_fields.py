@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sushi
+from oracles import problem_superadmissible_oracle
 from sushi.assembly import TensorField, assemble, rhs_cell_integrals
 from sushi.generators import (
     BARRIER_LEVEL,
@@ -20,16 +21,15 @@ from sushi.generators import (
     phi1,
     phi2,
 )
-from sushi.postproc import error_norms, normal_gradient_integrals
+from sushi.postproc import error_norms
 from sushi.problems import (
     BUILTIN_PROBLEMS,
     barrier_exact,
     barrier_exact_grad,
     load_problem_descriptor,
-    problem_superadmissible_oracle,
 )
 from sushi.run import parse_mesh_spec, solve_problem
-from sushi.spaces import interpolate, partition_faces, sample_field
+from sushi.spaces import DiscreteFunction, partition_faces, sample_field
 
 
 def builtin_fields():
@@ -152,14 +152,14 @@ def test_constants_are_broadcast():
     assert values.flags.writeable and values.flags.c_contiguous
 
 
-WRONG_SHAPES = ("source", "dirichlet", "tensor", "exact_grad-cells", "exact_grad-faces", "func")
+WRONG_SHAPES = ("source", "dirichlet", "tensor", "exact_grad-cells")
 
 
 def _wrong_shape_call(case):
     """(field name, expected shape, call) of one wrongly shaped user field."""
     mesh = sushi.gen_rect(3, 3)
     part = partition_faces(mesh, "all-hybrid")
-    u = interpolate(mesh, part, None, lambda p: 0.0, variant="pd")
+    u = DiscreteFunction(np.zeros(mesh.n_cells), np.zeros(mesh.n_faces))
     ident = TensorField.from_constant(np.eye(2))
     vector = lambda p: np.array([1.0, 2.0])
     return {
@@ -172,10 +172,6 @@ def _wrong_shape_call(case):
                                     TensorField.from_callable(lambda p: np.eye(2)))),
         "exact_grad-cells": ("exact_grad", f"(2, {mesh.n_cells})",
                              lambda: error_norms(mesh, u, lambda p: p[0], vector)),
-        "exact_grad-faces": ("exact_grad", f"(2, {3 * mesh.n_faces})",
-                             lambda: normal_gradient_integrals(mesh, lambda p: 1.0)),
-        "func": ("func", f"({mesh.n_cells},)",
-                 lambda: interpolate(mesh, part, None, lambda p: p, variant="pd")),
     }[case]
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import sushi
 from conftest import cell_views
+from oracles import problem_superadmissible_oracle
 from sushi.errors import ParseError
 from sushi.generators import barrier_region, phi1
 from sushi.problems import (
@@ -16,7 +17,6 @@ from sushi.problems import (
     problem_anisotropic_smooth,
     problem_quartic_isotropic,
     problem_tilted_barrier,
-    problem_superadmissible_oracle,
 )
 from sushi.run import solve_problem
 

@@ -9,19 +9,18 @@ import scipy.sparse as sp
 
 import sushi
 from conftest import system_from_dense, traced_peak
-from sushi.assembly import LinearSystem, assemble
+from oracles import spd_certificate
+from sushi.assembly import ROW_BLOCK, LinearSystem, assemble
 from sushi.errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
 from sushi.problems import problem_anisotropic_smooth, problem_tilted_barrier
 from sushi.solver import (
     AMG_MIN_N,
-    RESIDUAL_BLOCK,
     _cell_elimination,
     _norm,
     _residual,
     _smoothed_aggregation,
     solve_cg,
     solve_dense,
-    spd_certificate,
 )
 from sushi.spaces import UnknownNumbering, compute_weights, partition_faces
 
@@ -46,7 +45,7 @@ def test_cg_matches_dense_oracle():
     assert report.relative_residual <= 1e-12
     # energy-norm agreement
     diff = x_cg - x_dense
-    mat = system.to_dense()
+    mat = system.full().toarray()
     energy = float(diff @ mat @ diff) ** 0.5
     ref = float(x_dense @ mat @ x_dense) ** 0.5
     assert energy <= 1e-8 * ref
@@ -376,7 +375,7 @@ def assert_same_residual(mat, b, x) -> float:
 
 def test_blocked_residual_is_the_extended_product_over_several_blocks(rng):
     system = hybrid_rect_system(64)
-    assert system.n == 12_160 > 2 * RESIDUAL_BLOCK
+    assert system.n == 12_160 > 2 * ROW_BLOCK
     mat = system.full()
     x, _ = solve_cg(system)
     for point in (x, rng.standard_normal(system.n), np.zeros(system.n)):
@@ -408,7 +407,7 @@ def test_blocked_residual_keeps_the_iterates_through_a_restart(monkeypatch):
 
 def test_cg_peak_memory_at_128x128():
     # A longdouble copy of K held for the whole solve peaked at 28.1 MB here;
-    # the residual by RESIDUAL_BLOCK rows at a time peaks at 19.7 MB.
+    # the residual by ROW_BLOCK rows at a time peaks at 19.7 MB.
     system = hybrid_rect_system(128)
     assert traced_peak(lambda: solve_cg(system)) <= 22e6
 

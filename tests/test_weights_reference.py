@@ -23,6 +23,7 @@ from sushi.run import parse_mesh_spec
 from sushi.spaces import (
     AFFINE_TOL,
     CANDIDATE_CAP,
+    HYBRID,
     SUPPORT_SIZE,
     _best_supports,
     compute_weights,
@@ -91,7 +92,7 @@ def reference_candidates(mesh, fid, regions, region, vertex_cells, hybrid_touchi
     if hybrid_touching is not None:
         near_faces = set()
         for c in near_cells:
-            near_faces.update(mesh.cone_face[mesh.cones(c)].tolist())
+            near_faces.update(mesh.cone_face[mesh.cell_ptr[c]:mesh.cell_ptr[c + 1]].tolist())
         for g in sorted(near_faces):
             if g != fid and g in hybrid_touching:
                 extended.append(("face", g, mesh.face_centre[g]))
@@ -132,7 +133,7 @@ def reference_best_support(cands, x, h, solve_triple=reference_solve_triple):
 def reference_weights(mesh, partition, regions=None):
     h = mesh.h
     vertex_cells = reference_vertex_cells(mesh)
-    hybrid_set = set(partition.hybrid_faces())
+    hybrid_set = set(np.flatnonzero(partition.tags == HYBRID).tolist())
     table = {}
     for fid in partition.barycentric_faces():
         k, l = mesh.face_cells[fid].tolist()
