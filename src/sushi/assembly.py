@@ -190,7 +190,7 @@ def local_blocks(mesh: Mesh, tensor: TensorField, alpha: float | None = None):
 
 def rhs_cell_integrals(mesh: Mesh, f) -> np.ndarray:
     """Integral of f over every cell by the cone-centroid rule (exact for affine f)."""
-    values = sample_field(f, mesh.cone_centroid, "source")
+    values = sample_field(f, mesh.cone_centroids(), "source")
     return segment_sums(mesh.cone_measure * values, mesh.cell_ptr)
 
 

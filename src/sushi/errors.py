@@ -40,7 +40,11 @@ class MissingWeights(SushiError):
 
 
 class NoValidCombination(SushiError):
-    """No local affine combination reproduces the face barycentre."""
+    """No local affine combination of cell values gives the centres of ``faces``."""
+
+    def __init__(self, message, faces):
+        super().__init__(message)
+        self.faces = faces
 
 
 class NonSymmetricTensor(SushiError):

@@ -113,14 +113,9 @@ class Mesh:
     def face_boundary(self) -> np.ndarray:
         return self.face_cells[:, 1] < 0
 
-    @property
-    def cone_centroid(self) -> np.ndarray:
-        """(n_cones, d) centroids of the cones."""
-        return self.cone_centroids(slice(None))
-
-    def cone_centroids(self, cones) -> np.ndarray:
+    def cone_centroids(self, cones=slice(None)) -> np.ndarray:
         """Centroids (x_K + 2 x_sigma) / 3 of the cones ``cones`` (an index
-        array or a slice), components on a new last axis."""
+        array or a slice; all by default), components on a new last axis."""
         return (self.cell_point[self.cone_cell[cones]]
                 + 2.0 * self.face_centre[self.cone_face[cones]]) / 3.0
 
@@ -430,8 +425,7 @@ def theta_DB(mesh: Mesh, weights) -> float:
     if weights is None:
         raise MissingWeights("weights required for theta_DB")
     faces = np.repeat(np.arange(mesh.n_faces), np.diff(weights.ptr))
-    offset = weights.by_point(mesh.cell_point, mesh.face_centre)[weights.points] \
-        - mesh.face_centre[faces]
+    offset = mesh.cell_point[weights.points] - mesh.face_centre[faces]
     spread = np.bincount(faces, weights=np.abs(weights.beta) * (offset ** 2).sum(axis=1),
                          minlength=mesh.n_faces)
     on = (np.diff(weights.ptr) > 0)[mesh.cone_face]

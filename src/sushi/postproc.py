@@ -152,7 +152,7 @@ def norm_1pm(mesh: Mesh, cell_values: np.ndarray, p: float = 2.0) -> float:
 def _cone_errors_sq(mesh: Mesh, u: DiscreteFunction, exact_grad,
                     alpha: float | None, grad: GradientField | None = None) -> np.ndarray:
     """Per cone: squared error of the stabilized gradient at the cone centroid."""
-    exact = sample_field(exact_grad, mesh.cone_centroid, "exact_grad", (2,))
+    exact = sample_field(exact_grad, mesh.cone_centroids(), "exact_grad", (2,))
     grad = gradient_field(mesh, u, alpha) if grad is None else grad
     diff = grad.cones - exact
     return np.sum(diff * diff, axis=1)

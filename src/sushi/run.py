@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import LinearSystem, TensorField, assemble
-from .errors import UnclassifiedBoundaryFace
+from .errors import NoValidCombination, UnclassifiedBoundaryFace
 from .generators import gen_nonconforming_rect, gen_rect, gen_tilted_barrier, gen_tri
 from .geometry import Mesh
 from .gradient import GradientField, gradient_field
@@ -17,6 +18,7 @@ from .problems import ProblemSpec
 from .solver import DEFAULT_TOL, SolveReport, solve_cg, solve_dense
 from .spaces import (
     BARYCENTRIC,
+    HYBRID,
     BarycentricWeights,
     DiscreteFunction,
     EdgePartition,
@@ -25,6 +27,7 @@ from .spaces import (
     sample_field,
 )
 
+log = logging.getLogger(__name__)
 
 MESH_GRAMMAR = "rect:NxM | tri:N | ncrect:N | barrier:V | file:PATH"
 _GENERATORS = {"rect": gen_rect, "tri": gen_tri, "ncrect": gen_nonconforming_rect,
@@ -81,6 +84,8 @@ def solve_problem(problem: ProblemSpec, mesh: Mesh,
     are computed; on a domain with other sides they are left out (``None``).
     The stabilized gradient is evaluated once, after the solve, and shared
     by the errors, the fluxes and the caller (``RunResult.gradient``).
+    Under ``discontinuity``, a barycentric face with no affine support of
+    cells keeps its own unknown: it is added to the hybrid set.
     """
     if method not in ("cg", "dense"):
         raise ValueError(f"unknown method {method!r}; expected 'cg' or 'dense'")
@@ -89,7 +94,14 @@ def solve_problem(problem: ProblemSpec, mesh: Mesh,
     partition = partition_faces(mesh, policy, regions)
     weights = None
     if np.any(partition.tags == BARYCENTRIC):
-        weights = compute_weights(mesh, partition, regions)
+        try:
+            weights = compute_weights(mesh, partition, regions)
+        except NoValidCombination as exc:
+            if policy != "discontinuity":
+                raise
+            log.debug("partition: %d faces without a cell support kept hybrid", len(exc.faces))
+            partition.tags[exc.faces] = HYBRID
+            weights = compute_weights(mesh, partition, regions)
     tensor = problem.make_tensor(mesh, regions)
     system = assemble(
         mesh, partition, weights, tensor,

@@ -2,12 +2,11 @@
 
 Interior faces are split into a hybrid set H (faces keeping their own
 unknown) and a barycentric set B (faces whose value is eliminated as an
-affine combination of nearby cell values, or of cell values plus hybrid
-face values).  The weights of a face sigma satisfy
+affine combination of nearby cell values).  The weights of a face sigma satisfy
 
-    sum beta = 1   and   sum beta * x_point = x_sigma,
+    sum beta = 1   and   sum beta * x_K = x_sigma,
 
-so that affine fields are reproduced exactly.
+so that affine fields are reproduced exactly.  A face without such cells stays in H.
 """
 
 from __future__ import annotations
@@ -86,31 +85,23 @@ class EdgePartition:
 
 @dataclass
 class BarycentricWeights:
-    """CSR weight table over support points, one row per face.
+    """CSR weight table over cell points, one row per face.
 
-    Face sigma is ``sum beta[i] * u(points[i])`` over ``i`` in
-    ``ptr[sigma]:ptr[sigma + 1]``; a face without weights has an empty
-    row.  Support point ``p < n_cells`` is the point of cell ``p`` and
-    point ``n_cells + g`` the centre of face ``g`` (see :meth:`by_point`).
-    Entries are sorted by point id, and exact zeros stay stored.
+    Face sigma is ``sum beta[i] * u_K`` with ``K = points[i]``, over ``i``
+    in ``ptr[sigma]:ptr[sigma + 1]``; a face without weights has an empty
+    row.  A point id is a cell id, and so the column of that cell's
+    unknown.  Entries are sorted by point id, and exact zeros stay stored.
     """
 
-    n_cells: int
     ptr: np.ndarray
     points: np.ndarray
     beta: np.ndarray
 
-    @staticmethod
-    def by_point(per_cell: np.ndarray, per_face: np.ndarray) -> np.ndarray:
-        """Per-point array from its cell part and its face part."""
-        return np.concatenate([per_cell, per_face])
-
     @property
     def support(self):
-        """Read-only view ``face -> ((kind, id, beta), ...)``, kind 'cell' or 'face'."""
-        n, ptr = self.n_cells, self.ptr.tolist()
-        entries = [("cell", p, b) if p < n else ("face", p - n, b)
-                   for p, b in zip(self.points.tolist(), self.beta.tolist())]
+        """Read-only view ``face -> (("cell", id, beta), ...)``."""
+        ptr = self.ptr.tolist()
+        entries = [("cell", p, b) for p, b in zip(self.points.tolist(), self.beta.tolist())]
         return MappingProxyType({f: tuple(entries[ptr[f]:ptr[f + 1]])
                                  for f in range(len(ptr) - 1) if ptr[f + 1] > ptr[f]})
 
@@ -150,20 +141,17 @@ def face_expansions(mesh: Mesh, partition: EdgePartition,
 
     The value of face sigma is ``c[sigma] + (P @ x)[sigma]`` over the
     retained unknowns ``x``: a hybrid face is a unit row on its own
-    unknown, a barycentric face holds its weights (columns of cells or of
-    hybrid faces), a Dirichlet face is an empty row whose constant is the
+    unknown, a barycentric face holds its weights on the columns of its
+    support cells, a Dirichlet face is an empty row whose constant is the
     boundary datum at its centre.  Every weight is stored, even an exact
     zero, so ``P`` carries the structure that the nonzero count NM follows.
     """
     check_weights(mesh, partition, weights)
     hybrid = numbering.hybrid_faces
-    column = np.full(mesh.n_faces, -1, dtype=np.int64)
-    column[hybrid] = numbering.n_cells + np.arange(len(hybrid))
-    rows, cols, vals = hybrid, column[hybrid], np.ones(len(hybrid))
+    rows, cols, vals = hybrid, numbering.n_cells + np.arange(len(hybrid)), np.ones(len(hybrid))
     if weights is not None:
-        point_column = weights.by_point(np.arange(mesh.n_cells), column)
         rows = np.concatenate([rows, np.repeat(np.arange(mesh.n_faces), np.diff(weights.ptr))])
-        cols = np.concatenate([cols, point_column[weights.points]])
+        cols = np.concatenate([cols, weights.points])
         vals = np.concatenate([vals, weights.beta])
     expansion = sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_faces, numbering.n))
     consts = np.zeros(mesh.n_faces)
@@ -250,19 +238,6 @@ def _triple_weights(p: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray,
     return beta, ok
 
 
-def _csr_rows(ptr: np.ndarray, values: np.ndarray,
-              keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``keys`` of the CSR table ``(ptr, values)`` as ``(position in keys, value)``."""
-    counts = ptr[keys + 1] - ptr[keys]
-    offset = np.repeat(ptr[keys] - (np.cumsum(counts) - counts), counts)
-    return np.repeat(np.arange(len(keys)), counts), values[np.arange(counts.sum()) + offset]
-
-
-def _sorted_entries(rows: np.ndarray, ids: np.ndarray, n_ids: int):
-    """``(row, id)`` entries without duplicates, sorted by row, then id."""
-    return np.divmod(np.unique(rows * n_ids + ids), n_ids)
-
-
 def _candidate_cells(mesh: Mesh, faces: np.ndarray, vertex_map, regions):
     """Candidate cells of each face: entries ``(row, cell)``, sorted by row and id.
 
@@ -271,25 +246,22 @@ def _candidate_cells(mesh: Mesh, faces: np.ndarray, vertex_map, regions):
     both its cells share one.
     """
     ptr, cells = vertex_map
-    rows, ids = zip(*(_csr_rows(ptr, cells, v) for v in mesh.face_vertices[faces].T))
+    verts = mesh.face_vertices[faces].ravel()  # two per face row
+    counts = ptr[verts + 1] - ptr[verts]
+    # the cells of every vertex, one CSR row after the other
+    near = cells[np.repeat(ptr[verts] - np.cumsum(counts) + counts, counts)
+                 + np.arange(counts.sum())]
     k, l = mesh.face_cells[faces].T
-    arange = np.arange(len(faces))
-    rows, ids = _sorted_entries(np.concatenate([arange, arange, *rows]),
-                                np.concatenate([k, l, *ids]), mesh.n_cells)
+    rows = np.concatenate([np.arange(len(faces)), np.arange(len(faces)),
+                           np.repeat(np.arange(len(verts)) // 2, counts)])
+    # without duplicates, sorted by row, then id
+    rows, ids = np.divmod(np.unique(rows * mesh.n_cells + np.concatenate([k, l, near])),
+                          mesh.n_cells)
     if regions is not None:
         same = regions[k] == regions[l]
         keep = ~same[rows] | (regions[ids] == regions[k][rows])
         rows, ids = rows[keep], ids[keep]
     return rows, ids
-
-
-def _hybrid_points(mesh: Mesh, rows: np.ndarray, cells: np.ndarray, hybrid: np.ndarray):
-    """Support points of the extended formula: the centres of the hybrid faces
-    of each face's candidate cells, as entries ``(row, point)`` with point
-    ``n_cells + g`` (duplicates possible)."""
-    entry, near = _csr_rows(mesh.cell_ptr, mesh.cone_face, cells)
-    keep = hybrid[near]
-    return rows[entry][keep], mesh.n_cells + near[keep]
 
 
 def _best_supports(rows: np.ndarray, ids: np.ndarray, pts: np.ndarray,
@@ -346,18 +318,17 @@ def _best_supports(rows: np.ndarray, ids: np.ndarray, pts: np.ndarray,
 
 def compute_weights(mesh: Mesh, partition: EdgePartition,
                     regions: np.ndarray | None = None) -> BarycentricWeights:
-    """Affine elimination weights for every barycentric face.
+    """Affine elimination weights over cell points for every barycentric face.
 
     The two adjacent cell points are tried first, for all faces at once;
     only the faces off their line search further, ``SEARCH_BLOCK`` faces
     at a time, each block in one array pass (:func:`_best_supports`) that
     bounds its transient arrays to a few MB.  Without a region map, any
     nearby cell point may enter a support.  With one, supports are
-    restricted to the region of the face's two adjacent cells; the faces
-    left without a same-region cell support go once more through the same
-    pass with the hybrid-face barycentres of their candidate cells added
-    (the one-cell-thick layer case).  Raises ``NoValidCombination`` when no
-    local support satisfies the affine conditions.
+    restricted to the region of the face's two adjacent cells.  When some
+    faces have no cell support, ``NoValidCombination`` is raised once, after
+    every block: its message names the first such face and its ``faces``
+    lists them all.
     """
     h = mesh.h
     bary = np.flatnonzero(partition.tags == BARYCENTRIC)
@@ -367,45 +338,34 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
                              mesh.face_centre[bary], h)
     found = [(np.repeat(bary[ok], 2), pair[ok].ravel(), beta[ok].ravel())]
     searched = bary[~ok]
-    n_extended = 0
+    unsupported = []
     if len(searched):
-        coords = BarycentricWeights.by_point(mesh.cell_point, mesh.face_centre)
         vertex_map = mesh.vertex_cell_map()
-        hybrid = partition.tags == HYBRID
         for start in range(0, len(searched), SEARCH_BLOCK):
             faces = searched[start:start + SEARCH_BLOCK]
-            x = mesh.face_centre[faces]
             rows, ids = _candidate_cells(mesh, faces, vertex_map, regions)
-            got, row, point, value = _best_supports(rows, ids, coords[ids], x, h)
+            got, row, point, value = _best_supports(rows, ids, mesh.cell_point[ids],
+                                                    mesh.face_centre[faces], h)
             found.append((faces[row], point, value))
-            if regions is not None and not got.all():
-                ext_rows, ext_ids = _hybrid_points(mesh, rows, ids, hybrid)
-                retry = ~got & (np.bincount(ext_rows, minlength=len(faces)) > 0)
-                n_extended += int(retry.sum())
-                rows, ids = np.concatenate([rows, ext_rows]), np.concatenate([ids, ext_ids])
-                keep = retry[rows]
-                # the retried faces are rows 0, 1, ... of the second pass
-                rows, ids = _sorted_entries((np.cumsum(retry) - 1)[rows[keep]], ids[keep],
-                                            len(coords))
-                again, row, point, value = _best_supports(rows, ids, coords[ids], x[retry], h)
-                found.append((faces[retry][row], point, value))
-                got[retry] = again
-            if not got.all():
-                raise NoValidCombination(f"face {faces[~got][0]}: no affine support found")
+            unsupported += faces[~got].tolist()
+    if unsupported:
+        raise NoValidCombination(f"face {unsupported[0]}: no affine support found",
+                                 faces=unsupported)
     faces, points, values = (np.concatenate(a) for a in zip(*found))
-    log.debug("weights: %d natural pairs, %d cell searches, %d extended; max |beta| %.3g",
-              ok.sum(), (~ok).sum() - n_extended, n_extended, np.abs(values).max(initial=0.0))
+    log.debug("weights: %d natural pairs, %d cell searches; max |beta| %.3g",
+              ok.sum(), (~ok).sum(), np.abs(values).max(initial=0.0))
     order = np.lexsort((points, faces))
     for fid in np.unique(faces[np.abs(values) > 4.0]).tolist():
         log.warning("face %d: weight magnitude %.3g exceeds 4", fid,
                     np.abs(values[faces == fid]).max())
     ptr = np.concatenate([[0], np.cumsum(np.bincount(faces, minlength=mesh.n_faces))])
-    return BarycentricWeights(mesh.n_cells, ptr, points[order], values[order])
+    return BarycentricWeights(ptr, points[order], values[order])
 
 
 def check_weights(mesh: Mesh, partition: EdgePartition,
                   weights: BarycentricWeights | None) -> None:
-    """Raise unless the occupied rows of the table are exactly the B faces.
+    """Raise unless the occupied rows of the table are exactly the B faces
+    and every point id is a cell id.
 
     ``MissingWeights`` when there is no table, ``InconsistentWeights`` otherwise.
     """
@@ -415,7 +375,11 @@ def check_weights(mesh: Mesh, partition: EdgePartition,
             raise MissingWeights("partition has barycentric faces but no weights")
         return
     have = np.diff(weights.ptr) > 0
+    outside = (weights.points < 0) | (weights.points >= mesh.n_cells)
+    off_cells = np.zeros_like(have)
+    off_cells[np.repeat(np.arange(len(have)), np.diff(weights.ptr))[outside]] = True
     for wrong, what in ((bary & ~have, "missing weights for faces"),
-                        (have & ~bary, "weights given for non-B faces")):
+                        (have & ~bary, "weights given for non-B faces"),
+                        (off_cells, "support points that are not cells for faces")):
         if wrong.any():
             raise InconsistentWeights(f"{what} {np.nonzero(wrong)[0][:5].tolist()}")

@@ -11,6 +11,8 @@ import scipy.sparse as sp
 import sushi
 from sushi.assembly import LinearSystem, local_blocks
 from sushi.geometry import compute_geometry
+from sushi.problems import problem_from_descriptor
+from sushi.run import solve_problem
 from sushi.spaces import UnknownNumbering
 
 
@@ -97,7 +99,7 @@ def weights_table(mesh, rows):
     counts = np.zeros(mesh.n_faces, dtype=np.int64)
     counts[faces] = [len(rows[f]) for f in faces]
     return sushi.BarycentricWeights(
-        mesh.n_cells, np.concatenate([[0], np.cumsum(counts)]),
+        np.concatenate([[0], np.cumsum(counts)]),
         np.array([p for p, _ in entries], dtype=np.int64),
         np.array([b for _, b in entries], dtype=float))
 
@@ -146,6 +148,16 @@ def build_zigzag_three_row(columns=3):
             regions.append(j + 1)
     mesh = compute_geometry(np.array(verts), loops)
     return mesh, np.array(regions)
+
+
+def zigzag_partition(columns):
+    """The zigzag mesh, its region map and the partition ``solve_problem``
+    solves it on under ``discontinuity``.  Each outer row is one cell thick,
+    so its internal faces have only their two non-collinear cells in their
+    region: ``solve_problem`` makes those ``2 (columns - 1)`` faces hybrid."""
+    mesh, regions = build_zigzag_three_row(columns)
+    zero = problem_from_descriptor({"name": "zero", "tensor": {"constant": np.eye(2).tolist()}})
+    return mesh, regions, solve_problem(zero, mesh, regions, "discontinuity").partition
 
 
 def two_point_reference(mesh, lam, kind):

@@ -50,11 +50,10 @@ class RequiresIdentityTensor(SushiError):
     """Operation is only defined for the identity diffusion tensor."""
 
 
-def weight_matrix(weights: BarycentricWeights) -> sp.csr_matrix:
-    """The weight table as a sparse (n_faces x n_points) matrix."""
-    n_faces = len(weights.ptr) - 1
+def weight_matrix(weights: BarycentricWeights, n_cells: int) -> sp.csr_matrix:
+    """The weight table as a sparse (n_faces x n_cells) matrix."""
     return sp.csr_matrix((weights.beta, weights.points, weights.ptr),
-                         shape=(n_faces, weights.n_cells + n_faces))
+                         shape=(len(weights.ptr) - 1, n_cells))
 
 
 def interpolate(mesh: Mesh, partition: EdgePartition,
@@ -73,13 +72,12 @@ def interpolate(mesh: Mesh, partition: EdgePartition,
         return DiscreteFunction(cell_values, face_values)
     if variant != "pdb":
         raise ValueError("variant must be 'pd' or 'pdb'")
-    # Supports reference cell points and hybrid faces, never other B faces,
-    # so one product over the samples fills every B face.
+    # Supports reference cell points only, so one product over the cell
+    # samples fills every B face.
     check_weights(mesh, partition, weights)
     if weights is not None:
         bary = partition.tags == BARYCENTRIC
-        face_values[bary] = (weight_matrix(weights)
-                             @ weights.by_point(cell_values, face_values))[bary]
+        face_values[bary] = (weight_matrix(weights, mesh.n_cells) @ cell_values)[bary]
     return DiscreteFunction(cell_values, face_values)
 
 

@@ -255,7 +255,7 @@ def test_criterion_6_property_suites(rng):
         xv = rng.standard_normal(mesh44.n_cells)
 
         def mk(vec):
-            fv = weight_matrix(weights) @ weights.by_point(vec, np.zeros(mesh44.n_faces))
+            fv = weight_matrix(weights, mesh44.n_cells) @ vec
             return DiscreteFunction(vec, fv)
 
         u, v = mk(xu), mk(xv)

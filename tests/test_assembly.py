@@ -190,7 +190,7 @@ def test_bilinear_form_equivalence(rng):
 
     def materialize(vec):
         cv = vec[: mesh.n_cells]
-        fv = weight_matrix(weights) @ weights.by_point(cv, np.zeros(mesh.n_faces))
+        fv = weight_matrix(weights, mesh.n_cells) @ cv
         return DiscreteFunction(cv, fv)
 
     for _ in range(5):

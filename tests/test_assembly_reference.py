@@ -23,7 +23,6 @@ import scipy.sparse as sp
 
 from conftest import (
     anisotropic_per_cell,
-    build_zigzag_three_row,
     cell_views,
     face_views,
     local_matrices,
@@ -32,6 +31,7 @@ from conftest import (
     smooth_tensor,
     weight_rows,
     weights_table,
+    zigzag_partition,
 )
 from oracles import cone_fluxes
 from sushi.assembly import (
@@ -163,10 +163,7 @@ def reference_face_expansions(mesh, partition, weights, numbering, dirichlet=Non
         if tag == HYBRID:
             expans[f.id] = [(face_index[f.id], 1.0)]
         elif tag == BARYCENTRIC:
-            expans[f.id] = [
-                (idx if kind == "cell" else face_index[idx], beta)
-                for kind, idx, beta in weights.support[f.id]
-            ]
+            expans[f.id] = [(idx, beta) for _, idx, beta in weights.support[f.id]]
         elif tag == DIRICHLET:
             consts[f.id] = dirichlet(f.centre) if dirichlet is not None else 0.0
     return expans, consts
@@ -238,13 +235,11 @@ CASES = [
 
 def build_case(spec, policy):
     if spec == "zigzag":
-        mesh, regions = build_zigzag_three_row(columns=4)
-    elif spec == "callable":
-        mesh, regions, _ = parse_mesh_spec("rect:3x3")
+        mesh, regions, part = zigzag_partition(columns=4)
     else:
-        mesh, regions, _ = parse_mesh_spec(spec)
+        mesh, regions, _ = parse_mesh_spec("rect:3x3" if spec == "callable" else spec)
+        part = partition_faces(mesh, policy, regions)
     prob = problem_tilted_barrier() if regions is not None else problem_anisotropic_smooth()
-    part = partition_faces(mesh, policy, regions)
     weights = compute_weights(mesh, part, regions) if part.barycentric_faces() else None
     if spec == "callable":
         return mesh, part, weights, TensorField.from_callable(smooth_tensor), prob
@@ -356,9 +351,8 @@ def test_assemble_matches_triplet_loop(spec, policy):
     assert system.numbering.hybrid_faces.tolist() == np.flatnonzero(part.tags == HYBRID).tolist()
     assert system.nm == len(rows)
     if spec == "zigzag":
-        # the one case whose weights reach hybrid-face unknowns
-        assert any(kind == "face" for entries in weights.support.values()
-                   for kind, _, _ in entries)
+        # every face without a cell support was made hybrid
+        assert weights is None
     if spec == "barrier:1":
         assert np.any(rhs != 0.0)  # the Dirichlet lift is exercised
 

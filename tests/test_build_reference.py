@@ -134,7 +134,7 @@ def reference_assemble(mesh, partition, weights, tensor, source=None, dirichlet=
     rhs = cone_map.T @ (local @ consts[mesh.cone_face])
     if source is not None:
         rhs[: mesh.n_cells] += segment_sums(
-            mesh.cone_measure * source(mesh.cone_centroid.T), mesh.cell_ptr)
+            mesh.cone_measure * source(mesh.cone_centroids().T), mesh.cell_ptr)
     return sp.triu(mat, 1, format="csr"), mat.diagonal(), rhs, nm
 
 

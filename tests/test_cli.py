@@ -247,6 +247,37 @@ def test_malformed_mesh_spec_names_itself_exits_2(tmp_path, capsys, spec):
     assert "invalid literal" not in err
 
 
+def write_thin_barrier_rows(path, columns=4):
+    """A unit-square mesh file of three one-cell-thick rows of quads, the
+    middle one holding the tilted barrier.  Under the barrier's region map
+    the internal faces of the outer rows have only their own two cells,
+    not collinear with the face centre, in their region."""
+    xs = np.linspace(0.0, 1.0, columns + 1)
+    mid = 0.5 + 0.2 * (xs - 0.5)
+    levels = np.stack([np.zeros_like(xs), mid - 0.02 + 0.006 * np.sin(7.0 * xs),
+                       mid + 0.02 + 0.006 * np.cos(5.0 * xs), np.ones_like(xs)], axis=1)
+    # vertex 4 i + j is level j at xs[i]
+    vertices = np.stack([np.repeat(xs, 4), levels.ravel()], axis=1)
+    loops = [[4 * i + j, 4 * i + j + 4, 4 * i + j + 5, 4 * i + j + 1]
+             for i in range(columns) for j in range(3)]
+    write_mesh(compute_geometry(vertices, loops), path)
+
+
+def test_thin_layer_faces_stay_hybrid_or_exit_2(tmp_path, capsys):
+    # discontinuity keeps the unsupported faces' own unknowns; all-barycentric
+    # has no unknown to give them and rejects the mesh as input
+    path = tmp_path / "thin.mesh"
+    write_thin_barrier_rows(path)
+    argv = ["solve", "--problem", "tilted-barrier", "--mesh", f"file:{path}",
+            "--method", "dense"]
+    assert main(argv + ["--policy", "discontinuity", "--out", str(tmp_path / "d")]) == 0
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert manifest["N"] == 12 + 17  # every one of the 17 interior faces is hybrid
+    capsys.readouterr()
+    assert main(argv + ["--policy", "all-barycentric", "--out", str(tmp_path / "b")]) == 2
+    assert "no affine support found" in capsys.readouterr().err
+
+
 def test_malformed_levels_name_themselves_exits_2(tmp_path, capsys):
     code = main(["convergence", "--family", "rect", "--levels", "4,a,8",
                  "--out", str(tmp_path)])

@@ -60,7 +60,7 @@ def point_sets():
     sets = {}
     for spec in ("rect:8x6", "tri:4", "ncrect:2", "barrier:1"):
         mesh, _, _ = parse_mesh_spec(spec)
-        sets[f"{spec} cone centroids"] = mesh.cone_centroid
+        sets[f"{spec} cone centroids"] = mesh.cone_centroids()
         sets[f"{spec} cell points"] = mesh.cell_point
         sets[f"{spec} face centres"] = mesh.face_centre
     sets["barrier lines"] = on_barrier_lines()
@@ -115,7 +115,7 @@ def test_json_polynomial_fields_match_per_term_reference(tmp_path, rng):
     path.write_text(json.dumps({"tensor": {"constant": lam.tolist()},
                                 "exact_poly": coeffs.tolist()}))
     prob = load_problem_descriptor(path)
-    pts = np.concatenate([rng.random((200, 2)), sushi.gen_tri(4).cone_centroid])
+    pts = np.concatenate([rng.random((200, 2)), sushi.gen_tri(4).cone_centroids()])
     x, y = pts.T
 
     def term(i, j, di=0, dj=0):

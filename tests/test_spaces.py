@@ -5,35 +5,45 @@ import numpy as np
 import pytest
 
 import sushi
-from conftest import build_zigzag_three_row, cell_view, face_view, face_views, traced_peak
+from conftest import (
+    build_zigzag_three_row,
+    face_view,
+    face_views,
+    traced_peak,
+    weight_rows,
+    weights_table,
+    zigzag_partition,
+)
 from oracles import interpolate
-from sushi.errors import MissingRegionMap, MissingWeights, NoValidCombination
-from sushi.run import parse_mesh_spec
+from sushi.errors import (
+    InconsistentWeights,
+    MissingRegionMap,
+    MissingWeights,
+    NoValidCombination,
+)
+from sushi.problems import problem_from_descriptor, problem_tilted_barrier
+from sushi.run import parse_mesh_spec, solve_problem
 from sushi.spaces import (
     BARYCENTRIC,
     HYBRID,
     EdgePartition,
+    check_weights,
     compute_weights,
     numbering_for,
     partition_faces,
 )
 
 
-def support_points(mesh, entries):
-    pts, betas = [], []
-    for kind, idx, beta in entries:
-        pts.append(cell_view(mesh, idx).point if kind == "cell" else face_view(mesh, idx).centre)
-        betas.append(beta)
-    return np.array(pts), np.array(betas)
-
-
 def check_affinity(mesh, weights, tol_sum=1e-10, tol_pos=None):
     tol_pos = 1e-10 * mesh.h if tol_pos is None else tol_pos
     for fid, entries in weights.support.items():
         assert 1 <= len(entries) <= 3  # at most d+1 support points
-        pts, betas = support_points(mesh, entries)
+        kinds, cells, betas = zip(*entries)
+        assert set(kinds) == {"cell"}
+        betas = np.array(betas)
         assert abs(betas.sum() - 1.0) <= tol_sum
-        assert np.linalg.norm(betas @ pts - face_view(mesh, fid).centre) <= tol_pos
+        assert np.linalg.norm(betas @ mesh.cell_point[list(cells)]
+                              - face_view(mesh, fid).centre) <= tol_pos
 
 
 def test_partition_all_hybrid_and_barycentric():
@@ -115,9 +125,8 @@ def test_weights_are_region_local_on_barrier():
     for fid, entries in weights.support.items():
         k, l = face_view(mesh, fid).cells
         assert regions[k] == regions[l]
-        for kind, idx, _ in entries:
-            if kind == "cell":
-                assert regions[idx] == regions[k]
+        for _, idx, _ in entries:
+            assert regions[idx] == regions[k]
 
 
 def test_theta_db_bounded_on_families():
@@ -146,59 +155,103 @@ def test_weights_deterministic():
 
 
 def test_support_view_is_read_only_copy_of_table():
-    mesh, regions = build_zigzag_three_row(columns=4)
+    mesh, regions, _ = parse_mesh_spec("barrier:1")
     part = partition_faces(mesh, "discontinuity", regions)
     weights = compute_weights(mesh, part, regions)
     view = weights.support
     with pytest.raises(TypeError):
         view[0] = ()
-    n = mesh.n_cells
     entries = [e for f in sorted(view) for e in view[f]]
-    assert [i if kind == "cell" else n + i for kind, i, _ in entries] == weights.points.tolist()
+    assert {kind for kind, _, _ in entries} == {"cell"}
+    assert [i for _, i, _ in entries] == weights.points.tolist()
     assert [b for _, _, b in entries] == weights.beta.tolist()
     assert sorted(view) == np.nonzero(np.diff(weights.ptr))[0].tolist()
 
 
-def test_extended_weights_use_hybrid_face_points():
-    mesh, regions = build_zigzag_three_row(columns=3)
+def unsupported_one_by_one(mesh, part, regions):
+    """The barycentric faces of ``part`` that fail on their own."""
+    missing = []
+    for fid in part.barycentric_faces():
+        tags = np.where(part.tags == BARYCENTRIC, HYBRID, part.tags)
+        tags[fid] = BARYCENTRIC
+        try:
+            compute_weights(mesh, EdgePartition(tags), regions)
+        except NoValidCombination:
+            missing.append(fid)
+    return missing
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 128])
+def test_unsupported_faces_are_all_listed_across_search_blocks(monkeypatch, block):
+    # all-barycentric with the region map: the faces between two rows find
+    # cells of both, each row's internal faces only their own two
+    # non-collinear cells, so supported and unsupported faces share blocks
+    mesh, regions = build_zigzag_three_row(columns=4)
+    part = partition_faces(mesh, "all-barycentric")
+    expected = unsupported_one_by_one(mesh, part, regions)
+    assert len(expected) == 9
+    monkeypatch.setattr(sushi.spaces, "SEARCH_BLOCK", block)
+    with pytest.raises(NoValidCombination, match=f"face {expected[0]}: ") as exc:
+        compute_weights(mesh, part, regions)
+    assert exc.value.faces == expected
+
+
+AFFINE = problem_from_descriptor({"name": "affine",
+                                  "tensor": {"constant": [[1.5, 0.5], [0.5, 1.5]]},
+                                  "exact_poly": [[0.25, -2.0], [3.0, 0.0]]})
+
+
+@pytest.mark.parametrize("columns", [2, 3, 4, 5])
+def test_discontinuity_keeps_unsupported_faces_hybrid(caplog, columns):
+    mesh, regions = build_zigzag_three_row(columns)
     part = partition_faces(mesh, "discontinuity", regions)
-    # force the promoted one-layer faces back to barycentric so the
-    # extended combination (cells plus hybrid-face points) is required
-    tags = part.tags.copy()
-    forced = []
-    for f in face_views(mesh):
-        if not f.boundary:
-            k, l = f.cells
-            if regions[k] == regions[l] == 2:
-                tags[f.id] = BARYCENTRIC
-                forced.append(f.id)
-    assert forced
-    part2 = EdgePartition(tags=tags, policy="custom")
-    weights = compute_weights(mesh, part2, regions)
-    check_affinity(mesh, weights, tol_sum=1e-12, tol_pos=1e-12 * mesh.h)
-    kinds = {fid: {kind for kind, _, _ in weights.support[fid]} for fid in forced}
-    assert any("face" in k for k in kinds.values())
+    with pytest.raises(NoValidCombination) as exc:
+        compute_weights(mesh, part, regions)
+    assert len(exc.value.faces) == 2 * (columns - 1)
+    with caplog.at_level(logging.DEBUG, logger="sushi.run"):
+        result = solve_problem(AFFINE, mesh, regions, "discontinuity")
+    hybrid = np.flatnonzero(result.partition.tags == HYBRID)
+    assert hybrid.tolist() == sorted(np.flatnonzero(part.tags == HYBRID).tolist()
+                                     + exc.value.faces)
+    exact = AFFINE.exact(mesh.cell_point.T)
+    assert np.abs(result.u.cell_values - exact).max() <= 1e-12
+    assert f"partition: {2 * (columns - 1)} faces without a cell support kept hybrid" \
+        in caplog.messages
+
+
+@pytest.mark.parametrize("spec", [*(f"rect:{n}x{n}" for n in (4, 8, 16, 32, 64)),
+                                  *(f"tri:{n}" for n in (4, 8, 16)),
+                                  *(f"ncrect:{n}" for n in (1, 2, 3, 4)),
+                                  *(f"barrier:{v}" for v in (1, 2, 3))])
+def test_generated_meshes_need_no_added_hybrid_face(spec):
+    # under the tilted barrier's region map, every barycentric face of the
+    # generated meshes finds a support of cells
+    mesh, regions, _ = parse_mesh_spec(spec)
+    result = solve_problem(problem_tilted_barrier(), mesh, regions, "discontinuity")
+    assert np.array_equal(result.partition.tags,
+                          partition_faces(mesh, "discontinuity", result.regions).tags)
 
 
 @pytest.mark.parametrize("spec", ["barrier:2", "zigzag"])
 def test_weight_diagnostics_are_logged(caplog, spec):
     if spec == "zigzag":
-        mesh, regions = build_zigzag_three_row(columns=4)
+        mesh, regions, part = zigzag_partition(columns=4)
     else:
         mesh, regions, _ = parse_mesh_spec(spec)
-    part = partition_faces(mesh, "discontinuity", regions)
+        part = partition_faces(mesh, "discontinuity", regions)
     with caplog.at_level(logging.DEBUG, logger="sushi.spaces"):
         weights = compute_weights(mesh, part, regions)
     [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("weights:")]
-    found = re.fullmatch(r"weights: (\d+) natural pairs, (\d+) cell searches, (\d+) extended; "
+    found = re.fullmatch(r"weights: (\d+) natural pairs, (\d+) cell searches; "
                          r"max \|beta\| (\S+)", line)
-    natural, searched, extended = map(int, found.groups()[:3])
-    assert natural + searched + extended == len(part.barycentric_faces())
-    assert float(found[4]) == float(f"{np.abs(weights.beta).max():.3g}")
+    natural, searched = map(int, found.groups()[:2])
+    assert natural + searched == len(part.barycentric_faces())
+    assert float(found[3]) == float(f"{np.abs(weights.beta).max(initial=0.0):.3g}")
     if spec == "barrier:2":
-        assert (natural, searched, extended) == (990, 880, 0)
+        assert (natural, searched) == (990, 880)
     else:
-        assert extended >= 1
+        # every interior face of the completed zigzag partition is hybrid
+        assert (natural, searched) == (0, 0)
 
 
 def test_weight_search_allocates_a_few_megabytes():
@@ -211,7 +264,7 @@ def test_weight_search_allocates_a_few_megabytes():
 
 
 def test_no_valid_combination_raises():
-    # two non-collinear cells alone in their region, no hybrid faces nearby
+    # two non-collinear cells alone in their region
     mesh, regions = build_zigzag_three_row(columns=2)
     mid = [f.id for f in face_views(mesh)
            if not f.boundary
@@ -220,8 +273,22 @@ def test_no_valid_combination_raises():
     tags = np.full(mesh.n_faces, 0, dtype=np.int8)
     tags[mid[0]] = BARYCENTRIC
     part = EdgePartition(tags=tags, policy="custom")
-    with pytest.raises(NoValidCombination, match=f"face {mid[0]}: "):
+    with pytest.raises(NoValidCombination, match=f"face {mid[0]}: ") as exc:
         compute_weights(mesh, part, regions)
+    assert exc.value.faces == mid
+
+
+@pytest.mark.parametrize("point", [-1, "n_cells"])
+def test_check_weights_rejects_a_point_that_is_not_a_cell(point):
+    mesh = sushi.gen_rect(3, 3)
+    part = partition_faces(mesh, "all-barycentric")
+    rows = weight_rows(compute_weights(mesh, part))
+    fid = part.barycentric_faces()[5]
+    bad = mesh.n_cells if point == "n_cells" else point
+    (_, beta), *rest = rows[fid]
+    table = weights_table(mesh, {**rows, fid: [(bad, beta), *rest]})
+    with pytest.raises(InconsistentWeights, match=rf"not cells for faces \[{fid}\]"):
+        check_weights(mesh, part, table)
 
 
 def test_interpolate_constant():

@@ -5,9 +5,15 @@ from the package itself (``__init__`` excluded, as a re-export is not a use)
 or from the benchmark in ``perfbench/``.  A reference is a name, an
 attribute or an import; a mention in a docstring or a comment is not.
 Oracles that only the tests use live in ``tests/oracles.py``.
+
+A reference is matched by bare name, so it cannot tell apart two
+definitions, or a definition and a field, that share a name.  A function,
+method or property may therefore share its name only when it is listed in
+``SHARED``, by the owner that is used and with where it is used.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -17,6 +23,16 @@ PACKAGE = ROOT / "src" / "sushi"
 ALLOWED = {
     "theta_DB": "the regularity measure with the weight spread, reported by the roadmap",
     "from_callable": "the README documents it for user tensor fields",
+}
+
+# Definitions, as module.owner.name, whose name is also a field or another
+# definition of src/sushi.
+SHARED = {
+    "spaces.UnknownNumbering.n": "read as numbering.n by assemble and face_expansions; "
+                                 "LinearSystem.n is a field",
+    "geometry.Mesh.n_cells": "read as mesh.n_cells throughout; UnknownNumbering and "
+                             "_CellElimination have an n_cells field",
+    "postproc.seminorm_x": "called by error_norms to fill the ErrorReport field of its name",
 }
 
 
@@ -30,6 +46,37 @@ def _definitions(tree):
     return [(node.name, node.lineno) for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _members(path, tree):
+    """``(qualified name, name, is_definition)`` of every module-level function
+    and class and of every method, property and field of a class, dunders
+    excluded: the names a caller reaches as ``name`` or ``obj.name``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield f"{path.stem}.{node.name}", node.name, True
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, defs):
+                names = [item.name]
+            elif isinstance(item, ast.AnnAssign):
+                names = [getattr(item.target, "id", None)]
+            elif isinstance(item, ast.Assign):
+                names = [getattr(t, "id", None) for t in item.targets]
+            else:
+                names = []
+            for name in names:
+                if name and not (name.startswith("__") and name.endswith("__")):
+                    yield f"{path.stem}.{node.name}.{name}", name, isinstance(item, defs)
+
+
+def _shared_definitions(paths):
+    """Qualified names of the definitions whose name another member also has."""
+    members = [m for p, tree in zip(paths, _trees(paths)) for m in _members(p, tree)]
+    count = Counter(name for _, name, _ in members)
+    return {qual for qual, name, is_def in members if is_def and count[name] > 1}
 
 
 def _references(tree):
@@ -58,3 +105,12 @@ def test_every_definition_has_a_caller_outside_tests():
 def test_allowed_names_are_still_defined():
     defined = {name for tree in _trees(PACKAGE.glob("*.py")) for name, _ in _definitions(tree)}
     assert set(ALLOWED) <= defined
+
+
+def test_no_definition_shares_its_name_unlisted():
+    shared = _shared_definitions(sorted(PACKAGE.glob("*.py")))
+    unlisted = sorted(shared - set(SHARED))
+    assert not unlisted, ("a definition of src/sushi shares its name with a field or another "
+                          "definition: " + ", ".join(unlisted))
+    # every entry still names a definition whose name is shared
+    assert set(SHARED) <= shared

@@ -18,12 +18,11 @@ import numpy as np
 import pytest
 
 import sushi.spaces
-from conftest import build_zigzag_three_row
+from conftest import zigzag_partition
 from sushi.run import parse_mesh_spec
 from sushi.spaces import (
     AFFINE_TOL,
     CANDIDATE_CAP,
-    HYBRID,
     SUPPORT_SIZE,
     _best_supports,
     compute_weights,
@@ -81,22 +80,13 @@ def closed_form_triple(pts, x, h):
     return beta
 
 
-def reference_candidates(mesh, fid, regions, region, vertex_cells, hybrid_touching):
+def reference_candidates(mesh, fid, regions, region, vertex_cells):
     near_cells = {c for c in mesh.face_cells[fid].tolist() if c >= 0}
     for v in mesh.face_vertices[fid].tolist():
         near_cells.update(vertex_cells.get(v, ()))
     if regions is not None and region is not None:
         near_cells = {c for c in near_cells if regions[c] == region}
-    cands = [("cell", c, mesh.cell_point[c]) for c in sorted(near_cells)]
-    extended = []
-    if hybrid_touching is not None:
-        near_faces = set()
-        for c in near_cells:
-            near_faces.update(mesh.cone_face[mesh.cell_ptr[c]:mesh.cell_ptr[c + 1]].tolist())
-        for g in sorted(near_faces):
-            if g != fid and g in hybrid_touching:
-                extended.append(("face", g, mesh.face_centre[g]))
-    return cands, extended
+    return [("cell", c, mesh.cell_point[c]) for c in sorted(near_cells)]
 
 
 def reference_best_support(cands, x, h, solve_triple=reference_solve_triple):
@@ -133,17 +123,13 @@ def reference_best_support(cands, x, h, solve_triple=reference_solve_triple):
 def reference_weights(mesh, partition, regions=None):
     h = mesh.h
     vertex_cells = reference_vertex_cells(mesh)
-    hybrid_set = set(np.flatnonzero(partition.tags == HYBRID).tolist())
     table = {}
     for fid in partition.barycentric_faces():
         k, l = mesh.face_cells[fid].tolist()
         region = None
         if regions is not None and regions[k] == regions[l]:
             region = int(regions[k])
-        cands, extended = reference_candidates(
-            mesh, fid, regions, region, vertex_cells,
-            hybrid_set if regions is not None else None,
-        )
+        cands = reference_candidates(mesh, fid, regions, region, vertex_cells)
         x = mesh.face_centre[fid]
         allowed = {c for _, c, _ in cands}
         support = None
@@ -153,19 +139,17 @@ def reference_weights(mesh, partition, regions=None):
                 support = [("cell", k, pair[0]), ("cell", l, pair[1])]
         if support is None:
             support = reference_best_support(cands, x, h)
-        if support is None and extended:
-            support = reference_best_support(cands + extended, x, h)
         assert support is not None
-        support.sort(key=lambda e: (e[0], e[1]))
+        support.sort(key=lambda e: e[1])
         table[fid] = support
     return table
 
 
 def build(spec):
     if spec == "zigzag":
-        mesh, regions = build_zigzag_three_row(columns=4)
-    else:
-        mesh, regions, _ = parse_mesh_spec(spec)
+        mesh, regions, part = zigzag_partition(columns=4)
+        return mesh, part, regions
+    mesh, regions, _ = parse_mesh_spec(spec)
     policy = "all-barycentric" if regions is None else "discontinuity"
     return mesh, partition_faces(mesh, policy, regions), regions
 
@@ -179,14 +163,10 @@ def test_weight_table_matches_face_loop(spec):
 
     occupied = np.nonzero(np.diff(weights.ptr))[0].tolist()
     assert occupied == sorted(ref)
-    n = mesh.n_cells
-    ref_points = [p if kind == "cell" else n + p for f in occupied for kind, p, _ in ref[f]]
+    ref_points = [p for f in occupied for _, p, _ in ref[f]]
     ref_beta = np.array([b for f in occupied for _, _, b in ref[f]])
     assert weights.points.tolist() == ref_points
     assert np.all(np.abs(weights.beta - ref_beta) <= BETA_TOL * np.maximum(1.0, np.abs(ref_beta)))
-    if spec == "zigzag":
-        # the one case whose supports reach hybrid-face points
-        assert np.any(weights.points >= n)
 
 
 @pytest.mark.parametrize("spec", ["ncrect:4", "barrier:2", "zigzag"])
