@@ -149,25 +149,25 @@ def _barrier_levels(n_below: int, n_mid: int, n_above: int, thin: bool):
     )
 
 
-def gen_tilted_barrier(variant: int) -> tuple[Mesh, np.ndarray]:
+def gen_tilted_barrier(variant: int, refine: int = 1) -> tuple[Mesh, np.ndarray]:
     """Quadrilateral barrier mesh; returns (mesh, per-cell region map).
 
     Variant 1 is 10x21 cells with a single cell layer inside the barrier,
     variant 2 is 10x100 with ten layers inside, and variant 3 adds two
     layers of thickness 1e-4 around each barrier line to variant 1
-    (10x25 cells).  Cell layers are aligned with the barrier lines, so the
-    diffusion discontinuities coincide with mesh faces.
+    (10x25 cells).  ``refine`` = K multiplies the column count and the
+    layer count of every regular block by K; the 1e-4 layers of variant 3
+    stay one cell thick.  Cell layers are aligned with the barrier lines,
+    so the diffusion discontinuities coincide with mesh faces.
     """
-    if variant == 1:
-        levels = _barrier_levels(10, 1, 10, thin=False)
-    elif variant == 2:
-        levels = _barrier_levels(45, 10, 45, thin=False)
-    elif variant == 3:
-        levels = _barrier_levels(10, 1, 10, thin=True)
-    else:
+    blocks = {1: (10, 1, 10), 2: (45, 10, 45), 3: (10, 1, 10)}
+    if variant not in blocks:
         raise InvalidTopology("barrier variant must be 1, 2 or 3")
+    if refine < 1:
+        raise InvalidTopology("barrier refinement must be >= 1")
+    levels = _barrier_levels(*(refine * n for n in blocks[variant]), thin=variant == 3)
 
-    ncols = 10
+    ncols = 10 * refine
     xs = np.linspace(0.0, 1.0, ncols + 1)
     a, b = np.array(levels).T
     y = a[:, None] * xs + b[:, None]

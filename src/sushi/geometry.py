@@ -127,8 +127,8 @@ class Mesh:
     def vertex_cell_map(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR vertex -> cell map ``(ptr, cells)``: vertex v lies on the loops
         of the sorted cells ``cells[ptr[v]:ptr[v + 1]]``."""
-        keys = np.unique(self.cone_vertex.astype(np.int64) * self.n_cells + self.cone_cell)
-        verts, cells = np.divmod(keys, self.n_cells)
+        keys = np.sort(self.cone_vertex.astype(np.int64) * self.n_cells + self.cone_cell)
+        verts, cells = np.divmod(keys[np.diff(keys, prepend=-1) != 0], self.n_cells)
         return np.searchsorted(verts, np.arange(len(self.vertices) + 1)), cells
 
 

@@ -29,9 +29,10 @@ from .spaces import (
 
 log = logging.getLogger(__name__)
 
-MESH_GRAMMAR = "rect:NxM | tri:N | ncrect:N | barrier:V | file:PATH"
-_GENERATORS = {"rect": gen_rect, "tri": gen_tri, "ncrect": gen_nonconforming_rect,
-               "barrier": gen_tilted_barrier}
+MESH_GRAMMAR = "rect:NxM | tri:N | ncrect:N | barrier:V[xK] | file:PATH"
+# generator and the accepted numbers of sizes of each kind
+_GENERATORS = {"rect": (gen_rect, (2,)), "tri": (gen_tri, (1,)),
+               "ncrect": (gen_nonconforming_rect, (1,)), "barrier": (gen_tilted_barrier, (1, 2))}
 
 
 def parse_mesh_spec(spec: str) -> tuple[Mesh, np.ndarray | None, str]:
@@ -44,10 +45,12 @@ def parse_mesh_spec(spec: str) -> tuple[Mesh, np.ndarray | None, str]:
     if kind == "file":
         return read_mesh(arg), None, f"file:{arg}"
     try:
-        generate = _GENERATORS[kind]
-        sizes = [int(t) for t in (arg.partition("x")[::2] if kind == "rect" else [arg])]
+        generate, arity = _GENERATORS[kind]
+        sizes = [int(t) for t in arg.split("x")]
     except (KeyError, ValueError):
-        raise ValueError(f"bad mesh spec {spec!r}; expected {MESH_GRAMMAR}") from None
+        sizes, arity = [], ()
+    if len(sizes) not in arity or min(sizes) < 1:
+        raise ValueError(f"bad mesh spec {spec!r}; expected {MESH_GRAMMAR}")
     built = generate(*sizes)
     mesh, regions = built if kind == "barrier" else (built, None)
     return mesh, regions, f"{kind}:{'x'.join(map(str, sizes))}"

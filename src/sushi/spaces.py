@@ -7,6 +7,12 @@ affine combination of nearby cell values).  The weights of a face sigma satisfy
     sum beta = 1   and   sum beta * x_K = x_sigma,
 
 so that affine fields are reproduced exactly.  A face without such cells stays in H.
+
+The weights are found on coordinate arrays (:func:`compute_weights`): the
+face's two cells first, then the pairs and triples of nearby cells, with
+x and y, each weight and each candidate slot a separate array.  A pair is
+solved only where its line passes within a safe margin of the face
+centre; every other pair misses the tolerance by far more than rounding.
 """
 
 from __future__ import annotations
@@ -42,14 +48,13 @@ AFFINE_TOL = 1e-12
 # nearest few before enumerating triples.
 SUPPORT_SIZE = 3
 CANDIDATE_CAP = 8
-# Candidate index combinations, pairs (third index -1) before triples.
-_COMBOS = np.array([(*c, -1) for c in combinations(range(CANDIDATE_CAP), 2)]
-                   + list(combinations(range(CANDIDATE_CAP), SUPPORT_SIZE)))
-# The candidate slots of each combination; a pair's third is the empty slot CANDIDATE_CAP.
-_COMBO_SLOTS = np.where(_COMBOS < 0, CANDIDATE_CAP, _COMBOS)
-# Faces that miss the natural pair are searched this many at a time, which
-# bounds the search's transient arrays to about 1 MB.
-SEARCH_BLOCK = 128
+# The pairs and triples of candidate slots, one column each, ordered by
+# their largest slot: a row of c candidates takes the leading columns.
+_PAIRS, _TRIPLES = (np.array(sorted(combinations(range(CANDIDATE_CAP), k), key=max)).T
+                    for k in (2, SUPPORT_SIZE))
+# Barycentric faces are taken this many at a time, which bounds the
+# transient arrays of the natural pairs and of the search to about 1 MB.
+SEARCH_BLOCK = 1024
 
 
 def sample_field(field, points: np.ndarray, name: str, shape: tuple = ()) -> np.ndarray:
@@ -225,19 +230,6 @@ def _pair_weights(p: np.ndarray, q: np.ndarray, x: np.ndarray,
     return np.stack([1.0 - t, t], axis=1), ok
 
 
-def _triple_weights(p: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise affine coordinates of ``x`` on the triangles ``p`` (m x 3 x 2) by
-    Cramer's rule in the frame of their first point; ``ok`` is False where the
-    determinant is zero or the residual exceeds ``AFFINE_TOL * max(h, 1)``."""
-    e1, e2, r = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], x - p[:, 0]
-    # cross products e1 x e2, r x e2 and e1 x r
-    det, n1, n2 = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] for a, b in ((e1, e2), (r, e2), (e1, r)))
-    beta = np.stack([det - n1 - n2, n1, n2], axis=1) / np.where(det == 0.0, 1.0, det)[:, None]
-    residual = np.column_stack([beta.sum(axis=1) - 1.0, (beta[:, :, None] * p).sum(axis=1) - x])
-    ok = (det != 0.0) & (np.sqrt((residual ** 2).sum(axis=1)) <= AFFINE_TOL * max(h, 1.0))
-    return beta, ok
-
-
 def _candidate_cells(mesh: Mesh, faces: np.ndarray, vertex_map, regions):
     """Candidate cells of each face: entries ``(row, cell)``, sorted by row and id.
 
@@ -255,8 +247,8 @@ def _candidate_cells(mesh: Mesh, faces: np.ndarray, vertex_map, regions):
     rows = np.concatenate([np.arange(len(faces)), np.arange(len(faces)),
                            np.repeat(np.arange(len(verts)) // 2, counts)])
     # without duplicates, sorted by row, then id
-    rows, ids = np.divmod(np.unique(rows * mesh.n_cells + np.concatenate([k, l, near])),
-                          mesh.n_cells)
+    keys = np.sort(rows * mesh.n_cells + np.concatenate([k, l, near]))
+    rows, ids = np.divmod(keys[np.diff(keys, prepend=-1) != 0], mesh.n_cells)
     if regions is not None:
         same = regions[k] == regions[l]
         keep = ~same[rows] | (regions[ids] == regions[k][rows])
@@ -264,102 +256,197 @@ def _candidate_cells(mesh: Mesh, faces: np.ndarray, vertex_map, regions):
     return rows, ids
 
 
-def _best_supports(rows: np.ndarray, ids: np.ndarray, pts: np.ndarray,
-                   x: np.ndarray, h: float):
+def _best_supports(rows: np.ndarray, ids: np.ndarray, pts, x, h: float):
     """Smallest-spread valid support of every face row among its candidates.
 
-    Candidate ``i`` of face row ``rows[i]`` is point ``ids[i]`` at ``pts[i]``,
-    sorted by row and then by id; row ``r`` has centre ``x[r]``.  Every pair
-    and triple of the ``CANDIDATE_CAP`` nearest candidates of a row, taken in
-    id order, competes on sum |beta| |p - x|^2, the quantity entering the
-    mesh-regularity metric: all rows at once, as one array of (row,
-    combination) cases.  A weight over 1e6 rejects a case.  Spreads equal up
-    to rounding are ties (structured meshes produce exactly tied supports);
-    ties prefer the most compact support (smallest maximum point distance),
-    then the lowest sorted point ids, which keeps the selection invariant
-    under mesh symmetries.  Returns ``found`` per row (False where no case
-    is valid) and the support entries ``(row, id, beta)`` of the found rows,
-    sorted by row and id, without exact zeros.
+    Candidate ``i`` of face row ``rows[i]`` is point ``ids[i]`` at
+    ``(pts[0][i], pts[1][i])``, sorted by row and then by id; row ``r`` has
+    centre ``(x[0][r], x[1][r])``.  Every pair and triple of the
+    ``CANDIDATE_CAP`` nearest candidates of a row, taken in id order,
+    competes on sum |beta| |p - x|^2, the quantity entering the
+    mesh-regularity metric.  The rows with the same number of candidates
+    are searched together (:func:`_search_rows`).  Returns ``found`` per
+    row (False where no case is valid), the support entries ``(row, id,
+    beta)`` of the found rows, sorted by row and id, without exact zeros,
+    and the numbers of pairs solved and of candidate pairs.
     """
-    n_rows = len(x)
-    dist2 = ((pts - x[rows]) ** 2).sum(axis=1)
-    # the CANDIDATE_CAP nearest of each row by (dist2, id), back in id order
-    first = np.searchsorted(rows, np.arange(n_rows))
-    order = np.lexsort((ids, dist2, rows))
-    near = np.zeros(len(rows), dtype=bool)
-    near[order] = np.arange(len(rows)) - first[rows[order]] < CANDIDATE_CAP
-    rows, pts = rows[near], pts[near]
-    # Slot CANDIDATE_CAP of each row is a pair's third point: distance 0, id -1
-    # (so [a, b] precedes [a, b, c]).
-    ids, dist2 = np.append(ids[near], -1), np.append(dist2[near], 0.0)
+    px, py = pts
+    xx, xy = x
+    n_rows = len(xx)
+    dx, dy = px - xx[rows], py - xy[rows]
+    dist2 = dx * dx + dy * dy
     count = np.bincount(rows, minlength=n_rows)
-    entry = np.full((n_rows, CANDIDATE_CAP + 1), len(rows))
-    entry[rows, np.arange(len(rows)) - (np.cumsum(count) - count)[rows]] = np.arange(len(rows))
-    row, combo = np.nonzero(_COMBOS.max(axis=1) < count[:, None])
-    case = entry[row[:, None], _COMBO_SLOTS[combo]]
-    pair = _COMBOS[combo, -1] < 0
-    beta, ok = np.zeros(case.shape), np.zeros(len(case), dtype=bool)
-    beta[pair, :2], ok[pair] = _pair_weights(pts[case[pair, 0]], pts[case[pair, 1]],
-                                             x[row[pair]], h)
-    beta[~pair], ok[~pair] = _triple_weights(pts[case[~pair]], x[row[~pair]], h)
-    ok &= np.abs(beta).max(axis=1) <= 1e6
-    spread = (np.abs(beta) * dist2[case]).sum(axis=1)
-    least = np.full(n_rows, np.inf)
-    np.minimum.at(least, row[ok], spread[ok])
-    ties = np.flatnonzero(ok & (spread <= least[row] * (1.0 + 1e-9) + 1e-300))
-    tie_ids = ids[case[ties]]
-    ties = ties[np.lexsort((*tie_ids.T[::-1], dist2[case[ties]].max(axis=1), row[ties]))]
-    best = ties[np.flatnonzero(np.diff(row[ties], prepend=-1))]
-    keep = beta[best] != 0.0
+    if count.max(initial=0) > CANDIDATE_CAP:
+        # the CANDIDATE_CAP nearest of each row by (dist2, id), back in id order
+        order = np.lexsort((ids, dist2, rows))
+        near = np.zeros(len(rows), dtype=bool)
+        near[order] = np.arange(len(rows)) - (np.cumsum(count) - count)[rows[order]] < CANDIDATE_CAP
+        rows, ids, px, py, dist2 = rows[near], ids[near], px[near], py[near], dist2[near]
+        count = np.minimum(count, CANDIDATE_CAP)
+    first = np.cumsum(count) - count
+    # A pair is solved only when the centre is within twice the tolerance of
+    # its line, plus 64 eps times the block's largest coordinate: far above
+    # the rounding of the cross product and of the solve.
+    scale = max(np.abs(a).max(initial=0.0) for a in (px, py, xx, xy))
+    margin = 2.0 * AFFINE_TOL * h + 64.0 * np.finfo(float).eps * scale
+    best = [(np.zeros(0, dtype=int), np.zeros((0, SUPPORT_SIZE), dtype=ids.dtype),
+             np.zeros((0, SUPPORT_SIZE)))]
+    tested = np.zeros(2, dtype=int)
+    counts = np.flatnonzero(np.bincount(count))
+    for c in counts[counts >= 2]:
+        r = np.flatnonzero(count == c)
+        e = first[r, None] + np.arange(c)
+        got, pairs = _search_rows((px[e], py[e]), (xx[r, None], xy[r, None]), dist2[e],
+                                   ids[e], margin, h)
+        best.append((r[got[0]], *got[1:]))
+        tested += pairs
+    row, ids, beta = (np.concatenate(a) for a in zip(*best))
+    order = np.argsort(row)
+    row, ids, beta = row[order], ids[order], beta[order]
+    keep = beta != 0.0
     found = np.zeros(n_rows, dtype=bool)
-    found[row[best]] = True
-    return found, row[best][np.nonzero(keep)[0]], ids[case[best]][keep], beta[best][keep]
+    found[row] = True
+    return found, row[np.nonzero(keep)[0]], ids[keep], beta[keep], tested
+
+
+def _search_rows(pts, x, dist2, ids, margin: float, h: float):
+    """The best support of rows of ``c`` candidates each, as (rows, c) arrays.
+
+    Pairs and triples of candidate slots are columns (``_PAIRS``,
+    ``_TRIPLES``), and the coordinates and weights of a case are separate
+    (rows, cases) arrays.  A pair is solved (:func:`_pair_weights`) only
+    where the centre's cross-product distance from its line is within
+    ``margin``; every other pair misses ``AFFINE_TOL h`` by far more than
+    rounding.  A triple is solved by Cramer's rule in the frame of its first
+    point; it is rejected where the determinant is zero or the residual
+    exceeds ``AFFINE_TOL * max(h, 1)``.  A weight over 1e6 rejects a case.
+    Spreads equal up to rounding are ties (structured meshes produce
+    exactly tied supports); ties prefer the most compact support (smallest
+    maximum point distance), then the lowest sorted point ids, which keeps
+    the selection invariant under mesh symmetries.  Returns the rows with a
+    valid case and, per slot, the ids and weights of their best case (a
+    pair's third is id -1 with weight 0), and the numbers of pairs solved
+    and of candidate pairs.
+    """
+    (px, py), (xx, xy) = pts, x
+    n, c = px.shape
+    sa, sb = _PAIRS[:, :c * (c - 1) // 2]
+    ex, ey = px[:, sb] - px[:, sa], py[:, sb] - py[:, sa]
+    i, j = np.nonzero(np.abs(ex * (xy - py[:, sa]) - ey * (xx - px[:, sa]))
+                      <= margin * np.sqrt(ex * ex + ey * ey))
+    a, b = sa[j], sb[j]
+    beta, ok = _pair_weights(np.stack([px[i, a], py[i, a]], axis=1),
+                             np.stack([px[i, b], py[i, b]], axis=1),
+                             np.stack([xx[i, 0], xy[i, 0]], axis=1), h)
+    ok &= np.abs(beta).max(axis=1) <= 1e6
+    tested = np.array([len(ok), ex.size])
+    i, a, b, (w0, w1) = i[ok], a[ok], b[ok], beta[ok].T
+    pair_spread = np.abs(w0) * dist2[i, a] + np.abs(w1) * dist2[i, b]
+
+    s0, s1, s2 = _TRIPLES[:, :c * (c - 1) * (c - 2) // 6]
+    e1x, e1y, e2x, e2y = px[:, s1] - px[:, s0], py[:, s1] - py[:, s0], \
+        px[:, s2] - px[:, s0], py[:, s2] - py[:, s0]
+    rx, ry = xx - px[:, s0], xy - py[:, s0]
+    det = e1x * e2y - e1y * e2x
+    n1, n2 = rx * e2y - ry * e2x, e1x * ry - e1y * rx
+    del e1x, e1y, e2x, e2y, rx, ry
+    den = np.where(det == 0.0, 1.0, det)
+    t0, t1, t2 = (det - n1 - n2) / den, n1 / den, n2 / den
+    del n1, n2, den
+    r0 = t0 + t1 + t2 - 1.0
+    r1 = t0 * px[:, s0] + t1 * px[:, s1] + t2 * px[:, s2] - xx
+    r2 = t0 * py[:, s0] + t1 * py[:, s1] + t2 * py[:, s2] - xy
+    good = (det != 0.0) & (np.sqrt(r0 * r0 + r1 * r1 + r2 * r2) <= AFFINE_TOL * max(h, 1.0))
+    del r0, r1, r2, det
+    q0, q1, q2 = np.abs(t0), np.abs(t1), np.abs(t2)
+    good &= np.maximum(np.maximum(q0, q1), q2) <= 1e6
+    spread = q0 * dist2[:, s0] + q1 * dist2[:, s1] + q2 * dist2[:, s2]
+
+    least = spread.min(axis=1, initial=np.inf, where=good)
+    np.minimum.at(least, i, pair_spread)
+    bound = least * (1.0 + 1e-9) + 1e-300
+    p = np.flatnonzero(pair_spread <= bound[i])
+    ti, tj = np.nonzero(good & (spread <= bound[:, None]))
+    # the ties as triples: a pair's third is slot c, id -1 at distance 0, weight 0
+    row = np.concatenate([i[p], ti])
+    slots = np.stack([np.concatenate([a[p], s0[tj]]), np.concatenate([b[p], s1[tj]]),
+                      np.concatenate([np.full(len(p), c), s2[tj]])])
+    tie_ids = np.column_stack([ids, np.full(n, -1)])[row, slots]
+    dist = np.column_stack([dist2, np.zeros(n)])[row, slots].max(axis=0)
+    weights = np.concatenate([np.column_stack([w0[p], w1[p], np.zeros(len(p))]),
+                              np.column_stack([t0[ti, tj], t1[ti, tj], t2[ti, tj]])])
+    order = np.lexsort((*tie_ids[::-1], dist, row))
+    first = order[np.flatnonzero(np.diff(row[order], prepend=-1))]
+    return (row[first], tie_ids[:, first].T, weights[first]), tested
 
 
 def compute_weights(mesh: Mesh, partition: EdgePartition,
                     regions: np.ndarray | None = None) -> BarycentricWeights:
     """Affine elimination weights over cell points for every barycentric face.
 
-    The two adjacent cell points are tried first, for all faces at once;
-    only the faces off their line search further, ``SEARCH_BLOCK`` faces
-    at a time, each block in one array pass (:func:`_best_supports`) that
-    bounds its transient arrays to a few MB.  Without a region map, any
-    nearby cell point may enter a support.  With one, supports are
-    restricted to the region of the face's two adjacent cells.  When some
-    faces have no cell support, ``NoValidCombination`` is raised once, after
-    every block: its message names the first such face and its ``faces``
-    lists them all.
+    The barycentric faces are taken ``SEARCH_BLOCK`` at a time.  The two
+    adjacent cell points of each face are tried first; only the faces off
+    their line search further, in one array pass per block
+    (:func:`_best_supports`), which bounds the transient arrays to about
+    1 MB.  Without a region map, any nearby cell point may enter a support.
+    With one, supports are restricted to the region of the face's two
+    adjacent cells.  When some faces have no cell support,
+    ``NoValidCombination`` is raised once, after every block: its message
+    names the first such face and its ``faces`` lists them all.  The
+    entries of each block are then written into their rows of the table.  A
+    DEBUG line counts the natural pairs, the searched faces, the candidate
+    pairs solved out of all candidate pairs (the rest were set aside by
+    the cross-product margin) and the largest |beta|.
     """
     h = mesh.h
     bary = np.flatnonzero(partition.tags == BARYCENTRIC)
-    pair = mesh.face_cells[bary]
-    # K and L always belong to the face's own support region.
-    beta, ok = _pair_weights(mesh.cell_point[pair[:, 0]], mesh.cell_point[pair[:, 1]],
-                             mesh.face_centre[bary], h)
-    found = [(np.repeat(bary[ok], 2), pair[ok].ravel(), beta[ok].ravel())]
-    searched = bary[~ok]
-    unsupported = []
-    if len(searched):
-        vertex_map = mesh.vertex_cell_map()
-        for start in range(0, len(searched), SEARCH_BLOCK):
-            faces = searched[start:start + SEARCH_BLOCK]
+    sizes = np.zeros(mesh.n_faces, dtype=int)
+    natural, searched, unsupported = [], [], []
+    tested, vertex_map = np.zeros(2, dtype=int), None
+    for start in range(0, len(bary), SEARCH_BLOCK):
+        faces = bary[start:start + SEARCH_BLOCK]
+        # K and L always belong to the face's own support region.
+        pair = mesh.face_cells[faces]
+        beta, ok = _pair_weights(mesh.cell_point[pair[:, 0]], mesh.cell_point[pair[:, 1]],
+                                 mesh.face_centre[faces], h)
+        natural.append((faces[ok], pair[ok], beta[ok]))
+        sizes[faces[ok]] = 2
+        faces = faces[~ok]
+        if len(faces):
+            if vertex_map is None:
+                vertex_map = mesh.vertex_cell_map()
             rows, ids = _candidate_cells(mesh, faces, vertex_map, regions)
-            got, row, point, value = _best_supports(rows, ids, mesh.cell_point[ids],
-                                                    mesh.face_centre[faces], h)
-            found.append((faces[row], point, value))
+            got, row, point, value, pairs = _best_supports(
+                rows, ids, mesh.cell_point[ids].T, mesh.face_centre[faces].T, h)
+            searched.append((faces[row], point, value))
+            sizes[faces] = np.bincount(row, minlength=len(faces))
             unsupported += faces[~got].tolist()
+            tested += pairs
     if unsupported:
         raise NoValidCombination(f"face {unsupported[0]}: no affine support found",
                                  faces=unsupported)
-    faces, points, values = (np.concatenate(a) for a in zip(*found))
-    log.debug("weights: %d natural pairs, %d cell searches; max |beta| %.3g",
-              ok.sum(), (~ok).sum(), np.abs(values).max(initial=0.0))
-    order = np.lexsort((points, faces))
-    for fid in np.unique(faces[np.abs(values) > 4.0]).tolist():
+    del vertex_map
+    # the entries of each face in its row of the table, in point id order;
+    # each block is dropped once written, not held beside the whole table
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
+    points, values = np.empty(ptr[-1], dtype=mesh.face_cells.dtype), np.empty(ptr[-1])
+    n_natural = sum(len(faces) for faces, _, _ in natural)
+    while natural:
+        faces, pair, beta = natural.pop()
+        at = ptr[faces, None] + (pair > pair[:, ::-1])
+        points[at], values[at] = pair, beta
+    while searched:
+        faces, point, value = searched.pop()
+        at = ptr[faces] + np.arange(len(faces)) - np.searchsorted(faces, faces)
+        points[at], values[at] = point, value
+    log.debug("weights: %d natural pairs, %d cell searches; %d of %d candidate pairs solved; "
+              "max |beta| %.3g", n_natural, len(bary) - n_natural, *tested,
+              np.abs(values).max(initial=0.0))
+    big = np.flatnonzero(np.abs(values) > 4.0)
+    for fid in np.unique(np.searchsorted(ptr, big, side="right") - 1).tolist():
         log.warning("face %d: weight magnitude %.3g exceeds 4", fid,
-                    np.abs(values[faces == fid]).max())
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(faces, minlength=mesh.n_faces))])
-    return BarycentricWeights(ptr, points[order], values[order])
+                    np.abs(values[ptr[fid]:ptr[fid + 1]]).max())
+    return BarycentricWeights(ptr, points, values)
 
 
 def check_weights(mesh: Mesh, partition: EdgePartition,

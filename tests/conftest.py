@@ -11,8 +11,9 @@ import scipy.sparse as sp
 import sushi
 from sushi.assembly import LinearSystem, local_blocks
 from sushi.geometry import compute_geometry
+from sushi.meshfile import write_mesh
 from sushi.problems import problem_from_descriptor
-from sushi.run import solve_problem
+from sushi.run import parse_mesh_spec, solve_problem
 from sushi.spaces import UnknownNumbering
 
 
@@ -211,6 +212,16 @@ def polygon_soup(rng, copies=5):
         vertices += (np.stack([np.cos(angle), np.sin(angle)], 1) * radius[:, None]
                      + [3.0 * c, 0.0]).tolist()
     return np.array(vertices), loops
+
+
+def jittered_file_mesh(rng, path, spec="rect:6x5"):
+    """``spec`` with its interior vertices moved, read back as ``file:``."""
+    mesh, _, _ = parse_mesh_spec(spec)
+    vertices = mesh.vertices.copy()
+    inner = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    vertices[inner] += rng.uniform(-0.03, 0.03, (int(inner.sum()), 2))
+    write_mesh(compute_geometry(vertices, mesh.loops()), path)
+    return parse_mesh_spec(f"file:{path}")[0]
 
 
 def random_zero_boundary(mesh, rng):

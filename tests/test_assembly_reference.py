@@ -25,6 +25,7 @@ from conftest import (
     anisotropic_per_cell,
     cell_views,
     face_views,
+    jittered_file_mesh,
     local_matrices,
     polygon_soup,
     random_zero_boundary,
@@ -48,7 +49,6 @@ from sushi.gradient import (
     gradient_field,
     resolve_alpha,
 )
-from sushi.meshfile import write_mesh
 from sushi.postproc import reconstruct_faces
 from sushi.problems import problem_anisotropic_smooth, problem_tilted_barrier
 from sushi.run import parse_mesh_spec
@@ -391,16 +391,6 @@ def test_nm_counts_a_stored_zero_weight():
     weights = weights_table(mesh, {**rows, fid: rows[fid] + [(far, 0.0)]})
     rows, _, _, _, _ = reference_triplets(mesh, part, weights, tensor)
     assert assemble(mesh, part, weights, tensor).nm == len(rows) > before
-
-
-def jittered_file_mesh(rng, path):
-    """``rect:6x5`` with its interior vertices moved, read back as ``file:``."""
-    mesh, _, _ = parse_mesh_spec("rect:6x5")
-    vertices = mesh.vertices.copy()
-    inner = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
-    vertices[inner] += rng.uniform(-0.03, 0.03, (int(inner.sum()), 2))
-    write_mesh(compute_geometry(vertices, mesh.loops()), path)
-    return parse_mesh_spec(f"file:{path}")[0]
 
 
 @pytest.mark.parametrize("spec", ["rect:8x6", "tri:4", "ncrect:3", "barrier:1", "barrier:2",

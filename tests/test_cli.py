@@ -237,13 +237,14 @@ def test_unknown_problem_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("spec", ["rect:8", "rect:8x", "tri:", "rect:axb", "ncrect:two", "hex:4"])
+@pytest.mark.parametrize("spec", ["rect:8", "rect:8x", "tri:", "rect:axb", "ncrect:two", "hex:4",
+                                  "barrier:2x", "barrier:2x0", "barrier:x2"])
 def test_malformed_mesh_spec_names_itself_exits_2(tmp_path, capsys, spec):
     code = main(["solve", "--mesh", spec, "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert repr(spec) in err
-    assert "rect:NxM | tri:N | ncrect:N | barrier:V | file:PATH" in err
+    assert "rect:NxM | tri:N | ncrect:N | barrier:V[xK] | file:PATH" in err
     assert "invalid literal" not in err
 
 

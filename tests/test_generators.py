@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import sushi
-from conftest import cell_views, face_views
+from conftest import assert_same_mesh, cell_views, face_views
 from sushi.errors import InvalidTopology
-from sushi.generators import barrier_region, phi1, phi2
+from sushi.generators import THIN_LAYER, barrier_region, phi1, phi2
 from sushi.geometry import validate
+from sushi.run import parse_mesh_spec
 
 
 def interior_count(mesh):
@@ -64,6 +65,33 @@ def test_barrier_cell_counts(variant, cells):
     assert len(regions) == cells
 
 
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_barrier_refined_once_is_the_barrier(variant):
+    mesh, regions = sushi.gen_tilted_barrier(variant)
+    for spec in (f"barrier:{variant}x1", f"barrier:{variant}"):
+        refined, refined_regions, label = parse_mesh_spec(spec)
+        assert label == spec
+        assert_same_mesh(refined, mesh)
+        assert (refined_regions.dtype, refined_regions.tolist()) == (regions.dtype, regions.tolist())
+
+
+@pytest.mark.parametrize("variant,rows", [(1, 21), (2, 100), (3, 21)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_barrier_refinement_scales_every_regular_block(variant, rows, k):
+    # K times the columns and the rows of each block; variant 3 keeps its
+    # four 1e-4 layers one cell thick
+    mesh, regions = sushi.gen_tilted_barrier(variant, k)
+    thin = 4 if variant == 3 else 0
+    assert mesh.n_cells == 10 * k * (k * rows + thin)
+    assert validate(mesh).passed
+    assert np.array_equal(regions, barrier_region(*mesh.cell_point.T))
+    # the barrier lines are still faces, 10 k of them each
+    for phi in (phi1, phi2):
+        assert np.count_nonzero(np.abs(phi(*mesh.face_centre.T)) < 1e-12) == 10 * k
+    column_width = 1.0 / (10 * k)
+    assert np.count_nonzero(mesh.cell_measure < 2 * THIN_LAYER * column_width) == thin * 10 * k
+
+
 def test_barrier_region_signs():
     for variant in (1, 2, 3):
         mesh, regions = sushi.gen_tilted_barrier(variant)
@@ -113,3 +141,5 @@ def test_bad_resolution_rejected():
         sushi.gen_rect(0, 3)
     with pytest.raises(InvalidTopology):
         sushi.gen_tilted_barrier(4)
+    with pytest.raises(InvalidTopology):
+        sushi.gen_tilted_barrier(2, 0)

@@ -8,10 +8,12 @@ anisotropic tensor, where the scheme is exact.
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from oracles import cell_balance_residuals, composite_fluxes, spd_certificate, weight_matrix
 from sushi.assembly import TensorField, assemble
 from sushi.postproc import reconstruct_faces
-from sushi.run import parse_mesh_spec
+from sushi.problems import barrier_exact, problem_tilted_barrier
+from sushi.run import parse_mesh_spec, solve_problem
 from sushi.solver import solve_cg, solve_dense
 from sushi.spaces import BARYCENTRIC, compute_weights, partition_faces
 
@@ -74,3 +76,25 @@ def test_weight_table_on_large_meshes(spec):
     assert np.abs(table @ np.ones(mesh.n_cells) - 1.0)[occupied].max() <= 1e-12
     moment = table @ mesh.cell_point - mesh.face_centre
     assert np.abs(moment[occupied]).max() <= 1e-12 * mesh.h
+
+
+def test_refined_tilted_barrier_is_exact():
+    # barrier:2x4: 80 columns, 180 / 40 / 180 layers, 16,000 cells; under
+    # discontinuity N = 16,080 is above AMG_MIN_N.  The scheme reproduces the
+    # piecewise-affine solution, so the tolerances are h-independent.
+    mesh, regions, _ = parse_mesh_spec("barrier:2x4")
+    assert mesh.n_cells == 16_000
+    part = partition_faces(mesh, "discontinuity", regions)
+    table = []
+    peak = traced_peak(lambda: table.append(compute_weights(mesh, part, regions)))
+    held = sum(getattr(table[0], name).nbytes for name in ("ptr", "points", "beta"))
+    assert peak - held < 4e6
+
+    prob = problem_tilted_barrier()
+    result = solve_problem(prob, mesh, regions, "discontinuity", with_fluxes=True)
+    assert result.system.n == 16_080
+    assert result.report.iterations <= 30
+    exact = barrier_exact(mesh.cell_point.T, regions)
+    assert np.abs(result.u.cell_values - exact).max() <= 1e-9
+    for side, flux in prob.exact_boundary_flux.items():
+        assert abs(result.fluxes[side] - flux) <= 1e-9, side

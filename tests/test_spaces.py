@@ -242,22 +242,24 @@ def test_weight_diagnostics_are_logged(caplog, spec):
     with caplog.at_level(logging.DEBUG, logger="sushi.spaces"):
         weights = compute_weights(mesh, part, regions)
     [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("weights:")]
-    found = re.fullmatch(r"weights: (\d+) natural pairs, (\d+) cell searches; "
-                         r"max \|beta\| (\S+)", line)
-    natural, searched = map(int, found.groups()[:2])
+    found = re.fullmatch(r"weights: (\d+) natural pairs, (\d+) cell searches; (\d+) of (\d+) "
+                         r"candidate pairs solved; max \|beta\| (\S+)", line)
+    natural, searched, solved, pairs = map(int, found.groups()[:4])
     assert natural + searched == len(part.barycentric_faces())
-    assert float(found[3]) == float(f"{np.abs(weights.beta).max(initial=0.0):.3g}")
+    assert float(found[5]) == float(f"{np.abs(weights.beta).max(initial=0.0):.3g}")
     if spec == "barrier:2":
-        assert (natural, searched) == (990, 880)
+        # no other pair of cells is collinear with a searched face's centre,
+        # so the prefilter leaves the exact pair test nothing to solve
+        assert (natural, searched, solved, pairs) == (990, 880, 0, 11616)
     else:
         # every interior face of the completed zigzag partition is hybrid
-        assert (natural, searched) == (0, 0)
+        assert (natural, searched, solved, pairs) == (0, 0, 0, 0)
 
 
 def test_weight_search_allocates_a_few_megabytes():
-    # the 880 searched faces of barrier:2 go through the search in blocks,
-    # so its candidate and combination arrays stay small: ~1 MB at the
-    # peak, where one block of all 880 faces takes ~6 MB
+    # the 1,870 barycentric faces of barrier:2 go through the natural pair
+    # and the search in blocks, so the case arrays stay small: ~1 MB at the
+    # peak, where the search of all 880 searched faces at once takes ~2 MB
     mesh, regions, _ = parse_mesh_spec("barrier:2")
     part = partition_faces(mesh, "discontinuity", regions)
     assert traced_peak(lambda: compute_weights(mesh, part, regions)) < 4e6
