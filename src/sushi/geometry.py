@@ -115,9 +115,16 @@ class Mesh:
 
     def cone_centroids(self, cones=slice(None)) -> np.ndarray:
         """Centroids (x_K + 2 x_sigma) / 3 of the cones ``cones`` (an index
-        array or a slice; all by default), components on a new last axis."""
-        return (self.cell_point[self.cone_cell[cones]]
-                + 2.0 * self.face_centre[self.cone_face[cones]]) / 3.0
+        array or a slice; all by default), components on a new last axis.
+
+        The components are stored first, so the transposed point array that
+        :func:`sushi.spaces.sample_field` hands a user field is this array
+        itself, not a copy."""
+        cells, faces = self.cone_cell[cones], self.cone_face[cones]
+        out = np.empty((2,) + cells.shape)
+        for k in range(2):
+            out[k] = (self.cell_point[cells, k] + 2.0 * self.face_centre[faces, k]) / 3.0
+        return np.moveaxis(out, 0, -1)
 
     def loops(self) -> list[list[int]]:
         """The vertex loop of every cell, as lists of ints."""

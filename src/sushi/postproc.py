@@ -151,11 +151,13 @@ def norm_1pm(mesh: Mesh, cell_values: np.ndarray, p: float = 2.0) -> float:
 
 def _cone_errors_sq(mesh: Mesh, u: DiscreteFunction, exact_grad,
                     alpha: float | None, grad: GradientField | None = None) -> np.ndarray:
-    """Per cone: squared error of the stabilized gradient at the cone centroid."""
-    exact = sample_field(exact_grad, mesh.cone_centroids(), "exact_grad", (2,))
+    """Per cone: squared error of the stabilized gradient at the cone centroid.
+    The difference and its square overwrite the sampled gradient."""
+    diff = sample_field(exact_grad, mesh.cone_centroids(), "exact_grad", (2,))
     grad = gradient_field(mesh, u, alpha) if grad is None else grad
-    diff = grad.cones - exact
-    return np.sum(diff * diff, axis=1)
+    np.subtract(grad.cones, diff, out=diff)
+    diff *= diff
+    return np.sum(diff, axis=1)
 
 
 def error_norms(mesh: Mesh, u: DiscreteFunction, exact, exact_grad,

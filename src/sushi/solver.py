@@ -6,7 +6,12 @@ hybrid unknown), CG eliminates the cells exactly and iterates on the face
 Schur complement; its stopping test and reported residual stay on the full
 system.  That residual is evaluated in ``np.longdouble`` from the float64
 matrix, a block of rows at a time: no extended-precision copy of the
-matrix is kept (Demmel et al., ACM TOMS 32, 2006)."""
+matrix is kept (Demmel et al., ACM TOMS 32, 2006).  On the eliminated path
+the full matrix is never built: the elimination reads K_CF and K_FF from
+the stored upper triangle and the diagonal, and the residual's row blocks
+are summed from the triangle, its transpose and the diagonal, with the
+entries and the column order of ``LinearSystem.full()``, so every value
+is the same bit for bit."""
 
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import _row_blocks
+from .assembly import _row_blocks, _rows
 from .errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
 
 log = logging.getLogger(__name__)
@@ -58,20 +63,34 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def _residual(mat: sp.csr_matrix, b: np.ndarray, bnorm: float,
+def _residual(blocks, b: np.ndarray, bnorm: float,
               x: np.ndarray) -> tuple[np.ndarray, float]:
     """b - Mx and ||b - Mx|| / ``bnorm``, evaluated in ``np.longdouble``: the
     module's one residual, clear of float64 rounding noise at 1e-12.
 
-    Only ``ROW_BLOCK`` rows of M at a time are held in extended precision
-    (16 bytes per stored entry); each row sums in its stored order, as a
-    product with all of M in ``np.longdouble`` would, so r is the same bit
-    for bit."""
-    r = np.empty(mat.shape[0], dtype=np.longdouble)
+    ``blocks`` yields ``(rows, block)``, the rows of M ``ROW_BLOCK`` at a
+    time (``_row_blocks`` or ``_triangle_blocks``); only one block at a time
+    is held in extended precision (16 bytes per stored entry).  Each row
+    sums in its stored order, as a product with all of M in
+    ``np.longdouble`` would, so r is the same bit for bit."""
+    r = np.empty(len(b), dtype=np.longdouble)
     x = x.astype(np.longdouble)  # once, not once per block by the product
-    for rows, block in _row_blocks(mat):
+    for rows, block in blocks:
         r[rows] = b[rows].astype(np.longdouble) - block.astype(np.longdouble) @ x
     return r, _norm(r) / bnorm
+
+
+def _triangle_blocks(system):
+    """``(rows, block)``: the rows of ``system.full()``, ``ROW_BLOCK`` at a
+    time, without the whole matrix.  Each block is summed from the rows of
+    the stored upper triangle, of its transpose and of the diagonal as
+    ``full()`` sums the whole matrices, so its rows store the same entries
+    in the same ascending column order, exact zeros dropped."""
+    lower = system.upper.T.tocsr()
+    for rows, upper in _row_blocks(system.upper):
+        at = np.arange(rows.start, rows.stop + 1)
+        diag = sp.csr_matrix((system.diag[rows], at[:-1], at - rows.start), shape=upper.shape)
+        yield rows, upper + _rows(lower, rows) + diag
 
 
 def _require_finite(system, where: str) -> None:
@@ -270,21 +289,35 @@ class _CellElimination:
         x[:nc] += self.inv_diag * (r[:nc] - self.face_cell.T @ e)
 
 
-def _cell_elimination(system, mat: sp.csr_matrix) -> _CellElimination | None:
-    """The elimination of the cell unknowns of ``system`` (matrix ``mat``),
-    or None unless the system has a face unknown, its cell block stores no
-    off-diagonal entry and every diagonal entry is > 0.  A system with a
-    non-positive diagonal entry keeps the full path, whose multigrid setup
-    names the unknown."""
+def _cell_elimination(system) -> _CellElimination | None:
+    """The elimination of the cell unknowns of ``system``, or None unless the
+    system has a face unknown, its cell block stores no off-diagonal entry
+    and every diagonal entry is > 0.  A system with a non-positive diagonal
+    entry keeps the full path, whose multigrid setup names the unknown.
+
+    K_FC and K_FF are those ``system.full()`` stores, read from the stored
+    triangle: K_CF is the cell rows of ``upper`` (their columns are all
+    faces), and K_FF is summed from the face block of ``upper``, its
+    transpose and the face diagonal as ``full()`` sums them."""
     nc = system.numbering.n_cells
     upper = system.upper
     if not (nc < system.n and np.all(system.diag > 0.0)
             and not np.any(upper.indices[:upper.indptr[nc]] < nc)):
         return None
     inv_diag = 1.0 / system.diag[:nc]
-    face_cell = mat[nc:, :nc]
-    schur = mat[nc:, nc:] - face_cell @ (sp.diags(inv_diag) @ face_cell.T)
-    schur = (0.5 * (schur + schur.T)).tocsr()
+    cell_face = upper[:nc, nc:]
+    cell_face.eliminate_zeros()  # as the sums of full() drop exact zeros
+    face_cell = cell_face.T.tocsr()
+    del cell_face
+    faces = upper[nc:, nc:]
+    face_face = faces + faces.T + sp.diags(system.diag[nc:])
+    del faces
+    # Each sum keeps arrays sized for the entries of both operands; the
+    # copies hold only their own.
+    schur = (face_face - face_cell @ (sp.diags(inv_diag) @ face_cell.T)).copy()
+    del face_face
+    schur = (schur + schur.T).copy()
+    schur.data *= 0.5
     log.debug("cell unknowns eliminated: CG on the face Schur complement, %d -> %d unknowns",
               system.n, schur.shape[0])
     return _CellElimination(nc, inv_diag, face_cell, schur)
@@ -343,7 +376,6 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     t0 = time.perf_counter()
     _require_finite(system, "CG stops at iteration 1: ")
-    mat = system.full()
     b = system.rhs
     n = system.n
     if max_iters is None:
@@ -352,14 +384,16 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, time.perf_counter() - t0, "cg")
 
-    elim = None
-    if n < AMG_MIN_N:
-        precond = functools.partial(np.multiply, 1.0 / system.diag)
-    elif (elim := _cell_elimination(system, mat)) is None:
-        precond = _smoothed_aggregation(mat, system.diag)
+    elim = _cell_elimination(system) if n >= AMG_MIN_N else None
+    if elim is None:
+        cg_mat = system.full()
+        blocks = functools.partial(_row_blocks, cg_mat)
+        precond = (functools.partial(np.multiply, 1.0 / system.diag) if n < AMG_MIN_N
+                   else _smoothed_aggregation(cg_mat, system.diag))
     else:
-        precond = _smoothed_aggregation(elim.schur, elim.schur.diagonal())
-    cg_mat = mat if elim is None else elim.schur
+        cg_mat = elim.schur
+        blocks = functools.partial(_triangle_blocks, system)
+        precond = _smoothed_aggregation(cg_mat, cg_mat.diagonal())
     x = np.zeros(n)
     r = b.copy()
     iterations = 0
@@ -391,7 +425,7 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
             rz = rz_new
         if elim is not None:
             elim.back_substitute(x, e, r)
-        r_ext, res = _residual(mat, b, bnorm, x)
+        r_ext, res = _residual(blocks(), b, bnorm, x)
         if res <= tol:
             break
         if iterations >= max_iters:
@@ -416,10 +450,14 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
 def _spd_factor(mat):
     """SuperLU factor of the symmetric ``mat`` if every pivot of its symmetric
     elimination is > 0, i.e. ``mat`` is SPD; else ``None``.  SuperLU pivots off
-    the diagonal only at an exact zero, which shows as ``perm_r != perm_c``."""
+    the diagonal only at an exact zero, which shows as ``perm_r != perm_c``.
+
+    ``mat`` is a canonical CSR matrix, exactly symmetric as ``full()`` builds
+    it, so its arrays are also those of its CSC form: SuperLU is handed its
+    transpose, a CSC view of them, not a copy."""
     from scipy.sparse.linalg import splu  # loaded here, off CG's start-up
     try:
-        lu = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = splu(mat.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular
         return None
@@ -439,5 +477,5 @@ def solve_dense(system) -> tuple[np.ndarray, SolveReport]:
     if lu is None:
         raise NotPositiveDefinite("the symmetric factorization found a non-positive pivot")
     x = lu.solve(system.rhs)
-    _, res = _residual(mat, system.rhs, _norm(system.rhs) or 1.0, x)
+    _, res = _residual(_row_blocks(mat), system.rhs, _norm(system.rhs) or 1.0, x)
     return x, SolveReport(0, res, time.perf_counter() - t0, "dense-cholesky")

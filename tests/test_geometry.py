@@ -241,3 +241,17 @@ def test_compute_geometry_peak_memory_at_128x128():
     loops = mesh.cone_vertex.reshape(-1, 4)
     peak = traced_peak(lambda: compute_geometry(mesh.vertices, loops))
     assert peak <= 11.5e6
+
+
+@pytest.mark.parametrize("cones", [slice(None), slice(3, 40), np.array([7, 0, 7, 21]),
+                                   np.arange(24).reshape(4, 6)],
+                         ids=["all", "slice", "indices", "2-d"])
+def test_cone_centroids_are_the_formula_bit_for_bit(cones):
+    mesh = sushi.gen_nonconforming_rect(2)
+    got = mesh.cone_centroids(cones)
+    want = (mesh.cell_point[mesh.cone_cell[cones]]
+            + 2.0 * mesh.face_centre[mesh.cone_face[cones]]) / 3.0
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    if got.ndim == 2:  # stored components first: a user field gets no copy
+        assert got.T.flags.c_contiguous

@@ -12,6 +12,7 @@ from conftest import (
     face_views,
     random_zero_boundary,
     smooth_tensor,
+    traced_peak,
 )
 from oracles import (
     RequiresIdentityTensor,
@@ -252,6 +253,20 @@ def test_flux_consistency_decays_first_order():
                                      prob.exact, prob.exact_grad))
         hs.append(mesh.h)
     assert convergence_order(zip(hs, es)) >= 0.9
+
+
+def test_error_norms_peak_memory_at_128x128():
+    # The cone errors held the centroids, sample_field's transposed copy of
+    # them, the sampled values, their point-first copy and the difference:
+    # 7.47 MB here.  With the centroids stored components first and the
+    # difference written over the samples, 6.43 MB, most of it the exact
+    # gradient's own polynomial temporaries.
+    prob = problem_anisotropic_smooth()
+    mesh = sushi.gen_rect(128, 128)
+    result = sushi.solve_problem(prob, mesh, policy="all-barycentric")
+    peak = traced_peak(lambda: error_norms(mesh, result.u, prob.exact, prob.exact_grad,
+                                           None, result.gradient))
+    assert peak <= 7.0e6
 
 
 def test_error_report_csv_round_trip(tmp_path):

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import sushi
 from conftest import system_from_dense, traced_peak
 from oracles import spd_certificate
-from sushi.assembly import ROW_BLOCK, LinearSystem, assemble
+from sushi.assembly import ROW_BLOCK, LinearSystem, _row_blocks, assemble
 from sushi.errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
 from sushi.problems import problem_anisotropic_smooth, problem_tilted_barrier
 from sushi.solver import (
@@ -19,6 +19,7 @@ from sushi.solver import (
     _norm,
     _residual,
     _smoothed_aggregation,
+    _triangle_blocks,
     solve_cg,
     solve_dense,
 )
@@ -106,6 +107,25 @@ def cellcentred_rect_system(n):
     part = partition_faces(mesh, "all-barycentric")
     return assemble(mesh, part, compute_weights(mesh, part), prob.make_tensor(mesh),
                     source=prob.source, dirichlet=prob.dirichlet)
+
+
+def hybrid_system(spec):
+    prob = problem_anisotropic_smooth()
+    mesh, _, _ = sushi.parse_mesh_spec(spec)
+    part = partition_faces(mesh, "all-hybrid")
+    return assemble(mesh, part, None, prob.make_tensor(mesh),
+                    source=prob.source, dirichlet=prob.dirichlet)
+
+
+def barrier_system(spec):
+    """The tilted-barrier system under ``discontinuity``; every barycentric
+    face of the ``barrier`` meshes has a cell support."""
+    prob = problem_tilted_barrier()
+    mesh, regions, _ = sushi.parse_mesh_spec(spec)
+    part = partition_faces(mesh, "discontinuity", regions)
+    return assemble(mesh, part, compute_weights(mesh, part, regions),
+                    prob.make_tensor(mesh, regions), source=prob.source,
+                    dirichlet=prob.dirichlet)
 
 
 def test_cg_reaches_tol_below_float64_restart_floor(caplog):
@@ -247,12 +267,47 @@ def test_multigrid_preconditioner_is_symmetric_positive_definite(build, rng):
 
 def test_condensed_system_is_symmetric_with_spd_preconditioner(rng):
     system = hybrid_rect_system(64)
-    elim = _cell_elimination(system, system.full())
+    elim = _cell_elimination(system)
     schur = elim.schur
     assert schur.shape == (system.n - system.numbering.n_cells,) * 2
     assert (schur != schur.T).nnz == 0
     assert_spd_preconditioner(_smoothed_aggregation(schur, schur.diagonal()),
                               elim.condense(system.rhs), rng)
+
+
+# all-hybrid systems from AMG_MIN_N unknowns on: 12,160, 48,896, 11,424 and
+# 12,208 unknowns
+ELIMINATED = ["rect:64x64", "rect:128x128", "tri:48", "ncrect:16"]
+
+
+def assert_same_csr(a, b):
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("spec", ELIMINATED)
+def test_elimination_from_the_triangle_is_the_one_sliced_from_the_full_matrix(spec):
+    # K_FC and S once came from slices of system.full(); read from the
+    # stored triangle, they are the same arrays, dtypes included
+    system = hybrid_system(spec)
+    assert system.n >= AMG_MIN_N
+    elim = _cell_elimination(system)
+    mat, nc = system.full(), system.numbering.n_cells
+    face_cell = mat[nc:, :nc]
+    schur = mat[nc:, nc:] - face_cell @ (sp.diags(1.0 / system.diag[:nc]) @ face_cell.T)
+    assert_same_csr(elim.face_cell, face_cell)
+    assert_same_csr(elim.schur, (0.5 * (schur + schur.T)).tocsr())
+
+
+@pytest.mark.parametrize("build", [lambda: cellcentred_rect_system(128),
+                                   lambda: barrier_system("barrier:2x4")],
+                         ids=["rect:128x128 all-barycentric", "barrier:2x4 discontinuity"])
+def test_no_elimination_where_the_cell_block_is_not_diagonal(build):
+    system = build()
+    assert system.n >= AMG_MIN_N
+    assert _cell_elimination(system) is None
 
 
 def test_condensed_solve_reports_the_full_system_residual():
@@ -350,6 +405,18 @@ def test_dense_rejects_indefinite(mat):
     assert not spd_certificate(sys_)
 
 
+@pytest.mark.parametrize("build", [lambda: barrier_system("barrier:1"),
+                                   lambda: barrier_system("barrier:2"),
+                                   lambda: barrier_system("barrier:3"),
+                                   lambda: hybrid_rect_system(32)],
+                         ids=["barrier:1", "barrier:2", "barrier:3", "rect:32x32 all-hybrid"])
+def test_full_matrix_stores_its_csc_arrays(build):
+    # SuperLU is handed the transpose of full(), a CSC view of its CSR
+    # arrays: they must be those of its CSC copy
+    mat = build().full()
+    assert_same_csr(mat.T, mat.tocsc())
+
+
 def test_dense_solve_allocates_no_dense_matrix():
     # a dense copy of this system (N = 3,136) alone takes 79 MB
     system = hybrid_rect_system(32)
@@ -362,10 +429,10 @@ def reference_residual(mat, b, bnorm, x):
     return r, _norm(r) / bnorm
 
 
-def assert_same_residual(mat, b, x) -> float:
-    """``_residual`` equals the reference bit for bit; returns the relative
-    residual."""
-    r, res = _residual(mat, b, _norm(b), x)
+def assert_same_residual(mat, b, x, blocks=None) -> float:
+    """``_residual`` over ``blocks``, by default the rows of ``mat``, equals
+    the reference on ``mat`` bit for bit; returns the relative residual."""
+    r, res = _residual(_row_blocks(mat) if blocks is None else blocks, b, _norm(b), x)
     ref_r, ref_res = reference_residual(mat, b, _norm(b), x)
     assert r.dtype == np.longdouble
     assert np.array_equal(r, ref_r)
@@ -379,7 +446,14 @@ def test_blocked_residual_is_the_extended_product_over_several_blocks(rng):
     mat = system.full()
     x, _ = solve_cg(system)
     for point in (x, rng.standard_normal(system.n), np.zeros(system.n)):
-        assert_same_residual(mat, system.rhs, point)
+        assert_same_residual(mat, system.rhs, point, _triangle_blocks(system))
+
+
+@pytest.mark.parametrize("spec", ELIMINATED[2:])
+def test_triangle_residual_is_the_extended_product_of_the_full_matrix(spec, rng):
+    system = hybrid_system(spec)
+    assert_same_residual(system.full(), system.rhs, rng.standard_normal(system.n),
+                         _triangle_blocks(system))
 
 
 def test_blocked_residual_keeps_the_dense_report_on_barrier():
@@ -397,7 +471,11 @@ def test_blocked_residual_keeps_the_iterates_through_a_restart(monkeypatch):
     system = hybrid_rect_system(128)
     x, report = solve_cg(system)
     assert report.restarts == 1
-    monkeypatch.setattr("sushi.solver._residual", reference_residual)
+    # CG eliminates the cells here, and its residual reads the stored
+    # triangle; the reference is the product with all of system.full()
+    mat = system.full()
+    monkeypatch.setattr("sushi.solver._residual",
+                        lambda blocks, b, bnorm, x: reference_residual(mat, b, bnorm, x))
     ref_x, ref_report = solve_cg(system)
     assert np.array_equal(x, ref_x)
     assert report.iterations == ref_report.iterations
@@ -406,10 +484,15 @@ def test_blocked_residual_keeps_the_iterates_through_a_restart(monkeypatch):
 
 
 def test_cg_peak_memory_at_128x128():
-    # A longdouble copy of K held for the whole solve peaked at 28.1 MB here;
-    # the residual by ROW_BLOCK rows at a time peaks at 19.7 MB.
+    # A longdouble copy of K held for the whole solve peaked at 28.1 MB here,
+    # and the residual by ROW_BLOCK rows at a time at 19.7 MB, set by the
+    # slices of system.full() and the untrimmed sums of the elimination.
+    # Read from the stored triangle: 15.1 MB, set by the residual, whose
+    # blocks are summed from the triangle and its transpose.  The
+    # elimination alone peaks at 12.3 MB; 15.0 MB with untrimmed sums.
     system = hybrid_rect_system(128)
-    assert traced_peak(lambda: solve_cg(system)) <= 22e6
+    assert traced_peak(lambda: solve_cg(system)) <= 17e6
+    assert traced_peak(lambda: _cell_elimination(system)) <= 14e6
 
 
 def test_benchmark_system_is_spd():
