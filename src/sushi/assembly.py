@@ -62,7 +62,8 @@ from .spaces import (
 )
 
 # Cells per block of ``local_blocks``.  It bounds the block's transient
-# arrays, each at most (cells, k, k, 2): 512 kB for quadrilaterals.
+# arrays, each at most (k, k, cells) or (k, cells, 2, 2): 128 kB for
+# quadrilaterals.
 LOCAL_BLOCK = 1024
 # Rows per block of a CSR matrix (:func:`_row_blocks`): the row blocks of
 # K = E^T (B E) and of the NM count here, and of the extended-precision
@@ -132,8 +133,12 @@ class TensorField:
         elif len(self.tensors) == 1:
             sampled = self.tensors
         else:
-            sampled = self.tensors[mesh.cone_cell[cones]]
-        return measure[..., None, None] * sampled
+            sampled = np.take(self.tensors, mesh.cone_cell[cones], axis=0)
+        out = np.empty(measure.shape + (2, 2))
+        for d in range(2):
+            for e in range(2):
+                out[..., d, e] = measure * sampled[..., d, e]
+        return out
 
 
 def local_blocks(mesh: Mesh, tensor: TensorField, alpha: float | None = None):
@@ -143,9 +148,10 @@ def local_blocks(mesh: Mesh, tensor: TensorField, alpha: float | None = None):
     ``cones.start`` with every entry of each k x k block stored, exact zeros
     included.
 
-    Within a block the cells of each loop size k are one array pass.  An
-    entry sums y_ij . (Lambda_i y_il) over the cones i and the components
-    in ascending order, starting from zero: the order of the sparse product
+    Within a block the cells of each loop size k are one array pass, with
+    the cell axis last, so every array operation runs along it.  An entry
+    sums y_ij . (Lambda_i y_il) over the cones i and the components in
+    ascending order, starting from zero: the order of the sparse product
     ``G^T (Lambda G)`` over the gradient operator ``G``, so both give the
     same values bit for bit.  Symmetric: the block is 0.5 (A + A^T).  A
     callable tensor is sampled once, at every cone centroid.
@@ -163,25 +169,27 @@ def local_blocks(mesh: Mesh, tensor: TensorField, alpha: float | None = None):
         for k in np.unique(sizes).tolist():
             square = np.arange(k * k).reshape(k, k)
             of_size = np.flatnonzero(sizes == k)
-            cones = ptr[c0 + of_size][:, None] + np.arange(k)
-            # y[e][c, i, j], component e of the coefficient of delta_j in the
+            # cones[i, c]: cone i of cell c
+            cones = np.arange(k)[:, None] + ptr[c0 + of_size]
+            # y[e][i, j, c], component e of the coefficient of delta_j in the
             # gradient of cone i: grad_K = g_j, plus R for delta = [i == j].
             g = gradient_coefficients(mesh, cones)
-            coef = _residuals(mesh, cones[:, :, None], np.eye(k), g[:, None], a)
-            normal = mesh.cone_normal[cones]
-            y = [g[:, None, :, e] + coef * normal[:, :, None, e] for e in dims]
+            coef = _residuals(mesh, cones[:, None], np.eye(k)[:, :, None], g[None], a)
+            normal = np.take(mesh.cone_normal, cones, axis=0)
+            y = [g[None, :, :, e] + coef * normal[:, None, :, e] for e in dims]
             del g, coef, normal
-            lam = tensor.cone_tensors(mesh, cones) if sampled is None else sampled[cones]
-            ly = [sum(lam[:, :, None, d, e] * y[e] for e in dims) for d in dims]
+            lam = (tensor.cone_tensors(mesh, cones) if sampled is None
+                   else np.take(sampled, cones, axis=0))
+            ly = [sum(lam[:, None, :, d, e] * y[e] for e in dims) for d in dims]
             del lam
-            b = np.zeros((len(of_size), k, k))
+            b = np.zeros((k, k, len(of_size)))
             for i in range(k):
                 for e in dims:
-                    b += y[e][:, i, :, None] * ly[e][:, i, None, :]
+                    b += y[e][i, :, None] * ly[e][i, None, :]
             del y, ly
             at = block_start[of_size][:, None, None] + square
-            values[at] = 0.5 * (b + b.transpose(0, 2, 1))
-            columns[at] = cones[:, None, :] - ptr[c0]
+            values[at] = (0.5 * (b + b.transpose(1, 0, 2))).transpose(2, 0, 1)
+            columns[at] = cones.T[:, None, :] - ptr[c0]
         cones = slice(int(ptr[c0]), int(ptr[c1]))
         row_ptr = np.concatenate([[0], np.cumsum(np.repeat(sizes, sizes))])
         m = cones.stop - cones.start

@@ -17,7 +17,9 @@ are defined once and evaluated on the flat cone arrays.  No gradient
 operator is formed: assembly evaluates the same R on blocks of cells to
 build the local flux matrices (:func:`sushi.assembly.local_blocks`).
 ``alpha`` defaults to sqrt(d); any finite positive value is admissible
-(:func:`resolve_alpha`).
+(:func:`resolve_alpha`).  Rows are gathered with ``np.take`` and the dot
+products written out component by component, as numpy's sum over the
+component axis adds them (see :mod:`sushi.geometry`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Mesh, segment_sums
+from .geometry import Mesh, pair_sum, segment_sums, take_rows
 from .spaces import DiscreteFunction
 
 
@@ -52,8 +54,9 @@ class GradientField:
     def cell_average(self, mesh: Mesh) -> np.ndarray:
         """Cone-measure-weighted average per cell, for visualization."""
         w = mesh.cone_measure
-        return (segment_sums(w[:, None] * self.cones, mesh.cell_ptr)
-                / segment_sums(w, mesh.cell_ptr)[:, None])
+        total = segment_sums(w, mesh.cell_ptr)
+        return np.stack([segment_sums(w * self.cones[:, k], mesh.cell_ptr) / total
+                         for k in range(2)], axis=1)
 
 
 def cone_increments(mesh: Mesh, u: DiscreteFunction) -> np.ndarray:
@@ -65,8 +68,13 @@ def gradient_coefficients(mesh: Mesh, cones=slice(None)) -> np.ndarray:
     """``g`` on the cones ``cones`` (an index array or a slice; all by
     default), components on a new last axis: g_j multiplies delta_j in
     grad_K u."""
-    return (mesh.face_measure[mesh.cone_face[cones]][..., None] * mesh.cone_normal[cones]
-            / mesh.cell_measure[mesh.cone_cell[cones]][..., None])
+    measure = mesh.face_measure[mesh.cone_face[cones]]
+    cell_measure = mesh.cell_measure[mesh.cone_cell[cones]]
+    normal = take_rows(mesh.cone_normal, cones)
+    g = np.empty(normal.shape)
+    for k in range(2):
+        g[..., k] = measure * normal[..., k] / cell_measure
+    return g
 
 
 def _residuals(mesh: Mesh, cones, delta: np.ndarray, grad: np.ndarray, alpha: float):
@@ -74,15 +82,17 @@ def _residuals(mesh: Mesh, cones, delta: np.ndarray, grad: np.ndarray, alpha: fl
     ``cones``, for their increments ``delta`` and cell gradients ``grad``
     (components on the last axis); the shape of the index array ``cones``
     broadcasts with the leading axes of the other two."""
-    rel = mesh.face_centre[mesh.cone_face[cones]] - mesh.cell_point[mesh.cone_cell[cones]]
-    proj = (rel * grad).sum(axis=-1)
+    rel = (np.take(mesh.face_centre, mesh.cone_face[cones], axis=0)
+           - np.take(mesh.cell_point, mesh.cone_cell[cones], axis=0))
+    proj = pair_sum(rel[..., 0] * grad[..., 0], rel[..., 1] * grad[..., 1])
     return (delta - proj) * (alpha / mesh.cone_dist[cones])
 
 
 def cell_gradients(mesh: Mesh, u: DiscreteFunction) -> np.ndarray:
     """(n_cells, d) consistent cell gradients grad_K u."""
     delta = cone_increments(mesh, u)
-    return segment_sums(delta[:, None] * gradient_coefficients(mesh), mesh.cell_ptr)
+    g = gradient_coefficients(mesh)
+    return np.stack([segment_sums(delta * g[:, k], mesh.cell_ptr) for k in range(2)], axis=1)
 
 
 def gradient_field(mesh: Mesh, u: DiscreteFunction,
@@ -92,7 +102,9 @@ def gradient_field(mesh: Mesh, u: DiscreteFunction,
     ``u`` must carry materialized face values (barycentric faces already
     reconstructed; see :func:`sushi.postproc.reconstruct_faces`).
     """
-    grad = cell_gradients(mesh, u)[mesh.cone_cell]
+    grad = np.take(cell_gradients(mesh, u), mesh.cone_cell, axis=0)
     residuals = _residuals(mesh, slice(None), cone_increments(mesh, u), grad,
                            resolve_alpha(alpha, mesh.dim))
-    return GradientField(cones=grad + residuals[:, None] * mesh.cone_normal)
+    for k in range(2):
+        grad[:, k] += residuals * mesh.cone_normal[:, k]
+    return GradientField(cones=grad)

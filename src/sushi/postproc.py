@@ -4,7 +4,11 @@ Everything here is an array expression over the flat mesh arrays, with no
 gradient or flux matrix: the gradients come from :mod:`sushi.gradient`,
 the numerical fluxes ``-G^T Lambda G delta`` are evaluated cell by cell
 (:func:`_cell_fluxes`), and each user field is called once per point set
-(:func:`sushi.spaces.sample_field`).
+(:func:`sushi.spaces.sample_field`).  Rows of the vector arrays are
+gathered with ``np.take`` and their dot products and squared norms written
+out component by component, as numpy's sum over the component axis adds
+them (see :mod:`sushi.geometry`); a square is never -0.0, so a sum of two
+squares needs no ``pair_sum``.
 Boundary flux totals follow the reporting convention of the benchmark
 tables: the per-side total approximates the co-normal integral over the
 side of Lambda grad u . n_out, which is the negative of the outgoing
@@ -20,7 +24,7 @@ import numpy as np
 
 from .assembly import TensorField
 from .errors import InsufficientLevels, InvalidSeries, UnclassifiedBoundaryFace
-from .geometry import Mesh, segment_sums
+from .geometry import Mesh, pair_sum, segment_sums
 from .gradient import (
     GradientField,
     cell_gradients,
@@ -83,12 +87,18 @@ def _cell_fluxes(mesh: Mesh, tensor: TensorField, grad: GradientField, a: float,
     sizes = np.diff(mesh.cell_ptr)[cells]
     ptr = np.concatenate([[0], np.cumsum(sizes)])
     cones = np.repeat(mesh.cell_ptr[cells] - ptr[:-1], sizes) + np.arange(ptr[-1])
-    w = (tensor.cone_tensors(mesh, cones) * grad.cones[cones][:, None, :]).sum(axis=2)
+    lam = tensor.cone_tensors(mesh, cones)
+    gc = np.take(grad.cones, cones, axis=0)
     del grad  # frees a field the caller made for this call only
-    s = (a / mesh.cone_dist[cones]) * (mesh.cone_normal[cones] * w).sum(axis=1)
-    rel = mesh.face_centre[mesh.cone_face[cones]] - mesh.cell_point[mesh.cone_cell[cones]]
-    v = np.repeat(segment_sums(w - s[:, None] * rel, ptr), sizes, axis=0)
-    return cones, -(s + (gradient_coefficients(mesh, cones) * v).sum(axis=1))
+    w = [pair_sum(lam[:, d, 0] * gc[:, 0], lam[:, d, 1] * gc[:, 1]) for d in range(2)]
+    del lam, gc
+    normal = np.take(mesh.cone_normal, cones, axis=0)
+    s = (a / mesh.cone_dist[cones]) * pair_sum(normal[:, 0] * w[0], normal[:, 1] * w[1])
+    rel = (np.take(mesh.face_centre, mesh.cone_face[cones], axis=0)
+           - np.take(mesh.cell_point, mesh.cone_cell[cones], axis=0))
+    v = [np.repeat(segment_sums(w[k] - s * rel[:, k], ptr), sizes) for k in range(2)]
+    g = gradient_coefficients(mesh, cones)
+    return cones, -(s + pair_sum(g[:, 0] * v[0], g[:, 1] * v[1]))
 
 
 # The sides of the unit square, and how far a boundary face barycentre
@@ -157,7 +167,7 @@ def _cone_errors_sq(mesh: Mesh, u: DiscreteFunction, exact_grad,
     grad = gradient_field(mesh, u, alpha) if grad is None else grad
     np.subtract(grad.cones, diff, out=diff)
     diff *= diff
-    return np.sum(diff, axis=1)
+    return diff[:, 0] + diff[:, 1]
 
 
 def error_norms(mesh: Mesh, u: DiscreteFunction, exact, exact_grad,
@@ -177,8 +187,10 @@ def error_norms(mesh: Mesh, u: DiscreteFunction, exact, exact_grad,
     err_u = float(np.sum(meas * (u.cell_values - ux) ** 2))
     ref_u = float(np.sum(meas * ux ** 2))
     diff = cell_gradients(mesh, u) - gx
-    err_g = float(np.sum(meas * np.sum(diff * diff, axis=1)))
-    ref_g = float(np.sum(meas * np.sum(gx * gx, axis=1)))
+    diff *= diff
+    err_g = float(np.sum(meas * (diff[:, 0] + diff[:, 1])))
+    gx *= gx
+    ref_g = float(np.sum(meas * (gx[:, 0] + gx[:, 1])))
     err_stab = float(np.sum(mesh.cone_measure
                             * _cone_errors_sq(mesh, u, exact_grad, alpha, grad)))
     return ErrorReport(

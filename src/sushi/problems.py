@@ -46,6 +46,25 @@ class ProblemSpec:
 _BUBBLE_POLY = (16.0 * np.outer([0, 1, -1], [0, 1, -1])).tolist()
 
 
+# Points per block of a polynomial field: bounds the (degree + 1, points)
+# temporaries of ``polyval2d``.
+POLY_BLOCK = 4096
+
+
+def _polyvals(p, *coeffs) -> np.ndarray:
+    """``polyval2d(p[0], p[1], c)`` for each coefficient matrix ``c`` of
+    ``coeffs``, stacked on a new first axis, ``POLY_BLOCK`` points at a time.
+    Each point gets the arithmetic of one whole-array call, bit for bit."""
+    x, y = np.asarray(p[0]), np.asarray(p[1])
+    out = np.empty((len(coeffs),) + x.shape)
+    flat_x, flat_y, rows = x.reshape(-1), y.reshape(-1), out.reshape(len(coeffs), -1)
+    for start in range(0, flat_x.size, POLY_BLOCK):
+        block = slice(start, start + POLY_BLOCK)
+        for c, row in zip(coeffs, rows):
+            row[block] = polyval2d(flat_x[block], flat_y[block], c)
+    return out
+
+
 def problem_anisotropic_smooth() -> ProblemSpec:
     """Constant full tensor with the quartic bubble exact solution."""
     return problem_from_descriptor({"name": "anisotropic-smooth",
@@ -196,15 +215,14 @@ def problem_from_descriptor(desc) -> ProblemSpec:
             raise ParseError("'exact_poly' must be a non-empty 2D coefficient matrix")
         # polyval2d is Horner's rule over elementwise products, without BLAS.
         cx, cy = polyder(coeffs, axis=0), polyder(coeffs, axis=1)
-        exact = lambda p: polyval2d(p[0], p[1], coeffs)
-        exact_grad = lambda p: np.array([polyval2d(p[0], p[1], cx), polyval2d(p[0], p[1], cy)])
+        exact = lambda p: _polyvals(p, coeffs)[0]
+        exact_grad = lambda p: _polyvals(p, cx, cy)
         cxx, cxy, cyy = polyder(cx, axis=0), polyder(cx, axis=1), polyder(cy, axis=1)
         l00, l01, l11 = constant[0, 0], constant[0, 1], constant[1, 1]
 
         def source(p):
-            x, y = p
-            return -(l00 * polyval2d(x, y, cxx) + 2.0 * l01 * polyval2d(x, y, cxy)
-                     + l11 * polyval2d(x, y, cyy))
+            fxx, fxy, fyy = _polyvals(p, cxx, cxy, cyy)
+            return -(l00 * fxx + 2.0 * l01 * fxy + l11 * fyy)
 
     return ProblemSpec(
         name=desc.get("name", "custom"),

@@ -49,18 +49,19 @@ _POWER_STEPS = 15  # power steps estimating the spectral radius of D^-1 A
 _SWEEPS = 2  # damped-Jacobi sweeps before and after each coarse correction
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> float:
     """Dot product by NumPy's pairwise summation.
 
     ``a @ b`` and ``np.linalg.norm`` call BLAS, whose summation order
     changes with its thread count; the pairwise order depends only on the
     length, so CG takes the same iterates under every thread setting.
+    ``out``, if given, is a scratch vector that receives the products.
     """
-    return float(np.add.reduce(a * b))
+    return float(np.add.reduce(np.multiply(a, b, out=out)))
 
 
-def _norm(a: np.ndarray) -> float:
-    return math.sqrt(_dot(a, a))
+def _norm(a: np.ndarray, out: np.ndarray | None = None) -> float:
+    return math.sqrt(_dot(a, a, out))
 
 
 def _residual(blocks, b: np.ndarray, bnorm: float,
@@ -407,21 +408,25 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
         z = precond(s)
         p = z.copy()
         rz = _dot(s, z)
+        # The products are written over a vector that is no longer read: z
+        # until the next preconditioning, M p after it.  So an iteration
+        # allocates only M p and the preconditioned residual.
         while iterations < max_iters:
             iterations += 1
             ap = cg_mat @ p
-            pap = _dot(p, ap)
+            pap = _dot(p, ap, z)
             if not pap > 0.0:
                 raise BreakdownNonSPD(f"curvature {pap} at iteration {iterations}: "
                                       "the system is not SPD or not finite")
             alpha = rz / pap
-            e += alpha * p
-            s -= alpha * ap
-            if _norm(s) <= 0.25 * tol * bnorm:
+            e += np.multiply(p, alpha, out=z)
+            s -= np.multiply(ap, alpha, out=z)
+            if _norm(s, z) <= 0.25 * tol * bnorm:
                 break
             z = precond(s)
-            rz_new = _dot(s, z)
-            p = z + (rz_new / rz) * p
+            rz_new = _dot(s, z, ap)
+            p *= rz_new / rz
+            p += z
             rz = rz_new
         if elim is not None:
             elim.back_substitute(x, e, r)

@@ -407,8 +407,9 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
         faces = bary[start:start + SEARCH_BLOCK]
         # K and L always belong to the face's own support region.
         pair = mesh.face_cells[faces]
-        beta, ok = _pair_weights(mesh.cell_point[pair[:, 0]], mesh.cell_point[pair[:, 1]],
-                                 mesh.face_centre[faces], h)
+        beta, ok = _pair_weights(np.take(mesh.cell_point, pair[:, 0], axis=0),
+                                 np.take(mesh.cell_point, pair[:, 1], axis=0),
+                                 np.take(mesh.face_centre, faces, axis=0), h)
         natural.append((faces[ok], pair[ok], beta[ok]))
         sizes[faces[ok]] = 2
         faces = faces[~ok]
@@ -417,7 +418,8 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
                 vertex_map = mesh.vertex_cell_map()
             rows, ids = _candidate_cells(mesh, faces, vertex_map, regions)
             got, row, point, value, pairs = _best_supports(
-                rows, ids, mesh.cell_point[ids].T, mesh.face_centre[faces].T, h)
+                rows, ids, np.take(mesh.cell_point, ids, axis=0).T,
+                np.take(mesh.face_centre, faces, axis=0).T, h)
             searched.append((faces[row], point, value))
             sizes[faces] = np.bincount(row, minlength=len(faces))
             unsupported += faces[~got].tolist()

@@ -3,8 +3,9 @@
 The VTK writer emits ASCII version 3.0 unstructured grids with polygon
 cells and cell data (solution scalars, optional region tags, cell-averaged
 gradient vectors).  Output is byte-deterministic for fixed inputs: floats
-are written with ``repr``.  Each block is formatted and written a chunk of
-rows at a time, so the text held at once stays bounded whatever the mesh.
+are written with ``repr``, and each distinct point coordinate of a chunk
+is formatted once.  Each block is formatted and written a chunk of rows at
+a time, so the text held at once stays bounded whatever the mesh.
 """
 
 from __future__ import annotations
@@ -30,6 +31,16 @@ VTK_BLOCK = 4096
 
 def _xyz_rows(points) -> str:
     return "\n".join([f"{x!r} {y!r} 0.0" for x, y in np.asarray(points, dtype=float).tolist()])
+
+
+def _point_rows(points: np.ndarray) -> str:
+    """The rows of :func:`_xyz_rows` for the (n, 2) float array ``points``,
+    each distinct coordinate formatted once: a mesh's vertices share their
+    coordinates.  Coordinates are told apart by their bits, so -0.0 keeps
+    its own text."""
+    table, inverse = np.unique(points.view(np.int64), return_inverse=True)
+    texts = [repr(x) for x in table.view(float).tolist()]
+    return "\n".join([f"{texts[i]} {texts[j]} 0.0" for i, j in inverse.reshape(-1, 2).tolist()])
 
 
 def _cell_rows(mesh: Mesh, lo: int, hi: int) -> str:
@@ -59,7 +70,7 @@ def export_vtk(mesh: Mesh, path, cell_scalars: dict | None = None,
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         _write_block(fh, f"POINTS {len(mesh.vertices)} double", len(mesh.vertices),
-                     lambda lo, hi: _xyz_rows(mesh.vertices[lo:hi]))
+                     lambda lo, hi: _point_rows(mesh.vertices[lo:hi]))
         _write_block(fh, f"CELLS {n_cells} {mesh.n_cones + n_cells}", n_cells,
                      lambda lo, hi: _cell_rows(mesh, lo, hi))
         _write_block(fh, f"CELL_TYPES {n_cells}", n_cells,  # VTK_POLYGON

@@ -3,6 +3,7 @@ import pytest
 
 import sushi
 from conftest import traced_peak
+from sushi.meshfile import write_mesh
 from sushi.vtkio import VTK_BLOCK, export_vtk
 
 
@@ -63,6 +64,38 @@ def test_chunked_writer_matches_whole_block_writer(spec, cell_data, rng, tmp_pat
     export_vtk(mesh, tmp_path / "chunked.vtk", scalars, vectors)
     reference_export_vtk(mesh, tmp_path / "whole.vtk", scalars, vectors)
     assert (tmp_path / "chunked.vtk").read_bytes() == (tmp_path / "whole.vtk").read_bytes()
+
+
+def _signed_zero_mesh():
+    """rect:3x2 with -0.0 for the 0.0 coordinates of some vertices."""
+    mesh, _, _ = sushi.parse_mesh_spec("rect:3x2")
+    vertices = mesh.vertices.copy()
+    vertices[::3][vertices[::3] == 0.0] = -0.0
+    return sushi.compute_geometry(vertices, mesh.loops())
+
+
+@pytest.mark.parametrize("spec", ["rect:8x6", "tri:4", "ncrect:2", "barrier:2", "file",
+                                  "signed-zero"])
+def test_points_formatted_once_match_whole_block_writer(spec, rng, tmp_path):
+    # each distinct coordinate is formatted once, by its bits: the jittered
+    # file mesh has no coordinate twice, and -0.0 keeps its own text
+    if spec == "file":
+        mesh, _, _ = sushi.parse_mesh_spec("rect:6x5")
+        vertices = mesh.vertices + rng.uniform(-0.03, 0.03, mesh.vertices.shape)
+        write_mesh(sushi.compute_geometry(vertices, mesh.loops()), tmp_path / "jittered.mesh")
+        mesh, _, _ = sushi.parse_mesh_spec(f"file:{tmp_path / 'jittered.mesh'}")
+        assert len(np.unique(mesh.vertices)) == mesh.vertices.size
+    elif spec == "signed-zero":
+        mesh = _signed_zero_mesh()
+        assert np.signbit(mesh.vertices[mesh.vertices == 0.0]).any()
+    else:
+        mesh, _, _ = sushi.parse_mesh_spec(spec)
+    export_vtk(mesh, tmp_path / "chunked.vtk")
+    reference_export_vtk(mesh, tmp_path / "whole.vtk")
+    text = (tmp_path / "chunked.vtk").read_bytes()
+    assert text == (tmp_path / "whole.vtk").read_bytes()
+    if spec == "signed-zero":
+        assert b"-0.0 " in text and b"\n0.0 " in text
 
 
 def test_export_peak_memory_at_128x128(rng, tmp_path):
