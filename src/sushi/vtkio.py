@@ -37,7 +37,10 @@ def _point_rows(points: np.ndarray) -> str:
     """The rows of :func:`_xyz_rows` for the (n, 2) float array ``points``,
     each distinct coordinate formatted once: a mesh's vertices share their
     coordinates.  Coordinates are told apart by their bits, so -0.0 keeps
-    its own text."""
+    its own text.  Cell vectors keep :func:`_xyz_rows`: 92% of the values of
+    a rect:128x128 gradient are distinct, and there the sort makes a chunk
+    about 10% slower to format, while a chunk of its points formats about
+    3.5x faster (shared 2-vCPU Xeon)."""
     table, inverse = np.unique(points.view(np.int64), return_inverse=True)
     texts = [repr(x) for x in table.view(float).tolist()]
     return "\n".join([f"{texts[i]} {texts[j]} 0.0" for i, j in inverse.reshape(-1, 2).tolist()])

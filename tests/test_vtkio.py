@@ -47,13 +47,41 @@ def test_cells_block_matches_per_loop_formatting(spec, tmp_path):
     assert lines[start:end] == expected
 
 
+def _signed_zero_mesh():
+    """rect:3x2 with -0.0 for the 0.0 coordinates of some vertices."""
+    mesh, _, _ = sushi.parse_mesh_spec("rect:3x2")
+    vertices = mesh.vertices.copy()
+    vertices[::3][vertices[::3] == 0.0] = -0.0
+    return sushi.compute_geometry(vertices, mesh.loops()), None
+
+
+def _jittered_file_mesh(rng, tmp_path):
+    """rect:6x5 with jittered vertices, read back through ``file:``."""
+    mesh, _, _ = sushi.parse_mesh_spec("rect:6x5")
+    vertices = mesh.vertices + rng.uniform(-0.03, 0.03, mesh.vertices.shape)
+    write_mesh(sushi.compute_geometry(vertices, mesh.loops()), tmp_path / "jittered.mesh")
+    mesh, regions, _ = sushi.parse_mesh_spec(f"file:{tmp_path / 'jittered.mesh'}")
+    return mesh, regions
+
+
 @pytest.mark.parametrize("cell_data", [False, True], ids=["grid", "cell-data"])
-@pytest.mark.parametrize("spec", ["rect:70x70", "ncrect:16", "barrier:2"])
+@pytest.mark.parametrize("spec", ["rect:70x70", "ncrect:16", "barrier:2", "tri:4",
+                                  "jittered-file", "signed-zero"])
 def test_chunked_writer_matches_whole_block_writer(spec, cell_data, rng, tmp_path):
     # rect:70x70: 4,900 cells and 5,041 points, each one block and a part;
     # ncrect:16: exactly one block of cells (4,096) and 4,273 points;
-    # barrier:2: 1,000 cells, under one block, with integer region scalars
-    mesh, regions, _ = sushi.parse_mesh_spec(spec)
+    # barrier:2: 1,000 cells, under one block, with integer region scalars.
+    # POINTS formats each distinct coordinate of a chunk once, told apart by
+    # its bits: the jittered file mesh has no coordinate twice, and -0.0
+    # keeps its own text.
+    if spec == "jittered-file":
+        mesh, regions = _jittered_file_mesh(rng, tmp_path)
+        assert len(np.unique(mesh.vertices)) == mesh.vertices.size
+    elif spec == "signed-zero":
+        mesh, regions = _signed_zero_mesh()
+        assert np.signbit(mesh.vertices[mesh.vertices == 0.0]).any()
+    else:
+        mesh, regions, _ = sushi.parse_mesh_spec(spec)
     assert VTK_BLOCK == 4096
     scalars = vectors = None
     if cell_data:
@@ -63,39 +91,10 @@ def test_chunked_writer_matches_whole_block_writer(spec, cell_data, rng, tmp_pat
         vectors = {"grad_u": rng.standard_normal((mesh.n_cells, 2))}
     export_vtk(mesh, tmp_path / "chunked.vtk", scalars, vectors)
     reference_export_vtk(mesh, tmp_path / "whole.vtk", scalars, vectors)
-    assert (tmp_path / "chunked.vtk").read_bytes() == (tmp_path / "whole.vtk").read_bytes()
-
-
-def _signed_zero_mesh():
-    """rect:3x2 with -0.0 for the 0.0 coordinates of some vertices."""
-    mesh, _, _ = sushi.parse_mesh_spec("rect:3x2")
-    vertices = mesh.vertices.copy()
-    vertices[::3][vertices[::3] == 0.0] = -0.0
-    return sushi.compute_geometry(vertices, mesh.loops())
-
-
-@pytest.mark.parametrize("spec", ["rect:8x6", "tri:4", "ncrect:2", "barrier:2", "file",
-                                  "signed-zero"])
-def test_points_formatted_once_match_whole_block_writer(spec, rng, tmp_path):
-    # each distinct coordinate is formatted once, by its bits: the jittered
-    # file mesh has no coordinate twice, and -0.0 keeps its own text
-    if spec == "file":
-        mesh, _, _ = sushi.parse_mesh_spec("rect:6x5")
-        vertices = mesh.vertices + rng.uniform(-0.03, 0.03, mesh.vertices.shape)
-        write_mesh(sushi.compute_geometry(vertices, mesh.loops()), tmp_path / "jittered.mesh")
-        mesh, _, _ = sushi.parse_mesh_spec(f"file:{tmp_path / 'jittered.mesh'}")
-        assert len(np.unique(mesh.vertices)) == mesh.vertices.size
-    elif spec == "signed-zero":
-        mesh = _signed_zero_mesh()
-        assert np.signbit(mesh.vertices[mesh.vertices == 0.0]).any()
-    else:
-        mesh, _, _ = sushi.parse_mesh_spec(spec)
-    export_vtk(mesh, tmp_path / "chunked.vtk")
-    reference_export_vtk(mesh, tmp_path / "whole.vtk")
     text = (tmp_path / "chunked.vtk").read_bytes()
     assert text == (tmp_path / "whole.vtk").read_bytes()
     if spec == "signed-zero":
-        assert b"-0.0 " in text and b"\n0.0 " in text
+        assert b"\n-0.0 " in text and b"\n0.0 " in text
 
 
 def test_export_peak_memory_at_128x128(rng, tmp_path):
