@@ -23,8 +23,9 @@ from .geometry import theta_D, validate
 from .gradient import resolve_alpha
 from .postproc import convergence_order
 from .problems import BUILTIN_PROBLEMS, load_problem_descriptor
-from .run import MESH_GRAMMAR, parse_mesh_spec, solve_problem
+from .run import MESH_GRAMMAR, METHODS, parse_mesh_spec, solve_problem
 from .solver import DEFAULT_TOL
+from .spaces import POLICIES
 from .vtkio import export_csv, export_vtk
 
 
@@ -90,7 +91,7 @@ def cmd_solve(args) -> int:
     mesh, regions, label = parse_mesh_spec(args.mesh)
     result = solve_problem(
         problem, mesh, regions=regions, policy=args.policy, alpha=args.alpha,
-        tol=args.tol, method=args.method, with_fluxes=True,
+        tol=args.tol, method=args.method,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--problem", default="anisotropic-smooth",
                         help="builtin name or path to a JSON descriptor")
     common.add_argument("--policy", default="all-barycentric",
-                        choices=("all-hybrid", "all-barycentric", "discontinuity"),
+                        choices=POLICIES,
                         help="face partition policy")
     common.add_argument("--alpha", type=float, default=None,
                         help="stabilization coefficient (default sqrt(d))")
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", parents=[common], help="solve one run")
     p_solve.add_argument("--mesh", required=True, help=MESH_GRAMMAR)
-    p_solve.add_argument("--method", default="cg", choices=("cg", "dense"))
+    p_solve.add_argument("--method", default="cg", choices=METHODS)
     p_solve.set_defaults(func=cmd_solve)
 
     p_conv = sub.add_parser("convergence", parents=[common],

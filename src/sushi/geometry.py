@@ -392,9 +392,10 @@ def domain_measure(mesh: Mesh) -> float:
     Divergence theorem: |Omega| = (1/d) * sum over boundary faces of
     |sigma| * x_sigma . n_out, independent of the cell partition.
     """
-    bf = mesh.face_boundary
-    normal = mesh.cone_normal[mesh.face_cones[bf, 0]]
-    flux = mesh.face_measure[bf] * (mesh.face_centre[bf] * normal).sum(axis=1)
+    bf = np.flatnonzero(mesh.face_boundary)
+    c = np.take(mesh.face_centre, bf, axis=0)
+    n = np.take(mesh.cone_normal, np.take(mesh.face_cones[:, 0], bf), axis=0)
+    flux = np.take(mesh.face_measure, bf) * pair_sum(c[:, 0] * n[:, 0], c[:, 1] * n[:, 1])
     return float(flux.sum()) / mesh.dim
 
 
@@ -413,23 +414,26 @@ def validate(mesh: Mesh) -> ValidationReport:
     """
     d = mesh.dim
     ptr = mesh.cell_ptr
-    w = mesh.face_measure[mesh.cone_face]
+    w = np.take(mesh.face_measure, mesh.cone_face)
     wn = w[:, None] * mesh.cone_normal
-    rel = mesh.face_centre[mesh.cone_face] - mesh.cell_point[mesh.cone_cell]
+    rel = take_rows(mesh.face_centre, mesh.cone_face) - take_rows(mesh.cell_point, mesh.cone_cell)
     m = segment_sums(wn[:, :, None] * rel[:, None, :], ptr)
     meas = mesh.cell_measure
-    ident = np.abs(m - meas[:, None, None] * np.eye(d)).max(axis=(1, 2)) / meas
+    ident = np.maximum(np.maximum(np.abs(m[:, 0, 0] - meas), np.abs(m[:, 0, 1])),
+                       np.maximum(np.abs(m[:, 1, 0]), np.abs(m[:, 1, 1] - meas))) / meas
     cone = np.abs(segment_sums(w * mesh.cone_dist, ptr) - d * meas) / meas
-    closure = np.abs(segment_sums(wn, ptr)).max(axis=1) / segment_sums(w, ptr)
+    closed = np.abs(segment_sums(wn, ptr))
+    closure = np.maximum(closed[:, 0], closed[:, 1]) / segment_sums(w, ptr)
 
     cones = np.arange(mesh.n_cones)
-    unlisted = ~(mesh.face_cones[mesh.cone_face] == cones[:, None]).any(axis=1)
+    listed = np.take(mesh.face_cones, mesh.cone_face, axis=0)
+    unlisted = (listed[:, 0] != cones) & (listed[:, 1] != cones)
     topo = [f"face {mesh.cone_face[i]} does not list cell {mesh.cone_cell[i]}"
             for i in np.nonzero(unlisted)[0]]
     fc = np.maximum(mesh.face_cones, 0)
     wrong = (mesh.face_cones >= 0) & (
-        (mesh.cone_face[fc] != np.arange(mesh.n_faces)[:, None])
-        | (mesh.cone_cell[fc] != mesh.face_cells)
+        (np.take(mesh.cone_face, fc) != np.arange(mesh.n_faces)[:, None])
+        | (np.take(mesh.cone_cell, fc) != mesh.face_cells)
     )
     topo += [f"face {f} not listed by cell {mesh.face_cells[f, j]}"
              for f, j in zip(*np.nonzero(wrong))]
@@ -466,9 +470,9 @@ def theta_DB(mesh: Mesh, weights) -> float:
     if weights is None:
         raise MissingWeights("weights required for theta_DB")
     faces = np.repeat(np.arange(mesh.n_faces), np.diff(weights.ptr))
-    offset = mesh.cell_point[weights.points] - mesh.face_centre[faces]
-    spread = np.bincount(faces, weights=np.abs(weights.beta) * (offset ** 2).sum(axis=1),
-                         minlength=mesh.n_faces)
+    offset = take_rows(mesh.cell_point, weights.points) - take_rows(mesh.face_centre, faces)
+    square = pair_sum(offset[:, 0] ** 2, offset[:, 1] ** 2)
+    spread = np.bincount(faces, weights=np.abs(weights.beta) * square, minlength=mesh.n_faces)
     on = (np.diff(weights.ptr) > 0)[mesh.cone_face]
     ratio = spread[mesh.cone_face[on]] / mesh.cell_diameter[mesh.cone_cell[on]] ** 2
     return max(theta_D(mesh), float(np.max(ratio, initial=0.0)))

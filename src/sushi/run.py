@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import logging
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import LinearSystem, TensorField, assemble
-from .errors import NoValidCombination, UnclassifiedBoundaryFace
+from .errors import UnclassifiedBoundaryFace
 from .generators import gen_nonconforming_rect, gen_rect, gen_tilted_barrier, gen_tri
 from .geometry import Mesh
 from .gradient import GradientField, gradient_field
@@ -18,7 +18,6 @@ from .problems import ProblemSpec
 from .solver import DEFAULT_TOL, SolveReport, solve_cg, solve_dense
 from .spaces import (
     BARYCENTRIC,
-    HYBRID,
     BarycentricWeights,
     DiscreteFunction,
     EdgePartition,
@@ -27,8 +26,7 @@ from .spaces import (
     sample_field,
 )
 
-log = logging.getLogger(__name__)
-
+METHODS = ("cg", "dense")
 MESH_GRAMMAR = "rect:NxM | tri:N | ncrect:N | barrier:V[xK] | file:PATH"
 # generator and the accepted numbers of sizes of each kind
 _GENERATORS = {"rect": (gen_rect, (2,)), "tri": (gen_tri, (1,)),
@@ -78,33 +76,23 @@ def solve_problem(problem: ProblemSpec, mesh: Mesh,
                   policy: str = "all-barycentric",
                   alpha: float | None = None,
                   tol: float = DEFAULT_TOL,
-                  method: str = "cg",
-                  with_fluxes: bool = False) -> RunResult:
-    """Assemble, solve and post-process one problem/mesh/policy combination.
+                  method: str = "cg") -> RunResult:
+    """Run the stages of one problem/mesh/policy combination in order.
 
-    Errors are computed whenever the problem has an exact solution and
-    gradient.  With ``with_fluxes`` the per-side totals of the unit square
-    are computed; on a domain with other sides they are left out (``None``).
-    The stabilized gradient is evaluated once, after the solve, and shared
-    by the errors, the fluxes and the caller (``RunResult.gradient``).
-    Under ``discontinuity``, a barycentric face with no affine support of
-    cells keeps its own unknown: it is added to the hybrid set.
+    The partition is complete once :func:`compute_weights` returns.  Errors
+    are computed whenever the problem has an exact solution and gradient,
+    the per-side flux totals whenever the domain is the unit square (else
+    ``None``).  The stabilized gradient is evaluated once, after the solve,
+    and shared by the errors, the fluxes and the caller (``RunResult.gradient``).
     """
-    if method not in ("cg", "dense"):
-        raise ValueError(f"unknown method {method!r}; expected 'cg' or 'dense'")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected {' or '.join(map(repr, METHODS))}")
     if regions is None and problem.region is not None:
         regions = sample_field(problem.region, mesh.cell_point, "region").astype(int)
     partition = partition_faces(mesh, policy, regions)
     weights = None
     if np.any(partition.tags == BARYCENTRIC):
-        try:
-            weights = compute_weights(mesh, partition, regions)
-        except NoValidCombination as exc:
-            if policy != "discontinuity":
-                raise
-            log.debug("partition: %d faces without a cell support kept hybrid", len(exc.faces))
-            partition.tags[exc.faces] = HYBRID
-            weights = compute_weights(mesh, partition, regions)
+        weights = compute_weights(mesh, partition, regions)
     tensor = problem.make_tensor(mesh, regions)
     system = assemble(
         mesh, partition, weights, tensor,
@@ -124,9 +112,6 @@ def solve_problem(problem: ProblemSpec, mesh: Mesh,
     if problem.exact is not None and problem.exact_grad is not None:
         result.errors = error_norms(mesh, u, problem.exact, problem.exact_grad, alpha,
                                     result.gradient)
-    if with_fluxes:
-        try:
-            result.fluxes = boundary_flux_totals(mesh, tensor, u, alpha, result.gradient)
-        except UnclassifiedBoundaryFace:
-            pass
+    with suppress(UnclassifiedBoundaryFace):  # not the unit square: no per-side totals
+        result.fluxes = boundary_flux_totals(mesh, tensor, u, alpha, result.gradient)
     return result

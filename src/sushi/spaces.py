@@ -6,7 +6,8 @@ affine combination of nearby cell values).  The weights of a face sigma satisfy
 
     sum beta = 1   and   sum beta * x_K = x_sigma,
 
-so that affine fields are reproduced exactly.  A face without such cells stays in H.
+so that affine fields are reproduced exactly.  Under the ``discontinuity``
+policy a face without such cells stays in H (:func:`compute_weights`).
 
 The weights are found on coordinate arrays (:func:`compute_weights`): the
 face's two cells first, then the pairs and triples of nearby cells, with
@@ -390,13 +391,15 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
     (:func:`_best_supports`), which bounds the transient arrays to about
     1 MB.  Without a region map, any nearby cell point may enter a support.
     With one, supports are restricted to the region of the face's two
-    adjacent cells.  When some faces have no cell support,
-    ``NoValidCombination`` is raised once, after every block: its message
-    names the first such face and its ``faces`` lists them all.  The
-    entries of each block are then written into their rows of the table.  A
-    DEBUG line counts the natural pairs, the searched faces, the candidate
-    pairs solved out of all candidate pairs (the rest were set aside by
-    the cross-product margin) and the largest |beta|.
+    adjacent cells.  A face with no cell support keeps its own unknown under
+    ``discontinuity`` (the paper's remedy): it is retagged ``HYBRID`` in
+    ``partition.tags``, in place, with an empty row and a DEBUG count.
+    Under any other policy ``NoValidCombination`` is raised once, after
+    every block: its message names the first such face and its ``faces``
+    lists them all.  The entries of each block are then written into their
+    rows of the table.  A DEBUG line counts the natural pairs, the searched
+    faces, the candidate pairs solved out of all candidate pairs (the rest
+    were set aside by the cross-product margin) and the largest |beta|.
     """
     h = mesh.h
     bary = np.flatnonzero(partition.tags == BARYCENTRIC)
@@ -424,9 +427,12 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
             sizes[faces] = np.bincount(row, minlength=len(faces))
             unsupported += faces[~got].tolist()
             tested += pairs
-    if unsupported:
+    if unsupported and partition.policy != "discontinuity":
         raise NoValidCombination(f"face {unsupported[0]}: no affine support found",
                                  faces=unsupported)
+    if unsupported:
+        log.debug("partition: %d faces without a cell support kept hybrid", len(unsupported))
+        partition.tags[unsupported] = HYBRID
     del vertex_map
     # the entries of each face in its row of the table, in point id order;
     # each block is dropped once written, not held beside the whole table

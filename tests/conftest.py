@@ -151,11 +151,27 @@ def build_zigzag_three_row(columns=3):
     return mesh, np.array(regions)
 
 
+def write_thin_barrier_rows(path, columns=4):
+    """A unit-square mesh file of three one-cell-thick rows of quads, the
+    middle one holding the tilted barrier.  Under the barrier's region map
+    the internal faces of the outer rows have only their own two cells,
+    not collinear with the face centre, in their region."""
+    xs = np.linspace(0.0, 1.0, columns + 1)
+    mid = 0.5 + 0.2 * (xs - 0.5)
+    levels = np.stack([np.zeros_like(xs), mid - 0.02 + 0.006 * np.sin(7.0 * xs),
+                       mid + 0.02 + 0.006 * np.cos(5.0 * xs), np.ones_like(xs)], axis=1)
+    # vertex 4 i + j is level j at xs[i]
+    vertices = np.stack([np.repeat(xs, 4), levels.ravel()], axis=1)
+    loops = [[4 * i + j, 4 * i + j + 4, 4 * i + j + 5, 4 * i + j + 1]
+             for i in range(columns) for j in range(3)]
+    write_mesh(compute_geometry(vertices, loops), path)
+
+
 def zigzag_partition(columns):
     """The zigzag mesh, its region map and the partition ``solve_problem``
     solves it on under ``discontinuity``.  Each outer row is one cell thick,
     so its internal faces have only their two non-collinear cells in their
-    region: ``solve_problem`` makes those ``2 (columns - 1)`` faces hybrid."""
+    region: ``compute_weights`` makes those ``2 (columns - 1)`` faces hybrid."""
     mesh, regions = build_zigzag_three_row(columns)
     zero = problem_from_descriptor({"name": "zero", "tensor": {"constant": np.eye(2).tolist()}})
     return mesh, regions, solve_problem(zero, mesh, regions, "discontinuity").partition

@@ -130,7 +130,7 @@ def test_criterion_4_tilted_barrier():
         mesh, regions = sushi.gen_tilted_barrier(variant)
         for policy in ("all-hybrid", "discontinuity"):
             r = solve_problem(prob, mesh, regions=regions, policy=policy,
-                              method="dense", with_fluxes=True)
+                              method="dense")
             flux_err = max(abs(r.fluxes[s] - analytic[s]) for s in analytic)
             cell_err = max(
                 abs(r.solution[c.id] - barrier_exact(c.point, regions[c.id]))
@@ -144,7 +144,7 @@ def test_criterion_4_tilted_barrier():
     for variant in (1, 2, 3):
         mesh, regions = sushi.gen_tilted_barrier(variant)
         r = solve_problem(prob, mesh, regions=regions, policy="all-barycentric",
-                          method="dense", with_fluxes=True)
+                          method="dense")
         rel_errs[variant] = max(
             abs(r.fluxes[s] - analytic[s]) / abs(analytic[s]) for s in analytic
         )

@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 import sushi
-from conftest import system_from_dense
+from conftest import system_from_dense, write_thin_barrier_rows
 from sushi.cli import main
 from sushi.errors import (
     BreakdownNonSPD,
@@ -248,22 +248,6 @@ def test_malformed_mesh_spec_names_itself_exits_2(tmp_path, capsys, spec):
     assert "invalid literal" not in err
 
 
-def write_thin_barrier_rows(path, columns=4):
-    """A unit-square mesh file of three one-cell-thick rows of quads, the
-    middle one holding the tilted barrier.  Under the barrier's region map
-    the internal faces of the outer rows have only their own two cells,
-    not collinear with the face centre, in their region."""
-    xs = np.linspace(0.0, 1.0, columns + 1)
-    mid = 0.5 + 0.2 * (xs - 0.5)
-    levels = np.stack([np.zeros_like(xs), mid - 0.02 + 0.006 * np.sin(7.0 * xs),
-                       mid + 0.02 + 0.006 * np.cos(5.0 * xs), np.ones_like(xs)], axis=1)
-    # vertex 4 i + j is level j at xs[i]
-    vertices = np.stack([np.repeat(xs, 4), levels.ravel()], axis=1)
-    loops = [[4 * i + j, 4 * i + j + 4, 4 * i + j + 5, 4 * i + j + 1]
-             for i in range(columns) for j in range(3)]
-    write_mesh(compute_geometry(vertices, loops), path)
-
-
 def test_thin_layer_faces_stay_hybrid_or_exit_2(tmp_path, capsys):
     # discontinuity keeps the unsupported faces' own unknowns; all-barycentric
     # has no unknown to give them and rejects the mesh as input
@@ -470,6 +454,19 @@ def test_convergence_small_study(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "slope(eps_u)=" in out
     assert (tmp_path / "study.csv").exists()
+
+
+def test_convergence_study_writes_flux_columns(tmp_path):
+    # every run of the study computes the unit square's side totals; each
+    # side of the bubble under the anisotropic tensor carries -4 exactly
+    code = main(["convergence", "--family", "rect", "--levels", "4,8,16",
+                 "--policy", "all-hybrid", "--out", str(tmp_path)])
+    assert code == 0
+    rows = read_csv(tmp_path / "study.csv")
+    assert [row["mesh"] for row in rows] == ["rect:4", "rect:8", "rect:16"]
+    for column in ("flux_x0", "flux_x1", "flux_y0", "flux_y1"):
+        errors = [abs(float(row[column]) + 4.0) for row in rows]
+        assert sushi.convergence_order(zip((1 / 4, 1 / 8, 1 / 16), errors)) >= 1.8, column
 
 
 @pytest.mark.parametrize("args", [

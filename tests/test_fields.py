@@ -208,7 +208,7 @@ def test_each_field_is_called_once_per_point_set():
     for what in ("source", "dirichlet", "exact", "exact_grad"):
         setattr(prob, what, counted(what, getattr(prob, what)))
     mesh = sushi.gen_rect(6, 5)
-    solve_problem(prob, mesh, policy="all-barycentric", with_fluxes=True)
+    solve_problem(prob, mesh, policy="all-barycentric")
     # dirichlet: assembly and reconstruction; exact_grad: cell points and
     # cone centroids
     assert calls == {"source": 1, "dirichlet": 2, "exact": 1, "exact_grad": 2}

@@ -91,7 +91,7 @@ def test_refined_tilted_barrier_is_exact():
     assert peak - held < 4e6
 
     prob = problem_tilted_barrier()
-    result = solve_problem(prob, mesh, regions, "discontinuity", with_fluxes=True)
+    result = solve_problem(prob, mesh, regions, "discontinuity")
     assert result.system.n == 16_080
     assert result.report.iterations <= 30
     exact = barrier_exact(mesh.cell_point.T, regions)

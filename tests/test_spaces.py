@@ -203,20 +203,26 @@ AFFINE = problem_from_descriptor({"name": "affine",
 
 @pytest.mark.parametrize("columns", [2, 3, 4, 5])
 def test_discontinuity_keeps_unsupported_faces_hybrid(caplog, columns):
+    # the policy's own remedy: compute_weights completes the partition in
+    # place, with no error, and solve_problem solves on that partition
     mesh, regions = build_zigzag_three_row(columns)
     part = partition_faces(mesh, "discontinuity", regions)
-    with pytest.raises(NoValidCombination) as exc:
-        compute_weights(mesh, part, regions)
-    assert len(exc.value.faces) == 2 * (columns - 1)
-    with caplog.at_level(logging.DEBUG, logger="sushi.run"):
-        result = solve_problem(AFFINE, mesh, regions, "discontinuity")
-    hybrid = np.flatnonzero(result.partition.tags == HYBRID)
-    assert hybrid.tolist() == sorted(np.flatnonzero(part.tags == HYBRID).tolist()
-                                     + exc.value.faces)
+    bare = part.tags.copy()
+    expected = unsupported_one_by_one(mesh, part, regions)
+    assert len(expected) == 2 * (columns - 1)
+    with caplog.at_level(logging.DEBUG, logger="sushi.spaces"):
+        weights = compute_weights(mesh, part, regions)
+    assert np.flatnonzero(part.tags != bare).tolist() == expected
+    assert (part.tags[expected] == HYBRID).all()
+    assert not np.diff(weights.ptr)[expected].any()
+    check_weights(mesh, part, weights)
+    assert [r.getMessage() for r in caplog.records if r.name == "sushi.spaces"
+            and r.getMessage().startswith("partition:")] == \
+        [f"partition: {2 * (columns - 1)} faces without a cell support kept hybrid"]
+    result = solve_problem(AFFINE, mesh, regions, "discontinuity")
+    assert np.array_equal(result.partition.tags, part.tags)
     exact = AFFINE.exact(mesh.cell_point.T)
     assert np.abs(result.u.cell_values - exact).max() <= 1e-12
-    assert f"partition: {2 * (columns - 1)} faces without a cell support kept hybrid" \
-        in caplog.messages
 
 
 @pytest.mark.parametrize("spec", [*(f"rect:{n}x{n}" for n in (4, 8, 16, 32, 64)),
