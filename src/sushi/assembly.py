@@ -50,7 +50,7 @@ from .errors import (
     NonSymmetricTensor,
     SingularAfterElimination,
 )
-from .geometry import Mesh, segment_sums
+from .geometry import Mesh, segment_sums, take_rows
 from .gradient import _residuals, gradient_coefficients, resolve_alpha
 from .spaces import (
     BarycentricWeights,
@@ -74,11 +74,12 @@ ROW_BLOCK = 4096
 def _check_spd(mats) -> None:
     """Typed errors unless every 2x2 tensor of ``mats`` is SPD (and finite)."""
     mats = np.asarray(mats, dtype=float).reshape(-1, 2, 2)
-    finite = np.isfinite(mats).all(axis=(1, 2))
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d)
     if not finite.all():
         raise NonPositiveTensor(f"tensor not finite: {mats[~finite][0]}")
-    scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1e-300)
-    asym = np.abs(mats - mats.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12 * scale
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+    asym = np.abs(b - c) > 1e-12 * np.maximum(scale, 1e-300)
     if asym.any():
         raise NonSymmetricTensor(f"tensor not symmetric: {mats[asym][0]}")
     ev = np.linalg.eigvalsh(mats)
@@ -88,52 +89,44 @@ def _check_spd(mats) -> None:
 
 @dataclass
 class TensorField:
-    """Symmetric positive-definite diffusion tensor, sampled per cone.
+    """Symmetric positive-definite diffusion tensor, constant on each cone.
 
-    ``tensors`` is (1, 2, 2) for a constant tensor or (n_cells, 2, 2) for
-    one tensor per cell, exactly constant on each cell.  Otherwise ``func``
-    is a callable sampled at all cone centroids in one call, putting its
-    2x2 entries on the two leading axes.
+    ``tensors`` is one array of 2x2 tensors, checked SPD once, when the
+    field is built: (1, 2, 2) for a constant tensor, (n_cells, 2, 2) for
+    one tensor per cell, or (n_cones, 2, 2) for a callable sampled at the
+    cone centroids (:meth:`from_callable`).
     """
 
-    tensors: np.ndarray | None = None
-    func: object = None
+    tensors: np.ndarray
+
+    def __post_init__(self):
+        self.tensors = np.asarray(self.tensors, dtype=float)
+        _check_spd(self.tensors)
 
     @classmethod
     def from_constant(cls, mat) -> "TensorField":
-        return cls.from_per_cell(np.reshape(mat, (1, 2, 2)))
+        return cls(np.reshape(mat, (1, 2, 2)))
 
     @classmethod
     def from_per_cell(cls, tensors) -> "TensorField":
-        tensors = np.asarray(tensors, dtype=float)
-        _check_spd(tensors)
-        return cls(tensors=tensors)
+        return cls(tensors)
 
     @classmethod
-    def isotropic_by_region(cls, regions, values: dict) -> "TensorField":
-        distinct, which = np.unique(np.asarray(regions), return_inverse=True)
-        lam = np.array([values[int(r)] for r in distinct], dtype=float)[which.ravel()]
-        tensors = lam[:, None, None] * np.eye(2)[None, :, :]
-        return cls.from_per_cell(tensors)
-
-    @classmethod
-    def from_callable(cls, func) -> "TensorField":
-        return cls(func=func)
+    def from_callable(cls, func, mesh: Mesh) -> "TensorField":
+        """``func`` sampled once, at every cone centroid of ``mesh``."""
+        return cls(sample_field(func, mesh.cone_centroids(), "tensor", (2, 2)))
 
     def cone_tensors(self, mesh: Mesh, cones=slice(None)) -> np.ndarray:
-        """|D(K, s)| times the tensor sampled on the cones ``cones`` (an index
-        array or a slice; all by default), the 2 x 2 entries on two new last
-        axes.  A callable is called once, at the centroids of ``cones``."""
+        """|D(K, s)| times the tensor on the cones ``cones`` (an index array
+        or a slice; all by default), the 2 x 2 entries on two new last axes.
+        Rows are only gathered: broadcast, by cell or by cone."""
         measure = mesh.cone_measure[cones]
-        if self.tensors is None:
-            sampled = sample_field(self.func, mesh.cone_centroids(cones).reshape(-1, 2),
-                                   "tensor", (2, 2))
-            _check_spd(sampled)
-            sampled = sampled.reshape(measure.shape + (2, 2))
-        elif len(self.tensors) == 1:
+        if len(self.tensors) == 1:
             sampled = self.tensors
-        else:
+        elif len(self.tensors) == mesh.n_cells:
             sampled = np.take(self.tensors, mesh.cone_cell[cones], axis=0)
+        else:
+            sampled = take_rows(self.tensors, cones)
         out = np.empty(measure.shape + (2, 2))
         for d in range(2):
             for e in range(2):
@@ -153,11 +146,9 @@ def local_blocks(mesh: Mesh, tensor: TensorField, alpha: float | None = None):
     sums y_ij . (Lambda_i y_il) over the cones i and the components in
     ascending order, starting from zero: the order of the sparse product
     ``G^T (Lambda G)`` over the gradient operator ``G``, so both give the
-    same values bit for bit.  Symmetric: the block is 0.5 (A + A^T).  A
-    callable tensor is sampled once, at every cone centroid.
+    same values bit for bit.  Symmetric: the block is 0.5 (A + A^T).
     """
     a = resolve_alpha(alpha, mesh.dim)
-    sampled = tensor.cone_tensors(mesh) if tensor.func is not None else None
     ptr = mesh.cell_ptr
     dims = range(mesh.dim)
     for c0 in range(0, mesh.n_cells, LOCAL_BLOCK):
@@ -178,8 +169,7 @@ def local_blocks(mesh: Mesh, tensor: TensorField, alpha: float | None = None):
             normal = np.take(mesh.cone_normal, cones, axis=0)
             y = [g[None, :, :, e] + coef * normal[:, None, :, e] for e in dims]
             del g, coef, normal
-            lam = (tensor.cone_tensors(mesh, cones) if sampled is None
-                   else np.take(sampled, cones, axis=0))
+            lam = tensor.cone_tensors(mesh, cones)
             ly = [sum(lam[:, None, :, d, e] * y[e] for e in dims) for d in dims]
             del lam
             b = np.zeros((k, k, len(of_size)))
@@ -324,8 +314,9 @@ def assemble(mesh: Mesh, partition: EdgePartition,
     diag = np.zeros(n)
     data, indices, counts = [], [], []
     for rows, block in _row_blocks(transposed):
-        # Through CSC and back, so each row lists its columns in order.
-        part = (block @ product).tocsc().tocsr()
+        # Sorted in place, so each row lists its columns in order.
+        part = block @ product
+        part.sort_indices()
         row = np.repeat(np.arange(rows.start, rows.stop), np.diff(part.indptr))
         col, values = part.indices, part.data
         on = col == row

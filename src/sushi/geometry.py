@@ -309,13 +309,13 @@ def compute_geometry(
     del by_face, starts, counts, shared
     face_cells = np.where(face_cones >= 0, cone_cell[face_cones], -1)
 
-    face_centre = 0.5 * (np.take(vertices, face_vertices[:, 0], axis=0)
-                         + np.take(vertices, face_vertices[:, 1], axis=0))
     area, centroid, diam = np.empty(n_cells), np.empty((n_cells, 2)), np.empty(n_cells)
     length, normal, dist = np.empty(n_cones), np.empty((n_cones, 2)), np.empty(n_cones)
     # A cell that fails a check below gets meaningless values here, with no
-    # warning; the checks then raise in the order area, face, cell point.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # warning; the checks then raise in the order area, face, cell point, overflow.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        face_centre = 0.5 * (np.take(vertices, face_vertices[:, 0], axis=0)
+                             + np.take(vertices, face_vertices[:, 1], axis=0))
         for c0 in range(0, n_cells, GEOMETRY_BLOCK):
             cells = slice(c0, min(c0 + GEOMETRY_BLOCK, n_cells))
             cones = slice(cell_ptr[cells.start], cell_ptr[cells.stop])
@@ -361,8 +361,11 @@ def compute_geometry(
         )
     face_measure = length[face_first]
     # cone_measure = |sigma| d(K, sigma) / d, in place of the lengths.
-    length *= dist
+    with np.errstate(over="ignore"):
+        length *= dist
     length /= d
+    if not all(np.isfinite(v).all() for v in (face_centre, area, centroid, diam, normal, length)):
+        raise InvalidTopology("derived geometry is not finite: coordinates too large")
 
     return Mesh(
         dim=d,

@@ -50,6 +50,7 @@ class GradientField:
     """Piecewise-constant gradient: ``cones[i]`` is the gradient on cone i."""
 
     cones: np.ndarray  # (n_cones, d)
+    cells: np.ndarray  # (n_cells, d): the grad_K u it was built from
 
     def cell_average(self, mesh: Mesh) -> np.ndarray:
         """Cone-measure-weighted average per cell, for visualization."""
@@ -102,9 +103,10 @@ def gradient_field(mesh: Mesh, u: DiscreteFunction,
     ``u`` must carry materialized face values (barycentric faces already
     reconstructed; see :func:`sushi.postproc.reconstruct_faces`).
     """
-    grad = np.take(cell_gradients(mesh, u), mesh.cone_cell, axis=0)
+    cells = cell_gradients(mesh, u)
+    grad = np.take(cells, mesh.cone_cell, axis=0)
     residuals = _residuals(mesh, slice(None), cone_increments(mesh, u), grad,
                            resolve_alpha(alpha, mesh.dim))
     for k in range(2):
         grad[:, k] += residuals * mesh.cone_normal[:, k]
-    return GradientField(cones=grad)
+    return GradientField(cones=grad, cells=cells)

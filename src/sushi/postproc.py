@@ -27,7 +27,6 @@ from .errors import InsufficientLevels, InvalidSeries, UnclassifiedBoundaryFace
 from .geometry import Mesh, pair_sum, segment_sums
 from .gradient import (
     GradientField,
-    cell_gradients,
     cone_increments,
     gradient_coefficients,
     gradient_field,
@@ -159,12 +158,10 @@ def norm_1pm(mesh: Mesh, cell_values: np.ndarray, p: float = 2.0) -> float:
     return total ** (1.0 / p)
 
 
-def _cone_errors_sq(mesh: Mesh, u: DiscreteFunction, exact_grad,
-                    alpha: float | None, grad: GradientField | None = None) -> np.ndarray:
+def _cone_errors_sq(mesh: Mesh, grad: GradientField, exact_grad) -> np.ndarray:
     """Per cone: squared error of the stabilized gradient at the cone centroid.
     The difference and its square overwrite the sampled gradient."""
     diff = sample_field(exact_grad, mesh.cone_centroids(), "exact_grad", (2,))
-    grad = gradient_field(mesh, u, alpha) if grad is None else grad
     np.subtract(grad.cones, diff, out=diff)
     diff *= diff
     return diff[:, 0] + diff[:, 1]
@@ -176,23 +173,23 @@ def error_norms(mesh: Mesh, u: DiscreteFunction, exact, exact_grad,
     """Discrete L2 errors of cell values and of the discrete gradients.
 
     Cell values and the cell gradient are compared against the exact
-    fields at cell points; the stabilized per-cone gradient (``grad``, if
-    already evaluated) against the exact gradient at cone centroids.  Sums
-    use NumPy's own summation, not BLAS, so they do not depend on the BLAS
-    thread count.
+    fields at cell points; the stabilized per-cone gradient against the
+    exact gradient at cone centroids, both read from ``grad`` (evaluated if
+    not passed).  Sums use NumPy's own summation, not BLAS, so they do not
+    depend on the BLAS thread count.
     """
+    grad = gradient_field(mesh, u, alpha) if grad is None else grad
     meas = mesh.cell_measure
     ux = sample_field(exact, mesh.cell_point, "exact")
     gx = sample_field(exact_grad, mesh.cell_point, "exact_grad", (2,))
     err_u = float(np.sum(meas * (u.cell_values - ux) ** 2))
     ref_u = float(np.sum(meas * ux ** 2))
-    diff = cell_gradients(mesh, u) - gx
+    diff = grad.cells - gx
     diff *= diff
     err_g = float(np.sum(meas * (diff[:, 0] + diff[:, 1])))
     gx *= gx
     ref_g = float(np.sum(meas * (gx[:, 0] + gx[:, 1])))
-    err_stab = float(np.sum(mesh.cone_measure
-                            * _cone_errors_sq(mesh, u, exact_grad, alpha, grad)))
+    err_stab = float(np.sum(mesh.cone_measure * _cone_errors_sq(mesh, grad, exact_grad)))
     return ErrorReport(
         eps_u=math.sqrt(err_u),
         eps_grad=math.sqrt(err_g),

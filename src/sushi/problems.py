@@ -109,8 +109,8 @@ def problem_tilted_barrier() -> ProblemSpec:
     """
     return ProblemSpec(
         name="tilted-barrier",
-        make_tensor=lambda mesh, regions=None: TensorField.isotropic_by_region(
-            regions, {1: 1.0, 2: BARRIER_CONTRAST, 3: 1.0}
+        make_tensor=lambda mesh, regions=None: TensorField.from_per_cell(
+            np.where(np.asarray(regions) == 2, BARRIER_CONTRAST, 1.0)[:, None, None] * np.eye(2)
         ),
         source=None,
         dirichlet=barrier_exact,

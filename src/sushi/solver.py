@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import _row_blocks, _rows
-from .errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
+from .errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite, NumericalFailure
 
 log = logging.getLogger(__name__)
 
@@ -94,13 +94,19 @@ def _triangle_blocks(system):
         yield rows, upper + _rows(lower, rows) + diag
 
 
-def _require_finite(system, where: str) -> None:
-    """``BreakdownNonSPD`` unless every stored matrix entry and every
-    right-hand side entry of ``system`` is finite."""
+def _require_finite(system, where: str) -> float:
+    """||b||; ``BreakdownNonSPD`` unless every stored matrix and right-hand
+    side entry of ``system`` is finite, ``NumericalFailure`` if ||b|| overflows."""
     for name, values in (("matrix", system.upper.data), ("matrix", system.diag),
                          ("right-hand side", system.rhs)):
         if not np.isfinite(values).all():
             raise BreakdownNonSPD(f"{where}the {name} is not finite")
+    with np.errstate(over="ignore"):
+        bnorm = _norm(system.rhs)
+    if not math.isfinite(bnorm):
+        raise NumericalFailure(f"{where}the right-hand side norm overflows float64 "
+                               f"(largest entry {np.abs(system.rhs).max():.3e})")
+    return bnorm
 
 
 def _neighbour_max(ptr: np.ndarray, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -368,20 +374,20 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
     ``MaxIterations`` when it has not halved over ``STAGNATION_RESTARTS``
     consecutive restarts or after ``max_iters`` iterations (default
     ``10 n``).  Raises ``BreakdownNonSPD`` before any work on a matrix or
-    right-hand side entry that is not finite; in the multigrid setup on a
-    diagonal entry or coarsest pivot that is not positive; and on a
-    curvature p.Mp that is not positive.  Each signals a system that is not
-    finite or not SPD, from an assembly bug or a bad caller.
+    right-hand side entry that is not finite (``NumericalFailure`` if ||b||
+    overflows); in the multigrid setup on a diagonal entry or coarsest
+    pivot that is not positive; and on a curvature p.Mp that is not
+    positive.  Each signals a system that is not finite or not SPD, from an
+    assembly bug or a bad caller.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     t0 = time.perf_counter()
-    _require_finite(system, "CG stops at iteration 1: ")
+    bnorm = _require_finite(system, "CG stops at iteration 1: ")
     b = system.rhs
     n = system.n
     if max_iters is None:
         max_iters = 10 * n
-    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, time.perf_counter() - t0, "cg")
 
@@ -473,14 +479,14 @@ def _spd_factor(mat):
 def solve_dense(system) -> tuple[np.ndarray, SolveReport]:
     """Solve with the factor that certifies the system SPD, else
     ``NotPositiveDefinite``; reports the relative residual as ``solve_cg`` does.
-    A matrix or right-hand side entry that is not finite raises
-    ``BreakdownNonSPD`` before the factorization."""
+    A matrix or right-hand side entry that is not finite, or ||b|| overflowing,
+    raises as in ``solve_cg``, before the factorization."""
     t0 = time.perf_counter()
-    _require_finite(system, "the direct solve stops before factoring: ")
+    bnorm = _require_finite(system, "the direct solve stops before factoring: ")
     mat = system.full()
     lu = _spd_factor(mat)
     if lu is None:
         raise NotPositiveDefinite("the symmetric factorization found a non-positive pivot")
     x = lu.solve(system.rhs)
-    _, res = _residual(_row_blocks(mat), system.rhs, _norm(system.rhs) or 1.0, x)
+    _, res = _residual(_row_blocks(mat), system.rhs, bnorm or 1.0, x)
     return x, SolveReport(0, res, time.perf_counter() - t0, "dense-cholesky")

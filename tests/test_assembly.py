@@ -361,7 +361,7 @@ def test_smooth_tensor_sampled_at_cone_centroids():
         off = np.full_like(p[0], 0.2)
         return np.array([[1.0 + p[0], off], [off, 2.0 + p[1]]])
 
-    tensor = TensorField.from_callable(fn)
+    tensor = TensorField.from_callable(fn, mesh)
     part = partition_faces(mesh, "all-hybrid")
     system = assemble(mesh, part, None, tensor)
     assert np.linalg.eigvalsh(system.full().toarray()).min() > 0.0

@@ -209,7 +209,7 @@ def test_assemble_equals_whole_product_reference(spec, policy, rng):
     if (spec, policy) in SEVERAL_BLOCKS:
         assert mesh.n_cells > max(LOCAL_BLOCK, ROW_BLOCK)
     for tensor in (prob.make_tensor(mesh, regions), anisotropic_per_cell(mesh, rng),
-                   TensorField.from_callable(smooth_tensor)):
+                   TensorField.from_callable(smooth_tensor, mesh)):
         system = assemble(mesh, part, weights, tensor, source=prob.source,
                           dirichlet=prob.dirichlet)
         upper, diag, rhs, nm = reference_assemble(mesh, part, weights, tensor,

@@ -17,6 +17,7 @@ from sushi.errors import (
     BreakdownNonSPD,
     MaxIterations,
     NotPositiveDefinite,
+    NumericalFailure,
     SingularAfterElimination,
     SushiError,
 )
@@ -140,23 +141,25 @@ def test_solve_builds_each_operator_once(tmp_path, monkeypatch, mesh, policy):
 
 
 def test_solve_evaluates_the_gradient_once(tmp_path, monkeypatch):
-    # The VTK cell averages, the gradient error and the boundary fluxes share
-    # one stabilized gradient, evaluated after the solve.
+    # The VTK cell averages, the gradient errors and the boundary fluxes share
+    # one stabilized gradient, evaluated after the solve, and the cell
+    # gradients it was built from.
     calls = []
-    gradient_field = sushi.gradient.gradient_field
+    for name in ("gradient_field", "cell_gradients"):
+        original = getattr(sushi.gradient, name)
 
-    def spy(*args, **kwargs):
-        calls.append(args[0].n_cones)
-        return gradient_field(*args, **kwargs)
+        def spy(*args, name=name, original=original, **kwargs):
+            calls.append((name, args[0].n_cones))
+            return original(*args, **kwargs)
 
-    for module in list(sys.modules.values()):
-        if (module.__name__.startswith("sushi")
-                and getattr(module, "gradient_field", None) is gradient_field):
-            monkeypatch.setattr(module, "gradient_field", spy)
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("sushi")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, spy)
     assert main(["solve", "--mesh", "rect:8x8", "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert "errors" in manifest and "boundary_flux" in manifest
-    assert calls == [256]
+    assert calls == [("gradient_field", 256), ("cell_gradients", 256)]
 
 
 def test_solve_barrier_prints_fluxes(tmp_path, capsys):
@@ -374,6 +377,51 @@ def test_solve_unreachable_tol_exits_1(tmp_path, capsys):
                  "--tol", "1e-16", "--out", str(tmp_path)])
     assert code == 1
     assert "CG stagnated" in capsys.readouterr().err
+
+
+def write_scaled_rect(path, scale):
+    """rect:4x4 with its vertices scaled by ``scale``, as a ``file:`` mesh."""
+    base = sushi.gen_rect(4, 4)
+    lines = ["dim 2", f"vertices {len(base.vertices)}",
+             *(f"{x!r} {y!r}" for x, y in (base.vertices * scale).tolist()),
+             f"cells {base.n_cells}", *(" ".join(map(str, loop)) for loop in base.loops())]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("method", ["cg", "dense"])
+@pytest.mark.parametrize("scale,code,message", [
+    (1e50, 1, "the right-hand side norm overflows float64 (largest entry 6.88"),
+    (1e150, 2, "derived geometry is not finite"),
+], ids=["rhs-norm-1e50", "geometry-1e150"])
+def test_coordinates_that_overflow_float64_exit_typed_without_artifacts(
+        tmp_path, capsys, scale, code, message, method):
+    # At 1e50 every entry of K and b is finite and K is SPD, but ||b||
+    # overflows; at 1e150 the cell centroids overflow as the mesh is read.
+    path = tmp_path / "scaled.mesh"
+    write_scaled_rect(path, scale)
+    out = tmp_path / "out"
+    assert main(["solve", "--mesh", f"file:{path}", "--method", method,
+                 "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_overflowing_right_hand_side_norm_is_not_blamed_on_the_matrix(tmp_path):
+    path = tmp_path / "scaled.mesh"
+    write_scaled_rect(path, 1e50)
+    mesh, _, _ = sushi.parse_mesh_spec(f"file:{path}")
+    prob = sushi.problems.problem_anisotropic_smooth()
+    part = sushi.spaces.partition_faces(mesh, "all-barycentric")
+    system = sushi.assembly.assemble(mesh, part, sushi.spaces.compute_weights(mesh, part),
+                                     prob.make_tensor(mesh, None), source=prob.source,
+                                     dirichlet=prob.dirichlet)
+    full = system.full().toarray()
+    assert np.abs(full).max() <= 12.0 and np.isfinite(system.rhs).all()
+    assert np.linalg.eigvalsh(full).min() > 0.0
+    for solve in (sushi.solver.solve_cg, sushi.solver.solve_dense):
+        with pytest.raises(NumericalFailure) as info:
+            solve(system)
+        assert not isinstance(info.value, BreakdownNonSPD)
 
 
 def test_solve_default_tol_stops_on_extended_precision_residual(tmp_path):

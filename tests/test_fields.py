@@ -168,8 +168,7 @@ def _wrong_shape_call(case):
         "dirichlet": ("dirichlet", "(12,)",
                       lambda: assemble(mesh, part, None, ident, dirichlet=lambda p: np.ones(3))),
         "tensor": ("tensor", f"(2, 2, {mesh.n_cones})",
-                   lambda: assemble(mesh, part, None,
-                                    TensorField.from_callable(lambda p: np.eye(2)))),
+                   lambda: TensorField.from_callable(lambda p: np.eye(2), mesh)),
         "exact_grad-cells": ("exact_grad", f"(2, {mesh.n_cells})",
                              lambda: error_norms(mesh, u, lambda p: p[0], vector)),
     }[case]
@@ -190,9 +189,8 @@ def test_non_finite_field_value_names_field(value):
     prob.source = lambda p: np.where(p[0] > 0.5, value, 1.0)
     with pytest.raises(ValueError, match="field 'source' returned a non-finite value"):
         solve_problem(prob, mesh)
-    tensor = TensorField.from_callable(lambda p: np.full((2, 2, 1), value))
     with pytest.raises(ValueError, match="field 'tensor' returned a non-finite value"):
-        assemble(mesh, partition_faces(mesh, "all-hybrid"), None, tensor)
+        TensorField.from_callable(lambda p: np.full((2, 2, 1), value), mesh)
 
 
 def test_each_field_is_called_once_per_point_set():
@@ -207,8 +205,10 @@ def test_each_field_is_called_once_per_point_set():
     prob = BUILTIN_PROBLEMS["anisotropic-smooth"]()
     for what in ("source", "dirichlet", "exact", "exact_grad"):
         setattr(prob, what, counted(what, getattr(prob, what)))
+    tensor = counted("tensor", lambda p: np.array([[1.5, 0.5], [0.5, 1.5]])[:, :, None])
+    prob.make_tensor = lambda mesh, regions=None: TensorField.from_callable(tensor, mesh)
     mesh = sushi.gen_rect(6, 5)
     solve_problem(prob, mesh, policy="all-barycentric")
     # dirichlet: assembly and reconstruction; exact_grad: cell points and
-    # cone centroids
-    assert calls == {"source": 1, "dirichlet": 2, "exact": 1, "exact_grad": 2}
+    # cone centroids; the tensor: once, at the cone centroids
+    assert calls == {"source": 1, "dirichlet": 2, "exact": 1, "exact_grad": 2, "tensor": 1}

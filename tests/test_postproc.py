@@ -141,7 +141,7 @@ def test_boundary_flux_totals_sum_the_cone_fluxes_of_all_cells(spec, policy, ten
     mesh, regions, _ = sushi.parse_mesh_spec(spec)
     prob = problem_tilted_barrier() if regions is not None else problem_anisotropic_smooth()
     result = solve_problem(prob, mesh, regions=regions, policy=policy)
-    field = result.tensor if tensor is None else TensorField.from_callable(smooth_tensor)
+    field = result.tensor if tensor is None else TensorField.from_callable(smooth_tensor, mesh)
     boundary = np.flatnonzero(mesh.face_boundary)
     outflow = cone_fluxes(mesh, field, result.u)[mesh.face_cones[boundary, 0]]
     centre = mesh.face_centre[boundary]
