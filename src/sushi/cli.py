@@ -3,7 +3,7 @@
 Subcommands: ``solve`` (one run, writes VTK/CSV/manifest), ``convergence``
 (refinement study with fitted orders) and ``mesh-check`` (geometry
 identities and regularity).  Exit codes: 0 success, 1 numerical failure
-(``NumericalFailure``), 2 input error.
+(``NumericalFailure``) or out of memory (``OutOfMemory``), 2 input error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InsufficientLevels, NumericalFailure, SushiError
+from .errors import InsufficientLevels, NumericalFailure, OutOfMemory, SushiError
 from .generators import gen_nonconforming_rect, gen_rect, gen_tri
 from .geometry import theta_D, validate
 from .gradient import resolve_alpha
@@ -86,21 +86,40 @@ def _csv_row(label: str, result) -> dict:
     return row
 
 
+def _require_finite_outputs(result, **values) -> None:
+    """``NumericalFailure`` naming the first value to be written that is not
+    finite: ``values``, then the residual, the error norms and the flux
+    totals of ``result``.  Strict JSON has no NaN or Infinity, and the VTK
+    and CSV files are written before the manifest, so the check comes
+    before all of them."""
+    values["relative_residual"] = result.report.relative_residual
+    if result.errors is not None:
+        values.update(dataclasses.asdict(result.errors))
+    if result.fluxes is not None:
+        values.update((f"boundary flux {side}", total) for side, total in result.fluxes.items())
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise NumericalFailure(f"{name} is not finite: the run's values exceed float64 "
+                                   "(no artifact written)")
+
+
 def cmd_solve(args) -> int:
     problem = _load_problem(args)
     mesh, regions, label = parse_mesh_spec(args.mesh)
-    result = solve_problem(
-        problem, mesh, regions=regions, policy=args.policy, alpha=args.alpha,
-        tol=args.tol, method=args.method,
-    )
+    with np.errstate(over="ignore"):  # reported by _require_finite_outputs
+        result = solve_problem(
+            problem, mesh, regions=regions, policy=args.policy, alpha=args.alpha,
+            tol=args.tol, method=args.method,
+        )
+        gradient = result.gradient.cell_average(mesh)
+    _require_finite_outputs(result, u=result.u.cell_values, gradient=gradient)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scalars = {"u": result.u.cell_values}
     if result.regions is not None:
         scalars["region"] = np.asarray(result.regions, dtype=int)
     export_vtk(mesh, out / "solution.vtk", cell_scalars=scalars,
-               cell_vectors={"gradient": result.gradient.cell_average(mesh)},
-               title=f"{args.problem} on {label}")
+               cell_vectors={"gradient": gradient}, title=f"{args.problem} on {label}")
     export_csv([_csv_row(label, result)], out / "report.csv")
     (out / "manifest.json").write_text(
         json.dumps(_manifest(args, result, label), indent=2, sort_keys=True) + "\n",
@@ -155,8 +174,10 @@ def cmd_convergence(args) -> int:
     rows, hs, eus, egs = [], [], [], []
     for n in levels:
         mesh = family(n)
-        result = solve_problem(problem, mesh, policy=args.policy,
-                               alpha=args.alpha, tol=args.tol)
+        with np.errstate(over="ignore"):  # reported by _require_finite_outputs
+            result = solve_problem(problem, mesh, policy=args.policy,
+                                   alpha=args.alpha, tol=args.tol)
+        _require_finite_outputs(result)
         hs.append(mesh.h)
         eus.append(result.errors.eps_u)
         egs.append(result.errors.eps_grad)
@@ -239,9 +260,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except MemoryError as exc:
+        error = OutOfMemory(f"out of memory: {exc}" if str(exc) else "out of memory")
     except (OSError, ValueError, SushiError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, NumericalFailure) else 2
+        error = exc
+    print(f"error: {error}", file=sys.stderr)
+    return 1 if isinstance(error, (NumericalFailure, OutOfMemory)) else 2
 
 
 if __name__ == "__main__":

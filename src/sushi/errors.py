@@ -59,6 +59,11 @@ class NumericalFailure(SushiError):
     """The numerics failed on a well-formed input; ``sushi`` exits 1, not 2."""
 
 
+class OutOfMemory(SushiError):
+    """The run needed more memory than the process could allocate; ``sushi``
+    maps a ``MemoryError`` to it and exits 1."""
+
+
 class SingularAfterElimination(NumericalFailure):
     """Elimination of face values produced a zero diagonal entry."""
 

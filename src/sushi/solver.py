@@ -4,14 +4,17 @@ multigrid, plus a certified direct solve.
 Where the cell block of a multigrid-sized system is diagonal (every face a
 hybrid unknown), CG eliminates the cells exactly and iterates on the face
 Schur complement; its stopping test and reported residual stay on the full
-system.  That residual is evaluated in ``np.longdouble`` from the float64
-matrix, a block of rows at a time: no extended-precision copy of the
-matrix is kept (Demmel et al., ACM TOMS 32, 2006).  On the eliminated path
-the full matrix is never built: the elimination reads K_CF and K_FF from
-the stored upper triangle and the diagonal, and the residual's row blocks
-are summed from the triangle, its transpose and the diagonal, with the
-entries and the column order of ``LinearSystem.full()``, so every value
-is the same bit for bit."""
+system.  On that path the full matrix is never built: the elimination
+reads K_CF and K_FF from the stored upper triangle and the diagonal.
+
+Both solvers certify x by one residual, ``_residual``, evaluated in
+``np.longdouble`` from the float64 triangle and diagonal, a block of rows
+at a time: no extended-precision or transposed copy of the matrix is kept
+(Demmel et al., ACM TOMS 32, 2006).  It calls scipy's CSC and CSR
+matrix-vector kernels directly because they add into their output, which
+``@`` does not: so each row sums over the lower entries, the diagonal and
+the upper entries in the order of ``LinearSystem.full()``, and every value
+is the one a product with all of ``full()`` gives, bit for bit."""
 
 from __future__ import annotations
 
@@ -23,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
-from .assembly import _row_blocks, _rows
+from .assembly import _row_blocks
 from .errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite, NumericalFailure
 
 log = logging.getLogger(__name__)
@@ -64,34 +68,30 @@ def _norm(a: np.ndarray, out: np.ndarray | None = None) -> float:
     return math.sqrt(_dot(a, a, out))
 
 
-def _residual(blocks, b: np.ndarray, bnorm: float,
-              x: np.ndarray) -> tuple[np.ndarray, float]:
-    """b - Mx and ||b - Mx|| / ``bnorm``, evaluated in ``np.longdouble``: the
-    module's one residual, clear of float64 rounding noise at 1e-12.
+def _residual(system, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """b - Kx and ||b - Kx|| / ||b|| for K = ``system.full()``, evaluated in
+    ``np.longdouble``: the module's one residual, clear of float64 rounding
+    noise at 1e-12.
 
-    ``blocks`` yields ``(rows, block)``, the rows of M ``ROW_BLOCK`` at a
-    time (``_row_blocks`` or ``_triangle_blocks``); only one block at a time
-    is held in extended precision (16 bytes per stored entry).  Each row
-    sums in its stored order, as a product with all of M in
-    ``np.longdouble`` would, so r is the same bit for bit."""
-    r = np.empty(len(b), dtype=np.longdouble)
-    x = x.astype(np.longdouble)  # once, not once per block by the product
-    for rows, block in blocks:
-        r[rows] = b[rows].astype(np.longdouble) - block.astype(np.longdouble) @ x
-    return r, _norm(r) / bnorm
-
-
-def _triangle_blocks(system):
-    """``(rows, block)``: the rows of ``system.full()``, ``ROW_BLOCK`` at a
-    time, without the whole matrix.  Each block is summed from the rows of
-    the stored upper triangle, of its transpose and of the diagonal as
-    ``full()`` sums the whole matrices, so its rows store the same entries
-    in the same ascending column order, exact zeros dropped."""
-    lower = system.upper.T.tocsr()
-    for rows, upper in _row_blocks(system.upper):
-        at = np.arange(rows.start, rows.stop + 1)
-        diag = sp.csr_matrix((system.diag[rows], at[:-1], at - rows.start), shape=upper.shape)
-        yield rows, upper + _rows(lower, rows) + diag
+    Each row sums from 0.0 over K's row in its stored order, as a product
+    with all of K in ``np.longdouble`` would, so r is the same bit for bit.
+    ``ROW_BLOCK`` stored rows of the triangle at a time, the column-oriented
+    kernel adds their entries to the rows below them (each row's lower
+    entries arrive by ascending column), then d x is added, then the
+    row-oriented kernel adds the upper entries.  The stored zeros that
+    ``full()`` drops add 0 and change no sum.  Only one block of the
+    triangle is held in extended precision (16 bytes per stored entry)."""
+    bnorm = _norm(system.rhs) or 1.0
+    n = system.n
+    xl = x.astype(np.longdouble)
+    r = np.zeros(n, dtype=np.longdouble)  # Kx, then b - Kx a block of rows at a time
+    for rows, block in _row_blocks(system.upper):
+        data, m = block.data.astype(np.longdouble), rows.stop - rows.start
+        _sparsetools.csc_matvec(n, m, block.indptr, block.indices, data, xl[rows], r)
+        r[rows] += system.diag[rows] * xl[rows]
+        _sparsetools.csr_matvec(m, n, block.indptr, block.indices, data, xl, r[rows])
+        np.subtract(system.rhs[rows], r[rows], out=r[rows])
+    return r, _norm(r, xl) / bnorm
 
 
 def _require_finite(system, where: str) -> float:
@@ -394,12 +394,10 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
     elim = _cell_elimination(system) if n >= AMG_MIN_N else None
     if elim is None:
         cg_mat = system.full()
-        blocks = functools.partial(_row_blocks, cg_mat)
         precond = (functools.partial(np.multiply, 1.0 / system.diag) if n < AMG_MIN_N
                    else _smoothed_aggregation(cg_mat, system.diag))
     else:
         cg_mat = elim.schur
-        blocks = functools.partial(_triangle_blocks, system)
         precond = _smoothed_aggregation(cg_mat, cg_mat.diagonal())
     x = np.zeros(n)
     r = b.copy()
@@ -436,7 +434,8 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
             rz = rz_new
         if elim is not None:
             elim.back_substitute(x, e, r)
-        r_ext, res = _residual(blocks(), b, bnorm, x)
+        z = p = ap = e = s = r = None  # freed for the residual; a restart rebuilds them
+        r_ext, res = _residual(system, x)
         if res <= tol:
             break
         if iterations >= max_iters:
@@ -482,11 +481,10 @@ def solve_dense(system) -> tuple[np.ndarray, SolveReport]:
     A matrix or right-hand side entry that is not finite, or ||b|| overflowing,
     raises as in ``solve_cg``, before the factorization."""
     t0 = time.perf_counter()
-    bnorm = _require_finite(system, "the direct solve stops before factoring: ")
-    mat = system.full()
-    lu = _spd_factor(mat)
+    _require_finite(system, "the direct solve stops before factoring: ")
+    lu = _spd_factor(system.full())
     if lu is None:
         raise NotPositiveDefinite("the symmetric factorization found a non-positive pivot")
     x = lu.solve(system.rhs)
-    _, res = _residual(_row_blocks(mat), system.rhs, bnorm or 1.0, x)
+    _, res = _residual(system, x)
     return x, SolveReport(0, res, time.perf_counter() - t0, "dense-cholesky")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from sushi.errors import (
     MaxIterations,
     NotPositiveDefinite,
     NumericalFailure,
+    OutOfMemory,
     SingularAfterElimination,
     SushiError,
 )
@@ -292,7 +294,7 @@ def test_malformed_check_pairs_name_themselves_exits_2(tmp_path, capsys, check, 
 
 @pytest.mark.parametrize("error,code", [
     (MaxIterations, 1), (BreakdownNonSPD, 1), (NotPositiveDefinite, 1),
-    (SingularAfterElimination, 1), (SushiError, 2),
+    (SingularAfterElimination, 1), (OutOfMemory, 1), (SushiError, 2),
 ])
 def test_exit_code_follows_error_class(tmp_path, capsys, monkeypatch, error, code):
     def fail(*args, **kwargs):
@@ -392,17 +394,62 @@ def write_scaled_rect(path, scale):
 @pytest.mark.parametrize("scale,code,message", [
     (1e50, 1, "the right-hand side norm overflows float64 (largest entry 6.88"),
     (1e150, 2, "derived geometry is not finite"),
-], ids=["rhs-norm-1e50", "geometry-1e150"])
+    (1e35, 1, "eps_u is not finite"),
+], ids=["rhs-norm-1e50", "geometry-1e150", "error-norms-1e35"])
 def test_coordinates_that_overflow_float64_exit_typed_without_artifacts(
         tmp_path, capsys, scale, code, message, method):
     # At 1e50 every entry of K and b is finite and K is SPD, but ||b||
     # overflows; at 1e150 the cell centroids overflow as the mesh is read.
+    # At 1e35 the system solves, but the error norms, which weigh squared
+    # errors by cell areas of 1e70, overflow: once written to manifest.json
+    # as Infinity and NaN, which strict JSON parsers reject.  No overflow
+    # warning escapes either, as warnings are errors here.
     path = tmp_path / "scaled.mesh"
     write_scaled_rect(path, scale)
     out = tmp_path / "out"
     assert main(["solve", "--mesh", f"file:{path}", "--method", method,
                  "--out", str(out)]) == code
     assert message in capsys.readouterr().err
+    assert not [f for f in ("manifest.json", "report.csv", "solution.vtk") if (out / f).exists()]
+
+
+def test_convergence_refuses_a_value_that_is_not_finite(tmp_path, capsys, monkeypatch):
+    error_norms = sushi.run.error_norms
+    monkeypatch.setattr("sushi.run.error_norms", lambda *args: dataclasses.replace(
+        error_norms(*args), eps_grad=math.inf))
+    code = main(["convergence", "--family", "rect", "--levels", "2,4,8",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: eps_grad is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "study.csv").exists()
+
+
+# Runs in a child that limits its own address space to what it holds after
+# the imports plus 128 MB, so the mesh's first large array (512 MiB) cannot
+# be allocated: nothing close to the machine's memory is touched.
+OUT_OF_MEMORY_CHILD = """
+import os, resource, sys
+from sushi.cli import main
+with open("/proc/self/statm") as fh:
+    held = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+resource.setrlimit(resource.RLIMIT_AS, (held + 2 ** 27, held + 2 ** 27))
+sys.exit(main(["solve", "--mesh", "rect:8192x8192", "--out", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+def test_memory_error_is_a_typed_failure_without_traceback_or_artifact(tmp_path):
+    pytest.importorskip("resource")
+    src = str(Path(sushi.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY_CHILD, str(out)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert not (out / "manifest.json").exists()
 
 

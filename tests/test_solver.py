@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 import warnings
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 import sushi
 from conftest import system_from_dense, traced_peak
 from oracles import spd_certificate
-from sushi.assembly import ROW_BLOCK, LinearSystem, _row_blocks, assemble
+from sushi.assembly import ROW_BLOCK, LinearSystem, assemble
 from sushi.errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
 from sushi.problems import problem_anisotropic_smooth, problem_tilted_barrier
 from sushi.solver import (
@@ -19,7 +20,6 @@ from sushi.solver import (
     _norm,
     _residual,
     _smoothed_aggregation,
-    _triangle_blocks,
     solve_cg,
     solve_dense,
 )
@@ -429,11 +429,11 @@ def reference_residual(mat, b, bnorm, x):
     return r, _norm(r) / bnorm
 
 
-def assert_same_residual(mat, b, x, blocks=None) -> float:
-    """``_residual`` over ``blocks``, by default the rows of ``mat``, equals
-    the reference on ``mat`` bit for bit; returns the relative residual."""
-    r, res = _residual(_row_blocks(mat) if blocks is None else blocks, b, _norm(b), x)
-    ref_r, ref_res = reference_residual(mat, b, _norm(b), x)
+def assert_same_residual(system, x) -> float:
+    """``_residual``, read from the stored triangle, equals the reference on
+    ``system.full()`` bit for bit; returns the relative residual."""
+    r, res = _residual(system, x)
+    ref_r, ref_res = reference_residual(system.full(), system.rhs, _norm(system.rhs), x)
     assert r.dtype == np.longdouble
     assert np.array_equal(r, ref_r)
     assert res == ref_res
@@ -443,17 +443,22 @@ def assert_same_residual(mat, b, x, blocks=None) -> float:
 def test_blocked_residual_is_the_extended_product_over_several_blocks(rng):
     system = hybrid_rect_system(64)
     assert system.n == 12_160 > 2 * ROW_BLOCK
-    mat = system.full()
     x, _ = solve_cg(system)
     for point in (x, rng.standard_normal(system.n), np.zeros(system.n)):
-        assert_same_residual(mat, system.rhs, point, _triangle_blocks(system))
+        assert_same_residual(system, point)
 
 
-@pytest.mark.parametrize("spec", ELIMINATED[2:])
-def test_triangle_residual_is_the_extended_product_of_the_full_matrix(spec, rng):
-    system = hybrid_system(spec)
-    assert_same_residual(system.full(), system.rhs, rng.standard_normal(system.n),
-                         _triangle_blocks(system))
+# every all-hybrid system CG eliminates, and two multigrid-sized systems it
+# does not
+RESIDUAL_SYSTEMS = {**{spec: functools.partial(hybrid_system, spec) for spec in ELIMINATED},
+                    "rect:128x128 all-barycentric": lambda: cellcentred_rect_system(128),
+                    "barrier:2x4 discontinuity": lambda: barrier_system("barrier:2x4")}
+
+
+@pytest.mark.parametrize("build", RESIDUAL_SYSTEMS.values(), ids=RESIDUAL_SYSTEMS.keys())
+def test_triangle_residual_is_the_extended_product_of_the_full_matrix(build, rng):
+    system = build()
+    assert_same_residual(system, rng.standard_normal(system.n))
 
 
 def test_blocked_residual_keeps_the_dense_report_on_barrier():
@@ -463,7 +468,7 @@ def test_blocked_residual_keeps_the_dense_report_on_barrier():
     result = sushi.solve_problem(problem_tilted_barrier(), mesh, regions,
                                  policy="discontinuity", method="dense")
     system = result.system
-    res = assert_same_residual(system.full(), system.rhs, result.solution)
+    res = assert_same_residual(system, result.solution)
     assert result.report.relative_residual == res
 
 
@@ -474,8 +479,8 @@ def test_blocked_residual_keeps_the_iterates_through_a_restart(monkeypatch):
     # CG eliminates the cells here, and its residual reads the stored
     # triangle; the reference is the product with all of system.full()
     mat = system.full()
-    monkeypatch.setattr("sushi.solver._residual",
-                        lambda blocks, b, bnorm, x: reference_residual(mat, b, bnorm, x))
+    monkeypatch.setattr("sushi.solver._residual", lambda sys_, x: reference_residual(
+        mat, sys_.rhs, _norm(sys_.rhs), x))
     ref_x, ref_report = solve_cg(system)
     assert np.array_equal(x, ref_x)
     assert report.iterations == ref_report.iterations
@@ -487,12 +492,21 @@ def test_cg_peak_memory_at_128x128():
     # A longdouble copy of K held for the whole solve peaked at 28.1 MB here,
     # and the residual by ROW_BLOCK rows at a time at 19.7 MB, set by the
     # slices of system.full() and the untrimmed sums of the elimination.
-    # Read from the stored triangle: 15.1 MB, set by the residual, whose
-    # blocks are summed from the triangle and its transpose.  The
-    # elimination alone peaks at 12.3 MB; 15.0 MB with untrimmed sums.
+    # Read from the stored triangle, its transpose and two sparse sums per
+    # block: 15.1 MB, set by the residual.  With the residual's kernels
+    # adding into one vector, and CG's own vectors dropped before it, the
+    # elimination sets the peak: 12.3 MB alone, 15.0 MB with untrimmed sums.
     system = hybrid_rect_system(128)
-    assert traced_peak(lambda: solve_cg(system)) <= 17e6
+    assert traced_peak(lambda: solve_cg(system)) <= 13e6
     assert traced_peak(lambda: _cell_elimination(system)) <= 14e6
+
+
+def test_residual_peak_memory_at_128x128():
+    # x and r in longdouble (0.8 MB each) and one block of the triangle;
+    # 5.3 MB with a transposed copy of the triangle and two sums per block
+    system = hybrid_rect_system(128)
+    x = np.ones(system.n)
+    assert traced_peak(lambda: _residual(system, x)) <= 3.6e6
 
 
 def test_benchmark_system_is_spd():
