@@ -32,7 +32,8 @@ triangle and the diagonal are stored, so the matrix is exactly symmetric.
 :func:`assemble` never holds the whole ``B``, and never ``B E`` next to a
 second copy of K.  At once it holds ``E`` and ``B E``, built one block of
 ``B`` at a time, then ``E^T`` and ``B E`` while K is formed ``ROW_BLOCK``
-rows at a time straight into its upper triangle and diagonal.  NM is
+rows at a time: each block's diagonal and strict upper triangle, the
+triangles stacked into one.  NM is
 counted the same way, a block of rows of ``T^T T`` at a time.  Each sum
 runs over the same terms in the same order as the sparse products over
 the whole matrices, so K and the right-hand side are the same bit for bit.
@@ -119,14 +120,19 @@ class TensorField:
     def cone_tensors(self, mesh: Mesh, cones=slice(None)) -> np.ndarray:
         """|D(K, s)| times the tensor on the cones ``cones`` (an index array
         or a slice; all by default), the 2 x 2 entries on two new last axes.
-        Rows are only gathered: broadcast, by cell or by cone."""
+        Rows are only gathered: broadcast, by cell or by cone.  Any other
+        row count than 1, n_cells or n_cones raises ``ValueError``."""
         measure = mesh.cone_measure[cones]
-        if len(self.tensors) == 1:
+        rows = len(self.tensors)
+        if rows == 1:
             sampled = self.tensors
-        elif len(self.tensors) == mesh.n_cells:
+        elif rows == mesh.n_cells:
             sampled = np.take(self.tensors, mesh.cone_cell[cones], axis=0)
-        else:
+        elif rows == mesh.n_cones:
             sampled = take_rows(self.tensors, cones)
+        else:
+            raise ValueError(f"tensor has {rows} rows, expected 1, {mesh.n_cells} (one per "
+                             f"cell) or {mesh.n_cones} (one per cone)")
         out = np.empty(measure.shape + (2, 2))
         for d in range(2):
             for e in range(2):
@@ -291,8 +297,7 @@ def assemble(mesh: Mesh, partition: EdgePartition,
     # each cell itself plus what the stored weights of its faces reach.
     by_cell = sp.csr_matrix((np.ones(n_cones), np.arange(n_cones), mesh.cell_ptr),
                             shape=(mesh.n_cells, n_cones))
-    itself = sp.csr_matrix((np.ones(mesh.n_cells), np.arange(mesh.n_cells),
-                            np.arange(mesh.n_cells + 1)), shape=(mesh.n_cells, n))
+    itself = sp.eye(mesh.n_cells, n, format="csr")
     reach = by_cell @ _structure(picked) + itself
     del picked, by_cell, itself
     # Row i of B E has at most as many entries as the cell of cone i reaches.
@@ -312,24 +317,16 @@ def assemble(mesh: Mesh, partition: EdgePartition,
 
     # K a block of rows at a time: its diagonal and its strict upper triangle.
     diag = np.zeros(n)
-    data, indices, counts = [], [], []
+    blocks = []
     for rows, block in _row_blocks(transposed):
         # Sorted in place, so each row lists its columns in order.
         part = block @ product
         part.sort_indices()
-        row = np.repeat(np.arange(rows.start, rows.stop), np.diff(part.indptr))
-        col, values = part.indices, part.data
-        on = col == row
-        diag[row[on]] = values[on]
-        above = col > row
-        data.append(values[above])
-        indices.append(col[above])
-        counts.append(np.bincount(row[above] - rows.start, minlength=rows.stop - rows.start))
-    del product, transposed
-    upper = sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
-                           np.concatenate([[0], np.cumsum(np.concatenate(counts))])),
-                          shape=(n, n))
-    del data, indices, counts
+        diag[rows] = part.diagonal(k=rows.start)
+        blocks.append(sp.triu(part, k=rows.start + 1, format="csr"))
+    del product, transposed, part
+    upper = sp.vstack(blocks, format="csr")
+    del blocks
     if source is not None:
         rhs[: mesh.n_cells] += rhs_cell_integrals(mesh, source)
     if np.any(diag <= 0.0):

@@ -18,6 +18,7 @@ is the one a product with all of ``full()`` gives, bit for bit."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import logging
 import math
@@ -94,9 +95,9 @@ def _residual(system, x: np.ndarray) -> tuple[np.ndarray, float]:
     return r, _norm(r, xl) / bnorm
 
 
-def _require_finite(system, where: str) -> float:
-    """||b||; ``BreakdownNonSPD`` unless every stored matrix and right-hand
-    side entry of ``system`` is finite, ``NumericalFailure`` if ||b|| overflows."""
+def _require_finite(system, where: str) -> None:
+    """``BreakdownNonSPD`` unless every stored matrix and right-hand side
+    entry of ``system`` is finite, ``NumericalFailure`` if ||b|| overflows."""
     for name, values in (("matrix", system.upper.data), ("matrix", system.diag),
                          ("right-hand side", system.rhs)):
         if not np.isfinite(values).all():
@@ -106,7 +107,17 @@ def _require_finite(system, where: str) -> float:
     if not math.isfinite(bnorm):
         raise NumericalFailure(f"{where}the right-hand side norm overflows float64 "
                                f"(largest entry {np.abs(system.rhs).max():.3e})")
-    return bnorm
+
+
+def _scaled(system):
+    """``system`` with b times the power of two 2^s that puts max|b| in
+    [1/2, 1), and s (0 for b = 0).  The solvers solve K y = 2^s b and return
+    x = 2^-s y: so neither ||b|| nor a curvature p.Kp underflows on a tiny
+    but finite b.  Scaling by a power of two is exact, so x, its residual
+    and every iterate are the unscaled ones, bit for bit, unless a value
+    would be subnormal."""
+    scale = -int(np.frexp(np.abs(system.rhs).max(initial=0.0))[1])
+    return dataclasses.replace(system, rhs=np.ldexp(system.rhs, scale)), scale
 
 
 def _neighbour_max(ptr: np.ndarray, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -369,11 +380,13 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
     ``np.longdouble``, is at most ``tol``, which must be finite and positive
     (``ValueError`` otherwise), and reports it.  CG checks it once the
     float64 recurrence residual (of S, when the cells are eliminated) is
-    below ``tol / 4``; if it is above ``tol``, CG restarts from it
-    (mixed-precision iterative refinement).  Raises
-    ``MaxIterations`` when it has not halved over ``STAGNATION_RESTARTS``
-    consecutive restarts or after ``max_iters`` iterations (default
-    ``10 n``).  Raises ``BreakdownNonSPD`` before any work on a matrix or
+    below ``max(tol, eps) / 4``, eps being float64's machine epsilon; if it
+    is above ``tol``, CG restarts from it (mixed-precision iterative
+    refinement).  Raises ``MaxIterations`` when it has not halved over
+    ``STAGNATION_RESTARTS`` consecutive restarts, so also for a ``tol``
+    below what float64 can reach, or after ``max_iters`` iterations
+    (default ``10 n``).  CG works on b scaled by a power of two
+    (``_scaled``).  Raises ``BreakdownNonSPD`` before any work on a matrix or
     right-hand side entry that is not finite (``NumericalFailure`` if ||b||
     overflows); in the multigrid setup on a diagonal entry or coarsest
     pivot that is not positive; and on a curvature p.Mp that is not
@@ -383,12 +396,11 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     t0 = time.perf_counter()
-    bnorm = _require_finite(system, "CG stops at iteration 1: ")
-    b = system.rhs
+    _require_finite(system, "CG stops at iteration 1: ")
     n = system.n
     if max_iters is None:
         max_iters = 10 * n
-    if bnorm == 0.0:
+    if not system.rhs.any():
         return np.zeros(n), SolveReport(0, 0.0, time.perf_counter() - t0, "cg")
 
     elim = _cell_elimination(system) if n >= AMG_MIN_N else None
@@ -399,8 +411,12 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
     else:
         cg_mat = elim.schur
         precond = _smoothed_aggregation(cg_mat, cg_mat.diagonal())
+    # scaled only now, so that its copy of b does not add to the setup's peak
+    system, scale = _scaled(system)
+    b = system.rhs
     x = np.zeros(n)
     r = b.copy()
+    stop = 0.25 * max(tol, np.finfo(float).eps) * _norm(b)
     iterations = 0
     history: list[float] = []
     reference = math.inf
@@ -425,7 +441,7 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
             alpha = rz / pap
             e += np.multiply(p, alpha, out=z)
             s -= np.multiply(ap, alpha, out=z)
-            if _norm(s, z) <= 0.25 * tol * bnorm:
+            if _norm(s, z) <= stop:
                 break
             z = precond(s)
             rz_new = _dot(s, z, ap)
@@ -453,8 +469,8 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
         log.debug("CG restart %d after %d iterations: residual %.3e",
                   len(history), iterations, res)
         r = r_ext.astype(np.float64)
-    return x, SolveReport(iterations, res, time.perf_counter() - t0, "cg",
-                          restarts=len(history), residual_history=history)
+    return np.ldexp(x, -scale), SolveReport(iterations, res, time.perf_counter() - t0, "cg",
+                                            restarts=len(history), residual_history=history)
 
 
 def _spd_factor(mat):
@@ -479,12 +495,14 @@ def solve_dense(system) -> tuple[np.ndarray, SolveReport]:
     """Solve with the factor that certifies the system SPD, else
     ``NotPositiveDefinite``; reports the relative residual as ``solve_cg`` does.
     A matrix or right-hand side entry that is not finite, or ||b|| overflowing,
-    raises as in ``solve_cg``, before the factorization."""
+    raises as in ``solve_cg``, before the factorization.  Solves for b
+    scaled by a power of two, as ``solve_cg`` does."""
     t0 = time.perf_counter()
     _require_finite(system, "the direct solve stops before factoring: ")
     lu = _spd_factor(system.full())
     if lu is None:
         raise NotPositiveDefinite("the symmetric factorization found a non-positive pivot")
+    system, scale = _scaled(system)
     x = lu.solve(system.rhs)
     _, res = _residual(system, x)
-    return x, SolveReport(0, res, time.perf_counter() - t0, "dense-cholesky")
+    return np.ldexp(x, -scale), SolveReport(0, res, time.perf_counter() - t0, "dense-cholesky")

@@ -14,6 +14,8 @@ face's two cells first, then the pairs and triples of nearby cells, with
 x and y, each weight and each candidate slot a separate array.  A pair is
 solved only where its line passes within a safe margin of the face
 centre; every other pair misses the tolerance by far more than rounding.
+The (face, point, beta) entries of all blocks become the CSR table by one
+sort, by face and then by point id.
 """
 
 from __future__ import annotations
@@ -396,16 +398,17 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
     ``partition.tags``, in place, with an empty row and a DEBUG count.
     Under any other policy ``NoValidCombination`` is raised once, after
     every block: its message names the first such face and its ``faces``
-    lists them all.  The entries of each block are then written into their
-    rows of the table.  A DEBUG line counts the natural pairs, the searched
-    faces, the candidate pairs solved out of all candidate pairs (the rest
-    were set aside by the cross-product margin) and the largest |beta|.
+    lists them all.  The entries of all blocks are then sorted into the
+    table, by face and then by point id.  A DEBUG line counts the natural
+    pairs, the searched faces, the candidate pairs solved out of all
+    candidate pairs (the rest were set aside by the cross-product margin)
+    and the largest |beta|.
     """
     h = mesh.h
     bary = np.flatnonzero(partition.tags == BARYCENTRIC)
-    sizes = np.zeros(mesh.n_faces, dtype=int)
-    natural, searched, unsupported = [], [], []
-    tested, vertex_map = np.zeros(2, dtype=int), None
+    # the (face, point, beta) entries of every block, after a typed empty one
+    entries, unsupported = [(bary[:0], mesh.face_cells[:0, 0], np.zeros(0))], []
+    n_natural, tested, vertex_map = 0, np.zeros(2, dtype=int), None
     for start in range(0, len(bary), SEARCH_BLOCK):
         faces = bary[start:start + SEARCH_BLOCK]
         # K and L always belong to the face's own support region.
@@ -413,8 +416,8 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
         beta, ok = _pair_weights(np.take(mesh.cell_point, pair[:, 0], axis=0),
                                  np.take(mesh.cell_point, pair[:, 1], axis=0),
                                  np.take(mesh.face_centre, faces, axis=0), h)
-        natural.append((faces[ok], pair[ok], beta[ok]))
-        sizes[faces[ok]] = 2
+        entries.append((np.repeat(faces[ok], 2), pair[ok].ravel(), beta[ok].ravel()))
+        n_natural += int(ok.sum())
         faces = faces[~ok]
         if len(faces):
             if vertex_map is None:
@@ -423,8 +426,7 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
             got, row, point, value, pairs = _best_supports(
                 rows, ids, np.take(mesh.cell_point, ids, axis=0).T,
                 np.take(mesh.face_centre, faces, axis=0).T, h)
-            searched.append((faces[row], point, value))
-            sizes[faces] = np.bincount(row, minlength=len(faces))
+            entries.append((faces[row], point, value))
             unsupported += faces[~got].tolist()
             tested += pairs
     if unsupported and partition.policy != "discontinuity":
@@ -434,19 +436,12 @@ def compute_weights(mesh: Mesh, partition: EdgePartition,
         log.debug("partition: %d faces without a cell support kept hybrid", len(unsupported))
         partition.tags[unsupported] = HYBRID
     del vertex_map
-    # the entries of each face in its row of the table, in point id order;
-    # each block is dropped once written, not held beside the whole table
-    ptr = np.concatenate([[0], np.cumsum(sizes)])
-    points, values = np.empty(ptr[-1], dtype=mesh.face_cells.dtype), np.empty(ptr[-1])
-    n_natural = sum(len(faces) for faces, _, _ in natural)
-    while natural:
-        faces, pair, beta = natural.pop()
-        at = ptr[faces, None] + (pair > pair[:, ::-1])
-        points[at], values[at] = pair, beta
-    while searched:
-        faces, point, value = searched.pop()
-        at = ptr[faces] + np.arange(len(faces)) - np.searchsorted(faces, faces)
-        points[at], values[at] = point, value
+    # the table: the entries by face, then by point id
+    faces, points, values = (np.concatenate(column) for column in zip(*entries))
+    del entries
+    order = np.lexsort((points, faces))
+    points, values = points[order].astype(mesh.face_cells.dtype, copy=False), values[order]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(faces, minlength=mesh.n_faces))])
     log.debug("weights: %d natural pairs, %d cell searches; %d of %d candidate pairs solved; "
               "max |beta| %.3g", n_natural, len(bary) - n_natural, *tested,
               np.abs(values).max(initial=0.0))

@@ -453,6 +453,41 @@ def test_memory_error_is_a_typed_failure_without_traceback_or_artifact(tmp_path)
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("scale", [1e-80, 1e-100])
+def test_tiny_coordinates_solve_under_both_methods(tmp_path, scale):
+    # b is tiny but finite.  Unscaled, ||b|| underflowed at 1e-100, and CG
+    # returned u = 0 after 0 iterations with a residual of 0.0; at 1e-80 a
+    # curvature p.Kp underflowed, and CG blamed the matrix.
+    path = tmp_path / "scaled.mesh"
+    write_scaled_rect(path, scale)
+    u = {}
+    for method in ("cg", "dense"):
+        out = tmp_path / method
+        assert main(["solve", "--mesh", f"file:{path}", "--method", method,
+                     "--out", str(out)]) == 0
+        solve = json.loads((out / "manifest.json").read_text())["solve"]
+        assert 0.0 < solve["relative_residual"] <= 1e-12
+        u[method] = np.array(parse_legacy_vtk(out / "solution.vtk")[2]["u"])
+    assert np.abs(u["cg"]).max() > 0.0
+    assert np.abs(u["cg"] - u["dense"]).max() <= 1e-12 * np.abs(u["dense"]).max()
+
+
+def test_tol_below_float64_epsilon_is_not_blamed_on_the_matrix(tmp_path, capsys):
+    # CG ran on until p.Kp underflowed: "curvature 0.0 at iteration 75"
+    out = tmp_path / "out"
+    assert main(["solve", "--mesh", "rect:3x3", "--tol", "1e-300", "--out", str(out)]) == 1
+    assert "CG stagnated at residual" in capsys.readouterr().err
+    assert not [f for f in ("manifest.json", "report.csv", "solution.vtk") if (out / f).exists()]
+    mesh, _, _ = sushi.parse_mesh_spec("rect:3x3")
+    prob = sushi.problems.problem_anisotropic_smooth()
+    part = sushi.spaces.partition_faces(mesh, "all-barycentric")
+    system = sushi.assembly.assemble(mesh, part, sushi.spaces.compute_weights(mesh, part),
+                                     prob.make_tensor(mesh, None), source=prob.source,
+                                     dirichlet=prob.dirichlet)
+    with pytest.raises(MaxIterations):
+        sushi.solver.solve_cg(system, tol=1e-300)
+
+
 def test_overflowing_right_hand_side_norm_is_not_blamed_on_the_matrix(tmp_path):
     path = tmp_path / "scaled.mesh"
     write_scaled_rect(path, 1e50)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import logging
 import math
@@ -157,6 +158,18 @@ def test_cg_unreachable_tol_stops_on_stagnation():
     assert exc.value.iterations <= system.n
     assert math.isfinite(exc.value.residual)
     assert exc.value.residual > 1e-16
+
+
+@pytest.mark.parametrize("power", [-500, 500])
+@pytest.mark.parametrize("solve", [solve_cg, solve_dense], ids=["cg", "dense"])
+def test_rhs_scaled_by_a_power_of_two_scales_x_exactly(solve, power):
+    # At 2^-500, ||r||^2 underflowed and both solvers reported a residual of 0.0
+    system = cellcentred_rect_system(8)
+    x, report = solve(system)
+    scaled_x, scaled = solve(dataclasses.replace(system, rhs=np.ldexp(system.rhs, power)))
+    assert np.array_equal(scaled_x, np.ldexp(x, power))
+    assert 0.0 < scaled.relative_residual == report.relative_residual
+    assert scaled.iterations == report.iterations
 
 
 def exact_relative_residual(system, x):
