@@ -51,7 +51,7 @@ from .errors import (
     NonSymmetricTensor,
     SingularAfterElimination,
 )
-from .geometry import Mesh, segment_sums, take_rows
+from .geometry import DIM, Mesh, segment_sums, take_rows
 from .gradient import _residuals, gradient_coefficients, resolve_alpha
 from .spaces import (
     BarycentricWeights,
@@ -109,10 +109,6 @@ class TensorField:
         return cls(np.reshape(mat, (1, 2, 2)))
 
     @classmethod
-    def from_per_cell(cls, tensors) -> "TensorField":
-        return cls(tensors)
-
-    @classmethod
     def from_callable(cls, func, mesh: Mesh) -> "TensorField":
         """``func`` sampled once, at every cone centroid of ``mesh``."""
         return cls(sample_field(func, mesh.cone_centroids(), "tensor", (2, 2)))
@@ -154,9 +150,9 @@ def local_blocks(mesh: Mesh, tensor: TensorField, alpha: float | None = None):
     ``G^T (Lambda G)`` over the gradient operator ``G``, so both give the
     same values bit for bit.  Symmetric: the block is 0.5 (A + A^T).
     """
-    a = resolve_alpha(alpha, mesh.dim)
+    a = resolve_alpha(alpha)
     ptr = mesh.cell_ptr
-    dims = range(mesh.dim)
+    dims = range(DIM)
     for c0 in range(0, mesh.n_cells, LOCAL_BLOCK):
         c1 = min(c0 + LOCAL_BLOCK, mesh.n_cells)
         sizes = np.diff(ptr[c0:c1 + 1])
@@ -203,17 +199,21 @@ class LinearSystem:
     """Sparse SPD system over the retained unknowns.
 
     The matrix is stored as its strict upper triangle plus diagonal; it is
-    exactly symmetric by construction.  ``nm`` is the structural nonzero
-    count of the full matrix (both triangles plus the diagonal): every
-    entry the elimination reaches, exact zeros included.
+    exactly symmetric by construction.  ``n`` is the numbering's unknown
+    count, ``nm`` the structural nonzero count of the full matrix (both
+    triangles plus the diagonal): every entry the elimination reaches,
+    exact zeros included.
     """
 
-    n: int
     upper: sp.csr_matrix
     diag: np.ndarray
     rhs: np.ndarray
     numbering: UnknownNumbering
     nm: int
+
+    @property
+    def n(self) -> int:
+        return self.numbering.n
 
     def full(self) -> sp.csr_matrix:
         return (self.upper + self.upper.T + sp.diags(self.diag)).tocsr()
@@ -286,22 +286,19 @@ def assemble(mesh: Mesh, partition: EdgePartition,
                           shape=(n_cones, n))
     picked = expansion[mesh.cone_face]
     del expansion
+    # The value product drops exact zeros, but NM counts every entry that a
+    # stored weight and a local matrix entry reach: two unknowns reached from
+    # the cones of one cell, the nonzeros of T^T T over the cell-to-unknown
+    # pattern T = C^T (C + pattern(P[cone_face])), all positive; its rows
+    # past the cells are empty.  C^T is converted first: a product with the
+    # CSC transpose would convert the larger right operand, and return CSC.
+    reach = cells.T.tocsr() @ (cells + _structure(picked))
     # The difference keeps arrays sized for the entries of both operands;
     # the copy holds only its own.
     cone_map = (cells - picked).tocsr(copy=True)
-    del cells
-    # The value product drops exact zeros, but NM counts every entry that a
-    # stored weight and a local matrix entry reach: two unknowns reached
-    # from the cones of one cell, the nonzeros of the 0/1 product T^T T over
-    # the cell-to-unknown pattern T = C^T (C + pattern(P[cone_face])), here
-    # each cell itself plus what the stored weights of its faces reach.
-    by_cell = sp.csr_matrix((np.ones(n_cones), np.arange(n_cones), mesh.cell_ptr),
-                            shape=(mesh.n_cells, n_cones))
-    itself = sp.eye(mesh.n_cells, n, format="csr")
-    reach = by_cell @ _structure(picked) + itself
-    del picked, by_cell, itself
+    del cells, picked
     # Row i of B E has at most as many entries as the cell of cone i reaches.
-    nnz_bound = int(np.diff(mesh.cell_ptr) @ np.diff(reach.indptr))
+    nnz_bound = int(np.diff(mesh.cell_ptr) @ np.diff(reach.indptr[:mesh.n_cells + 1]))
     reached = reach.T.tocsr()
     nm = sum((block @ reach).nnz for _, block in _row_blocks(reached))
     del reach, reached
@@ -332,4 +329,4 @@ def assemble(mesh: Mesh, partition: EdgePartition,
     if np.any(diag <= 0.0):
         bad = int(np.nonzero(diag <= 0.0)[0][0])
         raise SingularAfterElimination(f"unknown {bad} has non-positive diagonal")
-    return LinearSystem(n=n, upper=upper, diag=diag, rhs=rhs, numbering=numbering, nm=nm)
+    return LinearSystem(upper=upper, diag=diag, rhs=rhs, numbering=numbering, nm=nm)

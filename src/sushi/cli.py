@@ -63,7 +63,7 @@ def _manifest(args, result, label) -> dict:
 
 
 def manifest_alpha(result) -> float:
-    return resolve_alpha(result.alpha, result.mesh.dim)
+    return resolve_alpha(result.alpha)
 
 
 # The report.csv column of each side's boundary flux total, in print order.

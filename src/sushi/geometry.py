@@ -19,11 +19,11 @@ sigma of K.  All derived quantities are computed once, as flat arrays:
   ``cone_measure`` = |D(K, sigma)|.
 
 Faces are numbered in order of first appearance along the loops.  The
-data model is dimension-generic but the geometry kernels implemented here
-are 2D: faces are straight segments and cells are simple polygons given
-as counter-clockwise vertex loops.  A hanging node is listed in the loop
-of every cell whose straight side it lies on, so that side is two faces:
-this is how nonconforming meshes are represented, with no other table.
+mesh is 2D (``DIM``): faces are straight segments and cells are simple
+polygons given as counter-clockwise vertex loops.  A hanging node is listed
+in the loop of every cell whose straight side it lies on, so that side is
+two faces: this is how nonconforming meshes are represented, with no
+other table.
 
 :func:`compute_geometry` holds at most its returned arrays, plus a few
 integer arrays of one entry per cone while it numbers the faces, plus the
@@ -50,6 +50,8 @@ import numpy as np
 
 from .errors import DegenerateFace, InvalidTopology, MissingWeights, NonStarShaped
 
+# The space dimension d of the paper's formulas: every kernel here is 2D.
+DIM = 2
 # Rejection threshold for cell-point/face distances: the scheme divides
 # by d(K,sigma), so nearly tangent cell points are refused outright.
 DIST_REL_TOL = 1e-12
@@ -103,7 +105,6 @@ class Mesh:
     ``cell_ptr`` (see :meth:`loops`); they are the only copy kept.
     """
 
-    dim: int
     vertices: np.ndarray
     face_vertices: np.ndarray
     face_cells: np.ndarray
@@ -247,7 +248,6 @@ def compute_geometry(
     if len(loops) == 0:
         raise InvalidTopology("mesh has no cells")
     nv = len(vertices)
-    d = 2
 
     # Cones, cell-major; cone i is the loop side from vertex a[i] to b[i].
     if isinstance(loops, np.ndarray):
@@ -363,12 +363,11 @@ def compute_geometry(
     # cone_measure = |sigma| d(K, sigma) / d, in place of the lengths.
     with np.errstate(over="ignore"):
         length *= dist
-    length /= d
+    length /= DIM
     if not all(np.isfinite(v).all() for v in (face_centre, area, centroid, diam, normal, length)):
         raise InvalidTopology("derived geometry is not finite: coordinates too large")
 
     return Mesh(
-        dim=d,
         vertices=vertices,
         face_vertices=face_vertices,
         face_cells=face_cells,
@@ -399,7 +398,7 @@ def domain_measure(mesh: Mesh) -> float:
     c = np.take(mesh.face_centre, bf, axis=0)
     n = np.take(mesh.cone_normal, np.take(mesh.face_cones[:, 0], bf), axis=0)
     flux = np.take(mesh.face_measure, bf) * pair_sum(c[:, 0] * n[:, 0], c[:, 1] * n[:, 1])
-    return float(flux.sum()) / mesh.dim
+    return float(flux.sum()) / DIM
 
 
 def validate(mesh: Mesh) -> ValidationReport:
@@ -415,7 +414,6 @@ def validate(mesh: Mesh) -> ValidationReport:
     check sum |K| = |Omega|.  Raises ``InvalidTopology`` when the boundary
     faces enclose no domain (a mesh with none, for one).
     """
-    d = mesh.dim
     ptr = mesh.cell_ptr
     w = np.take(mesh.face_measure, mesh.cone_face)
     wn = w[:, None] * mesh.cone_normal
@@ -424,7 +422,7 @@ def validate(mesh: Mesh) -> ValidationReport:
     meas = mesh.cell_measure
     ident = np.maximum(np.maximum(np.abs(m[:, 0, 0] - meas), np.abs(m[:, 0, 1])),
                        np.maximum(np.abs(m[:, 1, 0]), np.abs(m[:, 1, 1] - meas))) / meas
-    cone = np.abs(segment_sums(w * mesh.cone_dist, ptr) - d * meas) / meas
+    cone = np.abs(segment_sums(w * mesh.cone_dist, ptr) - DIM * meas) / meas
     closed = np.abs(segment_sums(wn, ptr))
     closure = np.maximum(closed[:, 0], closed[:, 1]) / segment_sums(w, ptr)
 

@@ -16,10 +16,10 @@ one cell.  grad_K u (:func:`gradient_coefficients`) and R (:func:`_residuals`)
 are defined once and evaluated on the flat cone arrays.  No gradient
 operator is formed: assembly evaluates the same R on blocks of cells to
 build the local flux matrices (:func:`sushi.assembly.local_blocks`).
-``alpha`` defaults to sqrt(d); any finite positive value is admissible
-(:func:`resolve_alpha`).  Rows are gathered with ``np.take`` and the dot
-products written out component by component, as numpy's sum over the
-component axis adds them (see :mod:`sushi.geometry`).
+``alpha`` defaults to sqrt(d) (``DEFAULT_ALPHA``); any finite positive
+value is admissible (:func:`resolve_alpha`).  Rows are gathered with
+``np.take`` and the dot products written out component by component, as
+numpy's sum over the component axis adds them (see :mod:`sushi.geometry`).
 """
 
 from __future__ import annotations
@@ -29,17 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Mesh, pair_sum, segment_sums, take_rows
+from .geometry import DIM, Mesh, pair_sum, segment_sums, take_rows
 from .spaces import DiscreteFunction
 
 
-def default_alpha(dim: int) -> float:
-    return math.sqrt(dim)
+# The default stabilization coefficient, sqrt(d).
+DEFAULT_ALPHA = math.sqrt(DIM)
 
 
-def resolve_alpha(alpha: float | None, dim: int) -> float:
-    """``alpha``, or the default when None; ``ValueError`` unless finite and > 0."""
-    a = default_alpha(dim) if alpha is None else alpha
+def resolve_alpha(alpha: float | None) -> float:
+    """``alpha``, or ``DEFAULT_ALPHA`` when None; ``ValueError`` unless finite and > 0."""
+    a = DEFAULT_ALPHA if alpha is None else alpha
     if not (math.isfinite(a) and a > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {a!r}")
     return a
@@ -106,7 +106,7 @@ def gradient_field(mesh: Mesh, u: DiscreteFunction,
     cells = cell_gradients(mesh, u)
     grad = np.take(cells, mesh.cone_cell, axis=0)
     residuals = _residuals(mesh, slice(None), cone_increments(mesh, u), grad,
-                           resolve_alpha(alpha, mesh.dim))
+                           resolve_alpha(alpha))
     for k in range(2):
         grad[:, k] += residuals * mesh.cone_normal[:, k]
     return GradientField(cones=grad, cells=cells)

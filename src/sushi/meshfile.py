@@ -29,7 +29,7 @@ def _xy_lines(points: np.ndarray) -> list[str]:
 
 
 def write_mesh(mesh: Mesh, path) -> None:
-    lines = [f"dim {mesh.dim}", f"vertices {len(mesh.vertices)}", *_xy_lines(mesh.vertices),
+    lines = ["dim 2", f"vertices {len(mesh.vertices)}", *_xy_lines(mesh.vertices),
              f"cells {mesh.n_cells}", *(" ".join(map(str, loop)) for loop in mesh.loops())]
     if mesh.cell_points_given:
         lines += [f"cellpoints {mesh.n_cells}", *_xy_lines(mesh.cell_point)]

@@ -101,7 +101,7 @@ def _cell_fluxes(mesh: Mesh, tensor: TensorField, grad: GradientField, a: float,
 
 
 # The sides of the unit square, and how far a boundary face barycentre
-# may lie off its side.
+# may lie off its side, relative to the extent of the boundary.
 UNIT_SQUARE_SIDES = ("x=0", "x=1", "y=0", "y=1")
 SIDE_TOL = 1e-9
 
@@ -112,7 +112,8 @@ def boundary_flux_totals(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
     """Per-side totals of the co-normal boundary flux (Lambda grad u . n).
 
     Faces are classified by barycentre against the sides of the unit
-    square, the first matching side winning; a boundary face matching
+    square, the first matching side winning, to ``SIDE_TOL`` times the
+    largest extent of the boundary barycentres; a boundary face matching
     none raises ``UnclassifiedBoundaryFace``.  The fluxes are evaluated on
     the cells that own a boundary face only.  ``grad`` is the stabilized
     gradient of ``u`` if already evaluated.
@@ -120,14 +121,15 @@ def boundary_flux_totals(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
     faces = np.nonzero(mesh.face_boundary)[0]
     centres = mesh.face_centre[faces]
     side_of = np.full(len(faces), -1)
+    tol = SIDE_TOL * np.ptp(centres, axis=0).max()
     for s, side in enumerate(UNIT_SQUARE_SIDES):
         axis, val = side.split("=")
         coord = centres[:, 0] if axis == "x" else centres[:, 1]
-        side_of[(side_of < 0) & (np.abs(coord - float(val)) <= SIDE_TOL)] = s
+        side_of[(side_of < 0) & (np.abs(coord - float(val)) <= tol)] = s
     if np.any(side_of < 0):
         i = int(np.nonzero(side_of < 0)[0][0])
         raise UnclassifiedBoundaryFace(f"face {faces[i]} at {centres[i]}")
-    a = resolve_alpha(alpha, mesh.dim)
+    a = resolve_alpha(alpha)
     grad = gradient_field(mesh, u, a) if grad is None else grad
     cones = mesh.face_cones[faces, 0]
     owned, fluxes = _cell_fluxes(mesh, tensor, grad, a, np.unique(mesh.cone_cell[cones]))

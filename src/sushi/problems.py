@@ -38,7 +38,6 @@ class ProblemSpec:
     exact: object = None
     exact_grad: object = None
     region: object = None
-    exact_boundary_flux: dict | None = None
 
 
 # The quartic bubble u = 16 x (1-x) y (1-y), zero on the boundary of the unit
@@ -109,7 +108,7 @@ def problem_tilted_barrier() -> ProblemSpec:
     """
     return ProblemSpec(
         name="tilted-barrier",
-        make_tensor=lambda mesh, regions=None: TensorField.from_per_cell(
+        make_tensor=lambda mesh, regions=None: TensorField(
             np.where(np.asarray(regions) == 2, BARRIER_CONTRAST, 1.0)[:, None, None] * np.eye(2)
         ),
         source=None,
@@ -117,7 +116,6 @@ def problem_tilted_barrier() -> ProblemSpec:
         exact=barrier_exact,
         exact_grad=barrier_exact_grad,
         region=lambda p: barrier_region(p[0], p[1]),
-        exact_boundary_flux={"x=0": -0.2, "x=1": 0.2, "y=0": 1.0, "y=1": -1.0},
     )
 
 
@@ -201,7 +199,7 @@ def problem_from_descriptor(desc) -> ProblemSpec:
 
         def make_tensor(mesh, regions=None):
             lam = np.where(mesh.cell_point[:, 0] < split_x, left, right)
-            return TensorField.from_per_cell(lam[:, None, None] * np.eye(2))
+            return TensorField(lam[:, None, None] * np.eye(2))
 
     else:
         raise ParseError("tensor must define 'constant' or 'two_region'")

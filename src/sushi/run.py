@@ -15,7 +15,7 @@ from .gradient import GradientField, gradient_field
 from .meshfile import read_mesh
 from .postproc import ErrorReport, boundary_flux_totals, error_norms, reconstruct_faces
 from .problems import ProblemSpec
-from .solver import DEFAULT_TOL, SolveReport, solve_cg, solve_dense
+from .solver import DEFAULT_TOL, SolveReport, check_tol, solve_cg, solve_dense
 from .spaces import (
     BARYCENTRIC,
     BarycentricWeights,
@@ -84,9 +84,11 @@ def solve_problem(problem: ProblemSpec, mesh: Mesh,
     the per-side flux totals whenever the domain is the unit square (else
     ``None``).  The stabilized gradient is evaluated once, after the solve,
     and shared by the errors, the fluxes and the caller (``RunResult.gradient``).
+    An unknown ``method`` or a ``tol`` not finite and > 0 raises ``ValueError`` first.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected {' or '.join(map(repr, METHODS))}")
+    check_tol(tol)
     if regions is None and problem.region is not None:
         regions = sample_field(problem.region, mesh.cell_point, "region").astype(int)
     partition = partition_faces(mesh, policy, regions)

@@ -95,6 +95,12 @@ def _residual(system, x: np.ndarray) -> tuple[np.ndarray, float]:
     return r, _norm(r, xl) / bnorm
 
 
+def check_tol(tol: float) -> None:
+    """``ValueError`` unless the relative residual ``tol`` is finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def _require_finite(system, where: str) -> None:
     """``BreakdownNonSPD`` unless every stored matrix and right-hand side
     entry of ``system`` is finite, ``NumericalFailure`` if ||b|| overflows."""
@@ -350,8 +356,7 @@ class SolveReport:
     relative_residual: float
     wall_time: float
     method: str
-    # CG only: restarts, and the relative residual each one started from.
-    restarts: int = 0
+    # CG only: the relative residual each restart started from.
     residual_history: list[float] = field(default_factory=list)
 
     def to_manifest(self) -> dict:
@@ -393,8 +398,7 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
     positive.  Each signals a system that is not finite or not SPD, from an
     assembly bug or a bad caller.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    check_tol(tol)
     t0 = time.perf_counter()
     _require_finite(system, "CG stops at iteration 1: ")
     n = system.n
@@ -470,7 +474,7 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
                   len(history), iterations, res)
         r = r_ext.astype(np.float64)
     return np.ldexp(x, -scale), SolveReport(iterations, res, time.perf_counter() - t0, "cg",
-                                            restarts=len(history), residual_history=history)
+                                            residual_history=history)
 
 
 def _spd_factor(mat):

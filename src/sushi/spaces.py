@@ -236,9 +236,9 @@ def _pair_weights(p: np.ndarray, q: np.ndarray, x: np.ndarray,
 def _candidate_cells(mesh: Mesh, faces: np.ndarray, vertex_map, regions):
     """Candidate cells of each face: entries ``(row, cell)``, sorted by row and id.
 
-    The face's two cells and every cell whose loop passes through either of
-    its vertices; with a region map, only those of the face's region if
-    both its cells share one.
+    Every cell whose loop passes through either of its vertices, the
+    face's two cells among them; with a region map, only those of the
+    face's region if both its cells share one.
     """
     ptr, cells = vertex_map
     verts = mesh.face_vertices[faces].ravel()  # two per face row
@@ -246,13 +246,12 @@ def _candidate_cells(mesh: Mesh, faces: np.ndarray, vertex_map, regions):
     # the cells of every vertex, one CSR row after the other
     near = cells[np.repeat(ptr[verts] - np.cumsum(counts) + counts, counts)
                  + np.arange(counts.sum())]
-    k, l = mesh.face_cells[faces].T
-    rows = np.concatenate([np.arange(len(faces)), np.arange(len(faces)),
-                           np.repeat(np.arange(len(verts)) // 2, counts)])
+    rows = np.repeat(np.arange(len(verts)) // 2, counts)
     # without duplicates, sorted by row, then id
-    keys = np.sort(rows * mesh.n_cells + np.concatenate([k, l, near]))
+    keys = np.sort(rows * mesh.n_cells + near)
     rows, ids = np.divmod(keys[np.diff(keys, prepend=-1) != 0], mesh.n_cells)
     if regions is not None:
+        k, l = mesh.face_cells[faces].T
         same = regions[k] == regions[l]
         keep = ~same[rows] | (regions[ids] == regions[k][rows])
         rows, ids = rows[keep], ids[keep]

@@ -46,7 +46,7 @@ def system_from_dense(mat, rhs):
     n = len(rhs)
     upper = sp.csr_matrix(np.triu(mat, k=1))
     numbering = UnknownNumbering(n_cells=n, hybrid_faces=np.array([], dtype=np.int64))
-    return LinearSystem(n=n, upper=upper, diag=np.diag(mat).copy(),
+    return LinearSystem(upper=upper, diag=np.diag(mat).copy(),
                         rhs=np.asarray(rhs, dtype=float),
                         numbering=numbering, nm=int(np.count_nonzero(mat)))
 
@@ -211,7 +211,7 @@ def anisotropic_per_cell(mesh, rng):
     """A different full SPD tensor on every cell."""
     a, b = rng.uniform(0.5, 2.0, (2, mesh.n_cells))
     c = rng.uniform(-0.3, 0.3, mesh.n_cells)
-    return sushi.TensorField.from_per_cell(
+    return sushi.TensorField(
         np.stack([np.stack([a, c], -1), np.stack([c, b], -1)], 1))
 
 

@@ -41,6 +41,9 @@ from sushi.spaces import (
     sample_field,
 )
 
+# The analytic per-side boundary flux totals of the tilted-barrier problem
+# (:func:`sushi.problems.problem_tilted_barrier`).
+BARRIER_BOUNDARY_FLUX = {"x=0": -0.2, "x=1": 0.2, "y=0": 1.0, "y=1": -1.0}
 # 3-point Gauss-Legendre rule on [-1, 1]; exact up to degree 5.
 _GAUSS3_POINTS = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
@@ -87,7 +90,7 @@ def cone_fluxes(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
 
     It approximates the integral over the face of -Lambda grad u . n_out.
     """
-    a = resolve_alpha(alpha, mesh.dim)
+    a = resolve_alpha(alpha)
     return _cell_fluxes(mesh, tensor, gradient_field(mesh, u, a), a, np.arange(mesh.n_cells))[1]
 
 
@@ -201,7 +204,7 @@ def stabilization_residuals(mesh: Mesh, u: DiscreteFunction,
                             alpha: float | None = None) -> np.ndarray:
     """R(K, sigma) u on every cone."""
     return _residuals(mesh, slice(None), cone_increments(mesh, u),
-                      cell_gradients(mesh, u)[mesh.cone_cell], resolve_alpha(alpha, mesh.dim))
+                      cell_gradients(mesh, u)[mesh.cone_cell], resolve_alpha(alpha))
 
 
 def problem_superadmissible_oracle(lam_left: float, lam_right: float) -> ProblemSpec:

@@ -12,6 +12,7 @@ import pytest
 import sushi
 from conftest import cell_views, random_zero_boundary, two_point_reference
 from oracles import (
+    BARRIER_BOUNDARY_FLUX,
     cell_balance_residuals,
     composite_fluxes,
     flux_consistency_E,
@@ -20,7 +21,7 @@ from oracles import (
     weight_matrix,
 )
 from sushi.assembly import TensorField, assemble, rhs_cell_integrals
-from sushi.gradient import default_alpha, gradient_field
+from sushi.gradient import DEFAULT_ALPHA, gradient_field
 from sushi.postproc import _cone_errors_sq, convergence_order, norm_1pm, seminorm_x
 from sushi.problems import (
     barrier_exact,
@@ -100,7 +101,7 @@ def test_criterion_3_two_point_oracle():
         mesh = sushi.gen_rect(4, 4)
         lam = np.array([lam_pair[0] if c.point[0] < 0.5 else lam_pair[1]
                         for c in cell_views(mesh)])
-        tensor = TensorField.from_per_cell(lam[:, None, None] * np.eye(2))
+        tensor = TensorField(lam[:, None, None] * np.eye(2))
 
         part = partition_faces(mesh, "all-barycentric")
         weights = compute_weights(mesh, part)
@@ -124,7 +125,7 @@ def test_criterion_3_two_point_oracle():
 def test_criterion_4_tilted_barrier():
     t0 = time.perf_counter()
     prob = problem_tilted_barrier()
-    analytic = prob.exact_boundary_flux
+    analytic = BARRIER_BOUNDARY_FLUX
 
     for variant in (1, 2):
         mesh, regions = sushi.gen_tilted_barrier(variant)
@@ -222,7 +223,7 @@ def test_criterion_6_property_suites(rng):
     t0 = time.perf_counter()
     prob = problem_anisotropic_smooth()
     clubar = prob.make_tensor(None).tensors[0]
-    alpha = default_alpha(2)
+    alpha = DEFAULT_ALPHA
 
     # affine exactness of the discrete gradient
     mesh = sushi.gen_nonconforming_rect(1)

@@ -19,7 +19,7 @@ from sushi.assembly import (
     rhs_cell_integrals,
 )
 from sushi.errors import MissingWeights, NonPositiveTensor, NonSymmetricTensor
-from sushi.gradient import default_alpha, gradient_field
+from sushi.gradient import DEFAULT_ALPHA, gradient_field
 from sushi.problems import problem_anisotropic_smooth
 from sushi.run import parse_mesh_spec
 from sushi.spaces import DiscreteFunction, compute_weights, partition_faces
@@ -47,7 +47,7 @@ def test_non_finite_tensor_is_not_positive(mat):
     with pytest.raises(NonPositiveTensor, match="not finite"):
         TensorField.from_constant(mat)
     with pytest.raises(NonPositiveTensor, match="not finite"):
-        TensorField.from_per_cell([np.eye(2), mat])
+        TensorField([np.eye(2), mat])
 
 
 @pytest.mark.parametrize("rows", [7, 17, 200])
@@ -55,7 +55,7 @@ def test_tensor_of_an_unknown_row_count_is_refused(rows):
     # rect:4x4 has 16 cells and 64 cones: 7 and 17 rows raised a bare
     # IndexError, and 200 rows were read as per-cone tensors
     mesh = sushi.gen_rect(4, 4)
-    tensor = TensorField.from_per_cell(np.broadcast_to(CLUBAR, (rows, 2, 2)))
+    tensor = TensorField(np.broadcast_to(CLUBAR, (rows, 2, 2)))
     part = partition_faces(mesh, "all-hybrid")
     with pytest.raises(ValueError, match=f"tensor has {rows} rows, expected 1, 16 .* or 64 "):
         assemble(mesh, part, None, tensor)
@@ -79,7 +79,7 @@ def test_quadratic_form_matches_cone_quadrature(rng):
     # u^T A_K-form u == sum over cones of |D| grad . Lambda grad
     mesh = sushi.gen_nonconforming_rect(1)
     tensor = TensorField.from_constant(CLUBAR)
-    a = default_alpha(2)
+    a = DEFAULT_ALPHA
     local = local_matrices(mesh, tensor, a)
     for cid in (0, 3, 7, 12):
         c = cell_views(mesh)[cid]
@@ -150,22 +150,16 @@ def test_assemble_peak_memory_at_128x128(policy):
     assert peak <= {"all-barycentric": 9.8e6, "all-hybrid": 10.8e6}[policy]
 
 
-def test_assembled_matrix_exactly_symmetric():
-    mesh = sushi.gen_nonconforming_rect(2)
+@pytest.mark.parametrize("spec,policy", [("ncrect:2", "all-barycentric"),
+                                         ("rect:3x3", "all-hybrid")])
+def test_assembled_matrix_exactly_symmetric(spec, policy):
+    mesh = parse_mesh_spec(spec)[0]
     prob = problem_anisotropic_smooth()
-    part = partition_faces(mesh, "all-barycentric")
-    weights = compute_weights(mesh, part)
-    full = assemble(mesh, part, weights, prob.make_tensor(mesh)).full().toarray()
-    assert np.abs(full - full.T).max() == 0.0
-
-
-def test_linear_system_storage_roundtrip():
-    mesh = sushi.gen_rect(3, 3)
-    prob = problem_anisotropic_smooth()
-    part = partition_faces(mesh, "all-hybrid")
-    system = assemble(mesh, part, None, prob.make_tensor(mesh), source=prob.source)
-    dense = system.full().toarray()
-    assert np.array_equal(dense, dense.T)
+    part = partition_faces(mesh, policy)
+    weights = compute_weights(mesh, part) if part.barycentric_faces() else None
+    system = assemble(mesh, part, weights, prob.make_tensor(mesh), source=prob.source)
+    full = system.full().toarray()
+    assert np.array_equal(full, full.T)
 
 
 def test_bilinear_form_equivalence(rng):
@@ -177,7 +171,7 @@ def test_bilinear_form_equivalence(rng):
     weights = compute_weights(mesh, part)
     system = assemble(mesh, part, weights, tensor)
     mat = system.full().toarray()
-    a = default_alpha(2)
+    a = DEFAULT_ALPHA
 
     def materialize(vec):
         cv = vec[: mesh.n_cells]

@@ -41,7 +41,7 @@ from sushi.assembly import (
     assemble,
     rhs_cell_integrals,
 )
-from sushi.geometry import compute_geometry
+from sushi.geometry import DIM, compute_geometry
 from sushi.gradient import (
     _residuals,
     cell_gradients,
@@ -96,13 +96,13 @@ def reference_gradient_operator(mesh, alpha=None):
     """Sparse ``G`` (d n_cones x n_cones, block-diagonal by cell): the cone
     gradients are ``(G @ delta).reshape(-1, d)``, row ``d i + a`` holding
     component ``a`` of cone ``i``."""
-    a = resolve_alpha(alpha, mesh.dim)
+    a = resolve_alpha(alpha)
     g = gradient_coefficients(mesh)
     # The coefficient of delta_j in R(K, sigma_i) u: R for delta = [i == j], grad_K = g_j.
     i, j = cone_pairs(mesh.cell_ptr, mesh.cone_cell)
     coef = _residuals(mesh, i, np.where(i == j, 1.0, 0.0), g[j], a)
     y = g[j] + coef[:, None] * mesh.cone_normal[i]
-    d = mesh.dim
+    d = DIM
     rows = (d * i[:, None] + np.arange(d)).ravel()
     return sp.csr_matrix((y.ravel(), (rows, np.repeat(j, d))),
                          shape=(d * mesh.n_cones, mesh.n_cones))
@@ -173,7 +173,7 @@ def reference_face_expansions(mesh, partition, weights, numbering, dirichlet=Non
 def reference_triplets(mesh, partition, weights, tensor, source=None,
                        dirichlet=None, alpha=None):
     """Coalesced triplets of the full matrix, every touched entry included."""
-    a = resolve_alpha(alpha, mesh.dim)
+    a = resolve_alpha(alpha)
     numbering = numbering_for(mesh, partition)
     expans, consts = reference_face_expansions(mesh, partition, weights,
                                                numbering, dirichlet)
@@ -260,7 +260,7 @@ def within_tol(got, ref):
 @pytest.mark.parametrize("spec,policy", CASES)
 def test_local_matrices_match_cell_loop(spec, policy):
     mesh, _, _, tensor, _ = build_case(spec, policy)
-    a = resolve_alpha(None, mesh.dim)
+    a = resolve_alpha(None)
     local = local_matrices(mesh, tensor, a).tocoo()
     # block-diagonal by cell, and each block is the cell's Y^T Lambda Y
     assert np.array_equal(mesh.cone_cell[local.row], mesh.cone_cell[local.col])
@@ -317,7 +317,7 @@ def test_local_matrices_equal_sparse_product_over_several_blocks(rng):
 @pytest.mark.parametrize("spec,policy,alpha", ALPHA_CASES)
 def test_fluxes_and_gradients_match_cell_loop(spec, policy, alpha, rng):
     mesh, _, _, tensor, _ = build_case(spec, policy)
-    a = resolve_alpha(alpha, mesh.dim)
+    a = resolve_alpha(alpha)
     u = random_zero_boundary(mesh, rng)
     cells = cell_views(mesh)
 
@@ -333,7 +333,7 @@ def test_fluxes_and_gradients_match_cell_loop(spec, policy, alpha, rng):
 
     # G itself holds each cell's Y as its diagonal block
     grad = reference_gradient_operator(mesh, a).tocsr()
-    d = mesh.dim
+    d = DIM
     got_y, ref_y = [], []
     for c in cells:
         k = len(c.faces)

@@ -103,7 +103,7 @@ def reference_compute_geometry(vertices, loops, cell_points=None):
     face_centre = 0.5 * (pts[face_first] + vertices[b[face_first]])
     dist = ((face_centre[cone_face] - xk[cone_cell]) * normal).sum(axis=1)
     return Mesh(
-        dim=d, vertices=vertices,
+        vertices=vertices,
         face_vertices=np.stack([a[face_first], b[face_first]], axis=1),
         face_cells=face_cells, face_cones=face_cones,
         face_measure=length[face_first], face_centre=face_centre,

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 import sushi
 from conftest import system_from_dense, write_thin_barrier_rows
-from sushi.cli import main
+from sushi.cli import FLUX_COLUMNS, main
 from sushi.errors import (
     BreakdownNonSPD,
     MaxIterations,
@@ -25,7 +25,7 @@ from sushi.errors import (
 )
 from sushi.generators import barrier_region
 from sushi.geometry import compute_geometry
-from sushi.gradient import default_alpha
+from sushi.gradient import DEFAULT_ALPHA
 from sushi.meshfile import write_mesh
 
 
@@ -360,9 +360,21 @@ def test_solve_rejects_invalid_alpha_and_tol_exits_2(tmp_path, capsys, option, v
     assert "must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_dense_solve_rejects_invalid_tol_without_artifacts(tmp_path, capsys, value):
+    # tol is recorded in manifest.json under either method, where NaN and
+    # Infinity are not strict JSON
+    out = tmp_path / "out"
+    code = main(["solve", "--mesh", "rect:4x4", "--method", "dense", "--tol", value,
+                 "--out", str(out)])
+    assert code == 2
+    assert "tol must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha_args,expected", [
     (["--alpha", "1.5"], 1.5),
-    ([], default_alpha(2)),
+    ([], DEFAULT_ALPHA),
 ])
 def test_solve_records_alpha(tmp_path, alpha_args, expected):
     assert main(["solve", "--mesh", "rect:4x4", *alpha_args,
@@ -453,11 +465,13 @@ def test_memory_error_is_a_typed_failure_without_traceback_or_artifact(tmp_path)
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("scale", [1e-80, 1e-100])
+@pytest.mark.parametrize("scale", [1e-60, 1e-80, 1e-100])
 def test_tiny_coordinates_solve_under_both_methods(tmp_path, scale):
     # b is tiny but finite.  Unscaled, ||b|| underflowed at 1e-100, and CG
     # returned u = 0 after 0 iterations with a residual of 0.0; at 1e-80 a
-    # curvature p.Kp underflowed, and CG blamed the matrix.
+    # curvature p.Kp underflowed, and CG blamed the matrix.  The domain is
+    # not the unit square, so no per-side flux totals are reported: with an
+    # absolute side tolerance, every boundary face once fell under x=0.
     path = tmp_path / "scaled.mesh"
     write_scaled_rect(path, scale)
     u = {}
@@ -465,8 +479,11 @@ def test_tiny_coordinates_solve_under_both_methods(tmp_path, scale):
         out = tmp_path / method
         assert main(["solve", "--mesh", f"file:{path}", "--method", method,
                      "--out", str(out)]) == 0
-        solve = json.loads((out / "manifest.json").read_text())["solve"]
-        assert 0.0 < solve["relative_residual"] <= 1e-12
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert 0.0 < manifest["solve"]["relative_residual"] <= 1e-12
+        assert "boundary_flux" not in manifest
+        row = read_csv(out / "report.csv")[0]
+        assert [row[key] for key in FLUX_COLUMNS.values()] == [""] * 4
         u[method] = np.array(parse_legacy_vtk(out / "solution.vtk")[2]["u"])
     assert np.abs(u["cg"]).max() > 0.0
     assert np.abs(u["cg"] - u["dense"]).max() <= 1e-12 * np.abs(u["dense"]).max()

@@ -16,6 +16,7 @@ import sushi.cli
 from conftest import jittered_file_mesh
 from sushi.cli import main
 from sushi.geometry import (
+    DIM,
     ValidationReport,
     domain_measure,
     segment_sums,
@@ -31,11 +32,11 @@ def reference_domain_measure(mesh):
     bf = mesh.face_boundary
     normal = mesh.cone_normal[mesh.face_cones[bf, 0]]
     flux = mesh.face_measure[bf] * (mesh.face_centre[bf] * normal).sum(axis=1)
-    return float(flux.sum()) / mesh.dim
+    return float(flux.sum()) / DIM
 
 
 def reference_validate(mesh):
-    d = mesh.dim
+    d = DIM
     ptr = mesh.cell_ptr
     w = mesh.face_measure[mesh.cone_face]
     wn = w[:, None] * mesh.cone_normal

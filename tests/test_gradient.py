@@ -7,7 +7,8 @@ import sushi
 from conftest import cell_views, face_views, random_zero_boundary
 from oracles import interpolate, stabilization_residuals
 from test_assembly_reference import reference_gradient_operator
-from sushi.gradient import cell_gradients, default_alpha, gradient_field
+from sushi.geometry import DIM
+from sushi.gradient import DEFAULT_ALPHA, cell_gradients, gradient_field
 from sushi.postproc import _cone_errors_sq, convergence_order, seminorm_x
 from sushi.spaces import DiscreteFunction, partition_faces
 
@@ -21,7 +22,7 @@ def y_vectors(mesh, cid, alpha=None):
     """(k, k, d) block of ``G`` for one cell: Y[i, j] multiplies delta_j in
     the gradient of cone i."""
     s = slice(int(mesh.cell_ptr[cid]), int(mesh.cell_ptr[cid + 1]))
-    k, d = s.stop - s.start, mesh.dim
+    k, d = s.stop - s.start, DIM
     block = reference_gradient_operator(mesh, alpha)[d * s.start:d * s.stop, s].toarray()
     return block.reshape(k, d, k).transpose(0, 2, 1)
 
@@ -77,7 +78,7 @@ def test_stabilization_orthogonality(rng):
     # sum over faces of (|s| d / d_dim) R n = 0 for any grid function
     mesh = sushi.gen_tilted_barrier(1)[0]
     u = random_zero_boundary(mesh, rng)
-    d = mesh.dim
+    d = DIM
     residuals = stabilization_residuals(mesh, u)
     for c in cell_views(mesh):
         resid = residuals[c.cones]
@@ -109,7 +110,7 @@ def test_residual_matches_dense_formula(rng):
 def test_cone_gradients_match_componentwise(rng):
     mesh = sushi.gen_nonconforming_rect(1)
     u = random_zero_boundary(mesh, rng)
-    a = default_alpha(2)
+    a = DEFAULT_ALPHA
     field = gradient_field(mesh, u, a)
     grads = cell_gradients(mesh, u)
     residuals = stabilization_residuals(mesh, u, a)
@@ -125,7 +126,7 @@ def test_y_vectors_reconstruct_cone_gradients(rng):
     mesh = sushi.gen_tilted_barrier(1)[0]
     for trial in range(10):
         u = random_zero_boundary(mesh, rng)
-        field = gradient_field(mesh, u, default_alpha(2))
+        field = gradient_field(mesh, u, DEFAULT_ALPHA)
         for cid in (0, 57, 105, 209):
             c = cell_views(mesh)[cid]
             y = y_vectors(mesh, cid)
@@ -139,7 +140,7 @@ def test_y_vectors_reconstruct_cone_gradients(rng):
 def test_y_vector_weighted_sum_identity():
     # sum over s' of (|s'| d(K,s') / d) y^{s' s} = |s| n(K,s)
     for mesh in (sushi.gen_tri(2), sushi.gen_nonconforming_rect(1)):
-        d = mesh.dim
+        d = DIM
         for c in cell_views(mesh):
             y = y_vectors(mesh, c.id)
             w = c.face_measures * c.dists / d

@@ -57,7 +57,7 @@ def reference_cell_gradients(mesh, u):
 def reference_gradient_field(mesh, u, alpha=None):
     grad = reference_cell_gradients(mesh, u)[mesh.cone_cell]
     residuals = reference_residuals(mesh, slice(None), cone_increments(mesh, u), grad,
-                                    resolve_alpha(alpha, mesh.dim))
+                                    resolve_alpha(alpha))
     return grad + residuals[:, None] * mesh.cone_normal
 
 
@@ -100,7 +100,7 @@ def reference_boundary_flux_totals(mesh, tensor, u, alpha=None):
         axis, val = side.split("=")
         coord = centres[:, 0] if axis == "x" else centres[:, 1]
         side_of[(side_of < 0) & (np.abs(coord - float(val)) <= 1e-9)] = s
-    a = resolve_alpha(alpha, mesh.dim)
+    a = resolve_alpha(alpha)
     cones = mesh.face_cones[faces, 0]
     owned, fluxes = reference_cell_fluxes(mesh, tensor, reference_gradient_field(mesh, u, a), a,
                                           np.unique(mesh.cone_cell[cones]))
@@ -202,7 +202,7 @@ def test_error_norms_equal_reference_bit_for_bit(mesh, rng):
 def test_boundary_flux_totals_equal_reference_bit_for_bit(mesh, alpha, rng):
     # the totals, and the fluxes of every cone, which the totals sum only on
     # the boundary
-    a = resolve_alpha(alpha, mesh.dim)
+    a = resolve_alpha(alpha)
     cells = np.arange(mesh.n_cells)
     for tensor, reference in tensors(mesh, rng).values():
         for u in grid_functions(mesh, rng).values():

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from oracles import cell_balance_residuals, composite_fluxes, spd_certificate, weight_matrix
+from oracles import (
+    BARRIER_BOUNDARY_FLUX,
+    cell_balance_residuals,
+    composite_fluxes,
+    spd_certificate,
+    weight_matrix,
+)
 from sushi.assembly import TensorField, assemble
 from sushi.postproc import reconstruct_faces
 from sushi.problems import barrier_exact, problem_tilted_barrier
@@ -96,5 +102,5 @@ def test_refined_tilted_barrier_is_exact():
     assert result.report.iterations <= 30
     exact = barrier_exact(mesh.cell_point.T, regions)
     assert np.abs(result.u.cell_values - exact).max() <= 1e-9
-    for side, flux in prob.exact_boundary_flux.items():
+    for side, flux in BARRIER_BOUNDARY_FLUX.items():
         assert abs(result.fluxes[side] - flux) <= 1e-9, side

@@ -10,6 +10,10 @@ A reference is matched by bare name, so it cannot tell apart two
 definitions, or a definition and a field, that share a name.  A function,
 method or property may therefore share its name only when it is listed in
 ``SHARED``, by the owner that is used and with where it is used.
+
+Every field of a dataclass must likewise be read as an attribute by the
+package or by the benchmark, or be listed in ``UNREAD_FIELDS`` with the
+reason it is kept.
 """
 
 import ast
@@ -28,11 +32,30 @@ ALLOWED = {
 # Definitions, as module.owner.name, whose name is also a field or another
 # definition of src/sushi.
 SHARED = {
-    "spaces.UnknownNumbering.n": "read as numbering.n by assemble and face_expansions; "
-                                 "LinearSystem.n is a field",
+    "spaces.UnknownNumbering.n": "read as numbering.n by assemble and face_expansions",
+    "assembly.LinearSystem.n": "read as system.n by the solvers, the CLI and perfbench",
     "geometry.Mesh.n_cells": "read as mesh.n_cells throughout; UnknownNumbering and "
                              "_CellElimination have an n_cells field",
     "postproc.seminorm_x": "called by error_norms to fill the ErrorReport field of its name",
+}
+
+# Dataclass fields, as module.class.field, that neither the package nor the
+# benchmark reads as an attribute.
+_MANIFEST = "written to manifest.json whole, by dataclasses.asdict"
+_REPLICA = "perfbench's replica of cmd_solve constructs RunResult with it"
+_TIMINGS = "kept for the timings.json side file of ROADMAP item 2"
+UNREAD_FIELDS = {
+    "postproc.ErrorReport.eps_u_rel": _MANIFEST,
+    "postproc.ErrorReport.eps_grad_rel": _MANIFEST,
+    "postproc.ErrorReport.eps_grad_stab": _MANIFEST,
+    "postproc.ErrorReport.seminorm_x": _MANIFEST,
+    "postproc.ErrorReport.norm_12m": _MANIFEST,
+    "run.RunResult.weights": _REPLICA,
+    "run.RunResult.tensor": _REPLICA,
+    "run.RunResult.solution": _REPLICA,
+    "solver.SolveReport.wall_time": _TIMINGS,
+    "solver.SolveReport.residual_history": _TIMINGS,
+    "problems.ProblemSpec.name": "a descriptor's label",
 }
 
 
@@ -79,6 +102,31 @@ def _shared_definitions(paths):
     return {qual for qual, name, is_def in members if is_def and count[name] > 1}
 
 
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _dataclass_fields(path, tree):
+    """``(qualified name, name)`` of every field of a module-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{path.stem}.{node.name}.{item.target.id}", item.target.id
+
+
+def _attribute_reads(tree):
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _users():
+    """The package, ``__init__`` excluded, and the benchmark."""
+    return ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+            + sorted(ROOT.glob("perfbench/*.py")))
+
+
 def _references(tree):
     names = set()
     for node in ast.walk(tree):
@@ -93,8 +141,7 @@ def _references(tree):
 
 def test_every_definition_has_a_caller_outside_tests():
     modules = sorted(PACKAGE.glob("*.py"))
-    users = [p for p in modules if p.name != "__init__.py"] + sorted(ROOT.glob("perfbench/*.py"))
-    referenced = set().union(*map(_references, _trees(users)))
+    referenced = set().union(*map(_references, _trees(_users())))
     unused = [f"{path.name}:{line} {name}"
               for path, tree in zip(modules, _trees(modules))
               for name, line in _definitions(tree)
@@ -114,3 +161,15 @@ def test_no_definition_shares_its_name_unlisted():
                           "definition: " + ", ".join(unlisted))
     # every entry still names a definition whose name is shared
     assert set(SHARED) <= shared
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    modules = sorted(PACKAGE.glob("*.py"))
+    read = set().union(*map(_attribute_reads, _trees(_users())))
+    fields = [qual for path, tree in zip(modules, _trees(modules))
+              for qual, name in _dataclass_fields(path, tree)
+              if name not in read]
+    unread = sorted(set(fields) - set(UNREAD_FIELDS))
+    assert not unread, "dataclass fields that only tests read: " + ", ".join(unread)
+    # every entry still names a field that nothing reads
+    assert set(UNREAD_FIELDS) <= set(fields)
