@@ -167,8 +167,10 @@ def cmd_convergence(args) -> int:
     try:
         levels = [int(t) for t in args.levels.split(",")]
     except ValueError:
+        levels = []
+    if not levels or min(levels) < 1:
         raise ValueError(f"bad --levels {args.levels!r}; expected comma-separated "
-                         "resolutions N of the family (rect:NxN | tri:N | ncrect:N)") from None
+                         "resolutions N of the family (rect:NxN | tri:N | ncrect:N)")
     if len(set(levels)) < 3:
         raise InsufficientLevels(f"need at least three distinct levels, got {args.levels!r}")
     rows, hs, eus, egs = [], [], [], []
@@ -184,11 +186,11 @@ def cmd_convergence(args) -> int:
         rows.append(_csv_row(f"{args.family}:{n}", result))
         print(f"{args.family}:{n} h={_fmt(mesh.h)} N={result.system.n} "
               f"eps_u={_fmt(result.errors.eps_u)} eps_grad={_fmt(result.errors.eps_grad)}")
+    slope_u = convergence_order(zip(hs, eus))
+    slope_g = convergence_order(zip(hs, egs))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_csv(rows, out / "study.csv")
-    slope_u = convergence_order(zip(hs, eus))
-    slope_g = convergence_order(zip(hs, egs))
     print(f"slope(eps_u)={_fmt(slope_u)} slope(eps_grad)={_fmt(slope_g)}")
     return 0
 

@@ -5,24 +5,20 @@ class SushiError(Exception):
     """Base class for all solver-library errors."""
 
 
-class MeshError(SushiError):
-    """Base class for mesh construction and validation errors."""
-
-
-class NonStarShaped(MeshError):
+class NonStarShaped(SushiError):
     """Cell point lies on the wrong side of (or on) a face hyperplane."""
 
 
-class DegenerateFace(MeshError):
+class DegenerateFace(SushiError):
     """Face with zero measure."""
 
 
-class InvalidTopology(MeshError):
+class InvalidTopology(SushiError):
     """Cell/face/vertex references are inconsistent."""
 
 
-class ParseError(MeshError):
-    """Mesh file could not be parsed; carries a line number when known."""
+class ParseError(SushiError):
+    """Mesh file or problem descriptor could not be parsed; carries a line number when known."""
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -94,10 +90,6 @@ class BreakdownNonSPD(NumericalFailure):
 
 class NotPositiveDefinite(NumericalFailure):
     """Dense factorization found a non-positive pivot."""
-
-
-class UnclassifiedBoundaryFace(SushiError):
-    """A boundary face does not belong to any requested side."""
 
 
 class InsufficientLevels(SushiError):

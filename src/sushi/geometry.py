@@ -143,19 +143,17 @@ class Mesh:
     def face_boundary(self) -> np.ndarray:
         return self.face_cells[:, 1] < 0
 
-    def cone_centroids(self, cones=slice(None)) -> np.ndarray:
-        """Centroids (x_K + 2 x_sigma) / 3 of the cones ``cones`` (an index
-        array or a slice; all by default), components on a new last axis.
+    def cone_centroids(self) -> np.ndarray:
+        """Centroids (x_K + 2 x_sigma) / 3 of the cones, as an (n_cones, 2) array.
 
         The components are stored first, so the transposed point array that
         :func:`sushi.spaces.sample_field` hands a user field is this array
         itself, not a copy."""
-        cells, faces = self.cone_cell[cones], self.cone_face[cones]
-        out = np.empty((2,) + cells.shape)
+        out = np.empty((2, self.n_cones))
         for k in range(2):
-            out[k] = (np.take(self.cell_point[:, k], cells)
-                      + 2.0 * np.take(self.face_centre[:, k], faces)) / 3.0
-        return np.moveaxis(out, 0, -1)
+            out[k] = (np.take(self.cell_point[:, k], self.cone_cell)
+                      + 2.0 * np.take(self.face_centre[:, k], self.cone_face)) / 3.0
+        return out.T
 
     def loops(self) -> list[list[int]]:
         """The vertex loop of every cell, as lists of ints."""
@@ -300,6 +298,8 @@ def compute_geometry(
     counts = np.bincount(cone_face, minlength=n_faces)
     if np.any(counts > 2):
         raise InvalidTopology(f"face {_first(counts > 2)} shared by more than two cells")
+    if np.all(counts == 2):
+        raise InvalidTopology("the boundary (0 faces) encloses no domain")
     by_face = np.argsort(cone_face, kind="stable")
     starts = np.cumsum(counts) - counts
     face_cones = np.full((n_faces, 2), -1, dtype=np.int64)
@@ -412,7 +412,8 @@ def validate(mesh: Mesh) -> ValidationReport:
 
     plus the face/cone cross-references and the partition-of-domain
     check sum |K| = |Omega|.  Raises ``InvalidTopology`` when the boundary
-    faces enclose no domain (a mesh with none, for one).
+    faces enclose no domain: their terms can cancel where a loop reuses
+    a vertex's coordinates under another id.
     """
     ptr = mesh.cell_ptr
     w = np.take(mesh.face_measure, mesh.cone_face)

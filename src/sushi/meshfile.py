@@ -43,13 +43,15 @@ def read_mesh(path) -> Mesh:
 
     pos = 0
 
-    def next_line() -> tuple[int, list[str]]:
+    def next_line(optional: bool = False) -> tuple[int, list[str]] | None:
         nonlocal pos
         while pos < len(raw):
             pos += 1
             stripped = raw[pos - 1].strip()
             if stripped and not stripped.startswith("#"):
                 return pos, stripped.split()
+        if optional:
+            return None
         raise ParseError("unexpected end of file", line=len(raw))
 
     def count(ln: int, tok: list[str], keyword: str) -> int:
@@ -99,11 +101,8 @@ def read_mesh(path) -> Mesh:
         loops.append(loop)
 
     cell_points = None
-    while pos < len(raw):
-        try:
-            ln, tok = next_line()
-        except ParseError:
-            break
+    while (section := next_line(optional=True)) is not None:
+        ln, tok = section
         if tok[0] != "cellpoints":
             raise ParseError(f"unknown section '{tok[0]}'", line=ln)
         if cell_points is not None:

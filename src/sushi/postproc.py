@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import TensorField
-from .errors import InsufficientLevels, InvalidSeries, UnclassifiedBoundaryFace
+from .errors import InsufficientLevels, InvalidSeries
 from .geometry import Mesh, pair_sum, segment_sums
 from .gradient import (
     GradientField,
@@ -108,15 +108,15 @@ SIDE_TOL = 1e-9
 
 def boundary_flux_totals(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
                          alpha: float | None = None,
-                         grad: GradientField | None = None) -> dict:
+                         grad: GradientField | None = None) -> dict | None:
     """Per-side totals of the co-normal boundary flux (Lambda grad u . n).
 
     Faces are classified by barycentre against the sides of the unit
     square, the first matching side winning, to ``SIDE_TOL`` times the
-    largest extent of the boundary barycentres; a boundary face matching
-    none raises ``UnclassifiedBoundaryFace``.  The fluxes are evaluated on
-    the cells that own a boundary face only.  ``grad`` is the stabilized
-    gradient of ``u`` if already evaluated.
+    largest extent of the boundary barycentres; if a boundary face matches
+    none, the domain is not the unit square and the result is ``None``.
+    The fluxes are evaluated on the cells that own a boundary face only.
+    ``grad`` is the stabilized gradient of ``u`` if already evaluated.
     """
     faces = np.nonzero(mesh.face_boundary)[0]
     centres = mesh.face_centre[faces]
@@ -127,8 +127,7 @@ def boundary_flux_totals(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,
         coord = centres[:, 0] if axis == "x" else centres[:, 1]
         side_of[(side_of < 0) & (np.abs(coord - float(val)) <= tol)] = s
     if np.any(side_of < 0):
-        i = int(np.nonzero(side_of < 0)[0][0])
-        raise UnclassifiedBoundaryFace(f"face {faces[i]} at {centres[i]}")
+        return None
     a = resolve_alpha(alpha)
     grad = gradient_field(mesh, u, a) if grad is None else grad
     cones = mesh.face_cones[faces, 0]

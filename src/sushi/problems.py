@@ -31,7 +31,6 @@ class ProblemSpec:
     it is sampled at the cell points when the mesh brings no region map.
     """
 
-    name: str
     make_tensor: object
     source: object = None
     dirichlet: object = None
@@ -66,15 +65,13 @@ def _polyvals(p, *coeffs) -> np.ndarray:
 
 def problem_anisotropic_smooth() -> ProblemSpec:
     """Constant full tensor with the quartic bubble exact solution."""
-    return problem_from_descriptor({"name": "anisotropic-smooth",
-                                    "tensor": {"constant": [[1.5, 0.5], [0.5, 1.5]]},
+    return problem_from_descriptor({"tensor": {"constant": [[1.5, 0.5], [0.5, 1.5]]},
                                     "exact_poly": _BUBBLE_POLY})
 
 
 def problem_quartic_isotropic() -> ProblemSpec:
     """Identity tensor with the same quartic bubble."""
-    return problem_from_descriptor({"name": "quartic-isotropic",
-                                    "tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]},
+    return problem_from_descriptor({"tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]},
                                     "exact_poly": _BUBBLE_POLY})
 
 
@@ -83,16 +80,16 @@ BARRIER_CONTRAST = 1e-2
 _TOP_OFFSET = BARRIER_THICKNESS / BARRIER_CONTRAST - BARRIER_THICKNESS
 
 
-def barrier_exact(p, region=None) -> np.ndarray:
+def barrier_exact(p) -> np.ndarray:
     x, y = p
-    r = barrier_region(x, y) if region is None else region
+    r = barrier_region(x, y)
     f1 = phi1(x, y)
     return np.where(r == 1, -f1, np.where(r == 2, -f1 / BARRIER_CONTRAST, -f1 - _TOP_OFFSET))
 
 
-def barrier_exact_grad(p, region=None) -> np.ndarray:
+def barrier_exact_grad(p) -> np.ndarray:
     x, y = p
-    r = barrier_region(x, y) if region is None else region
+    r = barrier_region(x, y)
     scale = np.broadcast_to(np.where(r == 2, BARRIER_CONTRAST, 1.0), np.shape(x))
     return np.stack([BARRIER_SLOPE / scale, -1.0 / scale])
 
@@ -107,7 +104,6 @@ def problem_tilted_barrier() -> ProblemSpec:
     (-0.2, 0.2, 1, -1) for x=0, x=1, y=0, y=1.
     """
     return ProblemSpec(
-        name="tilted-barrier",
         make_tensor=lambda mesh, regions=None: TensorField(
             np.where(np.asarray(regions) == 2, BARRIER_CONTRAST, 1.0)[:, None, None] * np.eye(2)
         ),
@@ -165,15 +161,15 @@ def load_problem_descriptor(path) -> ProblemSpec:
 def problem_from_descriptor(desc) -> ProblemSpec:
     """Problem from a descriptor object, as read from JSON.
 
-    Recognised keys: ``name``; ``tensor`` (either ``{"constant": 2x2}`` or
+    Recognised keys: ``tensor`` (either ``{"constant": 2x2}`` or
     ``{"two_region": {"split_x": v, "left": lam, "right": lam}}``, an
     isotropic coefficient split at x = ``split_x``, default 1/2); optional
     ``exact_poly``, a 2D coefficient matrix c[i][j] of sum c_ij x^i y^j, from
     which the gradient, the source -div(Lambda grad u) and the boundary
     data are derived; without it both are zero.  ``exact_poly`` needs a
-    ``constant`` tensor, as no source is derived region by region.  A
-    malformed descriptor, including a non-numeric or non-finite value,
-    raises ``ParseError``.
+    ``constant`` tensor, as no source is derived region by region.  Other
+    keys, such as a ``name`` label, are ignored.  A malformed descriptor,
+    including a non-numeric or non-finite value, raises ``ParseError``.
     """
     if not isinstance(desc, dict):
         raise ParseError("descriptor must be a JSON object")
@@ -223,7 +219,6 @@ def problem_from_descriptor(desc) -> ProblemSpec:
             return -(l00 * fxx + 2.0 * l01 * fxy + l11 * fyy)
 
     return ProblemSpec(
-        name=desc.get("name", "custom"),
         make_tensor=make_tensor,
         source=source,
         dirichlet=exact,

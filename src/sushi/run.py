@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import LinearSystem, TensorField, assemble
-from .errors import UnclassifiedBoundaryFace
 from .generators import gen_nonconforming_rect, gen_rect, gen_tilted_barrier, gen_tri
 from .geometry import Mesh
 from .gradient import GradientField, gradient_field
@@ -114,6 +112,5 @@ def solve_problem(problem: ProblemSpec, mesh: Mesh,
     if problem.exact is not None and problem.exact_grad is not None:
         result.errors = error_norms(mesh, u, problem.exact, problem.exact_grad, alpha,
                                     result.gradient)
-    with suppress(UnclassifiedBoundaryFace):  # not the unit square: no per-side totals
-        result.fluxes = boundary_flux_totals(mesh, tensor, u, alpha, result.gradient)
+    result.fluxes = boundary_flux_totals(mesh, tensor, u, alpha, result.gradient)
     return result

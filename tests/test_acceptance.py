@@ -134,7 +134,7 @@ def test_criterion_4_tilted_barrier():
                               method="dense")
             flux_err = max(abs(r.fluxes[s] - analytic[s]) for s in analytic)
             cell_err = max(
-                abs(r.solution[c.id] - barrier_exact(c.point, regions[c.id]))
+                abs(r.solution[c.id] - barrier_exact(c.point))
                 for c in cell_views(mesh)
             )
             assert flux_err <= 1e-8, f"mesh {variant}/{policy}: {flux_err:.2e}"

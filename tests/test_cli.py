@@ -268,13 +268,17 @@ def test_thin_layer_faces_stay_hybrid_or_exit_2(tmp_path, capsys):
     assert "no affine support found" in capsys.readouterr().err
 
 
-def test_malformed_levels_name_themselves_exits_2(tmp_path, capsys):
-    code = main(["convergence", "--family", "rect", "--levels", "4,a,8",
+@pytest.mark.parametrize("levels", ["4,a,8", "64,128,0", "4,8,-2,16"],
+                         ids=["non-numeric", "zero", "negative"])
+def test_malformed_levels_name_themselves_exits_2(tmp_path, capsys, levels):
+    # refused before any level is solved
+    code = main(["convergence", "--family", "rect", "--levels", levels,
                  "--out", str(tmp_path)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "'4,a,8'" in err
-    assert "invalid literal" not in err
+    captured = capsys.readouterr()
+    assert f"bad --levels {levels!r}" in captured.err
+    assert "invalid literal" not in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "study.csv").exists()
 
 
@@ -336,8 +340,9 @@ def test_builtin_problem_equals_its_descriptor(tmp_path, mesh, policy):
     ({"tensor": {"constant": [[1.0, 0.0], [0.0, -math.inf]]}}, "'constant'"),
     ({"tensor": {"two_region": {"left": 1.0, "right": 1.0}}, "exact_poly": [[0.0, 1.0]]},
      "'exact_poly'"),
+    ({"tensor": {}}, "tensor must define 'constant' or 'two_region'"),
 ], ids=["exact-poly-nan", "left-infinity", "constant-minus-infinity",
-        "exact-poly-with-two-region"])
+        "exact-poly-with-two-region", "tensor-empty"])
 def test_bad_descriptor_number_exits_2_before_solving(tmp_path, capsys, desc, key):
     # Python's json reads NaN and Infinity; the descriptor is refused before
     # the mesh is built, where CG would run on a NaN system to its 10 n cap
@@ -623,15 +628,32 @@ def test_convergence_study_writes_flux_columns(tmp_path):
     ["--check", "0.5:0.25,0.5:0.25,0.5:0.25"],
     ["--family", "rect", "--levels", "2,2,2"],
     ["--family", "rect", "--levels", "4,8"],
+    ["--family", "rect", "--levels", "1,2,4", "--policy", "all-barycentric"],
 ])
 def test_convergence_degenerate_input_exits_2(tmp_path, capsys, args):
-    # no slope is printed, and a study with too few levels solves nothing
+    # no slope is printed, and a study with too few levels solves nothing;
+    # on rect:1 eps_grad is exactly 0, so the fit fails after the solves
     code = main(["convergence", *args, "--out", str(tmp_path)])
     assert code == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert "slope" not in captured.out
     assert not (tmp_path / "study.csv").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--problem", "PROBLEM"], "convergence study needs a problem with an exact solution"),
+    (["--family", "barrier"], "unknown family 'barrier'"),
+], ids=["no-exact-solution", "barrier-family"])
+def test_convergence_refuses_problem_or_family_exits_2(tmp_path, capsys, args, message):
+    problem = tmp_path / "prob.json"
+    problem.write_text(json.dumps({"tensor": {"constant": [[1.0, 0.0], [0.0, 1.0]]}}))
+    argv = [str(problem) if a == "PROBLEM" else a for a in args]
+    assert main(["convergence", *argv, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_mesh_check_pass(capsys):

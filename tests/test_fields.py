@@ -22,12 +22,7 @@ from sushi.generators import (
     phi2,
 )
 from sushi.postproc import error_norms
-from sushi.problems import (
-    BUILTIN_PROBLEMS,
-    barrier_exact,
-    barrier_exact_grad,
-    load_problem_descriptor,
-)
+from sushi.problems import BUILTIN_PROBLEMS, load_problem_descriptor
 from sushi.run import parse_mesh_spec, solve_problem
 from sushi.spaces import DiscreteFunction, partition_faces, sample_field
 
@@ -91,18 +86,6 @@ def test_builtin_fields_on_arrays_equal_per_point_values(where, points):
         ref = np.array([field(p) for p in points], dtype=float)
         assert got.shape == ref.shape, label
         assert np.array_equal(got, ref), f"{label} at {where}"
-
-
-def test_barrier_fields_take_a_region_map():
-    mesh, regions = sushi.gen_tilted_barrier(3)
-    x, y = mesh.cell_point.T
-    assert np.array_equal(barrier_exact((x, y), regions),
-                          [barrier_exact(p, r) for p, r in zip(mesh.cell_point, regions)])
-    assert np.array_equal(barrier_exact_grad((x, y), regions),
-                          np.transpose([barrier_exact_grad(p, r)
-                                        for p, r in zip(mesh.cell_point, regions)]))
-    # a single region for many points is broadcast over them
-    assert barrier_exact_grad((x, y), 2).shape == (2, mesh.n_cells)
 
 
 def test_json_polynomial_fields_match_per_term_reference(tmp_path, rng):

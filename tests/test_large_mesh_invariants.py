@@ -100,7 +100,7 @@ def test_refined_tilted_barrier_is_exact():
     result = solve_problem(prob, mesh, regions, "discontinuity")
     assert result.system.n == 16_080
     assert result.report.iterations <= 30
-    exact = barrier_exact(mesh.cell_point.T, regions)
+    exact = barrier_exact(mesh.cell_point.T)
     assert np.abs(result.u.cell_values - exact).max() <= 1e-9
     for side, flux in BARRIER_BOUNDARY_FLUX.items():
         assert abs(result.fluxes[side] - flux) <= 1e-9, side

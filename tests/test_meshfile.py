@@ -6,7 +6,8 @@ from conftest import assert_same_mesh, cell_view
 from sushi.cli import main
 from sushi.errors import ParseError
 from sushi.meshfile import read_mesh, write_mesh
-from sushi.run import parse_mesh_spec
+from sushi.run import METHODS, parse_mesh_spec
+from sushi.spaces import POLICIES
 
 
 def test_round_trip_rect(tmp_path):
@@ -117,15 +118,23 @@ HEAD = "dim 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 2\n"
     ("dim 2\nvertices 3\n0 0\n1 0\n0 1\ncells 2\n0 1 2\n", 6,
      "count for 'cells' exceeds the 1 lines left"),
     (HEAD + "cellpoints 1\n", 8, "count for 'cellpoints' exceeds the 0 lines left"),
+    ("dim 2\nvertices 1\n0 0\n", 3, "unexpected end of file"),
+    ("dim 2\nvertices 1\n0 0 0\n", 3, "expected 'x y'"),
+    ("dim 2\nvertices 1\n0 zero\n", 3, "bad vertex coordinate"),
+    ("dim 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 two\n", 7, "bad vertex index"),
+    (HEAD + "cellpoints 2\n0.2 0.2\n0.3 0.3\n", 8, "cellpoints count differs from cells"),
 ], ids=["bare-cellpoints", "cellpoints-x", "cellpoints-negative", "vertices-negative",
         "bare-vertices", "cells-negative", "vertices-huge", "cells-past-end",
-        "cellpoints-past-end"])
-def test_bad_section_header_is_parse_error_with_line(tmp_path, text, line, message):
+        "cellpoints-past-end", "end-of-file", "three-coordinates", "bad-coordinate",
+        "bad-vertex-index", "cellpoints-count"])
+def test_bad_section_header_is_parse_error_with_line(tmp_path, capsys, text, line, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(ParseError, match=message) as err:
         read_mesh(path)
     assert err.value.line == line
+    assert main(["mesh-check", "--mesh", f"file:{path}"]) == 2
+    assert f"line {line}: {message}" in capsys.readouterr().err
 
 
 def test_second_cellpoints_section_is_parse_error(tmp_path, capsys):
@@ -171,10 +180,36 @@ def test_non_finite_vertex_names_the_line(tmp_path):
     assert err.value.line == 4
 
 
+TWICE = "dim 2\nvertices 4\n0 0\n1 0\n1 1\n0 1\ncells 2\n0 1 2 3\n0 1 2 3\n"
+
+
 def test_mesh_without_boundary_faces_exits_2(tmp_path, capsys):
     # the same loop twice: every face has two cells, so no face is on the
     # boundary and the boundary encloses no domain
     path = tmp_path / "twice.mesh"
-    path.write_text("dim 2\nvertices 4\n0 0\n1 0\n1 1\n0 1\ncells 2\n0 1 2 3\n0 1 2 3\n")
+    path.write_text(TWICE)
     assert main(["mesh-check", "--mesh", f"file:{path}"]) == 2
     assert "the boundary (0 faces) encloses no domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_solve_on_a_mesh_without_boundary_faces_exits_2(tmp_path, capsys, policy, method):
+    # rejected with the mesh, not by the solver as a non-SPD system
+    path = tmp_path / "twice.mesh"
+    path.write_text(TWICE)
+    out = tmp_path / "out"
+    assert main(["solve", "--mesh", f"file:{path}", "--policy", policy, "--method", method,
+                 "--out", str(out)]) == 2
+    assert "error: the boundary (0 faces) encloses no domain" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_boundary_whose_terms_cancel_exits_2(tmp_path, capsys):
+    # vertex 4 repeats vertex 0, so the square is meshed twice and the four
+    # boundary faces are the two copies of those through the origin, where
+    # x . n = 0: validate's divergence-theorem measure of the domain is 0
+    path = tmp_path / "twice.mesh"
+    path.write_text("dim 2\nvertices 5\n0 0\n1 0\n1 1\n0 1\n0 0\ncells 2\n0 1 2 3\n4 1 2 3\n")
+    assert main(["mesh-check", "--mesh", f"file:{path}"]) == 2
+    assert "the boundary (4 faces) encloses no domain" in capsys.readouterr().err

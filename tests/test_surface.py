@@ -14,6 +14,13 @@ method or property may therefore share its name only when it is listed in
 Every field of a dataclass must likewise be read as an attribute by the
 package or by the benchmark, or be listed in ``UNREAD_FIELDS`` with the
 reason it is kept.
+
+Every parameter of a module-level function or method that the package or
+the benchmark calls by name must be passed by one of those calls, or be
+listed in ``UNPASSED_PARAMETERS`` with the reason it is kept.  A function
+only referenced as a value (a user field, a dispatch table entry) is not
+checked.  Every exception type of ``errors.py`` must be named by another
+module of the package.
 """
 
 import ast
@@ -55,7 +62,13 @@ UNREAD_FIELDS = {
     "run.RunResult.solution": _REPLICA,
     "solver.SolveReport.wall_time": _TIMINGS,
     "solver.SolveReport.residual_history": _TIMINGS,
-    "problems.ProblemSpec.name": "a descriptor's label",
+}
+
+# Parameters, as module.function.name or module.class.method.name, that no
+# call of the package or the benchmark passes.
+UNPASSED_PARAMETERS = {
+    "solver.solve_cg.max_iters": "the test seam of the 10 n iteration cap, which stagnation "
+                                 "detection reaches first on every benchmark case",
 }
 
 
@@ -173,3 +186,99 @@ def test_every_dataclass_field_is_read_outside_tests():
     assert not unread, "dataclass fields that only tests read: " + ", ".join(unread)
     # every entry still names a field that nothing reads
     assert set(UNREAD_FIELDS) <= set(fields)
+
+
+def _functions(path, tree):
+    """``(qualified name, node, implicit)`` of every module-level function and
+    method, dunders excluded; ``implicit`` is 1 where a call binds the first
+    parameter itself (``self`` or ``cls``)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield f"{path.stem}.{node.name}", node, 0
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("__"):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield f"{path.stem}.{node.name}.{item.name}", item, 0 if static else 1
+
+
+def _external(tree):
+    """Names a module binds by importing from outside the package and the
+    benchmark: a call through them is not a call of a definition here."""
+    local = {"sushi"} | {p.stem for p in ROOT.glob("perfbench/*.py")}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.level == 0
+                                            and node.module.split(".")[0] not in local):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return names
+
+
+def _calls(trees):
+    """Every call by name or attribute, import aliases resolved, as
+    ``name -> [ast.Call]``."""
+    aliases = {alias.asname: alias.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+    calls = {}
+    for tree in trees:
+        external = _external(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id not in external:
+                calls.setdefault(aliases.get(func.id, func.id), []).append(node)
+            elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) not in external:
+                calls.setdefault(func.attr, []).append(node)
+    return calls
+
+
+def _passed(call, args, implicit):
+    """Names of the parameters ``args`` (an ``ast.arguments``) that ``call``
+    passes, the first ``implicit`` ones bound by the call itself."""
+    positional = [a.arg for a in args.posonlyargs + args.args][implicit:]
+    keywords = positional + [a.arg for a in args.kwonlyargs]
+    star = any(isinstance(a, ast.Starred) for a in call.args)
+    passed = set(positional if star else positional[:len(call.args)])
+    if args.vararg and (star or len(call.args) > len(positional)):
+        passed.add(args.vararg.arg)
+    for k in call.keywords:
+        passed.update(keywords if k.arg is None else {k.arg} & set(keywords))
+        if args.kwarg and k.arg not in keywords:  # None: a **mapping
+            passed.add(args.kwarg.arg)
+    return passed
+
+
+def _unpassed_parameters():
+    """``module.function.parameter`` of every parameter of a function that the
+    package or the benchmark calls by name, and that none of those calls passes."""
+    calls = _calls(_trees(_users()))
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    for path, tree in zip(modules, _trees(modules)):
+        for qual, node, implicit in _functions(path, tree):
+            if node.name not in calls:
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + [a.vararg] + a.kwonlyargs + [a.kwarg]
+                      if p is not None][implicit:]
+            passed = set().union(*(_passed(c, a, implicit) for c in calls[node.name]))
+            yield from (f"{qual}.{p}" for p in params if p not in passed)
+
+
+def test_every_parameter_is_passed_outside_tests():
+    unpassed = sorted(_unpassed_parameters())
+    unlisted = [q.rpartition(".") for q in unpassed if q not in UNPASSED_PARAMETERS]
+    assert not unlisted, ("parameters that no call of the package or the benchmark passes: "
+                          + ", ".join(f"{function}({param})" for function, _, param in unlisted))
+    # every entry still names a parameter that nothing passes
+    assert set(UNPASSED_PARAMETERS) <= set(unpassed)
+
+
+def test_every_error_type_is_named_by_another_module():
+    errors = PACKAGE / "errors.py"
+    others = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("__init__.py", errors.name)]
+    named = set().union(*map(_references, _trees(others)))
+    unnamed = [name for name, _ in _definitions(*_trees([errors])) if name not in named]
+    assert not unnamed, "error types that no other module of src/sushi names: " + ", ".join(unnamed)
