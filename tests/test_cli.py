@@ -268,9 +268,19 @@ def test_thin_layer_faces_stay_hybrid_or_exit_2(tmp_path, capsys):
     assert "no affine support found" in capsys.readouterr().err
 
 
+def test_malformed_levels_name_themselves_exits_2(tmp_path, capsys):
+    code = main(["convergence", "--family", "rect", "--levels", "4,a,8",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'4,a,8'" in err
+    assert "invalid literal" not in err
+    assert not (tmp_path / "study.csv").exists()
+
+
 @pytest.mark.parametrize("levels", ["4,a,8", "64,128,0", "4,8,-2,16"],
                          ids=["non-numeric", "zero", "negative"])
-def test_malformed_levels_name_themselves_exits_2(tmp_path, capsys, levels):
+def test_bad_levels_refused_before_solving_exits_2(tmp_path, capsys, levels):
     # refused before any level is solved
     code = main(["convergence", "--family", "rect", "--levels", levels,
                  "--out", str(tmp_path)])
