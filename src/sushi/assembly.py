@@ -46,11 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    NonPositiveTensor,
-    NonSymmetricTensor,
-    SingularAfterElimination,
-)
+from .errors import NonPositiveTensor, NonSymmetricTensor
 from .geometry import DIM, Mesh, segment_sums, take_rows
 from .gradient import _residuals, gradient_coefficients, resolve_alpha
 from .spaces import (
@@ -271,9 +267,7 @@ def assemble(mesh: Mesh, partition: EdgePartition,
 
     ``source`` and ``dirichlet`` are scalar user fields, each called once
     on its point array (:func:`sushi.spaces.sample_field`); both optional,
-    absent means zero.  Raises the errors of ``check_weights``, and
-    ``SingularAfterElimination`` when elimination leaves an unknown
-    without a positive diagonal.
+    absent means zero.  Raises the errors of ``check_weights``.
     """
     numbering = numbering_for(mesh, partition)
     n = numbering.n
@@ -326,7 +320,4 @@ def assemble(mesh: Mesh, partition: EdgePartition,
     del blocks
     if source is not None:
         rhs[: mesh.n_cells] += rhs_cell_integrals(mesh, source)
-    if np.any(diag <= 0.0):
-        bad = int(np.nonzero(diag <= 0.0)[0][0])
-        raise SingularAfterElimination(f"unknown {bad} has non-positive diagonal")
     return LinearSystem(upper=upper, diag=diag, rhs=rhs, numbering=numbering, nm=nm)

@@ -60,10 +60,6 @@ class OutOfMemory(SushiError):
     maps a ``MemoryError`` to it and exits 1."""
 
 
-class SingularAfterElimination(NumericalFailure):
-    """Elimination of face values produced a zero diagonal entry."""
-
-
 class InconsistentWeights(SushiError):
     """Weight table disagrees with the face partition."""
 
@@ -82,14 +78,11 @@ class MaxIterations(NumericalFailure):
 
 
 class BreakdownNonSPD(NumericalFailure):
-    """The system is not positive definite or not finite: a curvature in CG
-    or a diagonal entry or pivot of its multigrid hierarchy that is not
-    positive (NaN included), or a non-finite matrix or right-hand side
-    entry, which both solvers reject before they start."""
-
-
-class NotPositiveDefinite(NumericalFailure):
-    """Dense factorization found a non-positive pivot."""
+    """The system is not positive definite or not finite: a curvature in CG,
+    a diagonal entry or pivot of its multigrid hierarchy, or a pivot of the
+    direct solve's factorization that is not positive (NaN included), or a
+    non-finite matrix or right-hand side entry, which both solvers reject
+    before they start."""
 
 
 class InsufficientLevels(SushiError):

@@ -298,8 +298,6 @@ def compute_geometry(
     counts = np.bincount(cone_face, minlength=n_faces)
     if np.any(counts > 2):
         raise InvalidTopology(f"face {_first(counts > 2)} shared by more than two cells")
-    if np.all(counts == 2):
-        raise InvalidTopology("the boundary (0 faces) encloses no domain")
     by_face = np.argsort(cone_face, kind="stable")
     starts = np.cumsum(counts) - counts
     face_cones = np.full((n_faces, 2), -1, dtype=np.int64)
@@ -349,6 +347,15 @@ def compute_geometry(
         raise InvalidTopology(
             f"cell {_first(area <= 0.0)} loop is not counter-clockwise or is degenerate"
         )
+    # Counter-clockwise cells on the two sides of a face run along it in
+    # opposite directions, so two that start it at the same vertex overlap.
+    # (A boundary face's -1 takes the last cone; the mask drops it.)
+    same = np.take(a, face_cones[:, 0]) == np.take(a, face_cones[:, 1])
+    same &= face_cones[:, 1] >= 0
+    if np.any(same):
+        f = _first(same)
+        raise InvalidTopology(f"cells {face_cells[f, 0]} and {face_cells[f, 1]} lie on the "
+                              f"same side of face {f}: the mesh overlaps itself")
     bad = length <= DIST_REL_TOL * diam[cone_cell]
     if np.any(bad):
         i = _first(bad)
@@ -412,8 +419,8 @@ def validate(mesh: Mesh) -> ValidationReport:
 
     plus the face/cone cross-references and the partition-of-domain
     check sum |K| = |Omega|.  Raises ``InvalidTopology`` when the boundary
-    faces enclose no domain: their terms can cancel where a loop reuses
-    a vertex's coordinates under another id.
+    measure, the divisor of that check, is 0, as for a ``Mesh`` built by
+    hand whose cells overlap (:func:`compute_geometry` refuses those).
     """
     ptr = mesh.cell_ptr
     w = np.take(mesh.face_measure, mesh.cone_face)

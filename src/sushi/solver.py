@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .assembly import _row_blocks
-from .errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite, NumericalFailure
+from .errors import BreakdownNonSPD, MaxIterations, NumericalFailure
 
 log = logging.getLogger(__name__)
 
@@ -497,7 +497,7 @@ def _spd_factor(mat):
 
 def solve_dense(system) -> tuple[np.ndarray, SolveReport]:
     """Solve with the factor that certifies the system SPD, else
-    ``NotPositiveDefinite``; reports the relative residual as ``solve_cg`` does.
+    ``BreakdownNonSPD``; reports the relative residual as ``solve_cg`` does.
     A matrix or right-hand side entry that is not finite, or ||b|| overflowing,
     raises as in ``solve_cg``, before the factorization.  Solves for b
     scaled by a power of two, as ``solve_cg`` does."""
@@ -505,7 +505,7 @@ def solve_dense(system) -> tuple[np.ndarray, SolveReport]:
     _require_finite(system, "the direct solve stops before factoring: ")
     lu = _spd_factor(system.full())
     if lu is None:
-        raise NotPositiveDefinite("the symmetric factorization found a non-positive pivot")
+        raise BreakdownNonSPD("the symmetric factorization found a non-positive pivot")
     system, scale = _scaled(system)
     x = lu.solve(system.rhs)
     _, res = _residual(system, x)

@@ -17,10 +17,8 @@ from sushi.cli import FLUX_COLUMNS, main
 from sushi.errors import (
     BreakdownNonSPD,
     MaxIterations,
-    NotPositiveDefinite,
     NumericalFailure,
     OutOfMemory,
-    SingularAfterElimination,
     SushiError,
 )
 from sushi.generators import barrier_region
@@ -307,8 +305,7 @@ def test_malformed_check_pairs_name_themselves_exits_2(tmp_path, capsys, check, 
 
 
 @pytest.mark.parametrize("error,code", [
-    (MaxIterations, 1), (BreakdownNonSPD, 1), (NotPositiveDefinite, 1),
-    (SingularAfterElimination, 1), (OutOfMemory, 1), (SushiError, 2),
+    (MaxIterations, 1), (BreakdownNonSPD, 1), (OutOfMemory, 1), (SushiError, 2),
 ])
 def test_exit_code_follows_error_class(tmp_path, capsys, monkeypatch, error, code):
     def fail(*args, **kwargs):

@@ -139,6 +139,10 @@ def test_generators_pass_validation(mesh_fn):
 def test_bad_resolution_rejected():
     with pytest.raises(InvalidTopology):
         sushi.gen_rect(0, 3)
+    with pytest.raises(InvalidTopology, match="resolution must be >= 1"):
+        sushi.gen_tri(0)
+    with pytest.raises(InvalidTopology, match="resolution must be >= 1"):
+        sushi.gen_nonconforming_rect(0)
     with pytest.raises(InvalidTopology):
         sushi.gen_tilted_barrier(4)
     with pytest.raises(InvalidTopology):

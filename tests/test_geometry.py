@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sushi
-from sushi.errors import DegenerateFace, InvalidTopology, NonStarShaped
+from sushi.errors import DegenerateFace, InvalidTopology, MissingWeights, NonStarShaped
 from sushi.geometry import compute_geometry, domain_measure, theta_D, theta_DB, validate
 
 from conftest import (
@@ -93,6 +93,15 @@ def test_validate_detects_corruption():
     assert report.identity_residuals[4] > 1e-10
 
 
+def test_validate_refuses_a_boundary_that_encloses_no_domain():
+    # compute_geometry refuses the overlapping meshes that give such a
+    # boundary, so this Mesh is corrupted by hand: no face is on the boundary
+    mesh = sushi.gen_rect(3, 3)
+    mesh.face_cells[:, 1] = 0
+    with pytest.raises(InvalidTopology, match=r"the boundary \(0 faces\) encloses no domain"):
+        validate(mesh)
+
+
 def test_nonconforming_split_faces_have_two_cells():
     mesh = sushi.gen_nonconforming_rect(2)
     interface = [f for f in face_views(mesh) if abs(f.centre[0] - 0.5) < 1e-12]
@@ -141,6 +150,11 @@ def test_theta_d_invariant_under_rigid_motion_and_scaling():
 def test_theta_db_empty_b_equals_theta_d():
     mesh = sushi.gen_rect(3, 3)
     assert theta_DB(mesh, weights_table(mesh, {})) == theta_D(mesh)
+
+
+def test_theta_db_needs_weights():
+    with pytest.raises(MissingWeights, match="weights required for theta_DB"):
+        theta_DB(sushi.gen_rect(3, 3), None)
 
 
 def test_theta_db_midpoint_weights_uniform_grid():
@@ -216,6 +230,15 @@ TWO_SQUARES = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [1, 1], [0, 1]], dtype=f
      "cell 1 references a missing vertex"),
     (TWO_SQUARES, [[0, 1, 4, 5], [4, 1, 2, 4]], None, InvalidTopology,
      "cell 1 has a repeated consecutive vertex"),
+    (np.zeros((3, 3)), [[0, 1, 2]], None, InvalidTopology, r"expected \(V, 2\) vertex array"),
+    (SQUARE, [], None, InvalidTopology, "mesh has no cells"),
+    # the same square twice: both cells run along every face the same way
+    (SQUARE, [[0, 1, 2, 3], [1, 2, 3, 0]], None, InvalidTopology,
+     "cells 0 and 1 lie on the same side of face 0: the mesh overlaps itself"),
+    # a clockwise cell runs along its shared face as its neighbour does, but
+    # is named as clockwise
+    (TWO_SQUARES, [[0, 1, 4, 5], [4, 3, 2, 1]], None, InvalidTopology,
+     "cell 1 loop is not counter-clockwise"),
 ])
 def test_single_defect_meshes_raise_typed_errors(verts, loops, points, error, message):
     with pytest.raises(error, match=message):

@@ -172,6 +172,16 @@ def test_non_finite_cell_point_exits_2_naming_the_line(tmp_path, capsys, point):
     assert "line 9: non-finite cell point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["mesh-check"], ["solve", "--out", "out"]])
+def test_mesh_without_cells_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "empty.mesh"
+    path.write_text("dim 2\nvertices 3\n0 0\n1 0\n0 1\ncells 0\n")
+    assert main(command + ["--mesh", f"file:{path}"]) == 2
+    assert capsys.readouterr().err == "error: mesh has no cells\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_vertex_names_the_line(tmp_path):
     path = tmp_path / "nan.mesh"
     path.write_text("dim 2\nvertices 3\n0 0\nnan 0\n0 1\ncells 1\n0 1 2\n")
@@ -181,15 +191,23 @@ def test_non_finite_vertex_names_the_line(tmp_path):
 
 
 TWICE = "dim 2\nvertices 4\n0 0\n1 0\n1 1\n0 1\ncells 2\n0 1 2 3\n0 1 2 3\n"
+# The square meshed twice, the second loop starting at vertex 4, a copy of
+# vertex 0: its four boundary faces all pass through the origin.
+TWICE_COPY = "dim 2\nvertices 5\n0 0\n1 0\n1 1\n0 1\n0 0\ncells 2\n0 1 2 3\n4 1 2 3\n"
+# The same shifted by (0.3, 0.7): the divergence-theorem measure of its
+# domain is -1, so no float test of that measure finds it 0.
+TWICE_SHIFTED = ("dim 2\nvertices 5\n0.3 0.7\n1.3 0.7\n1.3 1.7\n0.3 1.7\n0.3 0.7\n"
+                 "cells 2\n0 1 2 3\n4 1 2 3\n")
+OVERLAP = "error: cells 0 and 1 lie on the same side of face {}: the mesh overlaps itself\n"
 
 
 def test_mesh_without_boundary_faces_exits_2(tmp_path, capsys):
-    # the same loop twice: every face has two cells, so no face is on the
-    # boundary and the boundary encloses no domain
+    # the same loop twice: every face has two cells that run along it in
+    # the same direction
     path = tmp_path / "twice.mesh"
     path.write_text(TWICE)
     assert main(["mesh-check", "--mesh", f"file:{path}"]) == 2
-    assert "the boundary (0 faces) encloses no domain" in capsys.readouterr().err
+    assert capsys.readouterr().err == OVERLAP.format(0)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -201,15 +219,36 @@ def test_solve_on_a_mesh_without_boundary_faces_exits_2(tmp_path, capsys, policy
     out = tmp_path / "out"
     assert main(["solve", "--mesh", f"file:{path}", "--policy", policy, "--method", method,
                  "--out", str(out)]) == 2
-    assert "error: the boundary (0 faces) encloses no domain" in capsys.readouterr().err
+    assert capsys.readouterr().err == OVERLAP.format(0)
     assert not out.exists()
 
 
 def test_boundary_whose_terms_cancel_exits_2(tmp_path, capsys):
-    # vertex 4 repeats vertex 0, so the square is meshed twice and the four
-    # boundary faces are the two copies of those through the origin, where
-    # x . n = 0: validate's divergence-theorem measure of the domain is 0
+    # the shared faces 1 and 2 are run along in the same direction
     path = tmp_path / "twice.mesh"
-    path.write_text("dim 2\nvertices 5\n0 0\n1 0\n1 1\n0 1\n0 0\ncells 2\n0 1 2 3\n4 1 2 3\n")
+    path.write_text(TWICE_COPY)
     assert main(["mesh-check", "--mesh", f"file:{path}"]) == 2
-    assert "the boundary (4 faces) encloses no domain" in capsys.readouterr().err
+    assert capsys.readouterr().err == OVERLAP.format(1)
+
+
+def test_overlapping_mesh_off_the_origin_exits_2(tmp_path, capsys):
+    path = tmp_path / "shifted.mesh"
+    path.write_text(TWICE_SHIFTED)
+    assert main(["mesh-check", "--mesh", f"file:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == OVERLAP.format(1)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_solve_on_an_overlapping_mesh_off_the_origin_exits_2(tmp_path, capsys, policy,
+                                                             method):
+    # its all-hybrid system is solvable, so only the mesh check can refuse it
+    path = tmp_path / "shifted.mesh"
+    path.write_text(TWICE_SHIFTED)
+    out = tmp_path / "out"
+    assert main(["solve", "--mesh", f"file:{path}", "--policy", policy, "--method", method,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == OVERLAP.format(1)
+    assert not out.exists()

@@ -13,7 +13,7 @@ import sushi
 from conftest import system_from_dense, traced_peak
 from oracles import spd_certificate
 from sushi.assembly import ROW_BLOCK, LinearSystem, assemble
-from sushi.errors import BreakdownNonSPD, MaxIterations, NotPositiveDefinite
+from sushi.errors import BreakdownNonSPD, MaxIterations
 from sushi.problems import problem_anisotropic_smooth, problem_tilted_barrier
 from sushi.solver import (
     AMG_MIN_N,
@@ -366,6 +366,14 @@ def test_multigrid_setup_rejects_a_non_positive_diagonal():
         solve_cg(system)
 
 
+def test_multigrid_coarse_pivot_that_is_not_positive():
+    # three unknowns are within AMG_COARSEST, so the matrix itself is the
+    # coarsest level, inverted exactly: its Cholesky meets the pivot 1 - 2 * 2
+    mat = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(BreakdownNonSPD, match=r"coarse pivot -3\.0 of the multigrid hierarchy"):
+        _smoothed_aggregation(mat, mat.diagonal())
+
+
 def test_non_positive_face_diagonal_is_named_in_the_full_system():
     # the cells are not eliminated, so the setup names the system's unknown
     system = hybrid_rect_system(64)
@@ -398,7 +406,7 @@ def test_dense_two_by_two():
 def test_dense_rejects_rank_deficient():
     mat = np.array([[1.0, 1.0], [1.0, 1.0]])
     sys_ = system_from_dense(mat, np.ones(2))
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(BreakdownNonSPD, match="non-positive pivot"):
         solve_dense(sys_)
     assert not spd_certificate(sys_)
 
@@ -412,7 +420,7 @@ def test_dense_rejects_indefinite(mat):
     # the zero diagonal factors with positive pivots, (1, 1), but only by
     # pivoting off the diagonal
     sys_ = system_from_dense(mat, np.ones(2))
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(BreakdownNonSPD, match="non-positive pivot"):
         solve_dense(sys_)
     assert not spd_certificate(sys_)
 

@@ -65,6 +65,12 @@ def test_partition_discontinuity_needs_regions():
         partition_faces(mesh, "discontinuity")
 
 
+def test_partition_unknown_policy_names_the_policies():
+    with pytest.raises(ValueError, match="unknown policy 'nope'; expected one of "
+                                         r"\('all-hybrid', 'all-barycentric', 'discontinuity'\)"):
+        partition_faces(sushi.gen_rect(2, 2), "nope")
+
+
 def test_partition_discontinuity_barrier_counts():
     mesh1, regions1 = sushi.gen_tilted_barrier(1)
     part1 = partition_faces(mesh1, "discontinuity", regions1)
