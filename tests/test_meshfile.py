@@ -242,11 +242,11 @@ def test_overlapping_mesh_off_the_origin_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("policy", POLICIES)
-def test_solve_on_an_overlapping_mesh_off_the_origin_exits_2(tmp_path, capsys, policy,
-                                                             method):
-    # its all-hybrid system is solvable, so only the mesh check can refuse it
-    path = tmp_path / "shifted.mesh"
-    path.write_text(TWICE_SHIFTED)
+@pytest.mark.parametrize("text", [TWICE_COPY, TWICE_SHIFTED], ids=["copy", "shifted"])
+def test_solve_on_an_overlapping_mesh_exits_2(tmp_path, capsys, text, policy, method):
+    # the all-hybrid systems are solvable, so only the mesh check can refuse them
+    path = tmp_path / "twice.mesh"
+    path.write_text(text)
     out = tmp_path / "out"
     assert main(["solve", "--mesh", f"file:{path}", "--policy", policy, "--method", method,
                  "--out", str(out)]) == 2
