@@ -399,10 +399,12 @@ def domain_measure(mesh: Mesh) -> float:
     """Measure of the meshed domain from its boundary faces.
 
     Divergence theorem: |Omega| = (1/d) * sum over boundary faces of
-    |sigma| * x_sigma . n_out, independent of the cell partition.
+    |sigma| * x_sigma . n_out, independent of the cell partition.  x_sigma
+    is measured from the lower-left corner of the vertices' bounding box,
+    so that far from the origin the terms do not cancel to rounding.
     """
     bf = np.flatnonzero(mesh.face_boundary)
-    c = np.take(mesh.face_centre, bf, axis=0)
+    c = np.take(mesh.face_centre, bf, axis=0) - mesh.vertices.min(axis=0)
     n = np.take(mesh.cone_normal, np.take(mesh.face_cones[:, 0], bf), axis=0)
     flux = np.take(mesh.face_measure, bf) * pair_sum(c[:, 0] * n[:, 0], c[:, 1] * n[:, 1])
     return float(flux.sum()) / DIM

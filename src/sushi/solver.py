@@ -14,7 +14,13 @@ at a time: no extended-precision or transposed copy of the matrix is kept
 matrix-vector kernels directly because they add into their output, which
 ``@`` does not: so each row sums over the lower entries, the diagonal and
 the upper entries in the order of ``LinearSystem.full()``, and every value
-is the one a product with all of ``full()`` gives, bit for bit."""
+is the one a product with all of ``full()`` gives, bit for bit.
+
+The direct solve calls SuperLU's ``gstrf`` (Demmel, Eisenstat, Gilbert,
+Li & Liu, SIAM J. Matrix Anal. Appl. 20, 1999) from scipy's compiled
+extension directly too, with the arguments ``scipy.sparse.linalg.splu``
+would pass: importing that package also imports ``scipy.linalg``, which
+costs a fresh process more than the factorizations it runs."""
 
 from __future__ import annotations
 
@@ -477,18 +483,49 @@ def solve_cg(system, tol: float = DEFAULT_TOL,
                                             residual_history=history)
 
 
+@functools.cache
+def _superlu():
+    """scipy's compiled SuperLU extension, ``_superlu``, loaded from its file
+    beside ``scipy.sparse`` so that neither ``scipy.sparse.linalg`` nor
+    ``scipy.linalg`` is imported.  An extension already imported is the one
+    returned, and a later import of the package finds the one loaded here.
+    ``ImportError`` naming the folder if the file is not there."""
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    name = "scipy.sparse.linalg._dsolve._superlu"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(os.path.dirname(sp.__file__), "linalg", "_dsolve")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_superlu" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's SuperLU extension _superlu is not in {folder}")
+
+
 def _spd_factor(mat):
     """SuperLU factor of the symmetric ``mat`` if every pivot of its symmetric
     elimination is > 0, i.e. ``mat`` is SPD; else ``None``.  SuperLU pivots off
     the diagonal only at an exact zero, which shows as ``perm_r != perm_c``.
 
-    ``mat`` is a canonical CSR matrix, exactly symmetric as ``full()`` builds
-    it, so its arrays are also those of its CSC form: SuperLU is handed its
-    transpose, a CSC view of them, not a copy."""
-    from scipy.sparse.linalg import splu  # loaded here, off CG's start-up
+    ``gstrf`` gets the arguments ``splu(mat.T, permc_spec="MMD_AT_PLUS_A",
+    diag_pivot_thresh=0.0, options={"SymmetricMode": True})`` would give
+    it, so the factor is that one bit for bit.  ``mat`` is a canonical CSR
+    matrix, exactly symmetric as ``full()`` builds it, so its arrays are
+    also those of its CSC form: SuperLU is handed them, not a copy."""
+    options = dict(DiagPivotThresh=0.0, ColPerm="MMD_AT_PLUS_A", PanelSize=None,
+                   Relax=None, SymmetricMode=True)
     try:
-        lu = splu(mat.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        lu = _superlu().gstrf(mat.shape[0], mat.nnz, mat.data,
+                              mat.indices.astype(np.intc, copy=False),
+                              mat.indptr.astype(np.intc, copy=False),
+                              csc_construct_func=sp.csc_array, ilu=False, options=options)
     except RuntimeError:  # exactly singular
         return None
     spd = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)

@@ -227,6 +227,46 @@ def test_import_loads_only_what_cg_runs_use():
     assert done.stdout.strip() == "[]"
 
 
+DENSE_IMPORT_PROBE = """
+import json, sys
+import numpy as np, scipy.sparse as sp
+import sushi.cli
+from sushi.assembly import LinearSystem
+from sushi.errors import BreakdownNonSPD
+from sushi.solver import solve_dense
+from sushi.spaces import UnknownNumbering
+
+def loaded():
+    return sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules)
+
+stages = {"import": loaded()}
+code = sushi.cli.main(["solve", "--problem", "tilted-barrier", "--mesh", "barrier:1",
+                       "--policy", "discontinuity", "--method", "dense", "--out", sys.argv[1]])
+stages["solve"] = [code, loaded()]
+singular = LinearSystem(upper=sp.csr_matrix([[0.0, 1.0], [0.0, 0.0]]), diag=np.ones(2),
+                        rhs=np.ones(2), nm=4,
+                        numbering=UnknownNumbering(n_cells=2, hybrid_faces=np.array([], dtype=int)))
+try:
+    solve_dense(singular)
+except BreakdownNonSPD:
+    stages["singular"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_dense_solve_imports_neither_linalg_package(tmp_path):
+    # a fresh process loads SuperLU's extension from its file: the import of
+    # scipy.sparse.linalg, and through it scipy.linalg, would cost more than
+    # the factorizations of every barrier mesh together
+    src = str(Path(sushi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", DENSE_IMPORT_PROBE, str(tmp_path)], env=env,
+                          check=True, capture_output=True, text=True, timeout=60)
+    stages = json.loads(done.stdout.splitlines()[-1])
+    assert stages == {"import": [], "solve": [0, []], "singular": []}
+    assert (tmp_path / "manifest.json").exists()
+
+
 def test_solve_missing_mesh_file_exits_2(tmp_path, capsys):
     code = main(["solve", "--mesh", "file:does-not-exist.msh",
                  "--out", str(tmp_path)])

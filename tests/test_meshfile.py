@@ -252,3 +252,15 @@ def test_solve_on_an_overlapping_mesh_exits_2(tmp_path, capsys, text, policy, me
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == OVERLAP.format(1)
     assert not out.exists()
+
+
+def test_valid_mesh_far_from_the_origin_passes_mesh_check(tmp_path, capsys):
+    # measured from the origin, the boundary terms x_sigma . n of this
+    # triangle are about 1e9 and cancel to a volume residual of 2.4e-7
+    path = tmp_path / "far.mesh"
+    path.write_text("dim 2\nvertices 3\n1e9 1e9\n1000000001 1e9\n1e9 1000000001\n"
+                    "cells 1\n0 1 2\n")
+    assert main(["mesh-check", "--mesh", f"file:{path}"]) == 0
+    out = capsys.readouterr().out
+    assert "volume residual=0\n" in out
+    assert out.endswith("PASS\n")

@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import logging
 import math
+import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -21,6 +23,8 @@ from sushi.solver import (
     _norm,
     _residual,
     _smoothed_aggregation,
+    _spd_factor,
+    _superlu,
     solve_cg,
     solve_dense,
 )
@@ -115,6 +119,14 @@ def hybrid_system(spec):
     mesh, _, _ = sushi.parse_mesh_spec(spec)
     part = partition_faces(mesh, "all-hybrid")
     return assemble(mesh, part, None, prob.make_tensor(mesh),
+                    source=prob.source, dirichlet=prob.dirichlet)
+
+
+def cellcentred_system(spec):
+    prob = problem_anisotropic_smooth()
+    mesh, _, _ = sushi.parse_mesh_spec(spec)
+    part = partition_faces(mesh, "all-barycentric")
+    return assemble(mesh, part, compute_weights(mesh, part), prob.make_tensor(mesh),
                     source=prob.source, dirichlet=prob.dirichlet)
 
 
@@ -425,14 +437,43 @@ def test_dense_rejects_indefinite(mat):
     assert not spd_certificate(sys_)
 
 
+@pytest.mark.parametrize("build", [lambda: barrier_system("barrier:2"),
+                                   lambda: hybrid_system("rect:8x8"),
+                                   lambda: cellcentred_system("ncrect:2")],
+                         ids=["barrier:2 discontinuity", "rect:8x8 all-hybrid",
+                              "ncrect:2 all-barycentric"])
+def test_factor_is_the_one_splu_gives_bit_for_bit(build):
+    # _spd_factor calls SuperLU's extension with the arguments of this call
+    from scipy.sparse.linalg import splu
+    system = build()
+    mat = system.full()
+    lu = _spd_factor(mat)
+    want = splu(mat.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+    assert np.array_equal(lu.perm_r, want.perm_r)
+    assert np.array_equal(lu.perm_c, want.perm_c)
+    for got, expected in ((lu.L, want.L), (lu.U, want.U)):
+        assert type(got) is type(expected)
+        assert_same_csr(got, expected)
+    assert np.array_equal(lu.solve(system.rhs), want.solve(system.rhs))
+
+
+def test_missing_superlu_extension_names_the_folder(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.sparse.linalg._dsolve._superlu", raising=False)
+    monkeypatch.setattr(sp, "__file__", str(tmp_path / "__init__.py"))
+    folder = tmp_path / "linalg" / "_dsolve"
+    with pytest.raises(ImportError, match=f"_superlu is not in {re.escape(str(folder))}$"):
+        _superlu.__wrapped__()
+
+
 @pytest.mark.parametrize("build", [lambda: barrier_system("barrier:1"),
                                    lambda: barrier_system("barrier:2"),
                                    lambda: barrier_system("barrier:3"),
                                    lambda: hybrid_rect_system(32)],
                          ids=["barrier:1", "barrier:2", "barrier:3", "rect:32x32 all-hybrid"])
 def test_full_matrix_stores_its_csc_arrays(build):
-    # SuperLU is handed the transpose of full(), a CSC view of its CSR
-    # arrays: they must be those of its CSC copy
+    # SuperLU is handed the CSR arrays of full() as its CSC arrays: they
+    # must be those of its CSC copy
     mat = build().full()
     assert_same_csr(mat.T, mat.tocsc())
 
