@@ -18,12 +18,11 @@ import numpy as np
 
 from . import __version__
 from .errors import InsufficientLevels, NumericalFailure, OutOfMemory, SushiError
-from .generators import gen_nonconforming_rect, gen_rect, gen_tri
 from .geometry import theta_D, validate
 from .gradient import resolve_alpha
 from .postproc import convergence_order
 from .problems import BUILTIN_PROBLEMS, load_problem_descriptor
-from .run import MESH_GRAMMAR, METHODS, parse_mesh_spec, solve_problem
+from .run import FAMILIES, MESH_GRAMMAR, METHODS, family_spec, parse_mesh_spec, solve_problem
 from .solver import DEFAULT_TOL
 from .spaces import POLICIES
 from .vtkio import export_csv, export_vtk
@@ -137,13 +136,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-_FAMILIES = {
-    "rect": lambda n: gen_rect(n, n),
-    "tri": gen_tri,
-    "ncrect": gen_nonconforming_rect,
-}
-
-
 def cmd_convergence(args) -> int:
     if args.check is not None:
         # Synthetic replay: fit stored (h, error) pairs only.
@@ -161,21 +153,20 @@ def cmd_convergence(args) -> int:
     problem = _load_problem(args)
     if problem.exact is None:
         raise SushiError("convergence study needs a problem with an exact solution")
-    family = _FAMILIES.get(args.family)
-    if family is None:
-        raise SushiError(f"unknown family {args.family!r}; choose from {sorted(_FAMILIES)}")
+    if args.family not in FAMILIES:
+        raise SushiError(f"unknown family {args.family!r}; choose from {sorted(FAMILIES)}")
     try:
         levels = [int(t) for t in args.levels.split(",")]
     except ValueError:
         levels = []
     if not levels or min(levels) < 1:
         raise ValueError(f"bad --levels {args.levels!r}; expected comma-separated "
-                         "resolutions N of the family (rect:NxN | tri:N | ncrect:N)")
+                         "resolutions N >= 1 of the family")
     if len(set(levels)) < 3:
         raise InsufficientLevels(f"need at least three distinct levels, got {args.levels!r}")
     rows, hs, eus, egs = [], [], [], []
     for n in levels:
-        mesh = family(n)
+        mesh, _, label = parse_mesh_spec(family_spec(args.family, n))
         with np.errstate(over="ignore"):  # reported by _require_finite_outputs
             result = solve_problem(problem, mesh, policy=args.policy,
                                    alpha=args.alpha, tol=args.tol)
@@ -183,8 +174,8 @@ def cmd_convergence(args) -> int:
         hs.append(mesh.h)
         eus.append(result.errors.eps_u)
         egs.append(result.errors.eps_grad)
-        rows.append(_csv_row(f"{args.family}:{n}", result))
-        print(f"{args.family}:{n} h={_fmt(mesh.h)} N={result.system.n} "
+        rows.append(_csv_row(label, result))
+        print(f"{label} h={_fmt(mesh.h)} N={result.system.n} "
               f"eps_u={_fmt(result.errors.eps_u)} eps_grad={_fmt(result.errors.eps_grad)}")
     slope_u = convergence_order(zip(hs, eus))
     slope_g = convergence_order(zip(hs, egs))
@@ -203,14 +194,13 @@ def cmd_mesh_check(args) -> int:
     print(f"theta_D={_fmt(td)}")
     print(f"max identity residual={_fmt(float(np.max(report.identity_residuals)))}")
     print(f"max cone-sum residual={_fmt(float(np.max(report.cone_sum_residuals)))}")
+    print(f"max closure residual={_fmt(float(np.max(report.closure_residuals)))}")
     print(f"volume residual={_fmt(report.volume_residual)}")
     if td > 100.0:
         print("warning: large theta_D (thin cells)")
     if report.passed:
         print("PASS")
         return 0
-    for msg in report.topology_errors:
-        print(f"topology: {msg}")
     print("FAIL")
     return 1
 
@@ -242,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", parents=[common],
                             help="refinement study with fitted orders")
-    p_conv.add_argument("--family", default="tri", help="rect | tri | ncrect")
+    p_conv.add_argument("--family", default="tri", help=" | ".join(FAMILIES))
     p_conv.add_argument("--levels", default="4,8,16,32",
                         help="comma-separated resolutions")
     p_conv.add_argument("--check", default=None,

@@ -170,19 +170,20 @@ class Mesh:
 
 @dataclass
 class ValidationReport:
-    """Per-cell residuals of the geometric identities plus topology checks."""
+    """Per-cell residuals of the geometric identities and the volume residual.
+
+    The face/cone incidence is not part of the report: :func:`compute_geometry`
+    builds it and refuses a mesh that would make it inconsistent."""
 
     identity_residuals: np.ndarray
     cone_sum_residuals: np.ndarray
     closure_residuals: np.ndarray
     volume_residual: float
-    topology_errors: list[str]
 
     @property
     def passed(self) -> bool:
         return (
-            not self.topology_errors
-            and float(np.max(self.identity_residuals, initial=0.0)) <= IDENTITY_TOL
+            float(np.max(self.identity_residuals, initial=0.0)) <= IDENTITY_TOL
             and float(np.max(self.cone_sum_residuals, initial=0.0)) <= IDENTITY_TOL
             and float(np.max(self.closure_residuals, initial=0.0)) <= IDENTITY_TOL
             and self.volume_residual <= IDENTITY_TOL
@@ -419,10 +420,10 @@ def validate(mesh: Mesh) -> ValidationReport:
     * sum |sigma| d(K,sigma) = d |K|,
     * sum |sigma| n = 0 (closed boundary),
 
-    plus the face/cone cross-references and the partition-of-domain
-    check sum |K| = |Omega|.  Raises ``InvalidTopology`` when the boundary
-    measure, the divisor of that check, is 0, as for a ``Mesh`` built by
-    hand whose cells overlap (:func:`compute_geometry` refuses those).
+    plus the partition-of-domain check sum |K| = |Omega|.  Raises
+    ``InvalidTopology`` when the boundary measure, the divisor of that
+    check, is 0, as for a ``Mesh`` built by hand whose cells overlap
+    (:func:`compute_geometry` refuses those).
     """
     ptr = mesh.cell_ptr
     w = np.take(mesh.face_measure, mesh.cone_face)
@@ -435,20 +436,6 @@ def validate(mesh: Mesh) -> ValidationReport:
     cone = np.abs(segment_sums(w * mesh.cone_dist, ptr) - DIM * meas) / meas
     closed = np.abs(segment_sums(wn, ptr))
     closure = np.maximum(closed[:, 0], closed[:, 1]) / segment_sums(w, ptr)
-
-    cones = np.arange(mesh.n_cones)
-    listed = np.take(mesh.face_cones, mesh.cone_face, axis=0)
-    unlisted = (listed[:, 0] != cones) & (listed[:, 1] != cones)
-    topo = [f"face {mesh.cone_face[i]} does not list cell {mesh.cone_cell[i]}"
-            for i in np.nonzero(unlisted)[0]]
-    fc = np.maximum(mesh.face_cones, 0)
-    wrong = (mesh.face_cones >= 0) & (
-        (np.take(mesh.cone_face, fc) != np.arange(mesh.n_faces)[:, None])
-        | (np.take(mesh.cone_cell, fc) != mesh.face_cells)
-    )
-    topo += [f"face {f} not listed by cell {mesh.face_cells[f, j]}"
-             for f, j in zip(*np.nonzero(wrong))]
-
     domain = domain_measure(mesh)
     if domain == 0.0:
         raise InvalidTopology(f"the boundary ({int(mesh.face_boundary.sum())} faces) "
@@ -459,7 +446,6 @@ def validate(mesh: Mesh) -> ValidationReport:
         cone_sum_residuals=cone,
         closure_residuals=closure,
         volume_residual=vol_rel,
-        topology_errors=topo,
     )
 
 

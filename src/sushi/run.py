@@ -29,6 +29,9 @@ MESH_GRAMMAR = "rect:NxM | tri:N | ncrect:N | barrier:V[xK] | file:PATH"
 # generator and the accepted numbers of sizes of each kind
 _GENERATORS = {"rect": (gen_rect, (2,)), "tri": (gen_tri, (1,)),
                "ncrect": (gen_nonconforming_rect, (1,)), "barrier": (gen_tilted_barrier, (1, 2))}
+# The refinement families of ``sushi convergence``: the kinds with one number
+# of sizes, so that level N sets each of them to N (barrier's V[xK] has two).
+FAMILIES = tuple(kind for kind, (_, arity) in _GENERATORS.items() if len(arity) == 1)
 
 
 def parse_mesh_spec(spec: str) -> tuple[Mesh, np.ndarray | None, str]:
@@ -50,6 +53,12 @@ def parse_mesh_spec(spec: str) -> tuple[Mesh, np.ndarray | None, str]:
     built = generate(*sizes)
     mesh, regions = built if kind == "barrier" else (built, None)
     return mesh, regions, f"{kind}:{'x'.join(map(str, sizes))}"
+
+
+def family_spec(family: str, n: int) -> str:
+    """The mesh spec of level ``n`` of ``family``, one of :data:`FAMILIES`:
+    each of the kind's sizes set to ``n``, as in ``rect:NxN`` or ``tri:N``."""
+    return f"{family}:{'x'.join([str(n)] * _GENERATORS[family][1][0])}"
 
 
 @dataclass

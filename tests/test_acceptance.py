@@ -50,7 +50,7 @@ def test_criterion_1_geometric_identities():
     worst = 0.0
     for mesh in meshes:
         rep = sushi.validate(mesh)
-        assert rep.passed, f"validation failed: {rep.topology_errors}"
+        assert rep.passed, f"validation failed: {rep}"
         worst = max(worst, float(np.max(rep.identity_residuals)),
                     float(np.max(rep.cone_sum_residuals)))
     elapsed = time.perf_counter() - t0

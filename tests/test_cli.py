@@ -22,7 +22,7 @@ from sushi.errors import (
     SushiError,
 )
 from sushi.generators import barrier_region
-from sushi.geometry import compute_geometry
+from sushi.geometry import IDENTITY_TOL, compute_geometry
 from sushi.gradient import DEFAULT_ALPHA
 from sushi.meshfile import write_mesh
 
@@ -662,10 +662,27 @@ def test_convergence_study_writes_flux_columns(tmp_path):
                  "--policy", "all-hybrid", "--out", str(tmp_path)])
     assert code == 0
     rows = read_csv(tmp_path / "study.csv")
-    assert [row["mesh"] for row in rows] == ["rect:4", "rect:8", "rect:16"]
+    assert [row["mesh"] for row in rows] == ["rect:4x4", "rect:8x8", "rect:16x16"]
     for column in ("flux_x0", "flux_x1", "flux_y0", "flux_y1"):
         errors = [abs(float(row[column]) + 4.0) for row in rows]
         assert sushi.convergence_order(zip((1 / 4, 1 / 8, 1 / 16), errors)) >= 1.8, column
+
+
+@pytest.mark.parametrize("family,labels", [
+    ("rect", ["rect:2x2", "rect:3x3", "rect:4x4"]), ("tri", ["tri:2", "tri:3", "tri:4"]),
+    ("ncrect", ["ncrect:2", "ncrect:3", "ncrect:4"]),
+])
+def test_convergence_labels_are_mesh_specs(tmp_path, capsys, family, labels):
+    # each level's label is the spec that solve --mesh takes for the same run
+    assert main(["convergence", "--family", family, "--levels", "2,3,4",
+                 "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "study.csv")
+    assert [row["mesh"] for row in rows] == labels
+    printed = capsys.readouterr().out.splitlines()
+    for row, line in zip(rows, printed):
+        assert line.startswith(f"{row['mesh']} h=")
+        assert main(["solve", "--mesh", row["mesh"], "--out", str(tmp_path / row["mesh"])]) == 0
+        assert read_csv(tmp_path / row["mesh"] / "report.csv") == [row]
 
 
 @pytest.mark.parametrize("args", [
@@ -717,6 +734,23 @@ def test_mesh_check_barrier_thin_layer_warning(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "warning: large theta_D" in out
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["valid", "corrupted"])
+def test_mesh_check_prints_the_closure_residual(capsys, monkeypatch, corrupt):
+    mesh, _, _ = sushi.parse_mesh_spec("rect:4x4")
+    if corrupt:
+        # cell 0's bottom normal (0, -1) swapped to (-1, 0): the cell's
+        # sum of |sigma| n no longer closes
+        mesh.cone_normal[0] = mesh.cone_normal[0, ::-1]
+    monkeypatch.setattr(sushi.cli, "parse_mesh_spec", lambda spec: (mesh, None, spec))
+    assert main(["mesh-check", "--mesh", "rect:4x4"]) == (1 if corrupt else 0)
+    out = capsys.readouterr().out.splitlines()
+    closure = [float(line.split("=")[1]) for line in out
+               if line.startswith("max closure residual=")]
+    assert len(closure) == 1
+    assert (closure[0] > IDENTITY_TOL) == corrupt
+    assert out[-1] == ("FAIL" if corrupt else "PASS")
 
 
 @pytest.mark.parametrize("option,value", [

@@ -351,3 +351,34 @@ def test_numbering_deterministic_and_complete():
     assert num.n == mesh.n_cells + len(hybrid)
     assert num.hybrid_faces.tolist() == hybrid.tolist()
     assert num.hybrid_faces.tolist() == numbering_for(mesh, part).hybrid_faces.tolist()
+
+
+# rect:4x4 with its interior vertices moved and each cell point a random
+# convex combination of the cell's corners, to three decimals: face 31's
+# support reaches |beta| 5.27, the only weight above 4
+DISTORTED_INTERIOR = {
+    6: (0.297, 0.195), 7: (0.485, 0.266), 8: (0.800, 0.263),
+    11: (0.188, 0.558), 12: (0.554, 0.539), 13: (0.791, 0.492),
+    16: (0.276, 0.837), 17: (0.583, 0.695), 18: (0.774, 0.814),
+}
+DISTORTED_CELL_POINTS = [
+    (0.061, 0.238), (0.392, 0.087), (0.729, 0.195), (0.996, 0.015),
+    (0.033, 0.476), (0.261, 0.552), (0.797, 0.264), (0.944, 0.420),
+    (0.219, 0.751), (0.365, 0.793), (0.731, 0.557), (0.797, 0.755),
+    (0.018, 0.767), (0.462, 0.769), (0.612, 0.726), (0.974, 0.778),
+]
+
+
+def test_weight_above_four_is_warned_by_face(caplog):
+    grid, _, _ = parse_mesh_spec("rect:4x4")
+    vertices = grid.vertices.copy()
+    for v, xy in DISTORTED_INTERIOR.items():
+        vertices[v] = xy
+    mesh = sushi.compute_geometry(vertices, grid.loops(), np.array(DISTORTED_CELL_POINTS))
+    part = partition_faces(mesh, "all-barycentric")
+    with caplog.at_level(logging.WARNING, logger="sushi.spaces"):
+        weights = compute_weights(mesh, part)
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == \
+        ["face 31: weight magnitude 5.27 exceeds 4"]
+    big = np.abs(weights.beta) > 4.0
+    assert np.repeat(np.arange(mesh.n_faces), np.diff(weights.ptr))[big].tolist() == [31]

@@ -20,7 +20,8 @@ the benchmark calls by name must be passed by one of those calls, or be
 listed in ``UNPASSED_PARAMETERS`` with the reason it is kept.  A function
 only referenced as a value (a user field, a dispatch table entry) is not
 checked.  Every exception type of ``errors.py`` must be named by another
-module of the package.
+module of the package, and only ``run.py`` may name a ``gen_*`` mesh
+generator, so that its table stays the one list of mesh kinds.
 """
 
 import ast
@@ -282,3 +283,14 @@ def test_every_error_type_is_named_by_another_module():
     named = set().union(*map(_references, _trees(others)))
     unnamed = [name for name, _ in _definitions(*_trees([errors])) if name not in named]
     assert not unnamed, "error types that no other module of src/sushi names: " + ", ".join(unnamed)
+
+
+def test_only_run_names_the_mesh_generators():
+    # the generator table of parse_mesh_spec is the one list of mesh kinds;
+    # another module reaches a generated mesh through a spec
+    generators = {name for name, _ in _definitions(*_trees([PACKAGE / "generators.py"]))
+                  if name.startswith("gen_")}
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    naming = [p.name for p, tree in zip(modules, _trees(modules))
+              if _references(tree) & generators]
+    assert naming == ["run.py"], "modules that name a gen_* generator: " + ", ".join(naming)
