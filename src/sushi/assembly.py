@@ -33,10 +33,10 @@ triangle and the diagonal are stored, so the matrix is exactly symmetric.
 second copy of K.  At once it holds ``E`` and ``B E``, built one block of
 ``B`` at a time, then ``E^T`` and ``B E`` while K is formed ``ROW_BLOCK``
 rows at a time: each block's diagonal and strict upper triangle, the
-triangles stacked into one.  NM is
-counted the same way, a block of rows of ``T^T T`` at a time.  Each sum
-runs over the same terms in the same order as the sparse products over
-the whole matrices, so K and the right-hand side are the same bit for bit.
+triangles stacked into one.  Each sum runs over the same terms in the same
+order as the sparse products over the whole matrices, so K and the
+right-hand side are the same bit for bit.  NM is counted from the patterns
+alone, in one structural pass over ``T^T T``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import NonPositiveTensor, NonSymmetricTensor
 from .geometry import DIM, Mesh, segment_sums, take_rows
@@ -63,8 +64,8 @@ from .spaces import (
 # quadrilaterals.
 LOCAL_BLOCK = 1024
 # Rows per block of a CSR matrix (:func:`_row_blocks`): the row blocks of
-# K = E^T (B E) and of the NM count here, and of the extended-precision
-# residual and the strength test in :mod:`sushi.solver`.
+# K = E^T (B E) here, and of the extended-precision residual and the
+# strength test in :mod:`sushi.solver`.
 ROW_BLOCK = 4096
 
 
@@ -282,8 +283,8 @@ def assemble(mesh: Mesh, partition: EdgePartition,
     del expansion
     # The value product drops exact zeros, but NM counts every entry that a
     # stored weight and a local matrix entry reach: two unknowns reached from
-    # the cones of one cell, the nonzeros of T^T T over the cell-to-unknown
-    # pattern T = C^T (C + pattern(P[cone_face])), all positive; its rows
+    # the cones of one cell, the structural nonzeros of T^T T over the
+    # cell-to-unknown pattern T = C^T (C + pattern(P[cone_face])); its rows
     # past the cells are empty.  C^T is converted first: a product with the
     # CSC transpose would convert the larger right operand, and return CSC.
     reach = cells.T.tocsr() @ (cells + _structure(picked))
@@ -294,7 +295,10 @@ def assemble(mesh: Mesh, partition: EdgePartition,
     # Row i of B E has at most as many entries as the cell of cone i reaches.
     nnz_bound = int(np.diff(mesh.cell_ptr) @ np.diff(reach.indptr[:mesh.n_cells + 1]))
     reached = reach.T.tocsr()
-    nm = sum((block @ reach).nnz for _, block in _row_blocks(reached))
+    index = reach.indices.dtype  # the one index type the kernel takes
+    nm = int(_sparsetools.csr_matmat_maxnnz(n, n, reached.indptr.astype(index, copy=False),
+                                            reached.indices.astype(index, copy=False),
+                                            reach.indptr, reach.indices))
     del reach, reached
 
     product, local_lift = _local_products(mesh, tensor, alpha, cone_map, consts, nnz_bound)

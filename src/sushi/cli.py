@@ -20,7 +20,7 @@ from . import __version__
 from .errors import InsufficientLevels, NumericalFailure, OutOfMemory, SushiError
 from .geometry import theta_D, validate
 from .gradient import resolve_alpha
-from .postproc import convergence_order
+from .postproc import FLUX_COLUMNS, convergence_order
 from .problems import BUILTIN_PROBLEMS, load_problem_descriptor
 from .run import FAMILIES, MESH_GRAMMAR, METHODS, family_spec, parse_mesh_spec, solve_problem
 from .solver import DEFAULT_TOL
@@ -63,10 +63,6 @@ def _manifest(args, result, label) -> dict:
 
 def manifest_alpha(result) -> float:
     return resolve_alpha(result.alpha)
-
-
-# The report.csv column of each side's boundary flux total, in print order.
-FLUX_COLUMNS = {"x=0": "flux_x0", "x=1": "flux_x1", "y=0": "flux_y0", "y=1": "flux_y1"}
 
 
 def _csv_row(label: str, result) -> dict:

@@ -155,6 +155,12 @@ class Mesh:
                       + 2.0 * np.take(self.face_centre[:, k], self.cone_face)) / 3.0
         return out.T
 
+    def cone_offsets(self, cones=slice(None)) -> np.ndarray:
+        """x_sigma - x_K on the cones ``cones`` (an index array of any shape,
+        or a slice; all by default), components on a new last axis."""
+        return (np.take(self.face_centre, self.cone_face[cones], axis=0)
+                - np.take(self.cell_point, self.cone_cell[cones], axis=0))
+
     def loops(self) -> list[list[int]]:
         """The vertex loop of every cell, as lists of ints."""
         ptr, verts = self.cell_ptr.tolist(), self.cone_vertex.tolist()
@@ -428,8 +434,7 @@ def validate(mesh: Mesh) -> ValidationReport:
     ptr = mesh.cell_ptr
     w = np.take(mesh.face_measure, mesh.cone_face)
     wn = w[:, None] * mesh.cone_normal
-    rel = take_rows(mesh.face_centre, mesh.cone_face) - take_rows(mesh.cell_point, mesh.cone_cell)
-    m = segment_sums(wn[:, :, None] * rel[:, None, :], ptr)
+    m = segment_sums(wn[:, :, None] * mesh.cone_offsets()[:, None, :], ptr)
     meas = mesh.cell_measure
     ident = np.maximum(np.maximum(np.abs(m[:, 0, 0] - meas), np.abs(m[:, 0, 1])),
                        np.maximum(np.abs(m[:, 1, 0]), np.abs(m[:, 1, 1] - meas))) / meas

@@ -83,8 +83,7 @@ def _residuals(mesh: Mesh, cones, delta: np.ndarray, grad: np.ndarray, alpha: fl
     ``cones``, for their increments ``delta`` and cell gradients ``grad``
     (components on the last axis); the shape of the index array ``cones``
     broadcasts with the leading axes of the other two."""
-    rel = (np.take(mesh.face_centre, mesh.cone_face[cones], axis=0)
-           - np.take(mesh.cell_point, mesh.cone_cell[cones], axis=0))
+    rel = mesh.cone_offsets(cones)
     proj = pair_sum(rel[..., 0] * grad[..., 0], rel[..., 1] * grad[..., 1])
     return (delta - proj) * (alpha / mesh.cone_dist[cones])
 

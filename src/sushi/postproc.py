@@ -93,8 +93,7 @@ def _cell_fluxes(mesh: Mesh, tensor: TensorField, grad: GradientField, a: float,
     del lam, gc
     normal = np.take(mesh.cone_normal, cones, axis=0)
     s = (a / mesh.cone_dist[cones]) * pair_sum(normal[:, 0] * w[0], normal[:, 1] * w[1])
-    rel = (np.take(mesh.face_centre, mesh.cone_face[cones], axis=0)
-           - np.take(mesh.cell_point, mesh.cone_cell[cones], axis=0))
+    rel = mesh.cone_offsets(cones)
     v = [np.repeat(segment_sums(w[k] - s * rel[:, k], ptr), sizes) for k in range(2)]
     g = gradient_coefficients(mesh, cones)
     return cones, -(s + pair_sum(g[:, 0] * v[0], g[:, 1] * v[1]))
@@ -104,6 +103,8 @@ def _cell_fluxes(mesh: Mesh, tensor: TensorField, grad: GradientField, a: float,
 # may lie off its side, relative to the extent of the boundary.
 UNIT_SQUARE_SIDES = ("x=0", "x=1", "y=0", "y=1")
 SIDE_TOL = 1e-9
+# The report.csv column of each side's boundary flux total, in print order.
+FLUX_COLUMNS = {side: "flux_" + side.replace("=", "") for side in UNIT_SQUARE_SIDES}
 
 
 def boundary_flux_totals(mesh: Mesh, tensor: TensorField, u: DiscreteFunction,

@@ -132,12 +132,6 @@ def _scaled(system):
     return dataclasses.replace(system, rhs=np.ldexp(system.rhs, scale)), scale
 
 
-def _neighbour_max(ptr: np.ndarray, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Largest of ``values`` over each row's entries of a CSR pattern whose
-    rows are all non-empty."""
-    return np.maximum.reduceat(values[idx], ptr[:-1])
-
-
 def _aggregates(mat: sp.csr_matrix, diag: np.ndarray) -> np.ndarray:
     """Aggregate of each unknown, from a distance-2 maximal independent set
     of the strength graph found by array rounds (Bell, Dalton & Olson 2012).
@@ -172,7 +166,7 @@ def _aggregates(mat: sp.csr_matrix, diag: np.ndarray) -> np.ndarray:
     state[np.diff(ptr) == 1] = 0
     while (undecided := state == 1).any():
         key = state * np.int32(n) + rank
-        top = _neighbour_max(ptr, idx, _neighbour_max(ptr, idx, key))
+        top = np.maximum.reduceat(np.maximum.reduceat(key[idx], ptr[:-1])[idx], ptr[:-1])
         won = undecided & (top == key)
         state[won] = 2
         state[undecided & ~won & (state[by_rank[top % n]] == 2)] = 0
@@ -181,7 +175,7 @@ def _aggregates(mat: sp.csr_matrix, diag: np.ndarray) -> np.ndarray:
     roots = state == 2
     agg[roots] = np.arange(np.count_nonzero(roots))
     for _ in range(2):  # neighbours of roots, then the unknowns beyond them
-        top = _neighbour_max(ptr, idx, np.where(agg >= 0, rank, -1))
+        top = np.maximum.reduceat(np.where(agg >= 0, rank, -1)[idx], ptr[:-1])
         joins = (agg < 0) & (top >= 0)
         agg[joins] = agg[by_rank[top[joins]]]
     return agg

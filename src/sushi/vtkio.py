@@ -15,11 +15,11 @@ import csv
 import numpy as np
 
 from .geometry import Mesh
+from .postproc import FLUX_COLUMNS
 
 CSV_COLUMNS = [
     "mesh", "policy", "alpha", "N", "NM",
-    "eps_u", "eps_grad",
-    "flux_x0", "flux_x1", "flux_y0", "flux_y1",
+    "eps_u", "eps_grad", *FLUX_COLUMNS.values(),
     "iterations", "residual",
 ]
 

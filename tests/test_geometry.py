@@ -266,9 +266,13 @@ def test_compute_geometry_peak_memory_at_128x128():
     assert peak <= 11.5e6
 
 
-@pytest.mark.parametrize("cones", [slice(None), slice(3, 40), np.array([7, 0, 7, 21]),
-                                   np.arange(24).reshape(4, 6)],
-                         ids=["all", "slice", "indices", "2-d"])
+# Cone selections: all, a slice, an index array with repeats, a 2-d one.
+CONES = pytest.mark.parametrize("cones", [slice(None), slice(3, 40), np.array([7, 0, 7, 21]),
+                                          np.arange(24).reshape(4, 6)],
+                                ids=["all", "slice", "indices", "2-d"])
+
+
+@CONES
 def test_cone_centroids_are_the_formula_bit_for_bit(cones):
     mesh = sushi.gen_nonconforming_rect(2)
     centroids = mesh.cone_centroids()
@@ -278,3 +282,12 @@ def test_cone_centroids_are_the_formula_bit_for_bit(cones):
             + 2.0 * mesh.face_centre[mesh.cone_face[cones]]) / 3.0
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@CONES
+def test_cone_offsets_are_the_formula_bit_for_bit(cones):
+    mesh = sushi.gen_nonconforming_rect(2)
+    got = mesh.cone_offsets(cones)
+    want = mesh.face_centre[mesh.cone_face[cones]] - mesh.cell_point[mesh.cone_cell[cones]]
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -22,6 +22,9 @@ only referenced as a value (a user field, a dispatch table entry) is not
 checked.  Every exception type of ``errors.py`` must be named by another
 module of the package, and only ``run.py`` may name a ``gen_*`` mesh
 generator, so that its table stays the one list of mesh kinds.
+
+No two modules of the package may share two consecutive code lines, so
+that each formula lives in one place.
 """
 
 import ast
@@ -294,3 +297,36 @@ def test_only_run_names_the_mesh_generators():
     naming = [p.name for p, tree in zip(modules, _trees(modules))
               if _references(tree) & generators]
     assert naming == ["run.py"], "modules that name a gen_* generator: " + ", ".join(naming)
+
+
+# Code lines shorter than this are too common to tell a copy by.
+COPY_MIN_CHARS = 30
+
+
+def _code_lines(path):
+    """``(line number, stripped text)`` of the code lines of ``path``, in
+    order: imports, docstrings, comments, blank lines and lines under
+    ``COPY_MIN_CHARS`` characters left out."""
+    text = path.read_text(encoding="utf-8")
+    skipped = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)):
+            skipped.update(range(node.lineno, node.end_lineno + 1))
+    lines = [(number, line.strip()) for number, line in enumerate(text.splitlines(), 1)
+             if number not in skipped]
+    return [(number, line) for number, line in lines
+            if len(line) >= COPY_MIN_CHARS and not line.startswith("#")]
+
+
+def test_no_two_modules_share_two_consecutive_code_lines():
+    first = {}
+    copies = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = _code_lines(path)
+        for (number, line), (_, following) in zip(lines, lines[1:]):
+            name, at = first.setdefault((line, following), (path.name, number))
+            if name != path.name:
+                copies.append(f"{name}:{at} and {path.name}:{number} ({line})")
+    assert not copies, "code lines copied between modules of src/sushi: " + "; ".join(copies)
